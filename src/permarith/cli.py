@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import random
 import sys
@@ -36,7 +37,10 @@ SCHEMA = "permarith/1"
 PARAM_FLAGS = ("n", "p", "d", "a", "x", "backend", "idx_range")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser; built once per process, since parsing leaves it
+    unchanged."""
     parser = argparse.ArgumentParser(
         prog="permarith",
         description="Exact permanents/determinants of structured matrices: "
@@ -194,7 +198,15 @@ def _emit_reports(args, command, reports):
         tag = " [evidence]" if r.kind == "conjecture" else ""
         line = f"[{r.status}] {r.check_id} {param_str(r.params)}{tag}"
         if r.status == "FAIL":
-            line += f": computed {r.computed}, expected {r.expected}{mod}"
+            # A check that raised has no values, only the reason in its note.
+            parts = []
+            if r.computed or r.expected:
+                parts.append(
+                    f"computed {r.computed}, expected {r.expected}{mod}")
+            if r.note:
+                parts.append(r.note)
+            if parts:
+                line += ": " + "; ".join(parts)
         elif r.status == "SKIP":
             line += f": {r.note}"
         elif r.computed:

@@ -1,10 +1,25 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_m).
 
 Elements are stored as length-m coefficient vectors on the exponent lattice
-(reduced mod x^m - 1), so products of root-of-unity monomials are cyclic
-convolutions: cheap inside permanent loops.  Canonicalization modulo the
-m-th cyclotomic polynomial happens only for equality, rational recognition
-and inversion.
+(reduced mod x^m - 1).  Canonicalization modulo the m-th cyclotomic
+polynomial happens only for equality, rational recognition and inversion.
+
+Products run on plain ints by Kronecker substitution (Harvey, J. Symb.
+Comput. 44, 2009).  `pack_rows` clears each row's common denominator d_j
+and evaluates every integral vector at x = 2^B; `unpack` reduces an int
+mod 2^(mB) - 1, which is x^m - 1 at x = 2^B, decodes the m signed base-2^B
+digits and divides by prod d_j.  The digit width is safe because of a
+bound fixed before any product is taken: on Z[x]/(x^m - 1) the L1 norm is
+submultiplicative, so every coefficient of a product of one entry per row,
+and hence of any signed sum of such products over permutations (a
+permanent or determinant), is at most L = prod_j (sum_k |row_j entry_k|_1).
+With B = bitlen(L) + 2 each coefficient lies in (-2^(B-2), 2^(B-2)): the
+value fits well inside the symmetric residues mod 2^(mB) - 1 and its
+balanced digits are the coefficients.  Decoding re-checks every digit
+against L and raises ArithmeticError if one exceeds it.  Cyc.__mul__
+packs its two operands as two one-entry rows, so a cyclic convolution
+becomes one int product, and Cyc.inverse multiplies the Galois conjugates
+the same way.
 
 Square roots of integers never become floats here: for odd n the quadratic
 Gauss sum g = sum_x zeta^(x^2) satisfies g^2 = (-1)^((n-1)/2) n, and
@@ -17,6 +32,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from operator import lshift
+from typing import NamedTuple
 
 from .errors import (DomainError, NonInvertibleError, SearchExhaustedError)
 from .ntheory import divisors, is_prime, prime_factors
@@ -150,25 +167,13 @@ class Cyc:
     def __mul__(self, other):
         if isinstance(other, Cyc):
             self._check(other)
-            m = self.order
-            a, b = self.coeffs, other.coeffs
-            # outer loop over the sparser operand
-            na = sum(1 for c in a if c)
-            nb = sum(1 for c in b if c)
-            if nb < na:
-                a, b = b, a
-            out = [0] * m
-            for i in range(m):
-                ai = a[i]
-                if ai:
-                    for j in range(m):
-                        bj = b[j]
-                        if bj:
-                            k = i + j
-                            if k >= m:
-                                k -= m
-                            out[k] += ai * bj
-            return Cyc(m, out)
+            # pack_rows on the rows (self,) and (other,), without the
+            # per-row bookkeeping: one int product replaces the convolution.
+            a, da = _integral(self)
+            b, db = _integral(other)
+            bound = sum(map(abs, a)) * sum(map(abs, b))
+            layout = Layout(self.order, bound.bit_length() + 2, da * db, bound)
+            return unpack(layout.image(a) * layout.image(b), layout)
         if isinstance(other, (int, Rat)):
             if other == 0:
                 return Cyc(self.order, [0] * self.order)
@@ -231,25 +236,32 @@ class Cyc:
             return None
         return Rat(can[0])
 
-    def demoted(self) -> "Cyc":
-        """Copy with integral rational coefficients demoted to ints."""
-        return Cyc(self.order, [_demote(c) for c in self.coeffs])
-
     def inverse(self) -> "Cyc":
-        """Multiplicative inverse, by extended gcd with the cyclotomic polynomial."""
-        can = self.canonical()
-        if all(c == 0 for c in can):
+        """Multiplicative inverse: the product of the phi(m) - 1 other Galois
+        conjugates, divided by the rational norm.
+
+        The conjugates of the integral numerator are multiplied as Kronecker
+        images in one pass, and the result comes back in canonical
+        coordinates.
+        """
+        if self.is_zero():
             raise NonInvertibleError("inverse of zero in a cyclotomic field")
-        phi = [Rat(c) for c in cyclotomic_poly(self.order)]
-        a = [Rat(c) for c in can]
-        g, u = _poly_xgcd(a, phi)
-        # g is a nonzero constant since the cyclotomic polynomial is irreducible
-        scale = 1 / g[0]
-        coeffs = [0] * self.order
-        for i, c in enumerate(u):
+        m = self.order
+        coeffs, den = _integral(self)
+        num = Cyc(m, coeffs)
+        others = [num.galois(a) for a in range(2, m) if math.gcd(a, m) == 1]
+        if others:
+            rows, layout = pack_rows(m, [(z,) for z in others])
+            conj = unpack(layout.product([img for (img,) in rows]), layout)
+        else:
+            conj = Cyc.rational(m, 1)
+        norm = int((num * conj).as_rational())
+        out = [0] * m
+        for i, c in enumerate(conj.canonical()):
             if c:
-                coeffs[i] = _demote(c * scale)
-        return Cyc(self.order, coeffs)
+                q, r = divmod(c * den, norm)
+                out[i] = Rat(c * den, norm) if r else q
+        return Cyc(m, out)
 
     def galois(self, a: int) -> "Cyc":
         """Field automorphism zeta -> zeta^a; requires gcd(a, m) = 1."""
@@ -298,52 +310,100 @@ class Cyc:
         return f"Cyc({self.order}; {self})"
 
 
-def _poly_trim(p: list) -> list:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
+# ---------------------------------------------------------------------------
+# Kronecker substitution
+# ---------------------------------------------------------------------------
+
+_INT_ONLY = frozenset((int,))
 
 
-def _poly_sub(a: list, b: list) -> list:
-    out = list(a) + [Rat(0)] * (len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] -= c
-    return _poly_trim(out)
+def _integral(z: "Cyc") -> tuple[list[int], int]:
+    # (integer coefficients, d) with z = coefficients / d, d minimal.
+    coeffs = z.coeffs
+    if _INT_ONLY.issuperset(map(type, coeffs)):
+        return coeffs, 1
+    d = math.lcm(*[int(c.denominator) for c in coeffs])
+    return [int(c.numerator) * (d // int(c.denominator)) for c in coeffs], d
 
 
-def _poly_mul(a: list, b: list) -> list:
-    if not a or not b:
-        return []
-    out = [Rat(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _poly_trim(out)
+class Layout(NamedTuple):
+    """How pack_rows encoded its rows: order m, digit width B, the product
+    of the row denominators and the coefficient bound L."""
+
+    order: int
+    bits: int
+    den: int
+    bound: int
+
+    def image(self, vec) -> int:
+        """The Kronecker image v(2^B) of an integral coefficient vector."""
+        return sum(map(lshift, vec, range(0, self.order * self.bits,
+                                          self.bits)))
+
+    def product(self, images):
+        """Product of Kronecker images, folded mod 2^(mB) - 1 after each
+        factor so that it never outgrows mB bits by much."""
+        width = self.order * self.bits
+        mask = (1 << width) - 1
+        it = iter(images)
+        prod = next(it)
+        for x in it:
+            prod *= x
+            prod = (prod & mask) + (prod >> width)
+        return prod
 
 
-def _poly_divmod(num: list, den: list) -> tuple[list, list]:
-    num = list(num)
-    q = [Rat(0)] * max(0, len(num) - len(den) + 1)
-    inv_lead = 1 / den[-1]
-    for i in range(len(num) - 1, len(den) - 2, -1):
-        c = num[i] * inv_lead
-        if c:
-            q[i - len(den) + 1] = c
-            for t in range(len(den)):
-                num[i - len(den) + 1 + t] -= c * den[t]
-    return _poly_trim(q), _poly_trim(num)
+def pack_rows(order: int, rows):
+    """Kronecker images of rows of Cyc entries, and the layout to decode by.
+
+    Row j is multiplied by the common denominator d_j of its entries'
+    coefficients; each integral vector v is replaced by the int v(2^B).
+    The Layout carries the coefficient bound L of the module docstring,
+    which fixes B.
+    """
+    den = 1
+    bound = 1
+    integral = []
+    for row in rows:
+        cleared = list(map(_integral, row))
+        d = math.lcm(*[dz for _, dz in cleared])
+        vecs = [v if dz == d else [c * (d // dz) for c in v]
+                for v, dz in cleared]
+        bound *= sum(sum(map(abs, v)) for v in vecs)
+        den *= d
+        integral.append(vecs)
+    layout = Layout(order, bound.bit_length() + 2, den, bound)
+    return [list(map(layout.image, vecs)) for vecs in integral], layout
 
 
-def _poly_xgcd(a: list, b: list) -> tuple[list, list]:
-    """(g, u) with u*a = g modulo b, by the extended Euclidean algorithm."""
-    r0, r1 = list(a), list(b)
-    u0, u1 = [Rat(1)], []
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, _poly_sub(u0, _poly_mul(q, u1))
-    return r0, u0
+def unpack(value: int, layout: Layout) -> Cyc:
+    """The Cyc whose Kronecker image under `layout` is `value`.
+
+    `value` may be any int congruent, mod 2^(mB) - 1, to the image of a
+    vector whose coefficients are bounded by the layout's L; a digit over
+    the bound means the bound was broken and raises ArithmeticError.
+    """
+    m, bits, den, bound = layout
+    width = m * bits
+    modulus = (1 << width) - 1
+    value %= modulus
+    if value > modulus >> 1:
+        value -= modulus
+    # Offset every digit by 2^(B-1) so that the balanced digits become
+    # plain bit fields.
+    half = 1 << (bits - 1)
+    value += half * (modulus // ((1 << bits) - 1))
+    if value < 0 or value >> width:
+        raise ArithmeticError("Kronecker image outside the decodable range")
+    mask = (1 << bits) - 1
+    coeffs = [(value >> shift & mask) - half
+              for shift in range(0, width, bits)]
+    if max(coeffs) > bound or min(coeffs) < -bound:
+        raise ArithmeticError(
+            f"Kronecker coefficient exceeds its bound {bound}")
+    if den != 1:
+        coeffs = [c // den if c % den == 0 else Rat(c, den) for c in coeffs]
+    return Cyc(m, coeffs)
 
 
 # ---------------------------------------------------------------------------

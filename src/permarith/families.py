@@ -162,7 +162,7 @@ def build_cyclotomic(family: str, **params) -> tuple[Mat, Scale]:
             return Mat(ring, [[one - fq.zeta_pow(j) * int(x)
                                for x in xs] for j in range(1, n + 1)]), Scale()
         ring = CyclotomicField(n)
-        return Mat(ring, [[(1 - ring.zeta(j) * x).demoted() for x in xs]
+        return Mat(ring, [[1 - ring.zeta(j) * x for x in xs]
                           for j in range(1, n + 1)]), Scale()
 
     if family == "root_exp_shift":
@@ -175,7 +175,7 @@ def build_cyclotomic(family: str, **params) -> tuple[Mat, Scale]:
                                for k in range(1, n)]
                               for j in range(1, n)]), Scale()
         ring = CyclotomicField(n)
-        table = {r: (1 + ring.zeta(r) * x).demoted() for r in range(n)}
+        table = {r: 1 + ring.zeta(r) * x for r in range(n)}
         return Mat(ring, [[table[(j + k) % n] for k in range(1, n)]
                           for j in range(1, n)]), Scale()
 
@@ -194,15 +194,14 @@ def build_cyclotomic(family: str, **params) -> tuple[Mat, Scale]:
         if x ** n == 1:
             raise SingularFamilyError(f"{family}: x^n = 1 for x={x}, n={n}")
         ring = CyclotomicField(n)
-        table = {r: (1 - ring.zeta(r) * x).inverse().demoted() for r in range(n)}
+        table = {r: (1 - ring.zeta(r) * x).inverse() for r in range(n)}
         return Mat(ring, [[table[(j - k) % n] for k in range(1, n + 1)]
                           for j in range(1, n + 1)]), Scale()
 
     if family == "tan_shift":
         _require(n % 2 == 1 and n >= 3, family, f"n must be odd >= 3, got {n}")
         ring = CyclotomicField(n)
-        table = {r: ((ring.zeta(r) - 1)
-                     * (ring.zeta(r) + 1).inverse()).demoted()
+        table = {r: (ring.zeta(r) - 1) * (ring.zeta(r) + 1).inverse()
                  for r in range(n)}
         return Mat(ring, [[table[(j + k) % n] for k in range(1, n)]
                           for j in range(1, n)]), Scale(0, (n - 1) % 4)
@@ -219,24 +218,22 @@ def build_cyclotomic(family: str, **params) -> tuple[Mat, Scale]:
             table = {r: ring.zeta(r) + ring.zeta(-r) for r in residues}
             scale = Scale(-h, 0)
         elif family == "sec2":
-            table = {r: (ring.zeta(r) + ring.zeta(-r)).inverse().demoted()
+            table = {r: (ring.zeta(r) + ring.zeta(-r)).inverse()
                      for r in residues}
             scale = Scale(h, 0)
         elif family == "sin2":
             table = {r: ring.zeta(r) - ring.zeta(-r) for r in residues}
             scale = Scale(-h, (-h) % 4)
         elif family == "csc2":
-            table = {r: (ring.zeta(r) - ring.zeta(-r)).inverse().demoted()
+            table = {r: (ring.zeta(r) - ring.zeta(-r)).inverse()
                      for r in residues}
             scale = Scale(h, h % 4)
         elif family == "tan_jk":
-            table = {r: ((ring.zeta(r) - 1)
-                         * (ring.zeta(r) + 1).inverse()).demoted()
+            table = {r: (ring.zeta(r) - 1) * (ring.zeta(r) + 1).inverse()
                      for r in residues}
             scale = Scale(0, (3 * h) % 4)
         else:  # cot_jk
-            table = {r: ((ring.zeta(r) + 1)
-                         * (ring.zeta(r) - 1).inverse()).demoted()
+            table = {r: (ring.zeta(r) + 1) * (ring.zeta(r) - 1).inverse()
                      for r in residues}
             scale = Scale(0, h % 4)
         return Mat(ring, [[table[(j * k) % n] for k in range(1, h + 1)]
@@ -249,9 +246,9 @@ def build_cyclotomic(family: str, **params) -> tuple[Mat, Scale]:
         table = {}
         for r in range(m):
             c = ring.zeta(r) + ring.zeta(-r)
-            table[r] = ((c * c).inverse() * 4).demoted()
+            table[r] = (c * c).inverse() * 4
             if family == "tan2_diff":
-                table[r] = (table[r] - 1).demoted()
+                table[r] = table[r] - 1
         return Mat(ring, [[table[(j - k) % m] for k in range(1, n + 1)]
                           for j in range(1, n + 1)]), Scale()
 
@@ -261,8 +258,7 @@ def build_cyclotomic(family: str, **params) -> tuple[Mat, Scale]:
                  f"size must be n or n-1, got {size}")
         _require(size >= 1, family, "empty matrix")
         ring = CyclotomicField(n)
-        table = {r: (1 - ring.zeta(r)).inverse().demoted()
-                 for r in range(1, n)}
+        table = {r: (1 - ring.zeta(r)).inverse() for r in range(1, n)}
         zero = ring.zero
         return Mat(ring, [[zero if j == k else table[(j - k) % n]
                            for k in range(1, size + 1)]
@@ -274,8 +270,7 @@ def build_cyclotomic(family: str, **params) -> tuple[Mat, Scale]:
                  f"size must be n or n-1, got {size}")
         _require(size >= 1, family, "empty matrix")
         ring = CyclotomicField(n)
-        table = {r: ((1 + ring.zeta(r))
-                     * (1 - ring.zeta(r)).inverse()).demoted()
+        table = {r: (1 + ring.zeta(r)) * (1 - ring.zeta(r)).inverse()
                  for r in range(1, n)}
         zero = ring.zero
         return Mat(ring, [[zero if j == k else table[(j - k) % n]

@@ -6,9 +6,19 @@ be partitioned into contiguous blocks; each block rebuilds its row sums from
 its first subset, so partial results are exact and their sum is independent
 of the partitioning - that is what makes parallel execution deterministic.
 
-det_divfree is Bird's iterated-matrix-product determinant (only +, -, *),
-valid over rings with zero divisors such as Z/p^2.  det_field is ordinary
-elimination with exact pivots for genuine fields.
+det_divfree is Bird's iterated-matrix-product determinant (only +, -, *;
+Bird, IPL 111, 2011), valid over rings with zero divisors such as Z/p^2.
+det_field is elimination with exact pivots over fields other than Q(zeta_m).
+
+Over Q(zeta_m) both per_ryser and det_field run on plain ints: the rows go
+through cyclotomic.pack_rows (row denominators cleared, every entry
+evaluated at x = 2^B), the same Ryser and Bird loops add and multiply
+those ints (Ryser folds each row product mod 2^(mB) - 1), and
+cyclotomic.unpack decodes the one result.  Evaluation at 2^B is a ring map
+from Z[x] and the reduction mod 2^(mB) - 1 is the image of x^m - 1, so the
+loops compute the image of the exact permanent or determinant; the bound in
+the cyclotomic module docstring makes its decoding unique.  Neither engine
+inverts anything over Q(zeta_m).
 """
 
 from __future__ import annotations
@@ -18,6 +28,7 @@ from concurrent.futures import ThreadPoolExecutor
 from functools import reduce
 from itertools import permutations
 
+from .cyclotomic import CyclotomicField, pack_rows, unpack
 from .errors import DomainError, SizeLimitError, UnsupportedRingError
 from .rings import Ring
 
@@ -90,8 +101,9 @@ def mask(mat: Mat, predicate) -> Mat:
 # Permanents
 # ---------------------------------------------------------------------------
 
-def _ryser_block(cols, n, zero, s_lo, s_hi):
-    """Signed Gray-code partial sum over subset indices s in [s_lo, s_hi)."""
+def _ryser_block(cols, n, zero, product, s_lo, s_hi):
+    """Signed Gray-code partial sum over subset indices s in [s_lo, s_hi);
+    `product` multiplies out one list of row sums."""
     prev = (s_lo - 1) ^ ((s_lo - 1) >> 1)
     row = [zero] * n
     for k in range(n):
@@ -100,7 +112,6 @@ def _ryser_block(cols, n, zero, s_lo, s_hi):
             row = [r + c for r, c in zip(row, col)]
     parity = prev.bit_count() & 1
     acc = zero
-    mul = operator.mul
     for s in range(s_lo, s_hi):
         k = (s & -s).bit_length() - 1
         col = cols[k]
@@ -111,9 +122,13 @@ def _ryser_block(cols, n, zero, s_lo, s_hi):
             row = [r + c for r, c in zip(row, col)]
             prev |= 1 << k
         parity ^= 1
-        prod = reduce(mul, row)
+        prod = product(row)
         acc = acc - prod if parity else acc + prod
     return acc
+
+
+def _product(row):
+    return reduce(operator.mul, row)
 
 
 def per_ryser(mat: Mat, threads: int = 1, partitions=None):
@@ -125,8 +140,17 @@ def per_ryser(mat: Mat, threads: int = 1, partitions=None):
     `threads`.
     """
     n = mat.n
-    cols = mat.columns()
-    zero = mat.ring.zero
+    ring = mat.ring
+    packed = isinstance(ring, CyclotomicField)
+    if packed:
+        rows, layout = pack_rows(ring.m, mat.rows)
+        cols = [list(col) for col in zip(*rows)]
+        zero = 0
+        product = layout.product
+    else:
+        cols = mat.columns()
+        zero = ring.zero
+        product = _product
     top = 1 << n
     if partitions is None:
         partitions = 1 if threads <= 1 else 4 * threads
@@ -144,13 +168,16 @@ def per_ryser(mat: Mat, threads: int = 1, partitions=None):
     if threads > 1 and len(ranges) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(
-                lambda r: _ryser_block(cols, n, zero, r[0], r[1]), ranges))
+                lambda r: _ryser_block(cols, n, zero, product, r[0], r[1]),
+                ranges))
     else:
-        parts = [_ryser_block(cols, n, zero, lo, hi) for lo, hi in ranges]
+        parts = [_ryser_block(cols, n, zero, product, lo, hi)
+                 for lo, hi in ranges]
     acc = parts[0]
     for p in parts[1:]:
         acc = acc + p
-    return acc if n % 2 == 0 else -acc
+    acc = acc if n % 2 == 0 else -acc
+    return unpack(acc, layout) if packed else acc
 
 
 def per_naive(mat: Mat):
@@ -204,17 +231,14 @@ def per_sum_matrix(u, v):
 # Determinants
 # ---------------------------------------------------------------------------
 
-def det_divfree(mat: Mat):
-    """Determinant using only +, -, * (Bird's algorithm); safe over rings
-    with zero divisors."""
-    n = mat.n
+def _bird(rows, zero):
+    # Bird's loop: n - 1 products with mu(x), which keeps the strict upper
+    # triangle of x and puts -(x[i+1][i+1] + ... + x[n-1][n-1]) at (i, i).
+    n = len(rows)
     if n == 1:
-        return mat.rows[0][0]
-    zero = mat.ring.zero
-    x = [list(r) for r in mat.rows]
+        return rows[0][0]
+    x = [list(r) for r in rows]
     for _ in range(n - 1):
-        # mu(x): strict upper triangle kept, diagonal entry i replaced by
-        # -(x[i+1][i+1] + ... + x[n-1][n-1]), lower triangle zeroed.
         mu = [[zero] * n for _ in range(n)]
         tail = zero
         for i in range(n - 1, -1, -1):
@@ -230,18 +254,32 @@ def det_divfree(mat: Mat):
                 c = mrow[t]
                 if c == zero:
                     continue
-                arow = mat.rows[t]
+                arow = rows[t]
                 for j in range(n):
                     out[j] = out[j] + c * arow[j]
         x = nxt
     return x[0][0] if n % 2 else -x[0][0]
 
 
+def det_divfree(mat: Mat):
+    """Determinant using only +, -, * (Bird's algorithm); safe over rings
+    with zero divisors."""
+    return _bird(mat.rows, mat.ring.zero)
+
+
 def det_field(mat: Mat):
-    """Determinant by Gaussian elimination with exact inversion; fields only."""
+    """Determinant over a field.
+
+    Over Q(zeta_m) it is Bird's loop on the Kronecker images of the rows, so
+    no pivot is inverted; over every other field, Gaussian elimination with
+    exact pivot inversion.
+    """
     ring = mat.ring
     if not ring.is_field:
         raise UnsupportedRingError(f"{ring.name} is not a field")
+    if isinstance(ring, CyclotomicField):
+        rows, layout = pack_rows(ring.m, mat.rows)
+        return unpack(_bird(rows, 0), layout)
     n = mat.n
     a = [list(r) for r in mat.rows]
     zero = ring.zero

@@ -154,11 +154,7 @@ def seq_s_prime(p: int) -> SeqValue:
     _check_odd_prime("sprime", p)
     h = (p - 1) // 2
     mat, scale = build_cyclotomic("csc2", n=p)
-    # csc entries scaled by p are algebraic integers: integer coordinates
-    # keep the Ryser loop in int arithmetic; divide p^h back out at the end.
-    scaled = mat.map_entries(lambda z: (z * p).demoted())
-    val = _resolve(per_ryser(scaled), scale.pow2 - h, scale.ipow, +1, p)
-    val = Rat(val, p ** h)
+    val = _resolve(per_ryser(mat), scale.pow2 - h, scale.ipow, +1, p)
     return SeqValue("sprime", p, val, val.denominator == 1)
 
 
@@ -175,11 +171,8 @@ def seq_t(n: int) -> SeqValue:
 def seq_t_prime(p: int) -> SeqValue:
     """sqrt(p) * per[cot pi jk/p]; an integer for odd prime p."""
     _check_odd_prime("tprime", p)
-    h = (p - 1) // 2
     mat, scale = build_cyclotomic("cot_jk", n=p)
-    scaled = mat.map_entries(lambda z: (z * p).demoted())
-    val = _resolve(per_ryser(scaled), scale.pow2, scale.ipow, +1, p)
-    val = Rat(val, p ** h)
+    val = _resolve(per_ryser(mat), scale.pow2, scale.ipow, +1, p)
     return SeqValue("tprime", p, val, val.denominator == 1)
 
 

@@ -166,3 +166,38 @@ def test_explore_never_gates_without_strict(capsys, monkeypatch):
     code, _ = run_cli(capsys, "explore", "conj.bernoulli", "--nmax", "4",
                       "--strict")
     assert code == 1
+
+
+def test_fail_text_prints_note(capsys, monkeypatch):
+    # A check that raises has no computed value; the text row must carry the
+    # reason from the note instead of "computed , expected".
+    import permarith.verifier as verifier
+
+    def broken(k):
+        raise ArithmeticError("broken on purpose")
+
+    monkeypatch.setattr(verifier, "bernoulli", broken)
+    code, out = run_cli(capsys, "verify", "conj.bernoulli", "--n", "3")
+    assert ("[FAIL] conj.bernoulli n=3: ArithmeticError: broken on purpose"
+            in out)
+    assert "computed ," not in out
+
+    from types import SimpleNamespace
+    from permarith.cli import _emit_reports
+    from permarith.verifier import Report
+    report = Report("thq.fake", {"p": 5}, "FAIL", computed="1", expected="2",
+                    modulus="25", note="signed side evaluated")
+    _emit_reports(SimpleNamespace(json=False, csv=False), "cmd", [report])
+    out = capsys.readouterr().out
+    assert ("[FAIL] thq.fake p=5: computed 1, expected 2 (mod 25); "
+            "signed side evaluated") in out
+
+
+def test_parser_built_once_and_exit_codes_repeat(capsys):
+    from permarith.cli import build_parser
+    assert build_parser() is build_parser()
+    for _ in range(2):  # the shared parser keeps no state between calls
+        assert main(["seq", "t"]) == 2
+        assert main(["verify", "thq.det", "--n", "x"]) == 2
+        assert main(["verify", "thq.det", "--n", "3"]) == 0
+    capsys.readouterr()

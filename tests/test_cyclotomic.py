@@ -6,10 +6,13 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permarith.cyclotomic import (Cyc, CyclotomicField, cyclotomic_poly,
                                   embed_complex, euler_phi, find_fq_root,
-                                  gauss_sum, sqrt_element, zeta_pow)
+                                  gauss_sum, pack_rows, sqrt_element, unpack,
+                                  zeta_pow)
 from permarith.errors import (DomainError, NonInvertibleError,
                               SearchExhaustedError)
 from permarith.ntheory import jacobi
@@ -130,6 +133,9 @@ def test_inverse_random():
         if z.is_zero():
             continue
         assert z.inverse() * z == 1
+        q = z * Rat(rng.randint(-9, 9) or 1, rng.randint(1, 9)) + Rat(1, 3)
+        if not q.is_zero():
+            assert q.inverse() * q == 1
         done += 1
     assert (1 + zeta_pow(3, 1)).inverse() == -zeta_pow(3, 1)
     assert Cyc.rational(5, 2).inverse() == Rat(1, 2)
@@ -186,3 +192,48 @@ def test_zeta_x_order_mismatch():
         zeta_pow(5, 1) + zeta_pow(7, 1)
     with pytest.raises(DomainError):
         zeta_pow(5, 1) * zeta_pow(7, 1)
+
+
+def _schoolbook(a, b):
+    m = a.order
+    out = [0] * m
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[(i + j) % m] += x * y
+    return out
+
+
+_COORD = st.one_of(st.just(0), st.integers(-10 ** 6, 10 ** 6),
+                   st.builds(Rat, st.integers(-999, 999),
+                             st.integers(1, 60)))
+
+
+@st.composite
+def _cyc_pairs(draw):
+    m = draw(st.integers(1, 30))
+    vec = st.lists(_COORD, min_size=m, max_size=m)
+    return Cyc(m, draw(vec)), Cyc(m, draw(vec))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cyc_pairs())
+def test_kronecker_mul_equals_schoolbook(pair):
+    a, b = pair
+    assert (a * b).coeffs == _schoolbook(a, b)
+
+
+def test_unpack_checks_the_bound():
+    z = Cyc(7, [3, -2, 0, 0, 0, 0, Rat(1, 2)])
+    ((image,),), layout = pack_rows(7, [(z,)])
+    assert layout.den == 2 and layout.bound == 11
+    assert unpack(image, layout).coeffs == z.coeffs
+    # Congruent representatives mod 2^(mB) - 1 decode the same.
+    modulus = (1 << (7 * layout.bits)) - 1
+    assert unpack(image + 5 * modulus, layout).coeffs == z.coeffs
+    # A layout that claims a smaller bound than a coefficient it decodes
+    # is refused rather than trusted.
+    with pytest.raises(ArithmeticError):
+        unpack(image, layout._replace(bound=5))
+    # So is a digit outside the balanced range of the width.
+    with pytest.raises(ArithmeticError):
+        unpack(1 << (layout.bits - 1), layout)

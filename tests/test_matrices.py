@@ -6,7 +6,7 @@ from itertools import permutations
 
 import pytest
 
-from permarith.cyclotomic import CyclotomicField
+from permarith.cyclotomic import Cyc, CyclotomicField, pack_rows
 from permarith.errors import (DomainError, SizeLimitError,
                               UnsupportedRingError)
 from permarith.matrices import (Mat, det_divfree, det_field, mask, per_naive,
@@ -66,22 +66,77 @@ def test_permutation_and_transpose_invariance():
         assert per_ryser(m.transpose()) == value
 
 
+def _rational_cyc(m, rng, span):
+    # Negative and non-integral coordinates on the exponent lattice.
+    coeffs = [0] * m
+    for _ in range(rng.randint(1, 3)):
+        coeffs[rng.randrange(m)] += Rat(rng.randint(-span, span),
+                                        rng.randint(1, 4))
+    return Cyc(m, coeffs)
+
+
+def _leibniz(mat):
+    acc = mat.ring.zero
+    for perm in permutations(range(mat.n)):
+        inv = sum(1 for i in range(mat.n) for j in range(i + 1, mat.n)
+                  if perm[i] > perm[j])
+        term = mat.ring.one
+        for j in range(mat.n):
+            term = term * mat.rows[j][perm[j]]
+        acc = acc + term if inv % 2 == 0 else acc - term
+    return acc
+
+
 def test_partition_determinism():
     rng = random.Random("partition")
     ring = CyclotomicField(6)
-    m = _rand_mat(ring, 5, rng)
-    want = per_ryser(m)
+    integral = _rand_mat(ring, 5, rng)
+    rational = Mat(ring, [[_rational_cyc(6, rng, 9) for _ in range(5)]
+                          for _ in range(5)])
     top = 1 << 5
-    for _ in range(20):
-        cuts = sorted(rng.sample(range(2, top), rng.randint(1, 6)))
-        bounds = [1] + cuts + [top]
-        parts = list(zip(bounds, bounds[1:]))
-        assert per_ryser(m, partitions=parts) == want
-    for k in (2, 3, 7, 31):
-        assert per_ryser(m, partitions=k) == want
-    assert per_ryser(m, threads=4) == want
+    for m in (integral, rational):
+        want = per_naive(m)
+        assert per_ryser(m) == want
+        for _ in range(20):
+            cuts = sorted(rng.sample(range(2, top), rng.randint(1, 6)))
+            bounds = [1] + cuts + [top]
+            parts = list(zip(bounds, bounds[1:]))
+            assert per_ryser(m, partitions=parts) == want
+        for k in (2, 3, 7, 31):
+            assert per_ryser(m, partitions=k) == want
+        assert per_ryser(m, threads=4) == want
+        assert per_ryser(m, threads=2, partitions=5) == want
     with pytest.raises(DomainError):
-        per_ryser(m, partitions=[(1, 4), (6, top)])  # gap
+        per_ryser(integral, partitions=[(1, 4), (6, top)])  # gap
+
+
+@pytest.mark.parametrize("m", [5, 12, 14, 21])
+def test_packed_engines_over_cyclotomic(m):
+    # per_ryser and det_field run on Kronecker images over Q(zeta_m); they
+    # must agree with the naive permanent and the Leibniz determinant.
+    ring = CyclotomicField(m)
+    rng = random.Random(f"packed:{m}")
+    mats = [Mat(ring, [[_rational_cyc(m, rng, 9) for _ in range(n)]
+                       for _ in range(n)])
+            for n in (1, 2, 3, 4, 4, 5)]
+    z = ring.zeta
+    # Row L1 norms 8 and 17 once the 1/2 is cleared: the bound 136 has a
+    # bit length of 8, on a byte boundary.
+    edge = Mat(ring, [[Rat(3, 2) - 2 * z(1), Rat(1, 2) * z(2)],
+                      [Cyc.rational(m, -9), 5 * z(3) + 3]])
+    assert pack_rows(m, edge.rows)[1].bound == 136
+    mats.append(edge)
+    # A single entry attains the bound 255 itself, with either sign.
+    mats.append(Mat(ring, [[Cyc.rational(m, 255)]]))
+    mats.append(Mat(ring, [[-255 * z(m - 1)]]))
+    # A zero row gives a zero bound.
+    mats.append(Mat(ring, [[ring.zero] * 3, [z(1)] * 3,
+                           [z(2), 1 + z(1), z(5)]]))
+    for mat in mats:
+        assert per_ryser(mat) == per_naive(mat), mat
+        want = _leibniz(mat)
+        assert det_field(mat) == want, mat
+        assert det_divfree(mat) == want, mat
 
 
 def test_per_sum_matrix_equals_ryser():
