@@ -6,9 +6,8 @@ determinants, the structured matrix families, the named integer sequences
 they generate, and a registry of verification checks with a CLI.
 """
 
-from .cyclotomic import (Cyc, CyclotomicField, FqRoot, as_rational,
-                         cyclotomic_poly, embed_complex, find_fq_root, galois,
-                         gauss_sum, inverse, sqrt_element, zeta_pow)
+from .cyclotomic import (Cyc, CyclotomicField, FqRoot, cyclotomic_poly,
+                         find_fq_root, gauss_sum, sqrt_element)
 from .families import (FAMILY_NAMES, FamilySpec, Scale, build_cyclotomic,
                        build_family, build_integer, build_qpoly,
                        build_rational)
@@ -16,13 +15,12 @@ from .matrices import (Mat, det_divfree, det_field, mask, per_naive,
                        per_ryser, per_sum_matrix, zero_diagonal)
 from .ntheory import (bernoulli, binomial, double_factorial, factorial,
                       is_prime, jacobi, mod_reduce_rat)
-from .rings import (GF, QPOLY, QQ, ZZ, LPoly, ModInt, Rat, Ring, Zmod, qint,
-                    rat)
+from .rings import GF, QPOLY, QQ, ZZ, LPoly, ModInt, Rat, Ring, Zmod, qint
 from .sequences import (DERANGEMENT_VARIANTS, SEQ_NAMES, SeqValue,
                         derangement_sum, masked_sum, seq_T, seq_c,
                         seq_c_prime, seq_d, seq_s, seq_s_prime, seq_t,
                         seq_t_prime, sequence_value)
 from .verifier import (ALL_CHECK_IDS, Report, default_grid, run_check,
-                       run_suite)
+                       run_suite, run_tasks)
 
 __version__ = "0.1.0"

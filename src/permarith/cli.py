@@ -3,13 +3,13 @@ explore conjectures, emit JSON/CSV.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.  JSON output
 is a single object {"schema", "command", "results"}; every exact value is a
-decimal or num/den string, and timing is left out of JSON rows so that runs
-with different --threads are byte-identical after the id/index sort.
+decimal or num/den string, and timing is left out of JSON rows so that
+repeated runs are byte-identical after the id/params sort.
 
-Matrix families are addressed by the canonical textual form
-`family:key=value,...` (e.g. `linear:d=2,p=7,range=1..p`, `cos2:n=9`),
-parsed by families.FamilySpec; check parameters passed via flags (--n, --p,
---d, --a, --x, --backend, --idx-range) use the same value syntax.
+Checks and sequence values run serially in this process; --threads is
+accepted and has no effect.  Check parameters come from the flags --n, --p,
+--d, --a, --x and --backend; a check given any of them needs exactly the
+keys of its tier grids.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import json
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from .cyclotomic import CyclotomicField, gauss_sum
 from .errors import DomainError, UnknownCheckError
@@ -29,12 +28,12 @@ from .matrices import Mat, per_naive, per_ryser
 from .ntheory import odd_primes_upto
 from .rings import GF, QPOLY, QQ, ZZ, Zmod
 from .sequences import SEQ_NAMES, sequence_value
-from .verifier import (ALL_CHECK_IDS, REGISTRY, Report, default_grid,
-                       param_str, run_check)
+from .verifier import (FAST, REGISTRY, default_grid, param_str, run_suite,
+                       run_tasks)
 
 SCHEMA = "permarith/1"
 
-PARAM_FLAGS = ("n", "p", "d", "a", "x", "backend", "idx_range")
+PARAM_FLAGS = ("n", "p", "d", "a", "x", "backend")
 
 
 @functools.cache
@@ -50,7 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--json", action="store_true", help="JSON output")
         p.add_argument("--csv", action="store_true", help="CSV output")
-        p.add_argument("--threads", type=int, default=1, metavar="N")
+        p.add_argument("--threads", type=int, default=1, metavar="N",
+                       help="accepted; execution is serial")
         p.add_argument("--seed", type=int, default=0, metavar="S")
         p.add_argument("--strict", action="store_true",
                        help="conjecture failures also gate the exit code")
@@ -64,8 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--a", type=int)
     v.add_argument("--x", type=str)
     v.add_argument("--backend", choices=("cyc", "fq"))
-    v.add_argument("--idx-range", dest="idx_range", type=str,
-                   help="index range variant for linear/quad families")
     common(v)
 
     s = sub.add_parser("seq", help="tabulate a named sequence over a range")
@@ -133,39 +131,29 @@ def main(argv=None) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _explicit_params(args) -> dict:
-    out = {}
-    for flag in PARAM_FLAGS:
-        val = getattr(args, flag, None)
-        if val is not None:
-            out["range" if flag == "idx_range" else flag] = val
-    return out
-
-
-def _run_many(tasks, seed, threads):
-    if threads > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(
-                lambda t: run_check(t[0], t[1], seed=seed), tasks))
-    return [run_check(cid, params, seed=seed) for cid, params in tasks]
+def _check_keys(check_id: str, params: dict):
+    """Explicit parameters must be exactly the keys of the check's grid."""
+    want = default_grid(check_id, FAST)[0].keys()
+    missing = sorted(want - params.keys())
+    extra = sorted(params.keys() - want)
+    if missing or extra:
+        parts = ([f"needs --{k}" for k in missing]
+                 + [f"takes no --{k}" for k in extra])
+        raise DomainError(f"{check_id} {', '.join(parts)}")
 
 
 def _cmd_verify(args, command) -> int:
+    explicit = {flag: getattr(args, flag) for flag in PARAM_FLAGS
+                if getattr(args, flag) is not None}
     if args.check == "all":
-        ids = ALL_CHECK_IDS
+        reports = run_suite(args.tier, seed=args.seed)
+    elif args.check not in REGISTRY:
+        raise UnknownCheckError(args.check)
+    elif explicit:
+        _check_keys(args.check, explicit)
+        reports = run_tasks([(args.check, explicit)], args.seed)
     else:
-        if args.check not in REGISTRY:
-            raise UnknownCheckError(args.check)
-        ids = (args.check,)
-    explicit = _explicit_params(args)
-    tasks = []
-    for cid in ids:
-        if explicit and args.check != "all":
-            tasks.append((cid, explicit))
-        else:
-            tasks.extend((cid, params) for params in default_grid(cid, args.tier))
-    reports = _run_many(tasks, args.seed, args.threads)
-    reports.sort(key=Report.sort_key)
+        reports = run_suite(args.tier, (args.check,), args.seed)
     _emit_reports(args, command, reports)
     return _exit_code(reports, args.strict)
 
@@ -186,10 +174,11 @@ def _emit_reports(args, command, reports):
     if args.csv:
         w = csv.writer(sys.stdout)
         w.writerow(["id", "params", "status", "computed", "expected",
-                    "modulus", "kind", "ms"])
+                    "modulus", "kind", "ms", "note"])
         for r in reports:
             w.writerow([r.check_id, param_str(r.params), r.status, r.computed,
-                        r.expected, r.modulus or "", r.kind, f"{r.ms:.3f}"])
+                        r.expected, r.modulus or "", r.kind, f"{r.ms:.3f}",
+                        r.note or ""])
         return
     counts = {"PASS": 0, "FAIL": 0, "SKIP": 0}
     for r in reports:
@@ -252,12 +241,8 @@ def _cmd_seq(args, command) -> int:
               f"choose from {', '.join(SEQ_NAMES)}", file=sys.stderr)
         return 2
     lo, hi = _parse_range(args.range_)
-    indices = [i for i in range(lo, hi + 1) if not args.odd or i % 2]
-    if args.threads > 1 and len(indices) > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            rows = list(pool.map(lambda i: _seq_row(args.name, i), indices))
-    else:
-        rows = [_seq_row(args.name, i) for i in indices]
+    rows = [_seq_row(args.name, i) for i in range(lo, hi + 1)
+            if not args.odd or i % 2]
     if args.json:
         clean = [{k: row[k] for k in
                   ("name", "index", "status", "value", "is_integer", "note")}
@@ -324,9 +309,7 @@ def explore_grid(check_id: str, pmax: int, nmax: int, a_range=None) -> list[dict
 def _cmd_explore(args, command) -> int:
     a_range = _parse_range(args.a_range) if args.a_range else None
     grid = explore_grid(args.check, args.pmax, args.nmax, a_range)
-    tasks = [(args.check, params) for params in grid]
-    reports = _run_many(tasks, args.seed, args.threads)
-    reports.sort(key=Report.sort_key)
+    reports = run_tasks([(args.check, params) for params in grid], args.seed)
     _emit_reports(args, command, reports)
     consistent = sum(r.status == "PASS" for r in reports)
     skipped = sum(r.status == "SKIP" for r in reports)

@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 from .errors import (DomainError, NonInvertibleError, SearchExhaustedError)
 from .ntheory import divisors, is_prime, prime_factors
-from .rings import ModInt, Rat, Ring, ResidueRing, scalar_str
+from .rings import ModInt, Rat, Ring, ResidueRing
 
 # ---------------------------------------------------------------------------
 # Cyclotomic polynomials
@@ -80,11 +80,6 @@ def cyclotomic_poly(m: int) -> tuple[int, ...]:
 
 def euler_phi(m: int) -> int:
     return len(cyclotomic_poly(m)) - 1
-
-
-def prime_cyclotomic_cache(m: int) -> None:
-    """Populate the cyclotomic-polynomial cache before parallel sections."""
-    cyclotomic_poly(m)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +285,7 @@ class Cyc:
             if c == 0:
                 continue
             if e == 0:
-                parts.append(scalar_str(c))
+                parts.append(str(c))
             else:
                 zp = "z" if e == 1 else f"z^{e}"
                 if c == 1:
@@ -298,7 +293,7 @@ class Cyc:
                 elif c == -1:
                     parts.append(f"-{zp}")
                 else:
-                    parts.append(f"{scalar_str(c)}*{zp}")
+                    parts.append(f"{c!s}*{zp}")
         if not parts:
             return "0"
         out = parts[0]
@@ -410,11 +405,6 @@ def unpack(value: int, layout: Layout) -> Cyc:
 # Named constructions
 # ---------------------------------------------------------------------------
 
-def zeta_pow(m: int, e: int) -> Cyc:
-    """zeta_m^e with the exponent reduced mod m."""
-    return Cyc.zeta(m, e)
-
-
 def gauss_sum(m: int) -> Cyc:
     """Quadratic Gauss sum sum_{x=0}^{m-1} zeta^(x^2) for odd m >= 3.
 
@@ -439,22 +429,6 @@ def sqrt_element(n: int) -> Cyc:
     return -g if (n // 4) % 2 else g
 
 
-def as_rational(z: Cyc):
-    return z.as_rational()
-
-
-def embed_complex(z: Cyc) -> complex:
-    return z.embed()
-
-
-def galois(z: Cyc, a: int) -> Cyc:
-    return z.galois(a)
-
-
-def inverse(z: Cyc) -> Cyc:
-    return z.inverse()
-
-
 # ---------------------------------------------------------------------------
 # Ring tag
 # ---------------------------------------------------------------------------
@@ -469,7 +443,7 @@ class CyclotomicField(Ring):
             raise DomainError(f"order must be >= 1, got {m}")
         self.m = m
         self.name = f"Q(zeta_{m})"
-        prime_cyclotomic_cache(m)
+        cyclotomic_poly(m)
         self._zero = Cyc.rational(m, 0)
         self._one = Cyc.rational(m, 1)
 

@@ -4,7 +4,7 @@ per_ryser walks the 2^n - 1 column subsets in Gray-code order, maintaining
 row sums incrementally (one column toggled per step).  The subset range can
 be partitioned into contiguous blocks; each block rebuilds its row sums from
 its first subset, so partial results are exact and their sum is independent
-of the partitioning - that is what makes parallel execution deterministic.
+of the partitioning.
 
 det_divfree is Bird's iterated-matrix-product determinant (only +, -, *;
 Bird, IPL 111, 2011), valid over rings with zero divisors such as Z/p^2.
@@ -24,7 +24,6 @@ inverts anything over Q(zeta_m).
 from __future__ import annotations
 
 import operator
-from concurrent.futures import ThreadPoolExecutor
 from functools import reduce
 from itertools import permutations
 
@@ -131,13 +130,12 @@ def _product(row):
     return reduce(operator.mul, row)
 
 
-def per_ryser(mat: Mat, threads: int = 1, partitions=None):
+def per_ryser(mat: Mat, partitions=1):
     """Permanent via Ryser's inclusion-exclusion with Gray-code updates.
 
     `partitions` may be an int (number of contiguous blocks) or an explicit
     list of (lo, hi) ranges covering [1, 2^n); block results are summed in
-    block order, so the value never depends on the partitioning or on
-    `threads`.
+    block order, so the value never depends on the partitioning.
     """
     n = mat.n
     ring = mat.ring
@@ -152,8 +150,6 @@ def per_ryser(mat: Mat, threads: int = 1, partitions=None):
         zero = ring.zero
         product = _product
     top = 1 << n
-    if partitions is None:
-        partitions = 1 if threads <= 1 else 4 * threads
     if isinstance(partitions, int):
         count = max(1, min(partitions, top - 1))
         step = (top - 1 + count - 1) // count
@@ -165,14 +161,8 @@ def per_ryser(mat: Mat, threads: int = 1, partitions=None):
                 or any(covered[i][1] != covered[i + 1][0]
                        for i in range(len(covered) - 1))):
             raise DomainError("partitions must tile the range [1, 2^n)")
-    if threads > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(
-                lambda r: _ryser_block(cols, n, zero, product, r[0], r[1]),
-                ranges))
-    else:
-        parts = [_ryser_block(cols, n, zero, product, lo, hi)
-                 for lo, hi in ranges]
+    parts = [_ryser_block(cols, n, zero, product, lo, hi)
+             for lo, hi in ranges]
     acc = parts[0]
     for p in parts[1:]:
         acc = acc + p

@@ -19,23 +19,6 @@ except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
     from fractions import Fraction as Rat
 
 
-def rat(num, den=1) -> Rat:
-    """Exact rational num/den in lowest terms."""
-    return Rat(num, den)
-
-
-def is_integral(x) -> bool:
-    """True for ints and rationals with denominator 1."""
-    if isinstance(x, int):
-        return True
-    return x.denominator == 1
-
-
-def scalar_str(x) -> str:
-    """Canonical decimal or num/den string for an exact scalar."""
-    return str(x)
-
-
 # ---------------------------------------------------------------------------
 # Residue rings Z/m
 # ---------------------------------------------------------------------------
@@ -250,7 +233,7 @@ class LPoly:
         for e in sorted(self.coeffs):
             c = self.coeffs[e]
             if e == 0:
-                term = scalar_str(c)
+                term = str(c)
             else:
                 qp = "q" if e == 1 else f"q^{e}"
                 if c == 1:
@@ -258,7 +241,7 @@ class LPoly:
                 elif c == -1:
                     term = f"-{qp}"
                 else:
-                    term = f"{scalar_str(c)}*{qp}"
+                    term = f"{c!s}*{qp}"
             parts.append(term)
         out = parts[0]
         for term in parts[1:]:

@@ -11,7 +11,7 @@ recognition time and treats failure as an arithmetic bug.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .cyclotomic import Cyc, sqrt_element
 from .errors import DomainError, NonRationalResultError
@@ -68,47 +68,47 @@ def _resolve(P: Cyc, pow2: int, ipow: int, sqrt_exp: int, n: int) -> Rat:
     return Rat(r)
 
 
-def _check_odd(name: str, n: int):
-    if n < 3 or n % 2 == 0:
-        raise DomainError(f"{name} is defined for odd n >= 3, got {n}")
+def _check_domain(name: str, n: int, prime_only: bool = False):
+    if n < 3 or n % 2 == 0 or (prime_only and not is_prime(n)):
+        what = "odd primes" if prime_only else "odd n >= 3"
+        raise DomainError(f"{name} is defined for {what}, got {n}")
 
 
-def _check_odd_prime(name: str, p: int):
-    if p < 3 or not is_prime(p):
-        raise DomainError(f"{name} is defined for odd primes, got {p}")
+# name -> (family, power of 2 in units of h = (n-1)/2, exponent of sqrt(n),
+#          prime index only).  The value is 2^(k h) sqrt(n)^e per[family(n)]:
+#   T       per[tan pi (j+k)/n], 1 <= j,k <= n-1
+#   c       2^h per[cos 2 pi jk/n], 1 <= j,k <= h
+#   cprime  2^-h per[sec 2 pi jk/n]; rational, denominator divides 2^(d_n)
+#   s       (2^h / sqrt(n)) per[sin 2 pi jk/n]
+#   sprime  (sqrt(p) / 2^h) per[csc 2 pi jk/p]
+#   t       (1 / sqrt(n)) per[tan pi jk/n]
+#   tprime  sqrt(p) per[cot pi jk/p]
+# All but cprime are integers on their domain.
+SEQ_TABLE = {
+    "T": ("tan_shift", 0, 0, False),
+    "c": ("cos2", 1, 0, False),
+    "cprime": ("sec2", -1, 0, False),
+    "s": ("sin2", 1, -1, False),
+    "sprime": ("csc2", -1, 1, True),
+    "t": ("tan_jk", 0, -1, False),
+    "tprime": ("cot_jk", 0, 1, True),
+}
 
 
-@lru_cache(maxsize=None)
-def seq_T(n: int) -> SeqValue:
-    """per[tan pi (j+k)/n] over 1 <= j,k <= n-1; an integer for odd n > 1."""
-    _check_odd("T", n)
-    mat, scale = build_cyclotomic("tan_shift", n=n)
-    val = _resolve(per_ryser(mat), scale.pow2, scale.ipow, 0, n)
-    return SeqValue("T", n, val, val.denominator == 1)
-
-
-@lru_cache(maxsize=None)
-def seq_c(n: int) -> SeqValue:
-    """2^((n-1)/2) per[cos 2 pi jk/n] over 1 <= j,k <= (n-1)/2; an integer."""
-    _check_odd("c", n)
-    h = (n - 1) // 2
-    mat, scale = build_cyclotomic("cos2", n=n)
-    val = _resolve(per_ryser(mat), scale.pow2 + h, scale.ipow, 0, n)
-    return SeqValue("c", n, val, val.denominator == 1)
-
-
-@lru_cache(maxsize=None)
-def seq_c_prime(n: int) -> SeqValue:
-    """2^(-(n-1)/2) per[sec 2 pi jk/n]; rational with denominator | 2^(d_n)."""
-    _check_odd("cprime", n)
-    h = (n - 1) // 2
-    mat, scale = build_cyclotomic("sec2", n=n)
-    val = _resolve(per_ryser(mat), scale.pow2 - h, scale.ipow, 0, n)
-    bound = 1 << int(seq_d(n).value)
-    if bound % val.denominator != 0:
-        raise NonRationalResultError(
-            f"denominator {val.denominator} exceeds bound {bound} for n={n}")
-    return SeqValue("cprime", n, val, val.denominator == 1, int(bound))
+def _table_value(name: str, n: int) -> SeqValue:
+    """Evaluate one row of SEQ_TABLE at index n."""
+    family, h_pow, sqrt_exp, prime_only = SEQ_TABLE[name]
+    _check_domain(name, n, prime_only)
+    mat, scale = build_cyclotomic(family, n=n)
+    val = _resolve(per_ryser(mat), scale.pow2 + h_pow * ((n - 1) // 2),
+                   scale.ipow, sqrt_exp, n)
+    bound = None
+    if name == "cprime":
+        bound = 1 << int(seq_d(n).value)
+        if bound % val.denominator != 0:
+            raise NonRationalResultError(
+                f"denominator {val.denominator} exceeds bound {bound} for n={n}")
+    return SeqValue(name, n, val, val.denominator == 1, bound)
 
 
 @lru_cache(maxsize=None)
@@ -119,7 +119,7 @@ def seq_d(n: int) -> SeqValue:
     n | jk, 1 <= j,k <= (n-1)/2: any partial matching extends to a full
     permutation, so the two maxima coincide.
     """
-    _check_odd("d", n)
+    _check_domain("d", n)
     h = (n - 1) // 2
     adj = {j: [k for k in range(1, h + 1) if (j * k) % n == 0]
            for j in range(1, h + 1)}
@@ -138,48 +138,12 @@ def seq_d(n: int) -> SeqValue:
     return SeqValue("d", n, Rat(size), True)
 
 
-@lru_cache(maxsize=None)
-def seq_s(n: int) -> SeqValue:
-    """(2^((n-1)/2)/sqrt(n)) per[sin 2 pi jk/n]; an integer for odd n > 1."""
-    _check_odd("s", n)
-    h = (n - 1) // 2
-    mat, scale = build_cyclotomic("sin2", n=n)
-    val = _resolve(per_ryser(mat), scale.pow2 + h, scale.ipow, -1, n)
-    return SeqValue("s", n, val, val.denominator == 1)
-
-
-@lru_cache(maxsize=None)
-def seq_s_prime(p: int) -> SeqValue:
-    """(sqrt(p)/2^((p-1)/2)) per[csc 2 pi jk/p]; an integer for odd prime p."""
-    _check_odd_prime("sprime", p)
-    h = (p - 1) // 2
-    mat, scale = build_cyclotomic("csc2", n=p)
-    val = _resolve(per_ryser(mat), scale.pow2 - h, scale.ipow, +1, p)
-    return SeqValue("sprime", p, val, val.denominator == 1)
-
-
-@lru_cache(maxsize=None)
-def seq_t(n: int) -> SeqValue:
-    """(1/sqrt(n)) per[tan pi jk/n]; an integer for odd n > 1."""
-    _check_odd("t", n)
-    mat, scale = build_cyclotomic("tan_jk", n=n)
-    val = _resolve(per_ryser(mat), scale.pow2, scale.ipow, -1, n)
-    return SeqValue("t", n, val, val.denominator == 1)
-
-
-@lru_cache(maxsize=None)
-def seq_t_prime(p: int) -> SeqValue:
-    """sqrt(p) * per[cot pi jk/p]; an integer for odd prime p."""
-    _check_odd_prime("tprime", p)
-    mat, scale = build_cyclotomic("cot_jk", n=p)
-    val = _resolve(per_ryser(mat), scale.pow2, scale.ipow, +1, p)
-    return SeqValue("tprime", p, val, val.denominator == 1)
-
-
-_SEQ_FN = {
-    "T": seq_T, "c": seq_c, "cprime": seq_c_prime, "d": seq_d,
-    "s": seq_s, "sprime": seq_s_prime, "t": seq_t, "tprime": seq_t_prime,
-}
+_SEQ_FN = {name: lru_cache(maxsize=None)(partial(_table_value, name))
+           for name in SEQ_TABLE}
+_SEQ_FN["d"] = seq_d
+seq_T, seq_c, seq_c_prime, seq_s, seq_s_prime, seq_t, seq_t_prime = (
+    _SEQ_FN[name] for name in ("T", "c", "cprime", "s", "sprime", "t",
+                               "tprime"))
 
 
 def sequence_value(name: str, index: int) -> SeqValue:

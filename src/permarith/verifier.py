@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .cyclotomic import (Cyc, CyclotomicField, find_fq_root, gauss_sum,
-                         sqrt_element, zeta_pow)
-from .errors import DomainError, SingularFamilyError, UnknownCheckError
+                         sqrt_element)
+from .errors import (DomainError, SearchExhaustedError, SingularFamilyError,
+                     UnknownCheckError)
 from .families import (build_cyclotomic, build_integer, build_qpoly,
                        build_rational, sum_structure)
 from .matrices import Mat, det_divfree, det_field, per_ryser, per_sum_matrix
@@ -189,10 +189,16 @@ def _run_jxk(params, rng):
     return items, str(p), None
 
 
-def _run_jdk(params, rng, rng_name, expected_fn):
+def _linear_per(params, rng_name):
     p, d = params["p"], params["d"]
+    if d % p == 0:
+        raise SkipCheck("claim requires d not divisible by p")
+    return p, d, _structured_per("linear", p, d, rng_name)
+
+
+def _run_jdk(params, rng, rng_name, expected_fn):
+    p, d, per = _linear_per(params, rng_name)
     m = p * p
-    per = _structured_per("linear", p, d, rng_name)
     return [_modint_eq(ModInt(per, m), expected_fn(p, d, m))], str(m), None
 
 
@@ -235,8 +241,7 @@ def _run_quad0(params, rng):
 
 
 def _run_cor_jdk(params, rng):
-    p, d = params["p"], params["d"]
-    per = _structured_per("linear", p, d, "1..p-1")
+    p, _, per = _linear_per(params, "1..p-1")
     return [_modint_eq(ModInt(per, p), ModInt(2, p))], str(p), None
 
 
@@ -432,7 +437,7 @@ def _run_lem_oneplus(params, rng):
         raise SkipCheck("claim requires odd n")
     prod = Cyc.rational(n, 1)
     for k in range(1, n):
-        prod = prod * (1 + zeta_pow(n, k))
+        prod = prod * (1 + Cyc.zeta(n, k))
     return [_eq(prod, Cyc.rational(n, 1))], None, None
 
 
@@ -449,9 +454,9 @@ def _run_lem_half(params, rng):
         raise SkipCheck("claim requires odd n")
     prod = Cyc.rational(n, 1)
     for k in range(1, (n - 1) // 2 + 1):
-        prod = prod * (1 - zeta_pow(n, k))
+        prod = prod * (1 - Cyc.zeta(n, k))
     e = ((n + 1) // 2) * ((n * n - 1) // 8)
-    want = jacobi(-2, n) * sqrt_element(n) * zeta_pow(n, e)
+    want = jacobi(-2, n) * sqrt_element(n) * Cyc.zeta(n, e)
     return [_eq(prod, want)], None, None
 
 
@@ -565,8 +570,6 @@ def _run_conj_sqdiff(params, rng):
 
 def _run_conj_csign(params, rng):
     p = params["p"]
-    if not is_prime(p):
-        raise SkipCheck("claim is about primes")
     sign = (-1) ** ((p - 1) // 2)
     c = sign * seq_c(p).value
     cp = sign * seq_c_prime(p).value
@@ -869,18 +872,24 @@ ALL_CHECK_IDS = tuple(REGISTRY)
 # ---------------------------------------------------------------------------
 
 def run_check(check_id: str, params: dict, seed: int = 0) -> Report:
-    """Execute one registered check; errors become FAIL, domain gaps SKIP."""
+    """Execute one registered check; errors become FAIL, domain gaps SKIP.
+
+    Every claim with a parameter p is about odd primes p, so any other p is
+    a SKIP before the runner starts.
+    """
     check = REGISTRY.get(check_id)
     if check is None:
         raise UnknownCheckError(check_id)
     rng = _rng(seed, check_id, params)
     start = time.perf_counter()
     try:
+        if "p" in params and (params["p"] < 3 or not is_prime(params["p"])):
+            raise SkipCheck(f"claim requires an odd prime p, got {params['p']}")
         items, modulus, note = check.runner(params, rng)
     except SkipCheck as exc:
         return Report(check_id, params, "SKIP", kind=check.kind,
                       note=str(exc), ms=(time.perf_counter() - start) * 1e3)
-    except DomainError as exc:
+    except (DomainError, SearchExhaustedError) as exc:
         return Report(check_id, params, "SKIP", kind=check.kind,
                       note=f"out of domain: {exc}",
                       ms=(time.perf_counter() - start) * 1e3)
@@ -909,20 +918,15 @@ def default_grid(check_id: str, tier: str = FAST) -> list[dict]:
     return list(check.grid(tier))
 
 
-def run_suite(tier: str = FAST, ids=None, seed: int = 0,
-              threads: int = 1) -> list[Report]:
-    """Run registered checks over their tier grids; reports sorted by id."""
-    if ids is None:
-        ids = ALL_CHECK_IDS
-    tasks = []
-    for check_id in ids:
-        for params in default_grid(check_id, tier):
-            tasks.append((check_id, params))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(
-                lambda t: run_check(t[0], t[1], seed=seed), tasks))
-    else:
-        reports = [run_check(cid, params, seed=seed) for cid, params in tasks]
+def run_tasks(tasks, seed: int = 0) -> list[Report]:
+    """Run (check_id, params) pairs in order; reports sorted by id and params."""
+    reports = [run_check(cid, params, seed=seed) for cid, params in tasks]
     reports.sort(key=Report.sort_key)
     return reports
+
+
+def run_suite(tier: str = FAST, ids=None, seed: int = 0) -> list[Report]:
+    """Run registered checks over their tier grids; reports sorted by id."""
+    ids = ALL_CHECK_IDS if ids is None else ids
+    return run_tasks([(cid, params) for cid in ids
+                      for params in default_grid(cid, tier)], seed)

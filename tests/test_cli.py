@@ -4,6 +4,8 @@ import csv
 import io
 import json
 
+import pytest
+
 from permarith.cli import main
 from permarith.rings import Rat
 
@@ -30,6 +32,22 @@ def test_usage_errors_exit_2(capsys):
     assert main(["nosuchcmd"]) == 2
     assert main(["seq", "zzz", "--range", "3..5"]) == 2
     assert main(["seq", "t", "--range", "9..3"]) == 2
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["verify", "thper.jdk1", "--p", "7"], "thper.jdk1 needs --d"),
+    (["verify", "thper.rootlinear", "--n", "3"], "needs --backend"),
+    (["verify", "thq.floor", "--n", "3", "--p", "5"], "takes no --p"),
+    (["verify", "thper.jdk1", "--p", "7", "--d", "2", "--idx-range", "1..p"],
+     "unrecognized arguments: --idx-range"),
+])
+def test_parameter_usage_errors(capsys, argv, message):
+    # Explicit parameters must be exactly the check's grid keys; anything
+    # else is a usage error before any check runs.
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 def test_verify_json_round_trip(capsys):
@@ -123,6 +141,27 @@ def test_verify_csv(capsys):
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0][:3] == ["id", "params", "status"]
     assert rows[1][0] == "thq.det" and rows[1][2] == "PASS"
+
+
+def test_csv_note_column(capsys, monkeypatch):
+    # The last CSV column is the note, so a check that raises is explained.
+    import permarith.verifier as verifier
+
+    def broken(k):
+        raise ArithmeticError("broken on purpose")
+
+    monkeypatch.setattr(verifier, "bernoulli", broken)
+    code, out = run_cli(capsys, "verify", "conj.bernoulli", "--n", "3",
+                        "--csv")
+    assert code == 1
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0][-1] == "note" and len(rows[1]) == len(rows[0])
+    assert rows[1][2] == "FAIL"
+    assert rows[1][-1] == "ArithmeticError: broken on purpose"
+    code, out = run_cli(capsys, "explore", "conj.absjk", "--pmax", "5",
+                        "--csv")
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0][-1] == "note" and rows[1][-1] == ""
 
 
 def test_strict_flag_gates_conjecture_failures():

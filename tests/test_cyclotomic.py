@@ -10,9 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permarith.cyclotomic import (Cyc, CyclotomicField, cyclotomic_poly,
-                                  embed_complex, euler_phi, find_fq_root,
-                                  gauss_sum, pack_rows, sqrt_element, unpack,
-                                  zeta_pow)
+                                  euler_phi, find_fq_root, gauss_sum,
+                                  pack_rows, sqrt_element, unpack)
 from permarith.errors import (DomainError, NonInvertibleError,
                               SearchExhaustedError)
 from permarith.ntheory import jacobi
@@ -47,8 +46,8 @@ def test_cyclotomic_poly_product_over_divisors():
 def test_canonicalization():
     # zeta^m - 1 reduces to zero, canonicalization is idempotent
     for m in (1, 2, 3, 6, 9, 12):
-        z = zeta_pow(m, 0)
-        diff = zeta_pow(m, m) - z
+        z = Cyc.zeta(m, 0)
+        diff = Cyc.zeta(m, m) - z
         assert diff.is_zero()
         w = Cyc(m, [((-1) ** e) * (e + 1) for e in range(m)])
         assert Cyc(m, list(w.canonical()) + [0] * (m - euler_phi(m))).canonical() \
@@ -56,25 +55,25 @@ def test_canonicalization():
 
 
 def test_zeta_examples():
-    assert zeta_pow(5, 7) == zeta_pow(5, 2)
+    assert Cyc.zeta(5, 7) == Cyc.zeta(5, 2)
     total = Cyc.rational(7, 0)
     for e in range(1, 7):
-        total = total + zeta_pow(7, e)
+        total = total + Cyc.zeta(7, e)
     assert total == -1
-    assert zeta_pow(4, 1) ** 2 == -1
+    assert Cyc.zeta(4, 1) ** 2 == -1
 
 
 def test_product_one_plus_zeta_is_one():
     for n in (3, 5, 9, 15):
         prod = Cyc.rational(n, 1)
         for k in range(1, n):
-            prod = prod * (1 + zeta_pow(n, k))
+            prod = prod * (1 + Cyc.zeta(n, k))
         assert prod == 1, n
 
 
 def test_gauss_sum_examples():
     g3 = gauss_sum(3)
-    assert g3 == 1 + 2 * zeta_pow(3, 1)
+    assert g3 == 1 + 2 * Cyc.zeta(3, 1)
     assert g3 * g3 == -3
     assert gauss_sum(9).as_rational() == 3
     assert gauss_sum(5) * gauss_sum(5) == 5
@@ -93,7 +92,7 @@ def test_gauss_sum_square(m):
 def test_sqrt_element_matches_float():
     # sqrt_element(n) embeds to i^((n-1)/2) sqrt(n)
     for n in range(3, 20, 2):
-        got = embed_complex(sqrt_element(n))
+        got = sqrt_element(n).embed()
         want = 1j ** ((n - 1) // 2) * math.sqrt(n)
         assert abs(got - want) < 1e-9, n
 
@@ -110,9 +109,9 @@ def test_galois_properties():
             assert (z * w).galois(a) == z.galois(a) * w.galois(a)
         r = Cyc.rational(m, Rat(3, 7))
         assert r.galois(units[-1]) == r
-    assert zeta_pow(7, 1).galois(2) == zeta_pow(7, 2)
+    assert Cyc.zeta(7, 1).galois(2) == Cyc.zeta(7, 2)
     with pytest.raises(DomainError):
-        zeta_pow(6, 1).galois(3)
+        Cyc.zeta(6, 1).galois(3)
 
 
 @pytest.mark.parametrize("n", range(3, 26, 2))
@@ -137,7 +136,7 @@ def test_inverse_random():
         if not q.is_zero():
             assert q.inverse() * q == 1
         done += 1
-    assert (1 + zeta_pow(3, 1)).inverse() == -zeta_pow(3, 1)
+    assert (1 + Cyc.zeta(3, 1)).inverse() == -Cyc.zeta(3, 1)
     assert Cyc.rational(5, 2).inverse() == Rat(1, 2)
     with pytest.raises(NonInvertibleError):
         Cyc.rational(5, 0).inverse()
@@ -148,27 +147,27 @@ def test_half_product_identity(n):
     # prod_{k<=(n-1)/2} (1 - zeta^k) = (-2/n) * i^((n-1)/2) sqrt(n) * zeta^e
     prod = Cyc.rational(n, 1)
     for k in range(1, (n - 1) // 2 + 1):
-        prod = prod * (1 - zeta_pow(n, k))
+        prod = prod * (1 - Cyc.zeta(n, k))
     e = ((n + 1) // 2) * ((n * n - 1) // 8)
-    assert prod == jacobi(-2, n) * sqrt_element(n) * zeta_pow(n, e)
+    assert prod == jacobi(-2, n) * sqrt_element(n) * Cyc.zeta(n, e)
 
 
 def test_as_rational():
     m = 11
     total = Cyc.rational(m, 0)
     for e in range(1, m):
-        total = total + zeta_pow(m, e)
+        total = total + Cyc.zeta(m, e)
     assert total.as_rational() == -1
-    assert zeta_pow(m, 1).as_rational() is None
+    assert Cyc.zeta(m, 1).as_rational() is None
     assert Cyc.rational(m, Rat(3, 4)).as_rational() == Rat(3, 4)
 
 
 def test_embed_complex():
-    assert abs(embed_complex(Cyc.rational(5, 1)) - 1) < 1e-12
-    assert abs(embed_complex(zeta_pow(4, 1)) - 1j) < 1e-12
-    assert abs(abs(embed_complex(gauss_sum(7))) - math.sqrt(7)) < 1e-9
-    z = zeta_pow(12, 5)
-    assert abs(embed_complex(z) - cmath.exp(2j * cmath.pi * 5 / 12)) < 1e-12
+    assert abs(Cyc.rational(5, 1).embed() - 1) < 1e-12
+    assert abs(Cyc.zeta(4, 1).embed() - 1j) < 1e-12
+    assert abs(abs(gauss_sum(7).embed()) - math.sqrt(7)) < 1e-9
+    z = Cyc.zeta(12, 5)
+    assert abs(z.embed() - cmath.exp(2j * cmath.pi * 5 / 12)) < 1e-12
 
 
 def test_find_fq_root():
@@ -189,9 +188,9 @@ def test_find_fq_root():
 
 def test_zeta_x_order_mismatch():
     with pytest.raises(DomainError):
-        zeta_pow(5, 1) + zeta_pow(7, 1)
+        Cyc.zeta(5, 1) + Cyc.zeta(7, 1)
     with pytest.raises(DomainError):
-        zeta_pow(5, 1) * zeta_pow(7, 1)
+        Cyc.zeta(5, 1) * Cyc.zeta(7, 1)
 
 
 def _schoolbook(a, b):

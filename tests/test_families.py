@@ -5,7 +5,6 @@ import math
 
 import pytest
 
-from permarith.cyclotomic import embed_complex
 from permarith.errors import DomainError, SingularFamilyError
 from permarith.families import (FamilySpec, Scale, build_cyclotomic,
                                 build_integer, build_qpoly, build_rational,
@@ -161,7 +160,7 @@ def test_trig_families_match_float(n):
         assert abs(agg - want_agg) < 1e-9 * abs(agg), fam
         for j in range(1, size + 1):
             for k in range(1, size + 1):
-                got = embed_complex(mat.entry(j, k)) * entry_scale
+                got = mat.entry(j, k).embed() * entry_scale
                 assert abs(got - trueval(j, k)) < 1e-9, (fam, j, k)
 
 
@@ -171,13 +170,13 @@ def test_sec_csc_cot_float(n):
     mat, scale = build_cyclotomic("sec2", n=n)
     for j in range(1, h + 1):
         for k in range(1, h + 1):
-            got = embed_complex(mat.entry(j, k)) * 2
+            got = mat.entry(j, k).embed() * 2
             assert abs(got - 1 / math.cos(2 * math.pi * j * k / n)) < 1e-9
     if n in (3, 5, 7):
         mat, _ = build_cyclotomic("cot_jk", n=n)
         for j in range(1, h + 1):
             for k in range(1, h + 1):
-                got = embed_complex(mat.entry(j, k)) * (1j ** 1)
+                got = mat.entry(j, k).embed() * (1j ** 1)
                 want = 1 / math.tan(math.pi * j * k / n)
                 assert abs(got - want) < 1e-9
 
@@ -189,7 +188,7 @@ def test_sec2_diff_entries_are_true_values():
     for j in range(1, n + 1):
         for k in range(1, n + 1):
             want = 1 / math.cos(math.pi * (j - k) / n) ** 2
-            assert abs(embed_complex(mat.entry(j, k)) - want) < 1e-9
+            assert abs(mat.entry(j, k).embed() - want) < 1e-9
     mat2, _ = build_cyclotomic("tan2_diff", n=n)
     assert mat2.entry(1, 1).as_rational() == 0
 

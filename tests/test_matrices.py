@@ -104,8 +104,7 @@ def test_partition_determinism():
             assert per_ryser(m, partitions=parts) == want
         for k in (2, 3, 7, 31):
             assert per_ryser(m, partitions=k) == want
-        assert per_ryser(m, threads=4) == want
-        assert per_ryser(m, threads=2, partitions=5) == want
+        assert per_ryser(m, partitions=5) == want
     with pytest.raises(DomainError):
         per_ryser(integral, partitions=[(1, 4), (6, top)])  # gap
 

@@ -48,6 +48,9 @@ def test_registry_kinds_and_grids():
             grid = default_grid(check_id, tier)
             assert grid, (check_id, tier)
             assert all(isinstance(p, dict) for p in grid)
+            # the CLI takes a check's parameter names from its grid
+            assert {frozenset(p) for p in grid} == {
+                frozenset(default_grid(check_id, "fast")[0])}, check_id
 
 
 def test_spot_examples():
@@ -76,6 +79,26 @@ def test_out_of_domain_params_skip():
     assert run_check("lem.oneplus", {"n": 8}).status == "SKIP"
     r = run_check("thnew.cauchyroot", {"n": 4, "x": "-1"})
     assert r.status == "SKIP" and "singular" in r.note.lower() or "x^n" in r.note
+
+
+@pytest.mark.parametrize("check_id,params,reason", [
+    ("thper.jxk", {"p": 4}, "odd prime"),
+    ("thper.jdk1", {"p": 9, "d": 2}, "odd prime"),
+    ("thjk.cong", {"p": 9}, "odd prime"),
+    ("thcos.cong", {"p": 9}, "odd prime"),
+    ("thper.quad", {"p": 9, "d": 2}, "odd prime"),
+    ("conj.csign", {"p": 2}, "odd prime"),
+    ("thper.jdk1", {"p": 7, "d": 7}, "not divisible by p"),
+    ("thper.jdk2", {"p": 5, "d": 10}, "not divisible by p"),
+    ("thper.jdk3", {"p": 7, "d": 0}, "not divisible by p"),
+    ("cor.jdk", {"p": 7, "d": 7}, "not divisible by p"),
+    ("thper.rootlinear", {"n": 100000, "backend": "fq"}, "no prime"),
+])
+def test_inputs_outside_the_claim_skip(check_id, params, reason):
+    # Outside a claim's domain the verdict is SKIP with the reason, never a
+    # theorem FAIL or a PASS for a claim stated only for primes.
+    r = run_check(check_id, params)
+    assert r.status == "SKIP" and reason in r.note, r
 
 
 def test_reports_reproducible():
@@ -116,6 +139,3 @@ def test_run_suite_sorted_and_green():
     keys = [r.sort_key() for r in reports]
     assert keys == sorted(keys)
     assert all(r.status == "PASS" for r in reports)
-    threaded = run_suite("fast", ids=("thq.floor", "lem.gauss", "cor.sin"),
-                         threads=4)
-    assert [r.row() for r in threaded] == [r.row() for r in reports]
