@@ -12,7 +12,8 @@ from .families import (FAMILY_NAMES, FamilySpec, Scale, build_cyclotomic,
                        build_family, build_integer, build_qpoly,
                        build_rational)
 from .matrices import (Mat, det_divfree, det_field, mask, per_naive,
-                       per_ryser, per_sum_matrix, zero_diagonal)
+                       per_ryser, per_sum_coeffs, per_sum_matrix,
+                       zero_diagonal)
 from .ntheory import (bernoulli, binomial, double_factorial, factorial,
                       is_prime, jacobi, mod_reduce_rat)
 from .rings import GF, QPOLY, QQ, ZZ, LPoly, ModInt, Rat, Ring, Zmod, qint

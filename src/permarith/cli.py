@@ -146,6 +146,9 @@ def _cmd_verify(args, command) -> int:
     explicit = {flag: getattr(args, flag) for flag in PARAM_FLAGS
                 if getattr(args, flag) is not None}
     if args.check == "all":
+        if explicit:
+            raise DomainError("all " + ", ".join(
+                f"takes no --{k}" for k in sorted(explicit)))
         reports = run_suite(args.tier, seed=args.seed)
     elif args.check not in REGISTRY:
         raise UnknownCheckError(args.check)
@@ -279,6 +282,8 @@ def explore_grid(check_id: str, pmax: int, nmax: int, a_range=None) -> list[dict
         raise UnknownCheckError(check_id)
     if not check_id.startswith("conj."):
         raise DomainError(f"{check_id} is not a conjecture check")
+    if a_range and "a" not in default_grid(check_id, FAST)[0]:
+        raise DomainError(f"{check_id} takes no --a")
     a_lo, a_hi = a_range if a_range else (None, None)
 
     def a_vals(lo, hi):

@@ -54,8 +54,11 @@ def _indices(range_name: str, p: int) -> list[int]:
 def sum_structure(family: str, **params):
     """(u, v) vectors for rank-2 families with entries u_j + v_k, else None.
 
-    per[u_j + v_k] collapses to a subset-sum count (see per_sum_matrix), which
-    is what makes the mod-p^2 congruence grids affordable.
+    Here v = d*w, so per[u_j + v_k] is a degree-n polynomial in d.  The
+    mod-p^2 congruence grids take (u, w) at d = 1, build its coefficients
+    once with per_sum_coeffs and evaluate them at each d; one permanent at
+    a single v goes through per_sum_matrix, the subset-sum form of Ryser's
+    formula.
     """
     if family == "linear":
         idx = _indices(params.get("range", "1..p-1"), params["p"])

@@ -29,6 +29,7 @@ from itertools import permutations
 
 from .cyclotomic import CyclotomicField, pack_rows, unpack
 from .errors import DomainError, SizeLimitError, UnsupportedRingError
+from .ntheory import binomial
 from .rings import Ring
 
 NAIVE_LIMIT = 9
@@ -215,6 +216,49 @@ def per_sum_matrix(u, v):
             sub += cnt * prod
         acc += -sub if s & 1 else sub
     return acc if n % 2 == 0 else -acc
+
+
+def per_sum_coeffs(u, w) -> tuple[int, ...]:
+    """Exact integers C_0..C_n with per[u_j + d*w_k] = sum_i C_i d^i.
+
+    Ryser's row sum over a column set S of size s is s*u_j + d*sigma_S with
+    sigma_S the sum of w over S, so expanding the product over j gives
+    C_i = (-1)^n sum_s (-1)^s s^(n-i) e_(n-i)(u) M_i(s), where e is the
+    elementary symmetric function and M_i(s) = sum over |S| = s of
+    sigma_S^i.  M comes from adding the w_k one at a time,
+    (sigma + x)^i = sum_t binom(i, t) x^(i-t) sigma^t, in O(n^4) int
+    operations; one vector then serves every d by Horner.  Equals
+    per_sum_matrix(u, [d*x for x in w]) at every integer d.
+    """
+    u = list(u)
+    w = list(w)
+    n = len(u)
+    if n == 0 or len(w) != n:
+        raise DomainError("need two equal-length nonempty integer vectors")
+    e = [1] + [0] * n
+    for x in u:
+        for k in range(n, 0, -1):
+            e[k] += x * e[k - 1]
+    binom = [[binomial(i, t) for t in range(i + 1)] for i in range(n + 1)]
+    # m[s][i] = M_i(s) over the elements of w added so far.
+    m = [[1] + [0] * n] + [[0] * (n + 1) for _ in range(n)]
+    for count, x in enumerate(w):
+        powers = [x ** k for k in range(n + 1)]
+        shift = [[c * powers[i - t] for t, c in enumerate(row)]
+                 for i, row in enumerate(binom)]
+        for s in range(count, -1, -1):
+            src = m[s]
+            dst = m[s + 1]
+            for i in range(n + 1):
+                dst[i] += sum(map(operator.mul, shift[i], src))
+    coeffs = []
+    for i in range(n + 1):
+        acc = 0
+        for s in range(1, n + 1):
+            term = s ** (n - i) * m[s][i]
+            acc += -term if s & 1 else term
+        coeffs.append(e[n - i] * acc if n % 2 == 0 else -e[n - i] * acc)
+    return tuple(coeffs)
 
 
 # ---------------------------------------------------------------------------

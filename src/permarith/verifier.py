@@ -3,9 +3,12 @@
 Each check id maps to a runner that computes both sides of one claim
 exactly and compares.  Theorem-tier ids gate exit codes; conjecture-tier
 ids (conj.*) report consistency evidence only.  Congruence checks compute
-the permanent exactly over Z or Q and reduce afterwards; rank-2 integer
-families use the collapsed subset-sum form of Ryser's formula so the full
-d-grids stay cheap, with the generic engine as a small-p cross-check.
+the permanent exactly over Z or Q and reduce afterwards.  In the rank-2
+d-grids per[u_j + d*w_k] is one degree-n polynomial in d: its integer
+coefficients are built once per (family, p, range) by per_sum_coeffs and
+each d is one Horner evaluation.  The single random-x permanent of
+thper.jxk goes through per_sum_matrix, the collapsed subset-sum form of
+Ryser's formula, which is cheaper for one call.
 """
 
 from __future__ import annotations
@@ -18,10 +21,11 @@ from functools import lru_cache
 from .cyclotomic import (Cyc, CyclotomicField, find_fq_root, gauss_sum,
                          sqrt_element)
 from .errors import (DomainError, SearchExhaustedError, SingularFamilyError,
-                     UnknownCheckError)
+                     UnknownCheckError, UnsupportedRingError)
 from .families import (build_cyclotomic, build_integer, build_qpoly,
                        build_rational, sum_structure)
-from .matrices import Mat, det_divfree, det_field, per_ryser, per_sum_matrix
+from .matrices import (Mat, det_divfree, det_field, per_ryser, per_sum_coeffs,
+                       per_sum_matrix)
 from .ntheory import (bernoulli, binomial, double_factorial, factorial,
                       inv_mod, is_prime, jacobi, mod_reduce_rat,
                       odd_primes_upto)
@@ -95,13 +99,20 @@ def _rng(seed, check_id, params) -> random.Random:
 
 
 # ---------------------------------------------------------------------------
-# Cached exact permanents for the rank-2 congruence grids
+# Rank-2 congruence grids: one cached coefficient vector per (family, p, range)
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
+def _per_coeffs(family: str, p: int, rng_name: str) -> tuple[int, ...]:
+    u, w = sum_structure(family, p=p, d=1, range=rng_name)
+    return per_sum_coeffs(u, w)
+
+
 def _structured_per(family: str, p: int, d: int, rng_name: str) -> int:
-    u, v = sum_structure(family, p=p, d=d, range=rng_name)
-    return per_sum_matrix(u, v)
+    acc = 0
+    for c in reversed(_per_coeffs(family, p, rng_name)):
+        acc = acc * d + c
+    return acc
 
 
 def _wilson(p: int) -> int:
@@ -893,7 +904,8 @@ def run_check(check_id: str, params: dict, seed: int = 0) -> Report:
         return Report(check_id, params, "SKIP", kind=check.kind,
                       note=f"out of domain: {exc}",
                       ms=(time.perf_counter() - start) * 1e3)
-    except (ArithmeticError, ValueError, KeyError) as exc:
+    except (ArithmeticError, ValueError, KeyError,
+            UnsupportedRingError) as exc:
         return Report(check_id, params, "FAIL", kind=check.kind,
                       note=f"{type(exc).__name__}: {exc}",
                       ms=(time.perf_counter() - start) * 1e3)

@@ -40,6 +40,11 @@ def test_usage_errors_exit_2(capsys):
     (["verify", "thq.floor", "--n", "3", "--p", "5"], "takes no --p"),
     (["verify", "thper.jdk1", "--p", "7", "--d", "2", "--idx-range", "1..p"],
      "unrecognized arguments: --idx-range"),
+    (["verify", "all", "--tier", "fast", "--p", "7"], "all takes no --p"),
+    (["verify", "all", "--d", "2", "--p", "7"],
+     "all takes no --d, takes no --p"),
+    (["explore", "conj.absjk", "--pmax", "5", "--a", "1..3"],
+     "conj.absjk takes no --a"),
 ])
 def test_parameter_usage_errors(capsys, argv, message):
     # Explicit parameters must be exactly the check's grid keys; anything
@@ -162,6 +167,27 @@ def test_csv_note_column(capsys, monkeypatch):
                         "--csv")
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0][-1] == "note" and rows[1][-1] == ""
+
+
+def test_unsupported_ring_is_a_fail(capsys, monkeypatch):
+    # UnsupportedRingError is a TypeError; run_check still reports it as a
+    # FAIL with its note instead of letting it escape.
+    import dataclasses
+
+    import permarith.verifier as verifier
+    from permarith.errors import UnsupportedRingError
+
+    def broken(params, rng):
+        raise UnsupportedRingError("Z is not a field")
+
+    check = verifier.REGISTRY["thq.floor"]
+    monkeypatch.setitem(verifier.REGISTRY, "thq.floor",
+                        dataclasses.replace(check, runner=broken))
+    code, out = run_cli(capsys, "verify", "thq.floor", "--n", "3", "--csv")
+    assert code == 1
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[1][2] == "FAIL"
+    assert rows[1][-1] == "UnsupportedRingError: Z is not a field"
 
 
 def test_strict_flag_gates_conjecture_failures():

@@ -5,12 +5,15 @@ import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permarith.cyclotomic import Cyc, CyclotomicField, pack_rows
 from permarith.errors import (DomainError, SizeLimitError,
                               UnsupportedRingError)
 from permarith.matrices import (Mat, det_divfree, det_field, mask, per_naive,
-                                per_ryser, per_sum_matrix, zero_diagonal)
+                                per_ryser, per_sum_coeffs, per_sum_matrix,
+                                zero_diagonal)
 from permarith.rings import GF, QPOLY, QQ, ZZ, Rat, Zmod
 
 RINGS = [ZZ, Zmod(9), QQ, GF(7), CyclotomicField(5), QPOLY]
@@ -149,6 +152,42 @@ def test_per_sum_matrix_equals_ryser():
     assert per_sum_matrix([1, 2, 3], [1, 2, 3]) == 336
     with pytest.raises(DomainError):
         per_sum_matrix([], [])
+
+
+def _horner(coeffs, d):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * d + c
+    return acc
+
+
+_ENTRY = st.integers(-9, 9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8).flatmap(
+    lambda n: st.tuples(st.lists(_ENTRY, min_size=n, max_size=n),
+                        st.lists(_ENTRY, min_size=n, max_size=n))),
+       st.integers(-5, 5))
+def test_per_sum_coeffs_equals_per_sum_matrix(uw, d):
+    # The coefficient vector evaluated at d is the permanent of
+    # [u_j + d*w_k], by both exact engines.
+    u, w = uw
+    dw = [d * x for x in w]
+    got = _horner(per_sum_coeffs(u, w), d)
+    assert got == per_sum_matrix(u, dw)
+    if len(u) <= 6:
+        assert got == per_ryser(Mat(ZZ, [[uj + vk for vk in dw] for uj in u]))
+
+
+def test_per_sum_coeffs_examples():
+    # per[j + d*k], 1 <= j, k <= 3, at d = 1 is per_sum_matrix's 336.
+    coeffs = per_sum_coeffs([1, 2, 3], [1, 2, 3])
+    assert len(coeffs) == 4 and sum(coeffs) == 336
+    assert coeffs[0] == 36  # d = 0: every row is constant, 3! * 1 * 2 * 3
+    for u, w in (([], []), ([1, 2], [1]), ([1], [1, 2])):
+        with pytest.raises(DomainError):
+            per_sum_coeffs(u, w)
 
 
 def test_det_examples():

@@ -5,7 +5,8 @@ import pytest
 
 import permarith.verifier as verifier
 from permarith.errors import UnknownCheckError
-from permarith.matrices import Mat
+from permarith.families import sum_structure
+from permarith.matrices import Mat, per_sum_matrix
 from permarith.rings import ZZ
 from permarith.verifier import (ALL_CHECK_IDS, REGISTRY, default_grid,
                                 run_check, run_suite)
@@ -99,6 +100,20 @@ def test_inputs_outside_the_claim_skip(check_id, params, reason):
     # theorem FAIL or a PASS for a claim stated only for primes.
     r = run_check(check_id, params)
     assert r.status == "SKIP" and reason in r.note, r
+
+
+@pytest.mark.parametrize("family,rng_name", [
+    ("linear", "1..p-1"), ("linear", "1..p"), ("linear", "0..p-1"),
+    ("quad", "1..h"), ("quad", "0..h"),
+])
+def test_structured_per_equals_per_sum_matrix(family, rng_name):
+    # The d-grids evaluate one coefficient vector per (family, p, range);
+    # every value must be the subset-sum permanent of the same matrix.
+    for p in (5, 7, 11, 13):
+        for d in range(1, p):
+            u, v = sum_structure(family, p=p, d=d, range=rng_name)
+            assert (verifier._structured_per(family, p, d, rng_name)
+                    == per_sum_matrix(u, v)), (p, d)
 
 
 def test_reports_reproducible():
