@@ -8,12 +8,10 @@ they generate, and a registry of verification checks with a CLI.
 
 from .cyclotomic import (Cyc, CyclotomicField, FqRoot, cyclotomic_poly,
                          find_fq_root, gauss_sum, sqrt_element)
-from .families import (FAMILY_NAMES, FamilySpec, Scale, build_cyclotomic,
-                       build_family, build_integer, build_qpoly,
+from .families import (Scale, build_cyclotomic, build_integer, build_qpoly,
                        build_rational)
-from .matrices import (Mat, det_divfree, det_field, mask, per_naive,
-                       per_ryser, per_sum_coeffs, per_sum_matrix,
-                       zero_diagonal)
+from .matrices import (Mat, det_divfree, det_field, per_naive, per_ryser,
+                       per_sum_coeffs, per_sum_matrix)
 from .ntheory import (bernoulli, binomial, double_factorial, factorial,
                       is_prime, jacobi, mod_reduce_rat)
 from .rings import GF, QPOLY, QQ, ZZ, LPoly, ModInt, Rat, Ring, Zmod, qint

@@ -9,7 +9,7 @@ repeated runs are byte-identical after the id/params sort.
 Checks and sequence values run serially in this process; --threads is
 accepted and has no effect.  Check parameters come from the flags --n, --p,
 --d, --a, --x and --backend; a check given any of them needs exactly the
-keys of its tier grids.
+keys of its tier grids, and --x must read as a rational.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .cyclotomic import CyclotomicField, gauss_sum
 from .errors import DomainError, UnknownCheckError
 from .matrices import Mat, per_naive, per_ryser
 from .ntheory import odd_primes_upto
-from .rings import GF, QPOLY, QQ, ZZ, Zmod
+from .rings import GF, QPOLY, QQ, ZZ, Rat, Zmod
 from .sequences import SEQ_NAMES, sequence_value
 from .verifier import (FAST, REGISTRY, default_grid, param_str, run_suite,
                        run_tasks)
@@ -34,6 +34,17 @@ from .verifier import (FAST, REGISTRY, default_grid, param_str, run_suite,
 SCHEMA = "permarith/1"
 
 PARAM_FLAGS = ("n", "p", "d", "a", "x", "backend")
+
+
+def _rational_text(text: str) -> str:
+    """The text of --x, once it reads as a rational; the check parses it
+    again, and JSON rows show it as given."""
+    try:
+        Rat(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"expected a rational such as 3/4, got {text!r}") from None
+    return text
 
 
 @functools.cache
@@ -62,7 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--p", type=int)
     v.add_argument("--d", type=int)
     v.add_argument("--a", type=int)
-    v.add_argument("--x", type=str)
+    v.add_argument("--x", type=_rational_text,
+                   help="a rational such as 3/4 or -2")
     v.add_argument("--backend", choices=("cyc", "fq"))
     common(v)
 
@@ -170,7 +182,7 @@ def _exit_code(reports, strict: bool) -> int:
 
 def _emit_reports(args, command, reports):
     if args.json:
-        rows = [r.row(with_ms=False) for r in reports]
+        rows = [r.row() for r in reports]
         print(json.dumps({"schema": SCHEMA, "command": command,
                           "results": rows}, sort_keys=True))
         return

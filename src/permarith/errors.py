@@ -9,8 +9,9 @@ class SingularFamilyError(DomainError):
     """Family parameters would put a zero denominator in a matrix entry."""
 
 
-class SizeLimitError(ValueError):
-    """Input exceeds a hard size guard (e.g. factorial-time oracle)."""
+class SizeLimitError(DomainError):
+    """Input exceeds a hard size guard (the factorial-time oracle, or the
+    2^n subsets of Ryser's formula)."""
 
 
 class UnsupportedRingError(TypeError):

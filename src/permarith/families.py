@@ -1,10 +1,14 @@
 """Constructors for every structured matrix family under study.
 
 Families are grouped by scalar ring (integer, Laurent-polynomial, cyclotomic,
-rational).  Trigonometric families are built over Q(zeta) with powers of 2
-and i kept OUT of the entries, in a Scale record: folding i into entries
-would force order lcm(4, n) on every matrix, while for odd n all i-powers
-collapse to signs after the permanent is taken.
+rational), one builder per ring taking a family name and its parameters as
+keywords; root_linear alone is also built over F_p, given an FqRoot as fq.
+sum_structure gives the (u, w) vectors of the rank-2 families.
+
+Trigonometric families are built over Q(zeta) with powers of 2 and i kept
+OUT of the entries, in a Scale record: folding i into entries would force
+order lcm(4, n) on every matrix, while for odd n all i-powers collapse to
+signs after the permanent is taken.
 
 Convention: per(true matrix) = 2^scale.pow2 * i^scale.ipow * per(built Mat).
 """
@@ -13,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cyclotomic import CyclotomicField, FqRoot, find_fq_root
+from .cyclotomic import CyclotomicField
 from .errors import DomainError, SingularFamilyError
 from .matrices import Mat
 from .ntheory import is_prime
@@ -51,24 +55,20 @@ def _indices(range_name: str, p: int) -> list[int]:
     raise DomainError(f"unknown index range {range_name!r}")
 
 
-def sum_structure(family: str, **params):
-    """(u, v) vectors for rank-2 families with entries u_j + v_k, else None.
+def sum_structure(family: str, p: int, range_name: str):
+    """(u, w) for the rank-2 families whose entries are u_j + d*w_k.
 
-    Here v = d*w, so per[u_j + v_k] is a degree-n polynomial in d.  The
-    mod-p^2 congruence grids take (u, w) at d = 1, build its coefficients
-    once with per_sum_coeffs and evaluate them at each d; one permanent at
-    a single v goes through per_sum_matrix, the subset-sum form of Ryser's
-    formula.
+    per[u_j + d*w_k] is a degree-n polynomial in d: the mod-p^2 congruence
+    grids build its coefficients once with per_sum_coeffs and evaluate them
+    at each d.
     """
+    idx = _indices(range_name, p)
     if family == "linear":
-        idx = _indices(params.get("range", "1..p-1"), params["p"])
-        d = params["d"]
-        return idx, [d * k for k in idx]
+        return idx, idx
     if family == "quad":
-        idx = _indices(params.get("range", "1..h"), params["p"])
-        d = params["d"]
-        return [j * j for j in idx], [d * k * k for k in idx]
-    return None
+        squares = [j * j for j in idx]
+        return squares, squares
+    raise DomainError(f"{family} is not a rank-2 family")
 
 
 # ---------------------------------------------------------------------------
@@ -136,30 +136,16 @@ def build_qpoly(family: str, **params) -> Mat:
 # Cyclotomic families
 # ---------------------------------------------------------------------------
 
-def _parse_x(x):
-    if isinstance(x, str):
-        return Rat(x)
-    return x
-
-
-def _fq_backend(family: str, params) -> FqRoot | None:
-    backend = params.get("backend", "cyc")
-    if backend == "cyc":
-        return None
-    if backend == "fq":
-        return params.get("fq") or find_fq_root(params["n"])
-    raise DomainError(f"{family}: unknown backend {backend!r}")
-
-
 def build_cyclotomic(family: str, **params) -> tuple[Mat, Scale]:
     n = params["n"]
     _require(n >= 1, family, f"n must be >= 1, got {n}")
 
     if family == "root_linear":
-        xs = [_parse_x(x) for x in params["x"]]
+        xs = params["x"]
         _require(len(xs) == n, family, f"need {n} values x_1..x_n")
-        fq = _fq_backend(family, params)
+        fq = params.get("fq")
         if fq is not None:
+            # Over F_p: zeta is fq's element of order n, the x's are ints.
             ring = fq.ring()
             one = ring.one
             return Mat(ring, [[one - fq.zeta_pow(j) * int(x)
@@ -170,30 +156,14 @@ def build_cyclotomic(family: str, **params) -> tuple[Mat, Scale]:
 
     if family == "root_exp_shift":
         _require(n >= 2, family, f"n must be >= 2, got {n}")
-        x = _parse_x(params["x"])
-        fq = _fq_backend(family, params)
-        if fq is not None:
-            ring = fq.ring()
-            return Mat(ring, [[ring.one + fq.zeta_pow(j + k) * int(x)
-                               for k in range(1, n)]
-                              for j in range(1, n)]), Scale()
+        x = params["x"]
         ring = CyclotomicField(n)
         table = {r: 1 + ring.zeta(r) * x for r in range(n)}
         return Mat(ring, [[table[(j + k) % n] for k in range(1, n)]
                           for j in range(1, n)]), Scale()
 
     if family == "cauchy_root":
-        x = _parse_x(params["x"])
-        fq = _fq_backend(family, params)
-        if fq is not None:
-            ring = fq.ring()
-            xel = ring.from_int(int(x))
-            if xel ** n == ring.one:
-                raise SingularFamilyError(f"{family}: x^n = 1 for x={x}, n={n}")
-            table = {r: (ring.one - fq.zeta_pow(r) * xel).inverse()
-                     for r in range(n)}
-            return Mat(ring, [[table[(j - k) % n] for k in range(1, n + 1)]
-                              for j in range(1, n + 1)]), Scale()
+        x = params["x"]
         if x ** n == 1:
             raise SingularFamilyError(f"{family}: x^n = 1 for x={x}, n={n}")
         ring = CyclotomicField(n)
@@ -313,89 +283,3 @@ def build_rational(family: str, **params) -> Mat:
         return Mat(QQ, [[zero if j == k else Rat(1, j * j - k * k)
                          for k in range(1, h + 1)] for j in range(1, h + 1)])
     raise DomainError(f"unknown rational family {family!r}")
-
-
-# ---------------------------------------------------------------------------
-# FamilySpec: canonical textual form used by the CLI
-# ---------------------------------------------------------------------------
-
-_BUILDERS = {
-    "floor_shift": build_integer, "linear": build_integer,
-    "quad": build_integer, "abs": build_integer, "floor_2jk": build_integer,
-    "qfloor": build_qpoly, "qabs": build_qpoly,
-    "qfloor_gen": build_qpoly, "qceil_gen": build_qpoly,
-    "root_linear": build_cyclotomic, "root_exp_shift": build_cyclotomic,
-    "cauchy_root": build_cyclotomic, "tan_shift": build_cyclotomic,
-    "cos2": build_cyclotomic, "sec2": build_cyclotomic,
-    "sin2": build_cyclotomic, "csc2": build_cyclotomic,
-    "tan_jk": build_cyclotomic, "cot_jk": build_cyclotomic,
-    "sec2_diff": build_cyclotomic, "tan2_diff": build_cyclotomic,
-    "recip_root_diff": build_cyclotomic, "cot_ratio": build_cyclotomic,
-    "inv_sum_sq": build_rational, "recip_ajk": build_rational,
-    "recip_aj_k": build_rational, "inv_sqdiff": build_rational,
-}
-
-FAMILY_NAMES = tuple(sorted(_BUILDERS))
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """A family name plus parameters; textual form `family:key=value,...`."""
-
-    family: str
-    params: tuple  # sorted (key, value) pairs
-
-    @classmethod
-    def make(cls, family: str, **params) -> "FamilySpec":
-        if family not in _BUILDERS:
-            raise DomainError(f"unknown family {family!r}")
-        return cls(family, tuple(sorted(params.items())))
-
-    @classmethod
-    def parse(cls, text: str) -> "FamilySpec":
-        family, _, rest = text.partition(":")
-        params = {}
-        if rest:
-            for piece in rest.split(","):
-                key, _, value = piece.partition("=")
-                if not key or not value:
-                    raise DomainError(f"bad family parameter {piece!r}")
-                params[key.strip()] = _parse_value(value.strip())
-        return cls.make(family.strip(), **params)
-
-    def __str__(self):
-        if not self.params:
-            return self.family
-        body = ",".join(f"{k}={_format_value(v)}" for k, v in self.params)
-        return f"{self.family}:{body}"
-
-    def build(self):
-        """Build the matrix; cyclotomic families return (Mat, Scale)."""
-        return _BUILDERS[self.family](self.family, **dict(self.params))
-
-
-def _parse_value(text: str):
-    if ";" in text:
-        return tuple(_parse_value(t) for t in text.split(";"))
-    if "/" in text:
-        return Rat(text)
-    try:
-        return int(text)
-    except ValueError:
-        return text
-
-
-def _format_value(v) -> str:
-    if isinstance(v, tuple):
-        return ";".join(_format_value(x) for x in v)
-    return str(v)
-
-
-def build_family(spec) -> tuple[Mat, Scale]:
-    """Uniform entry point: always returns (Mat, Scale)."""
-    if isinstance(spec, str):
-        spec = FamilySpec.parse(spec)
-    built = spec.build()
-    if isinstance(built, tuple):
-        return built
-    return built, Scale()

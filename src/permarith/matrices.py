@@ -1,10 +1,9 @@
 """Generic exact permanents and determinants over any ring tag.
 
-per_ryser walks the 2^n - 1 column subsets in Gray-code order, maintaining
-row sums incrementally (one column toggled per step).  The subset range can
-be partitioned into contiguous blocks; each block rebuilds its row sums from
-its first subset, so partial results are exact and their sum is independent
-of the partitioning.
+per_ryser walks the 2^n - 1 nonempty column subsets once in Gray-code
+order, maintaining row sums incrementally (one column toggled per step).
+At 2^n steps it refuses matrices above RYSER_LIMIT rows with a
+SizeLimitError, which callers report as out of domain.
 
 det_divfree is Bird's iterated-matrix-product determinant (only +, -, *;
 Bird, IPL 111, 2011), valid over rings with zero divisors such as Z/p^2.
@@ -33,6 +32,7 @@ from .ntheory import binomial
 from .rings import Ring
 
 NAIVE_LIMIT = 9
+RYSER_LIMIT = 20
 
 
 class Mat:
@@ -61,14 +61,8 @@ class Mat:
         """1-based access."""
         return self.rows[j - 1][k - 1]
 
-    def columns(self) -> list[list]:
-        return [[self.rows[i][k] for i in range(self.n)] for k in range(self.n)]
-
     def transpose(self) -> "Mat":
         return Mat(self.ring, list(zip(*self.rows)))
-
-    def map_entries(self, fn) -> "Mat":
-        return Mat(self.ring, [[fn(x) for x in row] for row in self.rows])
 
     def __eq__(self, other):
         return (isinstance(other, Mat) and other.n == self.n
@@ -80,39 +74,18 @@ class Mat:
         return f"Mat({self.ring.name}, {self.n}x{self.n})"
 
 
-def zero_diagonal(mat: Mat) -> Mat:
-    """Copy with ring zeros on the diagonal; its permanent/determinant sum
-    over derangements only, since any fixed point picks up a zero factor."""
-    z = mat.ring.zero
-    return Mat(mat.ring, [[z if i == k else x for k, x in enumerate(row)]
-                          for i, row in enumerate(mat.rows)])
-
-
-def mask(mat: Mat, predicate) -> Mat:
-    """Zero out entries where predicate(j, k, entry) holds (1-based j, k)."""
-    z = mat.ring.zero
-    return Mat(mat.ring,
-               [[z if predicate(i + 1, k + 1, x) else x
-                 for k, x in enumerate(row)]
-                for i, row in enumerate(mat.rows)])
-
-
 # ---------------------------------------------------------------------------
 # Permanents
 # ---------------------------------------------------------------------------
 
-def _ryser_block(cols, n, zero, product, s_lo, s_hi):
-    """Signed Gray-code partial sum over subset indices s in [s_lo, s_hi);
-    `product` multiplies out one list of row sums."""
-    prev = (s_lo - 1) ^ ((s_lo - 1) >> 1)
+def _ryser(cols, n, zero, product):
+    """Signed Gray-code sum over the nonempty column subsets; `product`
+    multiplies out one list of row sums."""
+    prev = 0
     row = [zero] * n
-    for k in range(n):
-        if prev >> k & 1:
-            col = cols[k]
-            row = [r + c for r, c in zip(row, col)]
-    parity = prev.bit_count() & 1
+    parity = 0
     acc = zero
-    for s in range(s_lo, s_hi):
+    for s in range(1, 1 << n):
         k = (s & -s).bit_length() - 1
         col = cols[k]
         if prev >> k & 1:
@@ -124,51 +97,24 @@ def _ryser_block(cols, n, zero, product, s_lo, s_hi):
         parity ^= 1
         prod = product(row)
         acc = acc - prod if parity else acc + prod
-    return acc
+    return acc if n % 2 == 0 else -acc
 
 
 def _product(row):
     return reduce(operator.mul, row)
 
 
-def per_ryser(mat: Mat, partitions=1):
-    """Permanent via Ryser's inclusion-exclusion with Gray-code updates.
-
-    `partitions` may be an int (number of contiguous blocks) or an explicit
-    list of (lo, hi) ranges covering [1, 2^n); block results are summed in
-    block order, so the value never depends on the partitioning.
-    """
+def per_ryser(mat: Mat):
+    """Permanent via Ryser's inclusion-exclusion with Gray-code updates."""
     n = mat.n
+    if n > RYSER_LIMIT:
+        raise SizeLimitError(f"Ryser permanent limited to n <= {RYSER_LIMIT}"
+                             f" (2^n subsets), got n = {n}")
     ring = mat.ring
-    packed = isinstance(ring, CyclotomicField)
-    if packed:
+    if isinstance(ring, CyclotomicField):
         rows, layout = pack_rows(ring.m, mat.rows)
-        cols = [list(col) for col in zip(*rows)]
-        zero = 0
-        product = layout.product
-    else:
-        cols = mat.columns()
-        zero = ring.zero
-        product = _product
-    top = 1 << n
-    if isinstance(partitions, int):
-        count = max(1, min(partitions, top - 1))
-        step = (top - 1 + count - 1) // count
-        ranges = [(lo, min(lo + step, top)) for lo in range(1, top, step)]
-    else:
-        ranges = list(partitions)
-        covered = sorted(ranges)
-        if (not covered or covered[0][0] != 1 or covered[-1][1] != top
-                or any(covered[i][1] != covered[i + 1][0]
-                       for i in range(len(covered) - 1))):
-            raise DomainError("partitions must tile the range [1, 2^n)")
-    parts = [_ryser_block(cols, n, zero, product, lo, hi)
-             for lo, hi in ranges]
-    acc = parts[0]
-    for p in parts[1:]:
-        acc = acc + p
-    acc = acc if n % 2 == 0 else -acc
-    return unpack(acc, layout) if packed else acc
+        return unpack(_ryser(list(zip(*rows)), n, 0, layout.product), layout)
+    return _ryser(list(zip(*mat.rows)), n, ring.zero, _product)
 
 
 def per_naive(mat: Mat):

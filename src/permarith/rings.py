@@ -15,7 +15,7 @@ from .errors import DomainError, NonInvertibleError, UnsupportedRingError
 
 try:
     from gmpy2 import mpq as Rat
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # gmpy2 is the optional `fast` extra
     from fractions import Fraction as Rat
 
 

@@ -56,14 +56,12 @@ class Report:
     def sort_key(self):
         return (self.check_id, param_str(self.params))
 
-    def row(self, with_ms: bool = False) -> dict:
-        out = {"id": self.check_id, "params": self.params,
-               "status": self.status, "computed": self.computed,
-               "expected": self.expected, "modulus": self.modulus,
-               "kind": self.kind, "note": self.note}
-        if with_ms:
-            out["ms"] = round(self.ms, 3)
-        return out
+    def row(self) -> dict:
+        """The JSON row; timing is left out so that reruns are identical."""
+        return {"id": self.check_id, "params": self.params,
+                "status": self.status, "computed": self.computed,
+                "expected": self.expected, "modulus": self.modulus,
+                "kind": self.kind, "note": self.note}
 
 
 def param_str(params: dict) -> str:
@@ -104,7 +102,7 @@ def _rng(seed, check_id, params) -> random.Random:
 
 @lru_cache(maxsize=None)
 def _per_coeffs(family: str, p: int, rng_name: str) -> tuple[int, ...]:
-    u, w = sum_structure(family, p=p, d=1, range=rng_name)
+    u, w = sum_structure(family, p, rng_name)
     return per_sum_coeffs(u, w)
 
 
@@ -148,6 +146,8 @@ def _run_thq_det(params, rng):
 
 def _run_rootlinear(params, rng):
     n, backend = params["n"], params["backend"]
+    if backend not in ("cyc", "fq"):
+        raise DomainError(f"unknown backend {backend!r}")
     items = []
     for trial in range(5):
         if backend == "cyc":
@@ -163,8 +163,7 @@ def _run_rootlinear(params, rng):
             root = find_fq_root(n)
             p = root.prime
             xs = tuple(rng.randrange(p) for _ in range(n))
-            mat, _ = build_cyclotomic("root_linear", n=n, x=xs, backend="fq",
-                                      fq=root)
+            mat, _ = build_cyclotomic("root_linear", n=n, x=xs, fq=root)
             got = per_ryser(mat)
             prod = 1
             for x in xs:

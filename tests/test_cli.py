@@ -45,6 +45,10 @@ def test_usage_errors_exit_2(capsys):
      "all takes no --d, takes no --p"),
     (["explore", "conj.absjk", "--pmax", "5", "--a", "1..3"],
      "conj.absjk takes no --a"),
+    (["verify", "thnew.cauchyroot", "--n", "3", "--x", "abc"],
+     "argument --x: expected a rational"),
+    (["verify", "thnew.cauchyroot", "--n", "3", "--x", "1/0"],
+     "argument --x: expected a rational"),
 ])
 def test_parameter_usage_errors(capsys, argv, message):
     # Explicit parameters must be exactly the check's grid keys; anything
@@ -93,6 +97,11 @@ def test_seq_skip_row(capsys):
     code, out = run_cli(capsys, "seq", "sprime", "--range", "9..9", "--json")
     doc = json.loads(out)
     assert doc["results"][0]["status"] == "SKIP"
+    # t(43) is a 21-row permanent, past the Ryser size guard.
+    code, out = run_cli(capsys, "seq", "t", "--range", "43..43", "--json")
+    row = json.loads(out)["results"][0]
+    assert code == 0
+    assert row["status"] == "SKIP" and "limited to n <= 20" in row["note"]
 
 
 def test_seq_json_values_are_exact_strings(capsys):

@@ -1,14 +1,13 @@
 """Matrix family constructors: spot values, symmetry, masking, scales,
-float diagnostics, and the FamilySpec textual form."""
+float diagnostics, and the rank-2 (u, w) vectors."""
 
 import math
 
 import pytest
 
 from permarith.errors import DomainError, SingularFamilyError
-from permarith.families import (FamilySpec, Scale, build_cyclotomic,
-                                build_integer, build_qpoly, build_rational,
-                                build_family, sum_structure)
+from permarith.families import (Scale, build_cyclotomic, build_integer,
+                                build_qpoly, build_rational, sum_structure)
 from permarith.matrices import per_naive, per_ryser
 from permarith.rings import LPoly, Rat, qint
 
@@ -69,14 +68,16 @@ def test_qfloor_gen_negative_entries():
 
 
 def test_sum_structure_matches_matrices():
-    for rng_name in ("1..p-1", "1..p", "0..p-1"):
-        u, v = sum_structure("linear", p=5, d=3, range=rng_name)
-        m = build_integer("linear", p=5, d=3, range=rng_name)
-        assert [[uj + vk for vk in v] for uj in u] == [list(r) for r in m.rows]
-    u, v = sum_structure("quad", p=11, d=2, range="0..h")
-    m = build_integer("quad", p=11, d=2, range="0..h")
-    assert [[uj + vk for vk in v] for uj in u] == [list(r) for r in m.rows]
-    assert sum_structure("abs", n=4) is None
+    for family, p, d, rng_name in (("linear", 5, 3, "1..p-1"),
+                                   ("linear", 5, 3, "1..p"),
+                                   ("linear", 5, 3, "0..p-1"),
+                                   ("quad", 11, 2, "0..h")):
+        u, w = sum_structure(family, p, rng_name)
+        m = build_integer(family, p=p, d=d, range=rng_name)
+        assert ([[uj + d * wk for wk in w] for uj in u]
+                == [list(r) for r in m.rows])
+    with pytest.raises(DomainError):
+        sum_structure("abs", 5, "1..p-1")
 
 
 def test_cauchy_root_examples():
@@ -87,8 +88,6 @@ def test_cauchy_root_examples():
         build_cyclotomic("cauchy_root", n=4, x=1)
     with pytest.raises(SingularFamilyError):
         build_cyclotomic("cauchy_root", n=4, x=-1)
-    with pytest.raises(SingularFamilyError):
-        build_cyclotomic("cauchy_root", n=5, x=1, backend="fq")
 
 
 def test_cos2_example():
@@ -200,21 +199,6 @@ def test_recip_root_diff_sizes():
         assert all(mat.entry(j, j).is_zero() for j in range(1, want + 1))
     with pytest.raises(DomainError):
         build_cyclotomic("recip_root_diff", n=5, size=3)
-
-
-def test_familyspec_roundtrip():
-    spec = FamilySpec.parse("linear:d=2,p=7,range=1..p")
-    assert str(spec) == "linear:d=2,p=7,range=1..p"
-    mat, scale = build_family(spec)
-    assert mat.entry(1, 1) == 3
-    spec2 = FamilySpec.parse("cauchy_root:n=3,x=1/2")
-    assert spec2.params == (("n", 3), ("x", Rat(1, 2)))
-    mat2, _ = build_family("cos2:n=9")
-    assert mat2.n == 4
-    with pytest.raises(DomainError):
-        FamilySpec.parse("nosuch:n=3")
-    with pytest.raises(DomainError):
-        FamilySpec.parse("linear:p")
 
 
 def test_qabs_determinant_example():

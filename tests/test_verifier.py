@@ -94,6 +94,8 @@ def test_out_of_domain_params_skip():
     ("thper.jdk3", {"p": 7, "d": 0}, "not divisible by p"),
     ("cor.jdk", {"p": 7, "d": 7}, "not divisible by p"),
     ("thper.rootlinear", {"n": 100000, "backend": "fq"}, "no prime"),
+    ("thper.rootlinear", {"n": 3, "backend": "gpu"}, "unknown backend"),
+    ("thq.floor", {"n": 40}, "limited to n <= 20"),
 ])
 def test_inputs_outside_the_claim_skip(check_id, params, reason):
     # Outside a claim's domain the verdict is SKIP with the reason, never a
@@ -111,9 +113,9 @@ def test_structured_per_equals_per_sum_matrix(family, rng_name):
     # every value must be the subset-sum permanent of the same matrix.
     for p in (5, 7, 11, 13):
         for d in range(1, p):
-            u, v = sum_structure(family, p=p, d=d, range=rng_name)
+            u, w = sum_structure(family, p, rng_name)
             assert (verifier._structured_per(family, p, d, rng_name)
-                    == per_sum_matrix(u, v)), (p, d)
+                    == per_sum_matrix(u, [d * x for x in w])), (p, d)
 
 
 def test_reports_reproducible():
