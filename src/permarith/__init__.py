@@ -8,7 +8,7 @@ they generate, and a registry of verification checks with a CLI.
 
 from .cyclotomic import (Cyc, CyclotomicField, FqRoot, cyclotomic_poly,
                          find_fq_root, gauss_sum, sqrt_element)
-from .families import (Scale, build_cyclotomic, build_integer, build_qpoly,
+from .families import (build_cyclotomic, build_integer, build_qpoly,
                        build_rational)
 from .matrices import (Mat, det_divfree, det_field, per_naive, per_ryser,
                        per_sum_coeffs, per_sum_matrix)

@@ -5,35 +5,22 @@ rational), one builder per ring taking a family name and its parameters as
 keywords; root_linear alone is also built over F_p, given an FqRoot as fq.
 sum_structure gives the (u, w) vectors of the rank-2 families.
 
-Trigonometric families are built over Q(zeta) with powers of 2 and i kept
-OUT of the entries, in a Scale record: folding i into entries would force
-order lcm(4, n) on every matrix, while for odd n all i-powers collapse to
-signs after the permanent is taken.
-
-Convention: per(true matrix) = 2^scale.pow2 * i^scale.ipow * per(built Mat).
+Trigonometric families are built over Q(zeta_n) from three elements and
+their inverses, each a trigonometric value times a constant (zeta =
+e^(2 pi i/n)): zeta^r + zeta^-r = 2 cos(2 pi r/n), zeta^r - zeta^-r =
+2i sin(2 pi r/n) and (zeta^r - 1)/(zeta^r + 1) = i tan(pi r/n).  Keeping
+i out of the entries keeps every matrix over Q(zeta_n) rather than
+Q(zeta_lcm(4, n)); sequences.SEQ_TABLE turns the permanent of the built
+matrix into the paper's normalised value.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .cyclotomic import CyclotomicField
 from .errors import DomainError, SingularFamilyError
 from .matrices import Mat
 from .ntheory import is_prime
 from .rings import QPOLY, QQ, ZZ, Rat, qint
-
-LINEAR_RANGES = ("1..p-1", "1..p", "0..p-1")
-QUAD_RANGES = ("1..h", "0..h")
-
-
-@dataclass(frozen=True)
-class Scale:
-    """Power of 2 and residue class mod 4 of the power of i relating the
-    permanent of the built matrix to the permanent of the true matrix."""
-
-    pow2: int = 0
-    ipow: int = 0
 
 
 def _require(cond: bool, family: str, msg: str):
@@ -80,22 +67,6 @@ def build_integer(family: str, **params) -> Mat:
         n = params["n"]
         _require(n >= 1, family, f"n must be >= 1, got {n}")
         return Mat.from_fn(ZZ, n, lambda j, k: (j + k - 1) // n)
-    if family == "linear":
-        p, d = params["p"], params["d"]
-        rng = params.get("range", "1..p-1")
-        _require(is_prime(p) and p % 2, family, f"p must be an odd prime, got {p}")
-        _require(d % p != 0, family, f"d must be nonzero mod p, got d={d}")
-        _require(rng in LINEAR_RANGES, family, f"bad range {rng!r}")
-        idx = _indices(rng, p)
-        return Mat(ZZ, [[j + d * k for k in idx] for j in idx])
-    if family == "quad":
-        p, d = params["p"], params["d"]
-        rng = params.get("range", "1..h")
-        _require(is_prime(p) and p % 2, family, f"p must be an odd prime, got {p}")
-        _require(d % p != 0, family, f"d must be nonzero mod p, got d={d}")
-        _require(rng in QUAD_RANGES, family, f"bad range {rng!r}")
-        idx = _indices(rng, p)
-        return Mat(ZZ, [[j * j + d * k * k for k in idx] for j in idx])
     if family == "abs":
         n, shift = params["n"], params.get("shift", 0)
         _require(n >= 1, family, f"n must be >= 1, got {n}")
@@ -136,7 +107,7 @@ def build_qpoly(family: str, **params) -> Mat:
 # Cyclotomic families
 # ---------------------------------------------------------------------------
 
-def build_cyclotomic(family: str, **params) -> tuple[Mat, Scale]:
+def build_cyclotomic(family: str, **params) -> Mat:
     n = params["n"]
     _require(n >= 1, family, f"n must be >= 1, got {n}")
 
@@ -149,10 +120,10 @@ def build_cyclotomic(family: str, **params) -> tuple[Mat, Scale]:
             ring = fq.ring()
             one = ring.one
             return Mat(ring, [[one - fq.zeta_pow(j) * int(x)
-                               for x in xs] for j in range(1, n + 1)]), Scale()
+                               for x in xs] for j in range(1, n + 1)])
         ring = CyclotomicField(n)
         return Mat(ring, [[1 - ring.zeta(j) * x for x in xs]
-                          for j in range(1, n + 1)]), Scale()
+                          for j in range(1, n + 1)])
 
     if family == "root_exp_shift":
         _require(n >= 2, family, f"n must be >= 2, got {n}")
@@ -160,7 +131,7 @@ def build_cyclotomic(family: str, **params) -> tuple[Mat, Scale]:
         ring = CyclotomicField(n)
         table = {r: 1 + ring.zeta(r) * x for r in range(n)}
         return Mat(ring, [[table[(j + k) % n] for k in range(1, n)]
-                          for j in range(1, n)]), Scale()
+                          for j in range(1, n)])
 
     if family == "cauchy_root":
         x = params["x"]
@@ -169,7 +140,7 @@ def build_cyclotomic(family: str, **params) -> tuple[Mat, Scale]:
         ring = CyclotomicField(n)
         table = {r: (1 - ring.zeta(r) * x).inverse() for r in range(n)}
         return Mat(ring, [[table[(j - k) % n] for k in range(1, n + 1)]
-                          for j in range(1, n + 1)]), Scale()
+                          for j in range(1, n + 1)])
 
     if family == "tan_shift":
         _require(n % 2 == 1 and n >= 3, family, f"n must be odd >= 3, got {n}")
@@ -177,7 +148,7 @@ def build_cyclotomic(family: str, **params) -> tuple[Mat, Scale]:
         table = {r: (ring.zeta(r) - 1) * (ring.zeta(r) + 1).inverse()
                  for r in range(n)}
         return Mat(ring, [[table[(j + k) % n] for k in range(1, n)]
-                          for j in range(1, n)]), Scale(0, (n - 1) % 4)
+                          for j in range(1, n)])
 
     if family in ("cos2", "sec2", "sin2", "csc2", "tan_jk", "cot_jk"):
         _require(n % 2 == 1 and n >= 3, family, f"n must be odd >= 3, got {n}")
@@ -189,28 +160,22 @@ def build_cyclotomic(family: str, **params) -> tuple[Mat, Scale]:
         residues = {(j * k) % n for j in range(1, h + 1) for k in range(1, h + 1)}
         if family == "cos2":
             table = {r: ring.zeta(r) + ring.zeta(-r) for r in residues}
-            scale = Scale(-h, 0)
         elif family == "sec2":
             table = {r: (ring.zeta(r) + ring.zeta(-r)).inverse()
                      for r in residues}
-            scale = Scale(h, 0)
         elif family == "sin2":
             table = {r: ring.zeta(r) - ring.zeta(-r) for r in residues}
-            scale = Scale(-h, (-h) % 4)
         elif family == "csc2":
             table = {r: (ring.zeta(r) - ring.zeta(-r)).inverse()
                      for r in residues}
-            scale = Scale(h, h % 4)
         elif family == "tan_jk":
             table = {r: (ring.zeta(r) - 1) * (ring.zeta(r) + 1).inverse()
                      for r in residues}
-            scale = Scale(0, (3 * h) % 4)
         else:  # cot_jk
             table = {r: (ring.zeta(r) + 1) * (ring.zeta(r) - 1).inverse()
                      for r in residues}
-            scale = Scale(0, h % 4)
         return Mat(ring, [[table[(j * k) % n] for k in range(1, h + 1)]
-                          for j in range(1, h + 1)]), scale
+                          for j in range(1, h + 1)])
 
     if family in ("sec2_diff", "tan2_diff"):
         _require(n % 2 == 1, family, f"n must be odd, got {n}")
@@ -223,7 +188,7 @@ def build_cyclotomic(family: str, **params) -> tuple[Mat, Scale]:
             if family == "tan2_diff":
                 table[r] = table[r] - 1
         return Mat(ring, [[table[(j - k) % m] for k in range(1, n + 1)]
-                          for j in range(1, n + 1)]), Scale()
+                          for j in range(1, n + 1)])
 
     if family == "recip_root_diff":
         size = params.get("size", n)
@@ -235,7 +200,7 @@ def build_cyclotomic(family: str, **params) -> tuple[Mat, Scale]:
         zero = ring.zero
         return Mat(ring, [[zero if j == k else table[(j - k) % n]
                            for k in range(1, size + 1)]
-                          for j in range(1, size + 1)]), Scale()
+                          for j in range(1, size + 1)])
 
     if family == "cot_ratio":
         size = params.get("size", n - 1)
@@ -248,7 +213,7 @@ def build_cyclotomic(family: str, **params) -> tuple[Mat, Scale]:
         zero = ring.zero
         return Mat(ring, [[zero if j == k else table[(j - k) % n]
                            for k in range(1, size + 1)]
-                          for j in range(1, size + 1)]), Scale()
+                          for j in range(1, size + 1)])
 
     raise DomainError(f"unknown cyclotomic family {family!r}")
 

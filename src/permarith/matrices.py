@@ -3,7 +3,8 @@
 per_ryser walks the 2^n - 1 nonempty column subsets once in Gray-code
 order, maintaining row sums incrementally (one column toggled per step).
 At 2^n steps it refuses matrices above RYSER_LIMIT rows with a
-SizeLimitError, which callers report as out of domain.
+SizeLimitError, which callers report as out of domain; check_ryser_size
+lets a caller refuse before it builds the matrix.
 
 det_divfree is Bird's iterated-matrix-product determinant (only +, -, *;
 Bird, IPL 111, 2011), valid over rings with zero divisors such as Z/p^2.
@@ -104,12 +105,17 @@ def _product(row):
     return reduce(operator.mul, row)
 
 
-def per_ryser(mat: Mat):
-    """Permanent via Ryser's inclusion-exclusion with Gray-code updates."""
-    n = mat.n
+def check_ryser_size(n: int):
+    """Raise SizeLimitError if per_ryser would refuse an n-row matrix."""
     if n > RYSER_LIMIT:
         raise SizeLimitError(f"Ryser permanent limited to n <= {RYSER_LIMIT}"
                              f" (2^n subsets), got n = {n}")
+
+
+def per_ryser(mat: Mat):
+    """Permanent via Ryser's inclusion-exclusion with Gray-code updates."""
+    n = mat.n
+    check_ryser_size(n)
     ring = mat.ring
     if isinstance(ring, CyclotomicField):
         rows, layout = pack_rows(ring.m, mat.rows)

@@ -1,11 +1,11 @@
 """Named exact sequences built from permanents of the trigonometric families.
 
-Each value is a permanent over Q(zeta_n) followed by one scale-resolution
-step: powers of 2 fold into the rational result, powers of i collapse to a
-sign (they are always even here), and sqrt(n) is multiplied away through the
-Gauss-sum carrier W = i^((n-1)/2) sqrt(n), using W^2 = (-1)^((n-1)/2) n.
-Integrality is a theorem for T, c, s, s', t, t'; the code asserts it at
-recognition time and treats failure as an arithmetic bug.
+Each value is the permanent of a families.build_cyclotomic matrix over
+Q(zeta_n), times W^e for the Gauss-sum carrier W = sqrt_element(n) =
+i^h sqrt(n), h = (n-1)/2, and e in {-1, 0, 1} (SEQ_TABLE says which).
+Integrality is a theorem for T, c, s, s', t, t'; the code checks that the
+result is rational at recognition time and treats failure as an arithmetic
+bug.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from functools import lru_cache, partial
 from .cyclotomic import Cyc, sqrt_element
 from .errors import DomainError, NonRationalResultError
 from .families import build_cyclotomic, build_rational
-from .matrices import det_field, per_ryser
+from .matrices import check_ryser_size, det_field, per_ryser
 from .ntheory import is_prime, mod_reduce_rat
 from .rings import ModInt, Rat
 
@@ -40,32 +40,21 @@ def _rational_of(z: Cyc) -> Rat:
     return r
 
 
-def _resolve(P: Cyc, pow2: int, ipow: int, sqrt_exp: int, n: int) -> Rat:
-    """Exact value of 2^pow2 * i^ipow * sqrt(n)^sqrt_exp * P.
+def _resolve(P: Cyc, w_exp: int, alternating: bool, n: int) -> Rat:
+    """Exact value of W^w_exp * P, times (-1)^h if alternating.
 
-    With W = i^h sqrt(n) (h = (n-1)/2): sqrt(n)^e = W^e * i^(-e*h), so the
-    total i-power is ipow - e*h; by construction it is always even, i.e. a
-    sign.  1/W = W * (-1)^h / n.
+    W = i^h sqrt(n) with h = (n-1)/2, so W^2 = (-1)^h n and
+    1/W = (-1)^h W / n.
     """
     h = (n - 1) // 2
-    if sqrt_exp == 0:
-        b = ipow % 4
+    if w_exp == 0:
         r = _rational_of(P)
     else:
-        b = (ipow - sqrt_exp * h) % 4
         r = _rational_of(P * sqrt_element(n))
-        if sqrt_exp == -1:
-            r = -r if h % 2 else r
+        if w_exp == -1:
             r = Rat(r, n)
-    if b % 2:
-        raise NonRationalResultError(f"odd residual power of i ({b})")
-    if b == 2:
-        r = -r
-    if pow2 > 0:
-        r = r * (1 << pow2)
-    elif pow2 < 0:
-        r = Rat(r, 1 << (-pow2))
-    return Rat(r)
+            alternating = not alternating
+    return -r if alternating and h % 2 else r
 
 
 def _check_domain(name: str, n: int, prime_only: bool = False):
@@ -74,8 +63,7 @@ def _check_domain(name: str, n: int, prime_only: bool = False):
         raise DomainError(f"{name} is defined for {what}, got {n}")
 
 
-# name -> (family, power of 2 in units of h = (n-1)/2, exponent of sqrt(n),
-#          prime index only).  The value is 2^(k h) sqrt(n)^e per[family(n)]:
+# name -> (family, exponent e of W, times (-1)^h, prime index only), for
 #   T       per[tan pi (j+k)/n], 1 <= j,k <= n-1
 #   c       2^h per[cos 2 pi jk/n], 1 <= j,k <= h
 #   cprime  2^-h per[sec 2 pi jk/n]; rational, denominator divides 2^(d_n)
@@ -83,25 +71,30 @@ def _check_domain(name: str, n: int, prime_only: bool = False):
 #   sprime  (sqrt(p) / 2^h) per[csc 2 pi jk/p]
 #   t       (1 / sqrt(n)) per[tan pi jk/n]
 #   tprime  sqrt(p) per[cot pi jk/p]
-# All but cprime are integers on their domain.
+# All but cprime are integers on their domain.  The built entries are these
+# times 2 (cos), 1/2 (sec), 2i (sin), 1/(2i) (csc), i (tan) or 1/i (cot),
+# one factor per row, so each value is W^e per[built matrix]; T's n-1 rows
+# give i^(n-1) = (-1)^h.
 SEQ_TABLE = {
-    "T": ("tan_shift", 0, 0, False),
-    "c": ("cos2", 1, 0, False),
-    "cprime": ("sec2", -1, 0, False),
-    "s": ("sin2", 1, -1, False),
-    "sprime": ("csc2", -1, 1, True),
-    "t": ("tan_jk", 0, -1, False),
-    "tprime": ("cot_jk", 0, 1, True),
+    "T": ("tan_shift", 0, True, False),
+    "c": ("cos2", 0, False, False),
+    "cprime": ("sec2", 0, False, False),
+    "s": ("sin2", -1, False, False),
+    "sprime": ("csc2", 1, False, True),
+    "t": ("tan_jk", -1, False, False),
+    "tprime": ("cot_jk", 1, False, True),
 }
 
 
 def _table_value(name: str, n: int) -> SeqValue:
     """Evaluate one row of SEQ_TABLE at index n."""
-    family, h_pow, sqrt_exp, prime_only = SEQ_TABLE[name]
+    family, w_exp, alternating, prime_only = SEQ_TABLE[name]
     _check_domain(name, n, prime_only)
-    mat, scale = build_cyclotomic(family, n=n)
-    val = _resolve(per_ryser(mat), scale.pow2 + h_pow * ((n - 1) // 2),
-                   scale.ipow, sqrt_exp, n)
+    # Refuse before building: the table of n inverses in Q(zeta_n) alone
+    # costs seconds at n in the hundreds.
+    check_ryser_size(n - 1 if family == "tan_shift" else (n - 1) // 2)
+    mat = build_cyclotomic(family, n=n)
+    val = _resolve(per_ryser(mat), w_exp, alternating, n)
     bound = None
     if name == "cprime":
         bound = 1 << int(seq_d(n).value)
@@ -176,20 +169,20 @@ def derangement_sum(n: int, variant: str) -> Rat:
         raise DomainError(f"derangement sums need n >= 2, got {n}")
     if variant == "unsigned_recip":
         size = n if n % 2 == 0 else n - 1
-        mat, _ = build_cyclotomic("recip_root_diff", n=n, size=size)
+        mat = build_cyclotomic("recip_root_diff", n=n, size=size)
         return _rational_of(per_ryser(mat))
     if variant == "signed_recip":
         if n % 2 == 0:
             raise DomainError("signed_recip variant needs odd n")
-        mat, _ = build_cyclotomic("recip_root_diff", n=n, size=n - 1)
+        mat = build_cyclotomic("recip_root_diff", n=n, size=n - 1)
         return _rational_of(det_field(mat))
     if variant == "signed_cot_ratio":
         if n % 2 == 0:
             raise DomainError("signed_cot_ratio variant needs odd n")
-        mat, _ = build_cyclotomic("cot_ratio", n=n, size=n - 1)
+        mat = build_cyclotomic("cot_ratio", n=n, size=n - 1)
         return _rational_of(det_field(mat))
     if variant == "signed_recip_full":
-        mat, _ = build_cyclotomic("recip_root_diff", n=n, size=n)
+        mat = build_cyclotomic("recip_root_diff", n=n, size=n)
         return _rational_of(det_field(mat))
     raise DomainError(f"unknown variant {variant!r}")
 

@@ -153,7 +153,7 @@ def _run_rootlinear(params, rng):
         if backend == "cyc":
             xs = tuple(Rat(rng.randint(-9, 9), rng.randint(1, 9))
                        for _ in range(n))
-            mat, _ = build_cyclotomic("root_linear", n=n, x=xs)
+            mat = build_cyclotomic("root_linear", n=n, x=xs)
             got = per_ryser(mat).as_rational()
             prod = Rat(1)
             for x in xs:
@@ -163,7 +163,7 @@ def _run_rootlinear(params, rng):
             root = find_fq_root(n)
             p = root.prime
             xs = tuple(rng.randrange(p) for _ in range(n))
-            mat, _ = build_cyclotomic("root_linear", n=n, x=xs, fq=root)
+            mat = build_cyclotomic("root_linear", n=n, x=xs, fq=root)
             got = per_ryser(mat)
             prod = 1
             for x in xs:
@@ -177,7 +177,7 @@ def _run_rootexp(params, rng):
     n = params["n"]
     items = []
     for x in range(1, n + 1):
-        mat, _ = build_cyclotomic("root_exp_shift", n=n, x=x)
+        mat = build_cyclotomic("root_exp_shift", n=n, x=x)
         got = per_ryser(mat).as_rational()
         want = sum(Rat(factorial(n - 1), binomial(n - 1, k)) * x ** k
                    for k in range(n))
@@ -265,7 +265,7 @@ def _run_cor_quadmod(params, rng):
 
 def _run_cor_sin(params, rng):
     n = params["n"]
-    mat, _ = build_cyclotomic("root_exp_shift", n=n, x=-1)
+    mat = build_cyclotomic("root_exp_shift", n=n, x=-1)
     per = per_ryser(mat)
     if n % 2 == 0:
         return [_true(per.is_zero(), str(per), "0")], None, None
@@ -276,7 +276,7 @@ def _run_cor_sin(params, rng):
 
 def _run_cor_cos(params, rng):
     n = params["n"]
-    mat, _ = build_cyclotomic("root_exp_shift", n=n, x=1)
+    mat = build_cyclotomic("root_exp_shift", n=n, x=1)
     got = Rat(per_ryser(mat).as_rational() * (-1) ** (n - 1), 2 ** (n - 1))
     want = Rat(factorial(n - 1), (-2) ** (n - 1)) * sum(
         Rat(1, binomial(n - 1, k)) for k in range(n))
@@ -287,7 +287,7 @@ def _run_cauchyroot(params, rng):
     n = params["n"]
     x = Rat(params["x"])
     try:
-        mat, _ = build_cyclotomic("cauchy_root", n=n, x=x)
+        mat = build_cyclotomic("cauchy_root", n=n, x=x)
     except SingularFamilyError as exc:
         raise SkipCheck(str(exc))
     got = per_ryser(mat).as_rational()
@@ -474,7 +474,7 @@ def _run_det_sec2(params, rng):
     n = params["n"]
     if n % 2 == 0:
         raise SkipCheck("claim requires odd n")
-    mat, _ = build_cyclotomic("sec2_diff", n=n)
+    mat = build_cyclotomic("sec2_diff", n=n)
     got = det_field(mat).as_rational()
     want = n ** (n - 1) * double_factorial(n) ** 2
     return [_eq(got, want)], None, None
@@ -484,7 +484,7 @@ def _run_det_tan2(params, rng):
     n = params["n"]
     if n % 2 == 0:
         raise SkipCheck("claim requires odd n")
-    mat, _ = build_cyclotomic("tan2_diff", n=n)
+    mat = build_cyclotomic("tan2_diff", n=n)
     got = det_field(mat).as_rational()
     want = 0 if n == 1 else (n - 1) * n ** (n - 2) * double_factorial(n) ** 2
     return [_eq(got, want)], None, None
@@ -631,7 +631,7 @@ def _run_rem_perhalf(params, rng):
     n = params["n"]
     if n % 2 == 0:
         raise SkipCheck("claim requires odd n")
-    mat, _ = build_cyclotomic("cauchy_root", n=n, x=-1)
+    mat = build_cyclotomic("cauchy_root", n=n, x=-1)
     got = per_ryser(mat).as_rational()
     want = Rat((-1) ** ((n - 1) // 2) * double_factorial(n) ** 2, 2 ** n * n)
     return [_eq(got, want)], None, None

@@ -96,13 +96,12 @@ def test_criterion_1_sequence_tables(capsys):
                     f"{name}({n}): computed {got[n]}, table {want}")
 
     # The corrected cprime(9) entry, from the naive engine rather than the
-    # seq path: c'(9) = 2^-4 * 2^pow2 * i^ipow * per(built sec2 matrix).
-    mat, scale = build_cyclotomic("sec2", n=9)
-    naive = (per_naive(mat).as_rational() * Rat(2) ** (scale.pow2 - 4)
-             * (-1) ** (scale.ipow // 2))
-    if scale.ipow % 2 or naive != Rat(CP_TABLE[9]):
-        failures.append(f"cprime(9) by per_naive: computed {naive} "
-                        f"(i^{scale.ipow}), table {CP_TABLE[9]}")
+    # seq path: the built sec2 entries are sec/2, so over its 4 rows
+    # c'(9) = 2^-4 per[sec 2 pi jk/9] is per(built sec2 matrix).
+    naive = per_naive(build_cyclotomic("sec2", n=9)).as_rational()
+    if naive != Rat(CP_TABLE[9]):
+        failures.append(f"cprime(9) by per_naive: computed {naive}, "
+                        f"table {CP_TABLE[9]}")
 
     _criterion(1, failures, time.perf_counter() - start)
 

@@ -1,13 +1,13 @@
-"""Matrix family constructors: spot values, symmetry, masking, scales,
-float diagnostics, and the rank-2 (u, w) vectors."""
+"""Matrix family constructors: spot values, symmetry, masking, per-entry
+trigonometric factors (float diagnostics), and the rank-2 (u, w) vectors."""
 
 import math
 
 import pytest
 
 from permarith.errors import DomainError, SingularFamilyError
-from permarith.families import (Scale, build_cyclotomic, build_integer,
-                                build_qpoly, build_rational, sum_structure)
+from permarith.families import (build_cyclotomic, build_integer, build_qpoly,
+                                build_rational, sum_structure)
 from permarith.matrices import per_naive, per_ryser
 from permarith.rings import LPoly, Rat, qint
 
@@ -15,19 +15,6 @@ from permarith.rings import LPoly, Rat, qint
 def test_floor_shift_example():
     m = build_integer("floor_shift", n=3)
     assert [list(r) for r in m.rows] == [[0, 0, 1], [0, 1, 1], [1, 1, 1]]
-
-
-def test_linear_example_and_ranges():
-    m = build_integer("linear", p=3, d=1, range="1..p")
-    assert [list(r) for r in m.rows] == [[2, 3, 4], [3, 4, 5], [4, 5, 6]]
-    assert build_integer("linear", p=3, d=1, range="1..p-1").n == 2
-    assert build_integer("linear", p=3, d=1, range="0..p-1").entry(1, 1) == 0
-    with pytest.raises(DomainError):
-        build_integer("linear", p=9, d=1, range="1..p")
-    with pytest.raises(DomainError):
-        build_integer("linear", p=5, d=10, range="1..p")
-    with pytest.raises(DomainError):
-        build_integer("linear", p=5, d=1, range="2..p")
 
 
 def test_abs_example():
@@ -41,7 +28,7 @@ def test_symmetry():
         build_integer("floor_shift", n=6)
     assert build_integer("abs", n=7).transpose() == build_integer("abs", n=7)
     for fam in ("cos2", "sin2", "tan_jk"):
-        mat, _ = build_cyclotomic(fam, n=9)
+        mat = build_cyclotomic(fam, n=9)
         assert mat.transpose() == mat, fam
     m = build_rational("inv_sum_sq", p=7)
     assert m.transpose() == m
@@ -67,22 +54,25 @@ def test_qfloor_gen_negative_entries():
     assert m.entry(1, 2) == LPoly({-1: -1})
 
 
-def test_sum_structure_matches_matrices():
-    for family, p, d, rng_name in (("linear", 5, 3, "1..p-1"),
-                                   ("linear", 5, 3, "1..p"),
-                                   ("linear", 5, 3, "0..p-1"),
-                                   ("quad", 11, 2, "0..h")):
-        u, w = sum_structure(family, p, rng_name)
-        m = build_integer(family, p=p, d=d, range=rng_name)
-        assert ([[uj + d * wk for wk in w] for uj in u]
-                == [list(r) for r in m.rows])
+def test_sum_structure_vectors():
+    assert sum_structure("linear", 5, "1..p-1") == ([1, 2, 3, 4], [1, 2, 3, 4])
+    assert sum_structure("linear", 5, "1..p") == ([1, 2, 3, 4, 5],
+                                                  [1, 2, 3, 4, 5])
+    assert sum_structure("linear", 5, "0..p-1") == ([0, 1, 2, 3, 4],
+                                                    [0, 1, 2, 3, 4])
+    squares = [0, 1, 4, 9, 16, 25]
+    assert sum_structure("quad", 11, "0..h") == (squares, squares)
+    assert sum_structure("quad", 11, "1..h") == (squares[1:], squares[1:])
     with pytest.raises(DomainError):
         sum_structure("abs", 5, "1..p-1")
+    with pytest.raises(DomainError):
+        sum_structure("linear", 5, "2..p")
 
 
 def test_cauchy_root_examples():
-    mat, scale = build_cyclotomic("cauchy_root", n=4, x=0)
-    assert scale == Scale(0, 0)
+    # Entries are the true values 1/(1 - zeta^(j-k) x), with no factor.
+    mat = build_cyclotomic("cauchy_root", n=4, x=0)
+    assert all(e.as_rational() == 1 for row in mat.rows for e in row)
     assert per_ryser(mat).as_rational() == 24  # all-ones matrix, per = n!
     with pytest.raises(SingularFamilyError):
         build_cyclotomic("cauchy_root", n=4, x=1)
@@ -91,10 +81,11 @@ def test_cauchy_root_examples():
 
 
 def test_cos2_example():
-    mat, scale = build_cyclotomic("cos2", n=3)
+    mat = build_cyclotomic("cos2", n=3)
     assert mat.n == 1
-    assert mat.entry(1, 1).as_rational() == -1  # zeta + zeta^2 = -1
-    assert scale == Scale(-1, 0)
+    # zeta + zeta^2 = -1 = 2 cos(2 pi/3): the entry is twice the cosine.
+    assert mat.entry(1, 1).as_rational() == -1
+    assert abs(mat.entry(1, 1).embed() - 2 * math.cos(2 * math.pi / 3)) < 1e-12
 
 
 def test_prime_only_families_reject_composites():
@@ -142,8 +133,8 @@ def test_inv_sqdiff_entries():
 
 @pytest.mark.parametrize("n", range(3, 16, 2))
 def test_trig_families_match_float(n):
-    # diagnostic: exact entries, times the per-entry scale whose size-th
-    # power is the aggregate Scale record, embed to the trigonometric values
+    # diagnostic: exact entries, times the inverse of their per-entry
+    # factor (2, 2i or i), embed to the trigonometric values
     h = (n - 1) // 2
     cases = [
         ("cos2", lambda j, k: math.cos(2 * math.pi * j * k / n), 0.5, h),
@@ -151,50 +142,56 @@ def test_trig_families_match_float(n):
         ("tan_jk", lambda j, k: math.tan(math.pi * j * k / n), -1j, h),
         ("tan_shift", lambda j, k: math.tan(math.pi * (j + k) / n), -1j, n - 1),
     ]
-    for fam, trueval, entry_scale, size in cases:
-        mat, scale = build_cyclotomic(fam, n=n)
+    for fam, trueval, inv_factor, size in cases:
+        mat = build_cyclotomic(fam, n=n)
         assert mat.n == size
-        agg = entry_scale ** size
-        want_agg = 2 ** scale.pow2 * 1j ** scale.ipow
-        assert abs(agg - want_agg) < 1e-9 * abs(agg), fam
         for j in range(1, size + 1):
             for k in range(1, size + 1):
-                got = mat.entry(j, k).embed() * entry_scale
+                got = mat.entry(j, k).embed() * inv_factor
                 assert abs(got - trueval(j, k)) < 1e-9, (fam, j, k)
 
 
 @pytest.mark.parametrize("n", (3, 5, 7, 9))
 def test_sec_csc_cot_float(n):
     h = (n - 1) // 2
-    mat, scale = build_cyclotomic("sec2", n=n)
+    mat = build_cyclotomic("sec2", n=n)
     for j in range(1, h + 1):
         for k in range(1, h + 1):
             got = mat.entry(j, k).embed() * 2
             assert abs(got - 1 / math.cos(2 * math.pi * j * k / n)) < 1e-9
     if n in (3, 5, 7):
-        mat, _ = build_cyclotomic("cot_jk", n=n)
+        # csc2 and cot_jk (prime n only) carry the factors 1/(2i) and 1/i.
+        csc = build_cyclotomic("csc2", n=n)
+        cot = build_cyclotomic("cot_jk", n=n)
         for j in range(1, h + 1):
             for k in range(1, h + 1):
-                got = mat.entry(j, k).embed() * (1j ** 1)
+                got = csc.entry(j, k).embed() * 2j
+                want = 1 / math.sin(2 * math.pi * j * k / n)
+                assert abs(got - want) < 1e-9
+                got = cot.entry(j, k).embed() * 1j
                 want = 1 / math.tan(math.pi * j * k / n)
                 assert abs(got - want) < 1e-9
 
 
 def test_sec2_diff_entries_are_true_values():
     n = 5
-    mat, scale = build_cyclotomic("sec2_diff", n=n)
-    assert scale == Scale(0, 0)
+    # No factor: the entries are sec^2 and tan^2 themselves.
+    mat = build_cyclotomic("sec2_diff", n=n)
     for j in range(1, n + 1):
         for k in range(1, n + 1):
             want = 1 / math.cos(math.pi * (j - k) / n) ** 2
             assert abs(mat.entry(j, k).embed() - want) < 1e-9
-    mat2, _ = build_cyclotomic("tan2_diff", n=n)
+    mat2 = build_cyclotomic("tan2_diff", n=n)
+    for j in range(1, n + 1):
+        for k in range(1, n + 1):
+            want = math.tan(math.pi * (j - k) / n) ** 2
+            assert abs(mat2.entry(j, k).embed() - want) < 1e-9
     assert mat2.entry(1, 1).as_rational() == 0
 
 
 def test_recip_root_diff_sizes():
     for size_kw, want in (({"size": 5}, 5), ({"size": 4}, 4), ({}, 5)):
-        mat, _ = build_cyclotomic("recip_root_diff", n=5, **size_kw)
+        mat = build_cyclotomic("recip_root_diff", n=5, **size_kw)
         assert mat.n == want
         assert all(mat.entry(j, j).is_zero() for j in range(1, want + 1))
     with pytest.raises(DomainError):

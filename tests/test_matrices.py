@@ -137,17 +137,17 @@ def test_packed_engines_over_cyclotomic(m):
         assert det_divfree(mat) == want, mat
 
 
-def test_per_sum_matrix_equals_ryser():
-    rng = random.Random("rank2")
-    for _ in range(60):
-        n = rng.randint(1, 7)
-        u = [rng.randint(-9, 9) for _ in range(n)]
-        v = [rng.randint(-9, 9) for _ in range(n)]
-        m = Mat(ZZ, [[uj + vk for vk in v] for uj in u])
-        assert per_sum_matrix(u, v) == per_ryser(m)
-    assert per_sum_matrix([1, 2, 3], [1, 2, 3]) == 336
-    with pytest.raises(DomainError):
-        per_sum_matrix([], [])
+_ENTRY = st.integers(-9, 9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 7).flatmap(
+    lambda n: st.tuples(st.lists(_ENTRY, min_size=n, max_size=n),
+                        st.lists(_ENTRY, min_size=n, max_size=n))))
+def test_per_sum_matrix_equals_ryser(uv):
+    u, v = uv
+    m = Mat(ZZ, [[uj + vk for vk in v] for uj in u])
+    assert per_sum_matrix(u, v) == per_ryser(m)
 
 
 def _horner(coeffs, d):
@@ -155,9 +155,6 @@ def _horner(coeffs, d):
     for c in reversed(coeffs):
         acc = acc * d + c
     return acc
-
-
-_ENTRY = st.integers(-9, 9)
 
 
 @settings(max_examples=200, deadline=None)
@@ -180,10 +177,13 @@ def test_per_sum_coeffs_examples():
     # per[j + d*k], 1 <= j, k <= 3, at d = 1 is per_sum_matrix's 336.
     coeffs = per_sum_coeffs([1, 2, 3], [1, 2, 3])
     assert len(coeffs) == 4 and sum(coeffs) == 336
+    assert per_sum_matrix([1, 2, 3], [1, 2, 3]) == 336
     assert coeffs[0] == 36  # d = 0: every row is constant, 3! * 1 * 2 * 3
     for u, w in (([], []), ([1, 2], [1]), ([1], [1, 2])):
         with pytest.raises(DomainError):
             per_sum_coeffs(u, w)
+    with pytest.raises(DomainError):
+        per_sum_matrix([], [])
 
 
 def test_det_examples():
@@ -239,19 +239,20 @@ def test_cauchy_determinant_formula():
     assert det_field(m) == num / den
 
 
-def test_borchardt_identity():
-    rng = random.Random("borchardt")
-    for _ in range(25):
-        n = rng.randint(1, 6)
-        while True:
-            xs = [Rat(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(n)]
-            ys = [Rat(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(n)]
-            if (len(set(xs)) == n and len(set(ys)) == n
-                    and all(x != y for x in xs for y in ys)):
-                break
-        cauchy = Mat(QQ, [[1 / (x - y) for y in ys] for x in xs])
-        squared = Mat(QQ, [[1 / (x - y) ** 2 for y in ys] for x in xs])
-        assert det_field(squared) == det_field(cauchy) * per_ryser(cauchy)
+_POINT = st.builds(Rat, st.integers(-20, 20), st.integers(1, 9))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.tuples(st.lists(_POINT, min_size=n, max_size=n, unique=True),
+                        st.lists(_POINT, min_size=n, max_size=n, unique=True))
+).filter(lambda xy: not set(xy[0]) & set(xy[1])))
+def test_borchardt_identity(xy):
+    # det[1/(x-y)^2] = det[1/(x-y)] per[1/(x-y)] for distinct points.
+    xs, ys = xy
+    cauchy = Mat(QQ, [[1 / (x - y) for y in ys] for x in xs])
+    squared = Mat(QQ, [[1 / (x - y) ** 2 for y in ys] for x in xs])
+    assert det_field(squared) == det_field(cauchy) * per_ryser(cauchy)
 
 
 def test_det_divfree_laurent_commutes_with_evaluation():

@@ -5,8 +5,9 @@ from itertools import permutations
 
 import pytest
 
+from permarith import sequences
 from permarith.cyclotomic import Cyc, CyclotomicField
-from permarith.errors import DomainError
+from permarith.errors import DomainError, SizeLimitError
 from permarith.ntheory import mod_reduce_rat
 from permarith.rings import ModInt, Rat
 from permarith.sequences import (derangement_sum, masked_sum, seq_c,
@@ -87,6 +88,24 @@ def test_domain_errors():
     with pytest.raises(DomainError):
         sequence_value("nope", 3)
     assert sequence_value("t", 5).value == 4
+
+
+def test_size_guard_refuses_before_building(monkeypatch):
+    # Past RYSER_LIMIT rows (n - 1 for T, (n-1)/2 for the others) the row is
+    # refused with per_ryser's own message, before any matrix is built.
+    def unbuildable(family, **params):
+        raise AssertionError(f"built {family} at n = {params['n']}")
+
+    monkeypatch.setattr(sequences, "build_cyclotomic", unbuildable)
+    for name, n, rows in (("t", 201, 100), ("T", 1009, 1008), ("T", 23, 22),
+                          ("sprime", 43, 21), ("c", 43, 21)):
+        with pytest.raises(SizeLimitError) as err:
+            sequence_value(name, n)
+        assert str(err.value) == ("Ryser permanent limited to n <= 20"
+                                  f" (2^n subsets), got n = {rows}"), name
+    for name, n in (("T", 21), ("t", 41)):  # 20 rows: built
+        with pytest.raises(AssertionError, match="built"):
+            sequence_value(name, n)
 
 
 def test_float_diagnostic_non_verdict():
