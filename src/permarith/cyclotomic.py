@@ -15,11 +15,13 @@ and hence of any signed sum of such products over permutations (a
 permanent or determinant), is at most L = prod_j (sum_k |row_j entry_k|_1).
 With B = bitlen(L) + 2 each coefficient lies in (-2^(B-2), 2^(B-2)): the
 value fits well inside the symmetric residues mod 2^(mB) - 1 and its
-balanced digits are the coefficients.  Decoding re-checks every digit
-against L and raises ArithmeticError if one exceeds it.  Cyc.__mul__
-packs its two operands as two one-entry rows, so a cyclic convolution
-becomes one int product, and Cyc.inverse multiplies the Galois conjugates
-the same way.
+balanced digits are the coefficients.  Decoding (rings.balanced_digits,
+shared with the Laurent lowering) re-checks every digit against L and
+raises ArithmeticError if one exceeds it.  pack_rows and unpack are
+CyclotomicField's int lowering for the Ryser and Bird engines.
+Cyc.__mul__ packs its two operands as two one-entry rows, so a cyclic
+convolution becomes one int product, and Cyc.inverse multiplies the Galois
+conjugates the same way.
 
 Square roots of integers never become floats here: for odd n the quadratic
 Gauss sum g = sum_x zeta^(x^2) satisfies g^2 = (-1)^((n-1)/2) n, and
@@ -32,12 +34,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import partial
 from operator import lshift
 from typing import NamedTuple
 
 from .errors import (DomainError, NonInvertibleError, SearchExhaustedError)
 from .ntheory import divisors, is_prime, prime_factors
-from .rings import ModInt, Rat, Ring, ResidueRing
+from .rings import (ModInt, Rat, Ring, ResidueRing, balanced_digits, cleared,
+                    ratio)
 
 # ---------------------------------------------------------------------------
 # Cyclotomic polynomials
@@ -164,8 +168,8 @@ class Cyc:
             self._check(other)
             # pack_rows on the rows (self,) and (other,), without the
             # per-row bookkeeping: one int product replaces the convolution.
-            a, da = _integral(self)
-            b, db = _integral(other)
+            a, da = cleared(self.coeffs)
+            b, db = cleared(other.coeffs)
             bound = sum(map(abs, a)) * sum(map(abs, b))
             layout = Layout(self.order, bound.bit_length() + 2, da * db, bound)
             return unpack(layout.image(a) * layout.image(b), layout)
@@ -242,7 +246,7 @@ class Cyc:
         if self.is_zero():
             raise NonInvertibleError("inverse of zero in a cyclotomic field")
         m = self.order
-        coeffs, den = _integral(self)
+        coeffs, den = cleared(self.coeffs)
         num = Cyc(m, coeffs)
         others = [num.galois(a) for a in range(2, m) if math.gcd(a, m) == 1]
         if others:
@@ -254,8 +258,7 @@ class Cyc:
         out = [0] * m
         for i, c in enumerate(conj.canonical()):
             if c:
-                q, r = divmod(c * den, norm)
-                out[i] = Rat(c * den, norm) if r else q
+                out[i] = ratio(c * den, norm)
         return Cyc(m, out)
 
     def galois(self, a: int) -> "Cyc":
@@ -309,18 +312,6 @@ class Cyc:
 # Kronecker substitution
 # ---------------------------------------------------------------------------
 
-_INT_ONLY = frozenset((int,))
-
-
-def _integral(z: "Cyc") -> tuple[list[int], int]:
-    # (integer coefficients, d) with z = coefficients / d, d minimal.
-    coeffs = z.coeffs
-    if _INT_ONLY.issuperset(map(type, coeffs)):
-        return coeffs, 1
-    d = math.lcm(*[int(c.denominator) for c in coeffs])
-    return [int(c.numerator) * (d // int(c.denominator)) for c in coeffs], d
-
-
 class Layout(NamedTuple):
     """How pack_rows encoded its rows: order m, digit width B, the product
     of the row denominators and the coefficient bound L."""
@@ -360,10 +351,10 @@ def pack_rows(order: int, rows):
     bound = 1
     integral = []
     for row in rows:
-        cleared = list(map(_integral, row))
-        d = math.lcm(*[dz for _, dz in cleared])
+        cleared_row = [cleared(z.coeffs) for z in row]
+        d = math.lcm(*[dz for _, dz in cleared_row])
         vecs = [v if dz == d else [c * (d // dz) for c in v]
-                for v, dz in cleared]
+                for v, dz in cleared_row]
         bound *= sum(sum(map(abs, v)) for v in vecs)
         den *= d
         integral.append(vecs)
@@ -379,25 +370,13 @@ def unpack(value: int, layout: Layout) -> Cyc:
     the bound means the bound was broken and raises ArithmeticError.
     """
     m, bits, den, bound = layout
-    width = m * bits
-    modulus = (1 << width) - 1
+    modulus = (1 << m * bits) - 1
     value %= modulus
     if value > modulus >> 1:
         value -= modulus
-    # Offset every digit by 2^(B-1) so that the balanced digits become
-    # plain bit fields.
-    half = 1 << (bits - 1)
-    value += half * (modulus // ((1 << bits) - 1))
-    if value < 0 or value >> width:
-        raise ArithmeticError("Kronecker image outside the decodable range")
-    mask = (1 << bits) - 1
-    coeffs = [(value >> shift & mask) - half
-              for shift in range(0, width, bits)]
-    if max(coeffs) > bound or min(coeffs) < -bound:
-        raise ArithmeticError(
-            f"Kronecker coefficient exceeds its bound {bound}")
+    coeffs = balanced_digits(value, bits, m, bound)
     if den != 1:
-        coeffs = [c // den if c % den == 0 else Rat(c, den) for c in coeffs]
+        coeffs = [ratio(c, den) for c in coeffs]
     return Cyc(m, coeffs)
 
 
@@ -460,6 +439,11 @@ class CyclotomicField(Ring):
 
     def inv(self, a: Cyc) -> Cyc:
         return a.inverse()
+
+    def lower(self, rows):
+        # Ryser's product folds mod 2^(mB) - 1; Bird's loop needs no fold.
+        images, layout = pack_rows(self.m, rows)
+        return images, layout.product, partial(unpack, layout=layout)
 
     def zeta(self, e: int = 1) -> Cyc:
         return Cyc.zeta(self.m, e)

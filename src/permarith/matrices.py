@@ -1,4 +1,4 @@
-"""Generic exact permanents and determinants over any ring tag.
+"""Exact permanents and determinants, run on each ring's int lowering.
 
 per_ryser walks the 2^n - 1 nonempty column subsets once in Gray-code
 order, maintaining row sums incrementally (one column toggled per step).
@@ -8,17 +8,19 @@ lets a caller refuse before it builds the matrix.
 
 det_divfree is Bird's iterated-matrix-product determinant (only +, -, *;
 Bird, IPL 111, 2011), valid over rings with zero divisors such as Z/p^2.
-det_field is elimination with exact pivots over fields other than Q(zeta_m).
 
-Over Q(zeta_m) both per_ryser and det_field run on plain ints: the rows go
-through cyclotomic.pack_rows (row denominators cleared, every entry
-evaluated at x = 2^B), the same Ryser and Bird loops add and multiply
-those ints (Ryser folds each row product mod 2^(mB) - 1), and
-cyclotomic.unpack decodes the one result.  Evaluation at 2^B is a ring map
-from Z[x] and the reduction mod 2^(mB) - 1 is the image of x^m - 1, so the
-loops compute the image of the exact permanent or determinant; the bound in
-the cyclotomic module docstring makes its decoding unique.  Neither engine
-inverts anything over Q(zeta_m).
+Both engines add and multiply plain Python ints: Ring.lower (see the rings
+module docstring) maps the rows to ints, the Ryser or Bird loop runs on
+them, and the ring's lift decodes the one result.  Each lowering is a ring
+map, or a ring map after clearing row denominators and row powers of q, so
+the loops compute the image of the exact permanent or determinant, and
+each lift is exact on it.  Over Q(zeta_m) the lowering is Kronecker
+packing (cyclotomic.pack_rows), and Ryser folds each row product mod
+2^(mB) - 1, the image of x^m - 1.
+
+det_field is Bird's loop on the same lowering over Q(zeta_m), so no pivot
+is inverted there, and elimination with exact pivots over Q and F_p.
+per_naive stays on ring elements, an oracle independent of every lowering.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import operator
 from functools import reduce
 from itertools import permutations
 
-from .cyclotomic import CyclotomicField, pack_rows, unpack
+from .cyclotomic import CyclotomicField
 from .errors import DomainError, SizeLimitError, UnsupportedRingError
 from .ntheory import binomial
 from .rings import Ring
@@ -79,13 +81,13 @@ class Mat:
 # Permanents
 # ---------------------------------------------------------------------------
 
-def _ryser(cols, n, zero, product):
-    """Signed Gray-code sum over the nonempty column subsets; `product`
-    multiplies out one list of row sums."""
+def _ryser(cols, n, product):
+    """Signed Gray-code sum over the nonempty column subsets of int columns;
+    `product` multiplies out one list of row sums."""
     prev = 0
-    row = [zero] * n
+    row = [0] * n
     parity = 0
-    acc = zero
+    acc = 0
     for s in range(1, 1 << n):
         k = (s & -s).bit_length() - 1
         col = cols[k]
@@ -101,10 +103,6 @@ def _ryser(cols, n, zero, product):
     return acc if n % 2 == 0 else -acc
 
 
-def _product(row):
-    return reduce(operator.mul, row)
-
-
 def check_ryser_size(n: int):
     """Raise SizeLimitError if per_ryser would refuse an n-row matrix."""
     if n > RYSER_LIMIT:
@@ -116,11 +114,8 @@ def per_ryser(mat: Mat):
     """Permanent via Ryser's inclusion-exclusion with Gray-code updates."""
     n = mat.n
     check_ryser_size(n)
-    ring = mat.ring
-    if isinstance(ring, CyclotomicField):
-        rows, layout = pack_rows(ring.m, mat.rows)
-        return unpack(_ryser(list(zip(*rows)), n, 0, layout.product), layout)
-    return _ryser(list(zip(*mat.rows)), n, ring.zero, _product)
+    rows, product, lift = mat.ring.lower(mat.rows)
+    return lift(_ryser(list(zip(*rows)), n, product))
 
 
 def per_naive(mat: Mat):
@@ -217,28 +212,29 @@ def per_sum_coeffs(u, w) -> tuple[int, ...]:
 # Determinants
 # ---------------------------------------------------------------------------
 
-def _bird(rows, zero):
-    # Bird's loop: n - 1 products with mu(x), which keeps the strict upper
-    # triangle of x and puts -(x[i+1][i+1] + ... + x[n-1][n-1]) at (i, i).
+def _bird(rows):
+    # Bird's loop on int rows: n - 1 products with mu(x), which keeps the
+    # strict upper triangle of x and puts -(x[i+1][i+1] + ... + x[n-1][n-1])
+    # at (i, i).
     n = len(rows)
     if n == 1:
         return rows[0][0]
     x = [list(r) for r in rows]
     for _ in range(n - 1):
-        mu = [[zero] * n for _ in range(n)]
-        tail = zero
+        mu = [[0] * n for _ in range(n)]
+        tail = 0
         for i in range(n - 1, -1, -1):
             mu[i][i] = tail
             tail = tail - x[i][i]
             for j in range(i + 1, n):
                 mu[i][j] = x[i][j]
-        nxt = [[zero] * n for _ in range(n)]
+        nxt = [[0] * n for _ in range(n)]
         for i in range(n):
             mrow = mu[i]
             out = nxt[i]
             for t in range(i, n):
                 c = mrow[t]
-                if c == zero:
+                if not c:
                     continue
                 arow = rows[t]
                 for j in range(n):
@@ -247,25 +243,29 @@ def _bird(rows, zero):
     return x[0][0] if n % 2 else -x[0][0]
 
 
+def _lowered_det(mat: Mat):
+    rows, _, lift = mat.ring.lower(mat.rows)
+    return lift(_bird(rows))
+
+
 def det_divfree(mat: Mat):
     """Determinant using only +, -, * (Bird's algorithm); safe over rings
     with zero divisors."""
-    return _bird(mat.rows, mat.ring.zero)
+    return _lowered_det(mat)
 
 
 def det_field(mat: Mat):
     """Determinant over a field.
 
     Over Q(zeta_m) it is Bird's loop on the Kronecker images of the rows, so
-    no pivot is inverted; over every other field, Gaussian elimination with
-    exact pivot inversion.
+    no pivot is inverted; over Q and F_p, Gaussian elimination with exact
+    pivot inversion.
     """
     ring = mat.ring
     if not ring.is_field:
         raise UnsupportedRingError(f"{ring.name} is not a field")
     if isinstance(ring, CyclotomicField):
-        rows, layout = pack_rows(ring.m, mat.rows)
-        return unpack(_bird(rows, 0), layout)
+        return _lowered_det(mat)
     n = mat.n
     a = [list(r) for r in mat.rows]
     zero = ring.zero

@@ -2,8 +2,33 @@
 
 Every scalar is an immutable Python object supporting +, -, * (and, where it
 exists, exact inversion).  A small ring-tag object describes the structure a
-matrix lives over, so the permanent/determinant engines stay generic: the
-same code path serves Z, Q, Z/m, F_p, Q(zeta_m) and Laurent polynomials.
+matrix lives over: its identities, inversion where it exists, and its
+lowering to plain ints.  `Ring.lower(rows)` maps the rows of a matrix to int
+rows, a row-product function and a lift back to ring elements, so the
+Ryser and Bird engines add and multiply Python ints whatever the ring:
+
+* Z: the identity.
+* Z/m: the least residues; Ryser's product reduces mod m, and the lift is
+  ModInt(v, m).  Z -> Z/m is a ring map and both loops use only +, - and *.
+* Q: row j is multiplied by the common denominator d_j of its entries; the
+  lift divides by prod d_j.
+* Q[q,1/q]: row j is multiplied by q^(-e_j), e_j its least exponent, and by
+  the common denominator d_j of its coefficients, and every entry is
+  evaluated at q = 2^B (Kronecker substitution).  On Z[q] the L1 norm is
+  submultiplicative, so every coefficient of a product of one entry per
+  row, and of any signed sum of such products (a permanent or
+  determinant), is at most L = prod_j (sum_k |row_j entry_k|_1), and its
+  degree is at most the sum of the row exponent spans.  With
+  B = bitlen(L) + 2 every coefficient lies in (-2^(B-2), 2^(B-2)), so the
+  balanced base-2^B digits of the engine's int are the coefficients;
+  balanced_digits re-checks both bounds and raises ArithmeticError if
+  either is broken.  The lift divides by prod d_j and multiplies by
+  q^(sum e_j).
+* Q(zeta_m): cyclotomic.pack_rows and unpack (the same substitution, folded
+  mod 2^(mB) - 1).
+
+Each lift is exact only for a signed sum of products of one entry per row,
+which is what a permanent or a determinant is.
 """
 
 from __future__ import annotations
@@ -17,6 +42,49 @@ try:
     from gmpy2 import mpq as Rat
 except ImportError:  # gmpy2 is the optional `fast` extra
     from fractions import Fraction as Rat
+
+
+# ---------------------------------------------------------------------------
+# Int lowering helpers
+# ---------------------------------------------------------------------------
+
+_INT_ONLY = frozenset((int,))
+
+
+def cleared(values) -> tuple[list[int], int]:
+    """(ints, d) with values = ints / d, d their least common denominator;
+    a sequence of plain ints comes back as it is, with d = 1."""
+    if _INT_ONLY.issuperset(map(type, values)):
+        return values, 1
+    d = math.lcm(*[int(v.denominator) for v in values])
+    return [int(v.numerator) * (d // int(v.denominator)) for v in values], d
+
+
+def ratio(c: int, d: int):
+    """c / d exactly: an int when d divides c, else a Rat."""
+    q, r = divmod(c, d)
+    return Rat(c, d) if r else q
+
+
+def balanced_digits(value: int, bits: int, count: int, bound: int) -> list[int]:
+    """The `count` balanced base-2^bits digits of `value`, lowest first.
+
+    Raises ArithmeticError if `value` needs more digits, or if a digit
+    exceeds `bound` in absolute value: either means the bound that fixed
+    the width was broken.
+    """
+    width = count * bits
+    half = 1 << (bits - 1)
+    # Offset every digit by 2^(bits-1) so that the balanced digits become
+    # plain bit fields.
+    value += half * (((1 << width) - 1) // ((1 << bits) - 1))
+    if value < 0 or value >> width:
+        raise ArithmeticError("Kronecker image outside the decodable range")
+    mask = (1 << bits) - 1
+    digits = [(value >> shift & mask) - half for shift in range(0, width, bits)]
+    if max(digits) > bound or min(digits) < -bound:
+        raise ArithmeticError(f"Kronecker coefficient exceeds its bound {bound}")
+    return digits
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +363,15 @@ class Ring:
     def rand(self, rng, span: int = 10):
         raise NotImplementedError
 
+    def lower(self, rows):
+        """(int rows, row product, lift) for the rows of a matrix.
+
+        The engines run on the int rows; `product` multiplies one list of
+        int row sums, and `lift` maps the int the engine ends with back to
+        the ring element (see the module docstring).
+        """
+        raise UnsupportedRingError(f"{self.name} has no int lowering")
+
     def __repr__(self):
         return f"<{self.name}>"
 
@@ -309,6 +386,9 @@ class IntegerRing(Ring):
 
     def rand(self, rng, span: int = 10):
         return rng.randint(-span, span)
+
+    def lower(self, rows):
+        return rows, math.prod, lambda v: v
 
 
 class RationalField(Ring):
@@ -327,6 +407,15 @@ class RationalField(Ring):
 
     def rand(self, rng, span: int = 10):
         return Rat(rng.randint(-span, span), rng.randint(1, span))
+
+    def lower(self, rows):
+        ints = []
+        den = 1
+        for row in rows:
+            vals, d = cleared(row)
+            ints.append(vals)
+            den *= d
+        return ints, math.prod, lambda v: Rat(v, den)
 
 
 class ResidueRing(Ring):
@@ -363,6 +452,13 @@ class ResidueRing(Ring):
     def rand(self, rng, span: int = 10):
         return ModInt(rng.randrange(self.m), self.m)
 
+    def lower(self, rows):
+        # Plain ints are reduced; a ModInt of another modulus is refused.
+        m = self.m
+        coerce = self._zero._coerce
+        ints = [[coerce(x).value for x in row] for row in rows]
+        return ints, lambda row: math.prod(row) % m, lambda v: ModInt(v, m)
+
     def __eq__(self, other):
         return isinstance(other, ResidueRing) and other.m == self.m
 
@@ -393,6 +489,33 @@ class LaurentRing(Ring):
         n_terms = rng.randint(0, 3)
         return LPoly({rng.randint(-3, 3): rng.randint(-span, span)
                       for _ in range(n_terms)})
+
+    def lower(self, rows):
+        shift = span = 0
+        den = bound = 1
+        cleared_rows = []
+        for row in rows:
+            terms = [(k, e) for k, x in enumerate(row) for e in x.coeffs]
+            lo = min((e for _, e in terms), default=0)
+            shift += lo
+            span += max((e for _, e in terms), default=lo) - lo
+            vals, d = cleared([c for x in row for c in x.coeffs.values()])
+            den *= d
+            bound *= sum(map(abs, vals))
+            cleared_rows.append((len(row), lo, terms, vals))
+        bits = bound.bit_length() + 2
+        ints = []
+        for size, lo, terms, vals in cleared_rows:
+            images = [0] * size
+            for (k, e), v in zip(terms, vals):
+                images[k] += v << (e - lo) * bits
+            ints.append(images)
+
+        def lift(value):
+            digits = balanced_digits(value, bits, span + 1, bound)
+            return LPoly({e + shift: ratio(c, den)
+                          for e, c in enumerate(digits) if c})
+        return ints, math.prod, lift
 
 
 ZZ = IntegerRing()

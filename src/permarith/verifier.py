@@ -21,7 +21,7 @@ from functools import lru_cache
 from .cyclotomic import (Cyc, CyclotomicField, find_fq_root, gauss_sum,
                          sqrt_element)
 from .errors import (DomainError, SearchExhaustedError, SingularFamilyError,
-                     UnknownCheckError, UnsupportedRingError)
+                     SizeLimitError, UnknownCheckError, UnsupportedRingError)
 from .families import (build_cyclotomic, build_integer, build_qpoly,
                        build_rational, sum_structure)
 from .matrices import (Mat, det_divfree, det_field, per_ryser, per_sum_coeffs,
@@ -688,20 +688,29 @@ def _pd_grid(tier, fast_hi, full_hi, lo=3):
 
 @dataclass(frozen=True)
 class Check:
+    """A registered claim.  max_n, where set, is the largest n its runner
+    accepts; run_check refuses a larger n before anything is built."""
+
     check_id: str
     kind: str
     claim: str
     runner: object
     grid: object = field(repr=False, default=None)
+    max_n: int | None = None
 
 
 REGISTRY: dict[str, Check] = {}
 
 
-def _register(check_id, kind, claim, runner, grid):
-    REGISTRY[check_id] = Check(check_id, kind, claim, runner, grid)
+def _register(check_id, kind, claim, runner, grid, max_n=None):
+    REGISTRY[check_id] = Check(check_id, kind, claim, runner, grid, max_n)
 
 
+# The max_n of the polynomial-time checks is the largest n whose run stays
+# near 0.5 s on a 2-core x86-64 machine (Python 3.11, Fraction backend):
+# det.sec2/det.tan2 take 0.25 s at n = 15 and 3.2 s at 17 (Bird's loop over
+# Q(zeta_2n)); thq.det 0.41 s at n = 64; lem.gauss at most 0.4 s up to
+# n = 3003 and 1.1 s at 5005.
 _register("thq.floor", "theorem",
           "per[floor((j+k-1)/n)] (n x n) = 1",
           _run_thq_floor, lambda tier: _ns(tier, 9, 12))
@@ -711,7 +720,7 @@ _register("thq.qfloor", "theorem",
 _register("thq.det", "theorem",
           "det[floor((j+k-1)/n)] = (-1)^(n(n-1)/2); "
           "det[[floor((j+k)/n)]_q] = (-1)^(n(n+1)/2-1) q for n > 1",
-          _run_thq_det, lambda tier: _ns(tier, 9, 12))
+          _run_thq_det, lambda tier: _ns(tier, 9, 12), max_n=64)
 _register("thper.rootlinear", "theorem",
           "per[1 - zeta^j x_k] = n! (1 - x_1...x_n), zeta of order n",
           _run_rootlinear,
@@ -804,17 +813,20 @@ _register("lem.oneplus", "theorem",
           _run_lem_oneplus, lambda tier: _odd_ns(tier, 15, 25))
 _register("lem.gauss", "theorem",
           "gauss_sum(n)^2 = (-1)^((n-1)/2) n",
-          _run_lem_gauss, lambda tier: _odd_ns(tier, 25, 51))
+          _run_lem_gauss, lambda tier: _odd_ns(tier, 25, 51),
+          max_n=3001)
 _register("lem.half", "theorem",
           "prod_(k<=(n-1)/2) (1 - zeta^k) = (-2/n) i^((n-1)/2) sqrt(n) "
           "zeta^((n+1)/2 (n^2-1)/8)",
           _run_lem_half, lambda tier: _odd_ns(tier, 15, 25))
 _register("det.sec2", "theorem",
           "det[sec^2 pi(j-k)/n] (n x n) = n^(n-1) (n!!)^2 for odd n",
-          _run_det_sec2, lambda tier: _odd_ns(tier, 7, 11, lo=1))
+          _run_det_sec2, lambda tier: _odd_ns(tier, 7, 11, lo=1),
+          max_n=15)
 _register("det.tan2", "theorem",
           "det[tan^2 pi(j-k)/n] (n x n) = (n-1) n^(n-2) (n!!)^2 for odd n",
-          _run_det_tan2, lambda tier: _odd_ns(tier, 7, 11, lo=1))
+          _run_det_tan2, lambda tier: _odd_ns(tier, 7, 11, lo=1),
+          max_n=15)
 _register("conj.qdet", "conjecture",
           "det[[floor((aj-(a+1)k)/n)]_q] = -(a(a+1)/n) q^((1-3n)/2); "
           "det[[ceil(((a+1)j-ak)/n)]_q] = (a(a+1)/n) q^((n-1)/2)",
@@ -885,7 +897,7 @@ def run_check(check_id: str, params: dict, seed: int = 0) -> Report:
     """Execute one registered check; errors become FAIL, domain gaps SKIP.
 
     Every claim with a parameter p is about odd primes p, so any other p is
-    a SKIP before the runner starts.
+    a SKIP before the runner starts, as is an n past the check's max_n.
     """
     check = REGISTRY.get(check_id)
     if check is None:
@@ -895,6 +907,9 @@ def run_check(check_id: str, params: dict, seed: int = 0) -> Report:
     try:
         if "p" in params and (params["p"] < 3 or not is_prime(params["p"])):
             raise SkipCheck(f"claim requires an odd prime p, got {params['p']}")
+        if check.max_n is not None and params["n"] > check.max_n:
+            raise SizeLimitError(f"{check_id} limited to n <= {check.max_n},"
+                                 f" got n = {params['n']}")
         items, modulus, note = check.runner(params, rng)
     except SkipCheck as exc:
         return Report(check_id, params, "SKIP", kind=check.kind,

@@ -14,9 +14,7 @@ from permarith.errors import (DomainError, SizeLimitError,
 from permarith.matrices import (RYSER_LIMIT, Mat, det_divfree, det_field,
                                 per_naive, per_ryser, per_sum_coeffs,
                                 per_sum_matrix)
-from permarith.rings import GF, QPOLY, QQ, ZZ, Rat, Zmod
-
-RINGS = [ZZ, Zmod(9), QQ, GF(7), CyclotomicField(5), QPOLY]
+from permarith.rings import GF, QPOLY, QQ, ZZ, LPoly, Rat, Zmod
 
 
 def _rand_mat(ring, n, rng, span=6):
@@ -50,17 +48,61 @@ def test_per_ryser_examples():
     assert issubclass(SizeLimitError, DomainError)
 
 
-@pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.name)
-def test_per_ryser_equals_naive(ring):
+_SMALL = st.integers(-6, 6)
+_RAT = st.builds(Rat, _SMALL, st.integers(1, 6))
+# Laurent entries: Rat and int coefficients, negative exponents, and the
+# zero polynomial (the empty dict).
+_LAURENT = st.dictionaries(st.integers(-3, 3), _RAT | _SMALL,
+                           max_size=3).map(LPoly)
+
+
+def _entries(ring):
+    if ring is ZZ:
+        return _SMALL
+    if ring is QQ:
+        return _RAT
+    if ring is QPOLY:
+        return _LAURENT
+    if isinstance(ring, CyclotomicField):
+        return st.lists(_SMALL, min_size=ring.m,
+                        max_size=ring.m).map(lambda c: Cyc(ring.m, c))
+    # Z/m: residues mixed with plain ints, which the lowering reduces.
+    return st.integers(0, ring.m - 1).map(ring.from_int) | _SMALL
+
+
+@st.composite
+def _mats(draw, ring, max_n):
+    """Square matrices over `ring` of size 1..max_n; about one in four has
+    an all-zero row."""
+    n = draw(st.integers(1, max_n))
+    row = st.lists(_entries(ring), min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=n, max_size=n))
+    if draw(st.integers(0, 3)) == 0:
+        rows[draw(st.integers(0, n - 1))] = [ring.zero] * n
+    return Mat(ring, rows)
+
+
+ENGINE_RINGS = [ZZ, Zmod(9), Zmod(49), QQ, GF(7), CyclotomicField(5), QPOLY]
+HEAVY_RINGS = ENGINE_RINGS[-2:]
+
+
+@pytest.mark.parametrize("ring", ENGINE_RINGS, ids=lambda r: r.name)
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_per_ryser_equals_naive(ring, data):
+    # The lowered Ryser loop against the n! oracle on ring elements; the
+    # oracle's 7! terms cost seconds per matrix over the heavy rings, whose
+    # sizes 6 and 7 are spotted below.
+    mat = data.draw(_mats(ring, 5 if ring in HEAVY_RINGS else 7))
+    assert per_ryser(mat) == per_naive(mat)
+
+
+@pytest.mark.parametrize("ring", HEAVY_RINGS, ids=lambda r: r.name)
+def test_per_ryser_equals_naive_large_heavy(ring):
     rng = random.Random(f"pervs:{ring.name}")
-    heavy = ring.name.startswith(("Q(zeta", "Q[q"))
-    for case in range(100):
-        n = rng.randint(1, 5 if heavy else 7)
-        m = _rand_mat(ring, n, rng)
-        assert per_ryser(m) == per_naive(m), (ring.name, case)
-    for n in (6, 7):  # spot the large sizes on the heavy rings too
-        m = _rand_mat(ring, n, rng, span=3)
-        assert per_ryser(m) == per_naive(m), (ring.name, n)
+    for n in (6, 7):
+        mat = _rand_mat(ring, n, rng, span=3)
+        assert per_ryser(mat) == per_naive(mat), n
 
 
 def test_permutation_and_transpose_invariance():
@@ -205,23 +247,16 @@ def test_det_divfree_vs_field_on_rationals(n, rng):
     assert det_divfree(m) == det_field(m)
 
 
-def test_det_divfree_over_residue_ring():
-    # rings with zero divisors (Z/9) still get exact determinants
-    rng = random.Random("detmod")
-    ring = Zmod(9)
-    for _ in range(40):
-        n = rng.randint(1, 5)
-        lifted = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(n)]
-        m = Mat(ring, [[ring.from_int(x) for x in row] for row in lifted])
-        sign_sum = ring.zero
-        for perm in permutations(range(n)):
-            inv = sum(1 for i in range(n) for j in range(i + 1, n)
-                      if perm[i] > perm[j])
-            prod = 1
-            for i in range(n):
-                prod *= lifted[i][perm[i]]
-            sign_sum = sign_sum + ring.from_int((-1) ** inv * prod)
-        assert det_divfree(m) == sign_sum
+@pytest.mark.parametrize("ring", [r for r in ENGINE_RINGS
+                                  if not isinstance(r, CyclotomicField)],
+                         ids=lambda r: r.name)
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_det_divfree_equals_leibniz(ring, data):
+    # The lowered Bird loop against the signed sum over n! permutations; Z/9
+    # and Z/49 have zero divisors.
+    mat = data.draw(_mats(ring, 5))
+    assert det_divfree(mat) == _leibniz(mat)
 
 
 def test_cauchy_determinant_formula():
@@ -253,18 +288,3 @@ def test_borchardt_identity(xy):
     cauchy = Mat(QQ, [[1 / (x - y) for y in ys] for x in xs])
     squared = Mat(QQ, [[1 / (x - y) ** 2 for y in ys] for x in xs])
     assert det_field(squared) == det_field(cauchy) * per_ryser(cauchy)
-
-
-def test_det_divfree_laurent_commutes_with_evaluation():
-    # det over Q[q,q^-1] then q -> 3/2 equals det of the evaluated matrix
-    rng = random.Random("laurentdet")
-    point = Rat(3, 2)
-    for _ in range(25):
-        n = rng.randint(1, 5)
-        m = Mat(QPOLY, [[QPOLY.rand(rng, 5) for _ in range(n)]
-                        for _ in range(n)])
-        d = det_divfree(m)
-        evaluated = Mat(QQ, [[sum((c * point ** e for e, c in x.coeffs.items()),
-                                  Rat(0)) for x in row] for row in m.rows])
-        d_eval = sum((c * point ** e for e, c in d.coeffs.items()), Rat(0))
-        assert d_eval == det_field(evaluated)

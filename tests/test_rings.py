@@ -6,6 +6,7 @@ import pytest
 
 from permarith.cyclotomic import CyclotomicField
 from permarith.errors import DomainError, NonInvertibleError
+from permarith.matrices import Mat, det_divfree, per_ryser
 from permarith.ntheory import (bernoulli, binomial, double_factorial,
                                factorial, is_prime, jacobi, mod_reduce_rat)
 from permarith.rings import (GF, QPOLY, QQ, ZZ, LPoly, ModInt, Rat, Zmod,
@@ -43,6 +44,32 @@ def test_modint_canonical_and_moduli():
     assert ModInt(2, 9).inverse() == ModInt(5, 9)
     with pytest.raises(NonInvertibleError):
         ModInt(3, 9).inverse()
+
+
+def test_laurent_lowering_decodes_at_its_bound():
+    # Row L1 norms 15 and 17 once the 1/4 is cleared: every coefficient of
+    # the determinant and permanent attains L = 255, on a byte boundary.
+    a, b = LPoly({-2: Rat(-15, 4)}), LPoly({5: 17})
+    diag = Mat(QPOLY, [[a, LPoly()], [LPoly(), b]])
+    assert det_divfree(diag) == per_ryser(diag) == LPoly({3: Rat(-255, 4)})
+    # A single entry attains L itself, with a negative exponent.
+    single = Mat(QPOLY, [[LPoly({-3: 255})]])
+    assert per_ryser(single) == det_divfree(single) == LPoly({-3: 255})
+    # Forged images: L = 1 gives B = 3 and one digit.  3 fits the digit
+    # width but exceeds L; 8 needs a second digit.
+    _, _, lift = QPOLY.lower([[LPoly({0: 1})]])
+    assert lift(1) == LPoly({0: 1}) and lift(-1) == LPoly({0: -1})
+    for forged in (3, -3, 8):
+        with pytest.raises(ArithmeticError):
+            lift(forged)
+
+
+def test_residue_lowering_takes_plain_ints():
+    ints, product, lift = Zmod(9).lower([[ModInt(4, 9), -1], [10, 3]])
+    assert ints == [[4, 8], [1, 3]]
+    assert product([4, 8]) == 5 and lift(-7) == ModInt(2, 9)
+    with pytest.raises(DomainError):
+        Zmod(9).lower([[ModInt(1, 25)]])
 
 
 def test_lpoly_invariants():

@@ -104,6 +104,29 @@ def test_inputs_outside_the_claim_skip(check_id, params, reason):
     assert r.status == "SKIP" and reason in r.note, r
 
 
+def test_size_limits_refuse_before_building(monkeypatch):
+    # Past a check's max_n the verdict is a SKIP with the limit, and no
+    # matrix or Gauss sum is built; the full tier stays inside every limit.
+    def unbuildable(*args, **params):
+        raise AssertionError("built past the size limit")
+
+    for name in ("build_cyclotomic", "build_integer", "build_qpoly",
+                 "gauss_sum"):
+        monkeypatch.setattr(verifier, name, unbuildable)
+    guarded = {cid: c.max_n for cid, c in REGISTRY.items() if c.max_n}
+    assert set(guarded) == {"det.sec2", "det.tan2", "thq.det", "lem.gauss"}
+    for check_id, n in (("det.sec2", 61), ("det.tan2", 17), ("thq.det", 400),
+                        ("lem.gauss", 100001)):
+        r = run_check(check_id, {"n": n})
+        assert r.status == "SKIP", r
+        assert r.note == (f"out of domain: {check_id} limited to"
+                          f" n <= {guarded[check_id]}, got n = {n}")
+    for check_id, max_n in guarded.items():
+        assert max(g["n"] for g in default_grid(check_id, "full")) <= max_n
+        with pytest.raises(AssertionError, match="built"):  # at the limit
+            run_check(check_id, {"n": max_n})
+
+
 @pytest.mark.parametrize("family,rng_name", [
     ("linear", "1..p-1"), ("linear", "1..p"), ("linear", "0..p-1"),
     ("quad", "1..h"), ("quad", "0..h"),
