@@ -1,7 +1,7 @@
 """Exact-arithmetic permanents and determinants of structured matrices.
 
 Core pieces: exact scalar rings (rationals, residues, Laurent polynomials,
-cyclotomic fields), generic Ryser/naive permanents and division-free/field
+cyclotomic fields), generic Glynn/naive permanents and division-free/field
 determinants, the structured matrix families, the named integer sequences
 they generate, and a registry of verification checks with a CLI.
 """

@@ -18,7 +18,10 @@ value fits well inside the symmetric residues mod 2^(mB) - 1 and its
 balanced digits are the coefficients.  Decoding (rings.balanced_digits,
 shared with the Laurent lowering) re-checks every digit against L and
 raises ArithmeticError if one exceeds it.  pack_rows and unpack are
-CyclotomicField's int lowering for the Ryser and Bird engines.
+CyclotomicField's int lowering for the Glynn and Bird engines, which fold
+their products mod 2^(mB) - 1 (Layout.fold); that is the image of
+x^m - 1, so the fold is a ring map and the bound still holds for the
+folded result.
 Cyc.__mul__ packs its two operands as two one-entry rows, so a cyclic
 convolution becomes one int product, and Cyc.inverse multiplies the Galois
 conjugates the same way.
@@ -34,7 +37,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import partial
 from operator import lshift
 from typing import NamedTuple
 
@@ -326,16 +328,20 @@ class Layout(NamedTuple):
         return sum(map(lshift, vec, range(0, self.order * self.bits,
                                           self.bits)))
 
-    def product(self, images):
-        """Product of Kronecker images, folded mod 2^(mB) - 1 after each
-        factor so that it never outgrows mB bits by much."""
+    def fold(self, x: int) -> int:
+        """An int congruent to x mod 2^(mB) - 1 (the image of x^m - 1) and
+        at most about mB bits long; negative x folds too."""
         width = self.order * self.bits
-        mask = (1 << width) - 1
+        return (x & ((1 << width) - 1)) + (x >> width)
+
+    def product(self, images):
+        """Product of Kronecker images, folded after each factor so that it
+        never outgrows mB bits by much."""
+        fold = self.fold
         it = iter(images)
         prod = next(it)
         for x in it:
-            prod *= x
-            prod = (prod & mask) + (prod >> width)
+            prod = fold(prod * x)
         return prod
 
 
@@ -441,9 +447,14 @@ class CyclotomicField(Ring):
         return a.inverse()
 
     def lower(self, rows):
-        # Ryser's product folds mod 2^(mB) - 1; Bird's loop needs no fold.
+        # Glynn's products and Bird's entries fold mod 2^(mB) - 1, which is
+        # odd: halving is multiplication by the inverse of 2.
         images, layout = pack_rows(self.m, rows)
-        return images, layout.product, partial(unpack, layout=layout)
+        modulus = (1 << self.m * layout.bits) - 1
+
+        def lift(value, k=0):
+            return unpack(value * pow(2, -k, modulus), layout)
+        return images, layout.product, layout.fold, lift
 
     def zeta(self, e: int = 1) -> Cyc:
         return Cyc.zeta(self.m, e)

@@ -11,7 +11,7 @@ class SingularFamilyError(DomainError):
 
 class SizeLimitError(DomainError):
     """Input exceeds a hard size guard (the factorial-time oracle, or the
-    2^n subsets of Ryser's formula)."""
+    2^(n-1) sign vectors of Glynn's formula)."""
 
 
 class UnsupportedRingError(TypeError):

@@ -12,9 +12,21 @@ e^(2 pi i/n)): zeta^r + zeta^-r = 2 cos(2 pi r/n), zeta^r - zeta^-r =
 i out of the entries keeps every matrix over Q(zeta_n) rather than
 Q(zeta_lcm(4, n)); sequences.SEQ_TABLE turns the permanent of the built
 matrix into the paper's normalised value.
+
+The tables of entries f(zeta^r) come from conjugates: f has rational
+coefficients, so f(zeta^(g*u)) = sigma_u(f(zeta^g)) for a unit u, and f is
+evaluated (with its inverses) once per divisor g = gcd(r, n); the other
+residues are Galois conjugates, which only permute the exponent lattice.
+The six [f(zeta^(jk))] families (cos2, sec2, sin2, csc2, tan_jk, cot_jk)
+build T(1..h) that way and set T(n - r) = JK_SIGN[family] * T(r) as the
+same coefficient list, the symmetry matrices.per_orbits relies on.  The
+difference families, whose tables feed determinants, are evaluated
+directly: their conjugated tables made Bird's loop slower.
 """
 
 from __future__ import annotations
+
+import math
 
 from .cyclotomic import CyclotomicField
 from .errors import DomainError, SingularFamilyError
@@ -107,6 +119,48 @@ def build_qpoly(family: str, **params) -> Mat:
 # Cyclotomic families
 # ---------------------------------------------------------------------------
 
+def conjugates(ring: CyclotomicField, residues, f) -> dict:
+    """{r: f(r)} for f(r) = F(zeta^r), F a rational function with rational
+    coefficients, evaluating F once per g = gcd(r, m).
+
+    With r = g*u for a unit u mod m, F(zeta^r) = sigma_u(F(zeta^g)), and
+    sigma_u (Cyc.galois) only permutes the exponent lattice.
+    """
+    m = ring.m
+    base = {}
+    table = {}
+    for r in residues:
+        g = math.gcd(r, m)
+        if g not in base:
+            base[g] = f(g)
+        u = r // g
+        while math.gcd(u, m) != 1:  # a unit mod m that is r/g mod m/g
+            u += m // g
+        table[r] = base[g].galois(u)
+    return table
+
+
+# f(zeta^-r) = JK_SIGN[family] * f(zeta^r) for the [f(zeta^(jk))] families.
+JK_SIGN = {"cos2": 1, "sec2": 1, "sin2": -1, "csc2": -1, "tan_jk": -1,
+           "cot_jk": -1}
+
+
+def _jk_entry(family: str, ring: CyclotomicField, r: int):
+    # The built entry of a [f(zeta^(jk))] family at residue r.
+    z, z_inv = ring.zeta(r), ring.zeta(-r)
+    if family == "cos2":
+        return z + z_inv
+    if family == "sec2":
+        return (z + z_inv).inverse()
+    if family == "sin2":
+        return z - z_inv
+    if family == "csc2":
+        return (z - z_inv).inverse()
+    if family == "tan_jk":
+        return (z - 1) * (z + 1).inverse()
+    return (z + 1) * (z - 1).inverse()  # cot_jk
+
+
 def build_cyclotomic(family: str, **params) -> Mat:
     n = params["n"]
     _require(n >= 1, family, f"n must be >= 1, got {n}")
@@ -138,42 +192,32 @@ def build_cyclotomic(family: str, **params) -> Mat:
         if x ** n == 1:
             raise SingularFamilyError(f"{family}: x^n = 1 for x={x}, n={n}")
         ring = CyclotomicField(n)
-        table = {r: (1 - ring.zeta(r) * x).inverse() for r in range(n)}
+        table = conjugates(ring, range(n),
+                           lambda r: (1 - ring.zeta(r) * x).inverse())
         return Mat(ring, [[table[(j - k) % n] for k in range(1, n + 1)]
                           for j in range(1, n + 1)])
 
     if family == "tan_shift":
         _require(n % 2 == 1 and n >= 3, family, f"n must be odd >= 3, got {n}")
         ring = CyclotomicField(n)
-        table = {r: (ring.zeta(r) - 1) * (ring.zeta(r) + 1).inverse()
-                 for r in range(n)}
+        table = conjugates(ring, range(n),
+                           lambda r: _jk_entry("tan_jk", ring, r))
         return Mat(ring, [[table[(j + k) % n] for k in range(1, n)]
                           for j in range(1, n)])
 
-    if family in ("cos2", "sec2", "sin2", "csc2", "tan_jk", "cot_jk"):
+    if family in JK_SIGN:
         _require(n % 2 == 1 and n >= 3, family, f"n must be odd >= 3, got {n}")
+        prime = is_prime(n)
         if family in ("csc2", "cot_jk"):
-            _require(is_prime(n), family,
+            _require(prime, family,
                      f"n must be prime (composite n hits zero entries), got {n}")
         h = (n - 1) // 2
         ring = CyclotomicField(n)
-        residues = {(j * k) % n for j in range(1, h + 1) for k in range(1, h + 1)}
-        if family == "cos2":
-            table = {r: ring.zeta(r) + ring.zeta(-r) for r in residues}
-        elif family == "sec2":
-            table = {r: (ring.zeta(r) + ring.zeta(-r)).inverse()
-                     for r in residues}
-        elif family == "sin2":
-            table = {r: ring.zeta(r) - ring.zeta(-r) for r in residues}
-        elif family == "csc2":
-            table = {r: (ring.zeta(r) - ring.zeta(-r)).inverse()
-                     for r in residues}
-        elif family == "tan_jk":
-            table = {r: (ring.zeta(r) - 1) * (ring.zeta(r) + 1).inverse()
-                     for r in residues}
-        else:  # cot_jk
-            table = {r: (ring.zeta(r) + 1) * (ring.zeta(r) - 1).inverse()
-                     for r in residues}
+        # T[0] = f(1) is an entry only when n is composite.
+        table = conjugates(ring, range(1 if prime else 0, h + 1),
+                           lambda r: _jk_entry(family, ring, r))
+        for r in range(1, h + 1):
+            table[n - r] = table[r] if JK_SIGN[family] > 0 else -table[r]
         return Mat(ring, [[table[(j * k) % n] for k in range(1, h + 1)]
                           for j in range(1, h + 1)])
 

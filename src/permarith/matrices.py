@@ -1,22 +1,42 @@
 """Exact permanents and determinants, run on each ring's int lowering.
 
-per_ryser walks the 2^n - 1 nonempty column subsets once in Gray-code
-order, maintaining row sums incrementally (one column toggled per step).
-At 2^n steps it refuses matrices above RYSER_LIMIT rows with a
-SizeLimitError, which callers report as out of domain; check_ryser_size
+per_ryser is Glynn's formula (Glynn, European J. Combin. 31, 2010),
+    per A = 2^-(n-1) sum over delta in {+-1}^n with delta_1 = 1 of
+            (prod_k delta_k) prod_j sum_k delta_k a_jk,
+walked in Gray-code order: each of the 2^(n-1) steps negates one delta_k,
+adding or subtracting twice column k to the row sums.  It keeps the name of
+the Ryser loop it replaced and refuses matrices above RYSER_LIMIT rows with
+a SizeLimitError, which callers report as out of domain; check_ryser_size
 lets a caller refuse before it builds the matrix.
+
+per_orbits is the same sum for the matrices [T(jk mod n)], 1 <= j, k <= h,
+h = (n-1)/2, over Q(zeta_n) whose table satisfies T(n - r) = sign * T(r)
+as coefficient lists (the six families cos2, sec2, sin2, csc2, tan_jk and
+cot_jk).  A unit a mod n maps delta to a.delta with
+(a.delta)_fold(ak) = delta_k * sign^[ak mod n > h], fold(x) = min(x, n-x).
+Row j of a.delta is then sign^[aj mod n > h] times row fold(aj) of delta,
+entry by entry on the lattice, and the column factor prod_k delta_k picks
+up sign once for each k with ak mod n > h: the same count, so the two
+cancel and the term of a.delta equals the term of delta.  -delta has the
+same term too, since both products change by (-1)^h.  Every step is an
+equality of coefficient lists, so the terms are equal in Z[x]/(x^n - 1),
+not only in the field, and so are their Kronecker images.  Summing one
+term per orbit, times the orbit's size, therefore gives the full sum
+2^h per A on the packed lattice: the bound L is the one of the plain sum,
+and unpack still checks every digit.  per_orbits checks the lattice
+symmetry of the matrix it is given and raises ArithmeticError if it fails.
 
 det_divfree is Bird's iterated-matrix-product determinant (only +, -, *;
 Bird, IPL 111, 2011), valid over rings with zero divisors such as Z/p^2.
 
 Both engines add and multiply plain Python ints: Ring.lower (see the rings
-module docstring) maps the rows to ints, the Ryser or Bird loop runs on
-them, and the ring's lift decodes the one result.  Each lowering is a ring
-map, or a ring map after clearing row denominators and row powers of q, so
-the loops compute the image of the exact permanent or determinant, and
-each lift is exact on it.  Over Q(zeta_m) the lowering is Kronecker
-packing (cyclotomic.pack_rows), and Ryser folds each row product mod
-2^(mB) - 1, the image of x^m - 1.
+module docstring) maps the rows to ints, the Glynn or Bird loop runs on
+them, and the ring's lift decodes the one result, dividing Glynn's sum by
+2^(n-1) exactly.  Each lowering is a ring map, or a ring map after
+clearing row denominators and row powers of q, so the loops compute the
+image of the exact permanent or determinant, and each lift is exact on it.
+Over Q(zeta_m) the lowering is Kronecker packing (cyclotomic.pack_rows),
+and both loops fold their products mod 2^(mB) - 1, the image of x^m - 1.
 
 det_field is Bird's loop on the same lowering over Q(zeta_m), so no pivot
 is inverted there, and elimination with exact pivots over Q and F_p.
@@ -26,8 +46,9 @@ per_naive stays on ring elements, an oracle independent of every lowering.
 from __future__ import annotations
 
 import operator
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import permutations
+from math import gcd
 
 from .cyclotomic import CyclotomicField
 from .errors import DomainError, SizeLimitError, UnsupportedRingError
@@ -81,26 +102,29 @@ class Mat:
 # Permanents
 # ---------------------------------------------------------------------------
 
-def _ryser(cols, n, product):
-    """Signed Gray-code sum over the nonempty column subsets of int columns;
-    `product` multiplies out one list of row sums."""
-    prev = 0
-    row = [0] * n
-    parity = 0
-    acc = 0
-    for s in range(1, 1 << n):
+def _glynn(rows, product):
+    """Glynn's signed sum over delta in {+-1}^n with delta_1 = 1, in Gray-code
+    order on int rows: 2^(n-1) products of row sums, totalling 2^(n-1) per.
+
+    Row sum j is sum_k delta_k a_jk; each step negates one delta_k, so it
+    adds or subtracts twice column k, and the sign prod delta_k alternates.
+    """
+    n = len(rows)
+    doubled = [[2 * c for c in col] for col in list(zip(*rows))[1:]]
+    sums = [sum(row) for row in rows]
+    acc = product(sums)
+    negated = 0
+    for s in range(1, 1 << (n - 1)):
         k = (s & -s).bit_length() - 1
-        col = cols[k]
-        if prev >> k & 1:
-            row = [r - c for r, c in zip(row, col)]
-            prev &= ~(1 << k)
+        col = doubled[k]
+        if negated >> k & 1:
+            sums = [r + c for r, c in zip(sums, col)]
         else:
-            row = [r + c for r, c in zip(row, col)]
-            prev |= 1 << k
-        parity ^= 1
-        prod = product(row)
-        acc = acc - prod if parity else acc + prod
-    return acc if n % 2 == 0 else -acc
+            sums = [r - c for r, c in zip(sums, col)]
+        negated ^= 1 << k
+        # s and the number of negated deltas have the same parity.
+        acc = acc - product(sums) if s & 1 else acc + product(sums)
+    return acc
 
 
 def check_ryser_size(n: int):
@@ -111,11 +135,126 @@ def check_ryser_size(n: int):
 
 
 def per_ryser(mat: Mat):
-    """Permanent via Ryser's inclusion-exclusion with Gray-code updates."""
+    """Permanent by Glynn's formula with Gray-code updates (the name is
+    kept from the Ryser loop it replaced, as is the size limit)."""
     n = mat.n
     check_ryser_size(n)
-    rows, product, lift = mat.ring.lower(mat.rows)
-    return lift(_ryser(list(zip(*rows)), n, product))
+    rows, product, _, lift = mat.ring.lower(mat.rows)
+    return lift(_glynn(rows, product), n - 1)
+
+
+def _check_jk_symmetry(mat: Mat, sign: int):
+    # Raise unless entry (j, k) is T[jk mod n] with T[n - r] = sign * T[r],
+    # as coefficient lists; that is what makes every orbit's terms equal.
+    n = mat.ring.m
+    seen = {}
+    for j, row in enumerate(mat.rows, 1):
+        for k, z in enumerate(row, 1):
+            r = j * k % n
+            coeffs = z.coeffs
+            if sign < 0 and r > n - r:
+                coeffs = [-c for c in coeffs]
+            if seen.setdefault(min(r, n - r), coeffs) != coeffs:
+                raise ArithmeticError(
+                    f"entry ({j}, {k}) breaks T[n - r] = {sign:+d} T[r] on the"
+                    f" exponent lattice of Q(zeta_{n})")
+    if sign < 0 and any(seen.get(0, ())):
+        raise ArithmeticError("T[0] must be 0 when T[n - r] = -T[r]")
+
+
+@lru_cache(maxsize=None)
+def _orbits(n: int, sign: int) -> tuple[tuple[int, int], ...]:
+    """(representative, size) of each orbit of {+-1}^h, h = (n-1)/2, under
+    delta -> -delta and the units a mod n, which act by
+    (a delta)_fold(ak) = delta_k * sign^[ak mod n > h], fold(x) = min(x, n-x).
+
+    A mask has bit k-1 set where delta_k = -1.  Each unit is a bit
+    permutation, applied through one lookup table per byte, followed by a
+    fixed flip; negation flips every bit.
+    """
+    h = (n - 1) // 2
+    full = (1 << h) - 1
+    units = [a for a in range(2, n) if gcd(a, n) == 1]
+    gens, reached = [], {1}
+    for a in units:  # a generating set of (Z/n)^*
+        if a not in reached:
+            gens.append(a)
+            while True:
+                more = {x * g % n for x in reached for g in gens} - reached
+                if not more:
+                    break
+                reached |= more
+    maps = []
+    for a in gens:
+        image = [0] * h
+        flip = 0
+        for k in range(1, h + 1):
+            r = a * k % n
+            image[k - 1] = 1 << (min(r, n - r) - 1)
+            if sign < 0 and r > h:
+                flip |= image[k - 1]
+        tables = []
+        for lo in range(0, h, 8):
+            bits = list(enumerate(image[lo:lo + 8]))
+            tables.append((lo, [sum(b for i, b in bits if v >> i & 1)
+                                for v in range(1 << len(bits))]))
+        maps.append((flip, tables))
+    seen = bytearray(1 << h)
+    orbits = []
+    for start in range(1 << h):
+        if seen[start]:
+            continue
+        seen[start] = 1
+        stack = [start]
+        size = 0
+        while stack:
+            x = stack.pop()
+            size += 1
+            ys = [x ^ full]
+            for flip, tables in maps:
+                y = flip
+                for lo, table in tables:
+                    y ^= table[x >> lo & 255]
+                ys.append(y)
+            for y in ys:
+                if not seen[y]:
+                    seen[y] = 1
+                    stack.append(y)
+        orbits.append((start, size))
+    return tuple(orbits)
+
+
+def per_orbits(mat: Mat, sign: int):
+    """Permanent of [T(jk mod n)], 1 <= j, k <= h = (n-1)/2, over Q(zeta_n),
+    where T(n - r) = sign * T(r) as coefficient lists: Glynn's sum over all
+    of {+-1}^h, one term per orbit times the orbit's size.
+
+    Every delta in an orbit has the same term on the exponent lattice (see
+    the module docstring), so this is the full sum 2^h per, and the
+    lowering's lift halves and decodes it as it does per_ryser's.  Raises
+    ArithmeticError if the table is not symmetric on the lattice.
+    """
+    ring = mat.ring
+    h = mat.n
+    if not isinstance(ring, CyclotomicField) or ring.m != 2 * h + 1:
+        raise DomainError(f"per_orbits needs an h x h matrix over "
+                          f"Q(zeta_(2h+1)), got {mat!r}")
+    if sign not in (1, -1):
+        raise DomainError(f"sign must be 1 or -1, got {sign}")
+    check_ryser_size(h)
+    _check_jk_symmetry(mat, sign)
+    rows, product, _, lift = ring.lower(mat.rows)
+    totals = [sum(row) for row in rows]
+    acc = 0
+    for mask, size in _orbits(ring.m, sign):
+        sums = totals[:]
+        for k in range(h):
+            if mask >> k & 1:
+                for j, row in enumerate(rows):
+                    sums[j] -= 2 * row[k]
+        term = size * product(sums)
+        acc = acc - term if mask.bit_count() & 1 else acc + term
+    return lift(acc, h)
 
 
 def per_naive(mat: Mat):
@@ -212,10 +351,11 @@ def per_sum_coeffs(u, w) -> tuple[int, ...]:
 # Determinants
 # ---------------------------------------------------------------------------
 
-def _bird(rows):
+def _bird(rows, fold):
     # Bird's loop on int rows: n - 1 products with mu(x), which keeps the
     # strict upper triangle of x and puts -(x[i+1][i+1] + ... + x[n-1][n-1])
-    # at (i, i).
+    # at (i, i).  `fold`, where given, is applied to every entry of each
+    # product.
     n = len(rows)
     if n == 1:
         return rows[0][0]
@@ -239,13 +379,15 @@ def _bird(rows):
                 arow = rows[t]
                 for j in range(n):
                     out[j] = out[j] + c * arow[j]
+            if fold is not None:
+                nxt[i] = list(map(fold, out))
         x = nxt
     return x[0][0] if n % 2 else -x[0][0]
 
 
 def _lowered_det(mat: Mat):
-    rows, _, lift = mat.ring.lower(mat.rows)
-    return lift(_bird(rows))
+    rows, _, fold, lift = mat.ring.lower(mat.rows)
+    return lift(_bird(rows, fold))
 
 
 def det_divfree(mat: Mat):

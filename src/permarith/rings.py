@@ -4,14 +4,21 @@ Every scalar is an immutable Python object supporting +, -, * (and, where it
 exists, exact inversion).  A small ring-tag object describes the structure a
 matrix lives over: its identities, inversion where it exists, and its
 lowering to plain ints.  `Ring.lower(rows)` maps the rows of a matrix to int
-rows, a row-product function and a lift back to ring elements, so the
-Ryser and Bird engines add and multiply Python ints whatever the ring:
+rows, a row-product function, an optional entry fold and a lift back to
+ring elements, so the Glynn and Bird engines add and multiply Python ints
+whatever the ring.  Glynn's sum is 2^(n-1) times the permanent, so
+`lift(v, k)` returns the element whose image is v / 2^k; each lowering
+makes that division exact:
 
-* Z: the identity.
-* Z/m: the least residues; Ryser's product reduces mod m, and the lift is
-  ModInt(v, m).  Z -> Z/m is a ring map and both loops use only +, - and *.
+* Z: the identity; the lift divides by 2^k and raises ArithmeticError on a
+  remainder.
+* Z/m: the least residues.  Glynn's row products are reduced mod m*2^(n-1)
+  for an n-row matrix, so the sum mod m*2^(n-1) is 2^(n-1) (per mod m) and
+  halving it is exact for even m too.  The lift is
+  ModInt(v mod m*2^k / 2^k, m).  Z -> Z/m is a ring map and
+  both loops use only +, - and *.
 * Q: row j is multiplied by the common denominator d_j of its entries; the
-  lift divides by prod d_j.
+  lift halves exactly and divides by prod d_j.
 * Q[q,1/q]: row j is multiplied by q^(-e_j), e_j its least exponent, and by
   the common denominator d_j of its coefficients, and every entry is
   evaluated at q = 2^B (Kronecker substitution).  On Z[q] the L1 norm is
@@ -20,12 +27,13 @@ Ryser and Bird engines add and multiply Python ints whatever the ring:
   determinant), is at most L = prod_j (sum_k |row_j entry_k|_1), and its
   degree is at most the sum of the row exponent spans.  With
   B = bitlen(L) + 2 every coefficient lies in (-2^(B-2), 2^(B-2)), so the
-  balanced base-2^B digits of the engine's int are the coefficients;
-  balanced_digits re-checks both bounds and raises ArithmeticError if
-  either is broken.  The lift divides by prod d_j and multiplies by
-  q^(sum e_j).
+  balanced base-2^B digits of the engine's int, halved exactly, are the
+  coefficients; balanced_digits re-checks both bounds and raises
+  ArithmeticError if either is broken.  The lift divides by prod d_j and
+  multiplies by q^(sum e_j).
 * Q(zeta_m): cyclotomic.pack_rows and unpack (the same substitution, folded
-  mod 2^(mB) - 1).
+  mod 2^(mB) - 1 in the row products and in Bird's entries; the modulus is
+  odd, so the lift multiplies by the inverse of 2^k).
 
 Each lift is exact only for a signed sum of products of one entry per row,
 which is what a permanent or a determinant is.
@@ -64,6 +72,14 @@ def ratio(c: int, d: int):
     """c / d exactly: an int when d divides c, else a Rat."""
     q, r = divmod(c, d)
     return Rat(c, d) if r else q
+
+
+def halved(v: int, k: int) -> int:
+    """v / 2^k, which must be exact: a remainder raises ArithmeticError."""
+    q, r = divmod(v, 1 << k)
+    if r:
+        raise ArithmeticError(f"{v} is not divisible by 2^{k}")
+    return q
 
 
 def balanced_digits(value: int, bits: int, count: int, bound: int) -> list[int]:
@@ -364,11 +380,13 @@ class Ring:
         raise NotImplementedError
 
     def lower(self, rows):
-        """(int rows, row product, lift) for the rows of a matrix.
+        """(int rows, row product, fold, lift) for the rows of a matrix.
 
-        The engines run on the int rows; `product` multiplies one list of
-        int row sums, and `lift` maps the int the engine ends with back to
-        the ring element (see the module docstring).
+        The engines run on the int rows.  `product` multiplies one list of
+        int row sums for Glynn's loop; `fold` (None where the ints stay
+        exact) is a ring map applied to each entry of Bird's loop; and
+        `lift(v, k=0)` maps v / 2^k, for the int v an engine ends with, back
+        to the ring element (see the module docstring).
         """
         raise UnsupportedRingError(f"{self.name} has no int lowering")
 
@@ -388,7 +406,7 @@ class IntegerRing(Ring):
         return rng.randint(-span, span)
 
     def lower(self, rows):
-        return rows, math.prod, lambda v: v
+        return rows, math.prod, None, lambda v, k=0: halved(v, k)
 
 
 class RationalField(Ring):
@@ -415,7 +433,7 @@ class RationalField(Ring):
             vals, d = cleared(row)
             ints.append(vals)
             den *= d
-        return ints, math.prod, lambda v: Rat(v, den)
+        return ints, math.prod, None, lambda v, k=0: Rat(halved(v, k), den)
 
 
 class ResidueRing(Ring):
@@ -457,7 +475,9 @@ class ResidueRing(Ring):
         m = self.m
         coerce = self._zero._coerce
         ints = [[coerce(x).value for x in row] for row in rows]
-        return ints, lambda row: math.prod(row) % m, lambda v: ModInt(v, m)
+        glynn = m << (len(ints) - 1)
+        return (ints, lambda row: math.prod(row) % glynn, None,
+                lambda v, k=0: ModInt(halved(v % (m << k), k), m))
 
     def __eq__(self, other):
         return isinstance(other, ResidueRing) and other.m == self.m
@@ -511,11 +531,11 @@ class LaurentRing(Ring):
                 images[k] += v << (e - lo) * bits
             ints.append(images)
 
-        def lift(value):
-            digits = balanced_digits(value, bits, span + 1, bound)
+        def lift(value, k=0):
+            digits = balanced_digits(halved(value, k), bits, span + 1, bound)
             return LPoly({e + shift: ratio(c, den)
                           for e, c in enumerate(digits) if c})
-        return ints, math.prod, lift
+        return ints, math.prod, None, lift
 
 
 ZZ = IntegerRing()

@@ -3,6 +3,9 @@
 Each value is the permanent of a families.build_cyclotomic matrix over
 Q(zeta_n), times W^e for the Gauss-sum carrier W = sqrt_element(n) =
 i^h sqrt(n), h = (n-1)/2, and e in {-1, 0, 1} (SEQ_TABLE says which).
+The permanent is matrices.per_orbits for the six [f(zeta^(jk))] families
+(their tables are symmetric with the sign families.JK_SIGN) and per_ryser
+for T.
 Integrality is a theorem for T, c, s, s', t, t'; the code checks that the
 result is rational at recognition time and treats failure as an arithmetic
 bug.
@@ -15,8 +18,8 @@ from functools import lru_cache, partial
 
 from .cyclotomic import Cyc, sqrt_element
 from .errors import DomainError, NonRationalResultError
-from .families import build_cyclotomic, build_rational
-from .matrices import check_ryser_size, det_field, per_ryser
+from .families import JK_SIGN, build_cyclotomic, build_rational
+from .matrices import check_ryser_size, det_field, per_orbits, per_ryser
 from .ntheory import is_prime, mod_reduce_rat
 from .rings import ModInt, Rat
 
@@ -90,11 +93,15 @@ def _table_value(name: str, n: int) -> SeqValue:
     """Evaluate one row of SEQ_TABLE at index n."""
     family, w_exp, alternating, prime_only = SEQ_TABLE[name]
     _check_domain(name, n, prime_only)
-    # Refuse before building: the table of n inverses in Q(zeta_n) alone
-    # costs seconds at n in the hundreds.
+    # Refuse before building: the table's inverses in Q(zeta_n) alone cost
+    # seconds at n in the hundreds.
     check_ryser_size(n - 1 if family == "tan_shift" else (n - 1) // 2)
     mat = build_cyclotomic(family, n=n)
-    val = _resolve(per_ryser(mat), w_exp, alternating, n)
+    if family in JK_SIGN:
+        per = per_orbits(mat, JK_SIGN[family])
+    else:
+        per = per_ryser(mat)
+    val = _resolve(per, w_exp, alternating, n)
     bound = None
     if name == "cprime":
         bound = 1 << int(seq_d(n).value)

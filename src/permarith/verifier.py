@@ -708,9 +708,11 @@ def _register(check_id, kind, claim, runner, grid, max_n=None):
 
 # The max_n of the polynomial-time checks is the largest n whose run stays
 # near 0.5 s on a 2-core x86-64 machine (Python 3.11, Fraction backend):
-# det.sec2/det.tan2 take 0.25 s at n = 15 and 3.2 s at 17 (Bird's loop over
-# Q(zeta_2n)); thq.det 0.41 s at n = 64; lem.gauss at most 0.4 s up to
-# n = 3003 and 1.1 s at 5005.
+# det.sec2/det.tan2 take 0.13-0.19 s at n = 15 and 0.9-1.2 s at 17 (Bird's
+# loop over Q(zeta_2n), folded); thq.det 0.41 s at n = 64; lem.gauss at
+# most 0.4 s up to n = 3003 and 1.1 s at 5005; rem.qdetabs 0.51 s at n = 20
+# and 0.72 s at 21; lem.oneplus 0.45 s at n = 221 and 0.79 s at 251;
+# lem.half 0.39 s at n = 501.
 _register("thq.floor", "theorem",
           "per[floor((j+k-1)/n)] (n x n) = 1",
           _run_thq_floor, lambda tier: _ns(tier, 9, 12))
@@ -810,7 +812,8 @@ _register("lem.circulant", "theorem",
           _run_lem_circulant, lambda tier: _ns(tier, 6, 8))
 _register("lem.oneplus", "theorem",
           "prod_(k=1..n-1) (1 + zeta^k) = 1 for odd n",
-          _run_lem_oneplus, lambda tier: _odd_ns(tier, 15, 25))
+          _run_lem_oneplus, lambda tier: _odd_ns(tier, 15, 25),
+          max_n=221)
 _register("lem.gauss", "theorem",
           "gauss_sum(n)^2 = (-1)^((n-1)/2) n",
           _run_lem_gauss, lambda tier: _odd_ns(tier, 25, 51),
@@ -818,7 +821,8 @@ _register("lem.gauss", "theorem",
 _register("lem.half", "theorem",
           "prod_(k<=(n-1)/2) (1 - zeta^k) = (-2/n) i^((n-1)/2) sqrt(n) "
           "zeta^((n+1)/2 (n^2-1)/8)",
-          _run_lem_half, lambda tier: _odd_ns(tier, 15, 25))
+          _run_lem_half, lambda tier: _odd_ns(tier, 15, 25),
+          max_n=501)
 _register("det.sec2", "theorem",
           "det[sec^2 pi(j-k)/n] (n x n) = n^(n-1) (n!!)^2 for odd n",
           _run_det_sec2, lambda tier: _odd_ns(tier, 7, 11, lo=1),
@@ -877,7 +881,8 @@ _register("conj.tsign", "conjecture",
 _register("rem.qdetabs", "theorem",
           "det[[|j-k+1|]_q] = (1+q)^(n-2); det[[|j-k|]_q] = "
           "(-1)^(n-1)(n-1)(1+q)^(n-2); det[|j-k|] = (-1)^(n-1)(n-1)2^(n-2)",
-          _run_rem_qdetabs, lambda tier: _ns(tier, 8, 10, lo=2))
+          _run_rem_qdetabs, lambda tier: _ns(tier, 8, 10, lo=2),
+          max_n=20)
 _register("rem.perhalf", "theorem",
           "per[1/(1 + zeta^(j-k))] = (-1)^((n-1)/2) (n!!)^2/(2^n n) for odd n",
           _run_rem_perhalf, lambda tier: _odd_ns(tier, 7, 9))

@@ -5,9 +5,10 @@ import math
 
 import pytest
 
+from permarith.cyclotomic import CyclotomicField
 from permarith.errors import DomainError, SingularFamilyError
 from permarith.families import (build_cyclotomic, build_integer, build_qpoly,
-                                build_rational, sum_structure)
+                                build_rational, conjugates, sum_structure)
 from permarith.matrices import per_naive, per_ryser
 from permarith.rings import LPoly, Rat, qint
 
@@ -78,6 +79,22 @@ def test_cauchy_root_examples():
         build_cyclotomic("cauchy_root", n=4, x=1)
     with pytest.raises(SingularFamilyError):
         build_cyclotomic("cauchy_root", n=4, x=-1)
+
+
+def test_conjugates_equal_direct_evaluation():
+    # One evaluation per gcd(r, m), Galois conjugates for the rest: the same
+    # field elements as evaluating at every residue, for every m up to 30.
+    for m in range(1, 31):
+        ring = CyclotomicField(m)
+
+        def f(r):
+            z = ring.zeta(r)
+            return (3 - z).inverse() * (1 + 2 * z * z) + Rat(1, 2)
+
+        table = conjugates(ring, range(m), f)
+        assert sorted(table) == list(range(m))
+        for r in range(m):
+            assert table[r] == f(r), (m, r)
 
 
 def test_cos2_example():

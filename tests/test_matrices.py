@@ -1,8 +1,10 @@
 """Permanent and determinant engines: oracle equivalence, invariances,
 size guards."""
 
+import math
 import random
-from itertools import permutations
+from collections import Counter
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -11,9 +13,11 @@ from hypothesis import strategies as st
 from permarith.cyclotomic import Cyc, CyclotomicField, pack_rows
 from permarith.errors import (DomainError, SizeLimitError,
                               UnsupportedRingError)
-from permarith.matrices import (RYSER_LIMIT, Mat, det_divfree, det_field,
-                                per_naive, per_ryser, per_sum_coeffs,
-                                per_sum_matrix)
+from permarith.families import JK_SIGN, build_cyclotomic
+from permarith.matrices import (RYSER_LIMIT, Mat, _orbits, det_divfree,
+                                det_field, per_naive, per_orbits, per_ryser,
+                                per_sum_coeffs, per_sum_matrix)
+from permarith.ntheory import is_prime
 from permarith.rings import GF, QPOLY, QQ, ZZ, LPoly, Rat, Zmod
 
 
@@ -82,8 +86,11 @@ def _mats(draw, ring, max_n):
     return Mat(ring, rows)
 
 
-ENGINE_RINGS = [ZZ, Zmod(9), Zmod(49), QQ, GF(7), CyclotomicField(5), QPOLY]
-HEAVY_RINGS = ENGINE_RINGS[-2:]
+# Z/4 and Z/8: Glynn's division by 2^(n-1) under an even modulus.  Q(zeta_2):
+# a fold word of only mB = 2B bits (4 bits when a zero row makes L = 0).
+ENGINE_RINGS = [ZZ, Zmod(4), Zmod(8), Zmod(9), Zmod(49), QQ, GF(7),
+                CyclotomicField(2), CyclotomicField(5), QPOLY]
+HEAVY_RINGS = ENGINE_RINGS[-3:]
 
 
 @pytest.mark.parametrize("ring", ENGINE_RINGS, ids=lambda r: r.name)
@@ -103,6 +110,102 @@ def test_per_ryser_equals_naive_large_heavy(ring):
     for n in (6, 7):
         mat = _rand_mat(ring, n, rng, span=3)
         assert per_ryser(mat) == per_naive(mat), n
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_glynn_halving_past_the_word_length(m):
+    # At n = 7 Glynn divides by 2^6, but the fold modulus 2^(mB) - 1 has only
+    # mB = 2m bits (a zero row, L = 0) or 3m bits (a permutation matrix of
+    # ones, L = 1), at most 6; the lift multiplies by the inverse of 2^6
+    # mod 2^(mB) - 1.
+    ring = CyclotomicField(m)
+    one, zero = ring.one, ring.zero
+    perm = [3, 0, 6, 1, 5, 2, 4]
+    mats = [Mat(ring, [[one if k == perm[j] else zero for k in range(7)]
+                       for j in range(7)])]
+    rows = [[ring.from_int(j - k) for k in range(7)] for j in range(7)]
+    rows[4] = [zero] * 7
+    mats.append(Mat(ring, rows))
+    assert pack_rows(m, mats[0].rows)[1].bits == 3
+    assert pack_rows(m, mats[1].rows)[1].bits == 2
+    for mat in mats:
+        assert per_ryser(mat) == per_naive(mat)
+    assert per_ryser(mats[0]) == 1 and per_ryser(mats[1]) == 0
+
+
+@pytest.mark.parametrize("family", list(JK_SIGN))
+def test_per_orbits_equals_glynn_and_naive(family):
+    # The orbit sum against plain Glynn at every odd n <= 23 in the family's
+    # domain (composite 9, 15, 21 for cos2, sec2, sin2 and tan_jk), and
+    # against the n! oracle up to n = 13.
+    for n in range(3, 24, 2):
+        if family in ("csc2", "cot_jk") and not is_prime(n):
+            continue
+        mat = build_cyclotomic(family, n=n)
+        got = per_orbits(mat, JK_SIGN[family])
+        assert got == per_ryser(mat), n
+        if n <= 13:
+            assert got == per_naive(mat), n
+
+
+def _orbit_sizes_by_brute_force(n, sign):
+    # Union-find over delta vectors, with the action written out directly.
+    h = (n - 1) // 2
+    deltas = list(product((1, -1), repeat=h))
+    index = {d: i for i, d in enumerate(deltas)}
+    parent = list(range(len(deltas)))
+
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for d in deltas:
+        images = [tuple(-x for x in d)]
+        for a in range(1, n):
+            if math.gcd(a, n) == 1:
+                img = [0] * h
+                for k in range(1, h + 1):
+                    r = a * k % n
+                    img[min(r, n - r) - 1] = d[k - 1] * (sign if r > h else 1)
+                images.append(tuple(img))
+        for e in images:
+            parent[root(index[e])] = root(index[d])
+    return sorted(Counter(root(i) for i in range(len(deltas))).values())
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13, 15])
+def test_orbits_match_brute_force(n):
+    # The orbits are closed under delta -> -delta and under every unit, for
+    # both signs; 6 orbits at n = 13 for sign -1 (8 for +1).
+    for sign in (1, -1):
+        orbits = _orbits(n, sign)
+        assert sum(size for _, size in orbits) == 1 << (n - 1) // 2
+        assert (sorted(size for _, size in orbits)
+                == _orbit_sizes_by_brute_force(n, sign)), sign
+    assert len(_orbits(13, -1)) == 6 and len(_orbits(13, 1)) == 8
+
+
+def test_per_orbits_refuses_an_asymmetric_table():
+    mat = build_cyclotomic("tan_jk", n=7)
+    rows = [list(r) for r in mat.rows]
+    # The same field element on another coefficient list: the sum of all
+    # seven powers of zeta is 0.
+    rows[0][1] = rows[0][1] + Cyc(7, [1] * 7)
+    assert rows[0][1] == mat.rows[0][1]
+    with pytest.raises(ArithmeticError, match="entry"):
+        per_orbits(Mat(mat.ring, rows), -1)
+    with pytest.raises(ArithmeticError):  # the wrong sign
+        per_orbits(mat, 1)
+    sin9 = build_cyclotomic("sin2", n=9)
+    rows = [list(r) for r in sin9.rows]
+    rows[2][2] = sin9.ring.one  # 3 * 3 = 0 mod 9, and T[0] = -T[0]
+    with pytest.raises(ArithmeticError, match="T\\[0\\]"):
+        per_orbits(Mat(sin9.ring, rows), -1)
+    with pytest.raises(DomainError):  # 3 rows need Q(zeta_7)
+        per_orbits(Mat(CyclotomicField(9), mat.rows), -1)
+    with pytest.raises(DomainError):
+        per_orbits(mat, 0)
 
 
 def test_permutation_and_transpose_invariance():

@@ -106,17 +106,24 @@ def test_inputs_outside_the_claim_skip(check_id, params, reason):
 
 def test_size_limits_refuse_before_building(monkeypatch):
     # Past a check's max_n the verdict is a SKIP with the limit, and no
-    # matrix or Gauss sum is built; the full tier stays inside every limit.
+    # matrix, Gauss sum or cyclotomic product is built; the full tier stays
+    # inside every limit.
     def unbuildable(*args, **params):
         raise AssertionError("built past the size limit")
+
+    class UnbuildableCyc:
+        rational = zeta = staticmethod(unbuildable)
 
     for name in ("build_cyclotomic", "build_integer", "build_qpoly",
                  "gauss_sum"):
         monkeypatch.setattr(verifier, name, unbuildable)
+    monkeypatch.setattr(verifier, "Cyc", UnbuildableCyc)
     guarded = {cid: c.max_n for cid, c in REGISTRY.items() if c.max_n}
-    assert set(guarded) == {"det.sec2", "det.tan2", "thq.det", "lem.gauss"}
+    assert set(guarded) == {"det.sec2", "det.tan2", "thq.det", "lem.gauss",
+                            "rem.qdetabs", "lem.oneplus", "lem.half"}
     for check_id, n in (("det.sec2", 61), ("det.tan2", 17), ("thq.det", 400),
-                        ("lem.gauss", 100001)):
+                        ("lem.gauss", 100001), ("rem.qdetabs", 30),
+                        ("lem.oneplus", 401), ("lem.half", 1601)):
         r = run_check(check_id, {"n": n})
         assert r.status == "SKIP", r
         assert r.note == (f"out of domain: {check_id} limited to"
