@@ -1,9 +1,9 @@
 """Exact-arithmetic permanents and determinants of structured matrices.
 
 Core pieces: exact scalar rings (rationals, residues, Laurent polynomials,
-cyclotomic fields), generic Glynn/naive permanents and division-free/field
-determinants, the structured matrix families, the named integer sequences
-they generate, and a registry of verification checks with a CLI.
+cyclotomic fields), generic Glynn/naive permanents and the fraction-free
+(Bareiss) determinant, the structured matrix families, the named integer
+sequences they generate, and a registry of verification checks with a CLI.
 """
 
 from .cyclotomic import (Cyc, CyclotomicField, FqRoot, cyclotomic_poly,

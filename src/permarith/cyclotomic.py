@@ -18,10 +18,12 @@ value fits well inside the symmetric residues mod 2^(mB) - 1 and its
 balanced digits are the coefficients.  Decoding (rings.balanced_digits,
 shared with the Laurent lowering) re-checks every digit against L and
 raises ArithmeticError if one exceeds it.  pack_rows and unpack are
-CyclotomicField's int lowering for the Glynn and Bird engines, which fold
-their products mod 2^(mB) - 1 (Layout.fold); that is the image of
-x^m - 1, so the fold is a ring map and the bound still holds for the
-folded result.
+CyclotomicField's int lowering for the Glynn and Bareiss engines.  Glynn
+folds its row products mod 2^(mB) - 1 (Layout.product); Bareiss keeps the
+unfolded images, whose determinant is the image of the determinant in
+Z[x], and unpack folds it.  2^(mB) - 1 is the image of x^m - 1, so the
+fold is a ring map, and folding a vector of L1 norm at most L keeps every
+coefficient within L.
 Cyc.__mul__ packs its two operands as two one-entry rows, so a cyclic
 convolution becomes one int product, and Cyc.inverse multiplies the Galois
 conjugates the same way.
@@ -443,18 +445,15 @@ class CyclotomicField(Ring):
     def from_int(self, k: int):
         return Cyc.rational(self.m, k)
 
-    def inv(self, a: Cyc) -> Cyc:
-        return a.inverse()
-
     def lower(self, rows):
-        # Glynn's products and Bird's entries fold mod 2^(mB) - 1, which is
-        # odd: halving is multiplication by the inverse of 2.
+        # Glynn's products and unpack fold mod 2^(mB) - 1, which is odd:
+        # halving is multiplication by the inverse of 2.
         images, layout = pack_rows(self.m, rows)
         modulus = (1 << self.m * layout.bits) - 1
 
         def lift(value, k=0):
             return unpack(value * pow(2, -k, modulus), layout)
-        return images, layout.product, layout.fold, lift
+        return images, layout.product, lift
 
     def zeta(self, e: int = 1) -> Cyc:
         return Cyc.zeta(self.m, e)

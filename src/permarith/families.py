@@ -21,7 +21,7 @@ The six [f(zeta^(jk))] families (cos2, sec2, sin2, csc2, tan_jk, cot_jk)
 build T(1..h) that way and set T(n - r) = JK_SIGN[family] * T(r) as the
 same coefficient list, the symmetry matrices.per_orbits relies on.  The
 difference families, whose tables feed determinants, are evaluated
-directly: their conjugated tables made Bird's loop slower.
+directly: conjugated tables made the determinant slower.
 """
 
 from __future__ import annotations

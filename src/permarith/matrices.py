@@ -26,20 +26,25 @@ term per orbit, times the orbit's size, therefore gives the full sum
 and unpack still checks every digit.  per_orbits checks the lattice
 symmetry of the matrix it is given and raises ArithmeticError if it fails.
 
-det_divfree is Bird's iterated-matrix-product determinant (only +, -, *;
-Bird, IPL 111, 2011), valid over rings with zero divisors such as Z/p^2.
+det_divfree and det_field are fraction-free elimination (Bareiss, Math.
+Comp. 22, 1968) in Z: step k replaces every entry below and right of the
+pivot by a (k+1) x (k+1) minor of the input, so the division by the
+previous pivot is exact.  Rings with zero divisors such as Z/p^2 are safe,
+since no ring element is ever inverted.
 
-Both engines add and multiply plain Python ints: Ring.lower (see the rings
-module docstring) maps the rows to ints, the Glynn or Bird loop runs on
-them, and the ring's lift decodes the one result, dividing Glynn's sum by
-2^(n-1) exactly.  Each lowering is a ring map, or a ring map after
-clearing row denominators and row powers of q, so the loops compute the
-image of the exact permanent or determinant, and each lift is exact on it.
-Over Q(zeta_m) the lowering is Kronecker packing (cyclotomic.pack_rows),
-and both loops fold their products mod 2^(mB) - 1, the image of x^m - 1.
+Both kinds of engine add and multiply plain Python ints: Ring.lower (see
+the rings module docstring) maps the rows to ints, the Glynn or Bareiss
+loop runs on them, and the ring's lift decodes the one result, dividing
+Glynn's sum by 2^(n-1) exactly.  After clearing row denominators and
+row powers of q, the int rows are least residues (Z -> Z/m is a ring map)
+or images at x = 2^B (evaluation on Z[x] is a ring map), so the loops
+compute an int that maps to the exact permanent or determinant, and each
+lift is exact on it.  Over Q(zeta_m) the lowering is Kronecker packing
+(cyclotomic.pack_rows): Glynn folds its products mod 2^(mB) - 1, the image
+of x^m - 1, and Bareiss works on the unfolded images, whose determinant is
+the image of the determinant in Z[x]; unpack folds it once at the end.
 
-det_field is Bird's loop on the same lowering over Q(zeta_m), so no pivot
-is inverted there, and elimination with exact pivots over Q and F_p.
+det_field is det_divfree behind a check that the ring is a field.
 per_naive stays on ring elements, an oracle independent of every lowering.
 """
 
@@ -139,7 +144,7 @@ def per_ryser(mat: Mat):
     kept from the Ryser loop it replaced, as is the size limit)."""
     n = mat.n
     check_ryser_size(n)
-    rows, product, _, lift = mat.ring.lower(mat.rows)
+    rows, product, lift = mat.ring.lower(mat.rows)
     return lift(_glynn(rows, product), n - 1)
 
 
@@ -243,7 +248,7 @@ def per_orbits(mat: Mat, sign: int):
         raise DomainError(f"sign must be 1 or -1, got {sign}")
     check_ryser_size(h)
     _check_jk_symmetry(mat, sign)
-    rows, product, _, lift = ring.lower(mat.rows)
+    rows, product, lift = ring.lower(mat.rows)
     totals = [sum(row) for row in rows]
     acc = 0
     for mask, size in _orbits(ring.m, sign):
@@ -351,86 +356,42 @@ def per_sum_coeffs(u, w) -> tuple[int, ...]:
 # Determinants
 # ---------------------------------------------------------------------------
 
-def _bird(rows, fold):
-    # Bird's loop on int rows: n - 1 products with mu(x), which keeps the
-    # strict upper triangle of x and puts -(x[i+1][i+1] + ... + x[n-1][n-1])
-    # at (i, i).  `fold`, where given, is applied to every entry of each
-    # product.
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    x = [list(r) for r in rows]
-    for _ in range(n - 1):
-        mu = [[0] * n for _ in range(n)]
-        tail = 0
-        for i in range(n - 1, -1, -1):
-            mu[i][i] = tail
-            tail = tail - x[i][i]
-            for j in range(i + 1, n):
-                mu[i][j] = x[i][j]
-        nxt = [[0] * n for _ in range(n)]
-        for i in range(n):
-            mrow = mu[i]
-            out = nxt[i]
-            for t in range(i, n):
-                c = mrow[t]
-                if not c:
-                    continue
-                arow = rows[t]
-                for j in range(n):
-                    out[j] = out[j] + c * arow[j]
-            if fold is not None:
-                nxt[i] = list(map(fold, out))
-        x = nxt
-    return x[0][0] if n % 2 else -x[0][0]
+def _bareiss(rows):
+    # Fraction-free elimination (Bareiss, Math. Comp. 22, 1968) on int rows.
+    # After each step the entries are minors of the input, so the division
+    # by the previous pivot is exact in Z.  A zero pivot is swapped for a
+    # lower row with a nonzero entry in its column, which flips the sign.
+    a = [list(r) for r in rows]
+    sign = prev = 1
+    while len(a) > 1:
+        k = next((i for i, row in enumerate(a) if row[0]), None)
+        if k is None:
+            return 0
+        if k:
+            a[0], a[k] = a[k], a[0]
+            sign = -sign
+        pivot, *top = a[0]
+        a = [[(pivot * x - row[0] * y) // prev for x, y in zip(row[1:], top)]
+             for row in a[1:]]
+        prev = pivot
+    return sign * a[0][0]
 
 
 def _lowered_det(mat: Mat):
-    rows, _, fold, lift = mat.ring.lower(mat.rows)
-    return lift(_bird(rows, fold))
+    rows, _, lift = mat.ring.lower(mat.rows)
+    return lift(_bareiss(rows))
 
 
 def det_divfree(mat: Mat):
-    """Determinant using only +, -, * (Bird's algorithm); safe over rings
-    with zero divisors."""
+    """Determinant with no division in the ring: fraction-free elimination
+    on the ring's int lowering, so rings with zero divisors are safe."""
     return _lowered_det(mat)
 
 
 def det_field(mat: Mat):
-    """Determinant over a field.
-
-    Over Q(zeta_m) it is Bird's loop on the Kronecker images of the rows, so
-    no pivot is inverted; over Q and F_p, Gaussian elimination with exact
-    pivot inversion.
-    """
+    """Determinant over a field: the same elimination as det_divfree, which
+    it keeps apart for callers that require a field."""
     ring = mat.ring
     if not ring.is_field:
         raise UnsupportedRingError(f"{ring.name} is not a field")
-    if isinstance(ring, CyclotomicField):
-        return _lowered_det(mat)
-    n = mat.n
-    a = [list(r) for r in mat.rows]
-    zero = ring.zero
-    det = ring.one
-    sign = 1
-    for col in range(n):
-        pivot_row = None
-        for r in range(col, n):
-            if not a[r][col] == zero:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            return zero
-        if pivot_row != col:
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-            sign = -sign
-        pivot = a[col][col]
-        det = det * pivot
-        inv_p = ring.inv(pivot)
-        for r in range(col + 1, n):
-            factor = a[r][col]
-            if factor == zero:
-                continue
-            scaled = factor * inv_p
-            a[r] = [x - scaled * y for x, y in zip(a[r], a[col])]
-    return det if sign == 1 else -det
+    return _lowered_det(mat)

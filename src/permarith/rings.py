@@ -2,21 +2,20 @@
 
 Every scalar is an immutable Python object supporting +, -, * (and, where it
 exists, exact inversion).  A small ring-tag object describes the structure a
-matrix lives over: its identities, inversion where it exists, and its
-lowering to plain ints.  `Ring.lower(rows)` maps the rows of a matrix to int
-rows, a row-product function, an optional entry fold and a lift back to
-ring elements, so the Glynn and Bird engines add and multiply Python ints
-whatever the ring.  Glynn's sum is 2^(n-1) times the permanent, so
-`lift(v, k)` returns the element whose image is v / 2^k; each lowering
-makes that division exact:
+matrix lives over: its identities and its lowering to plain ints.
+`Ring.lower(rows)` maps the rows of a matrix to int rows, a row-product
+function and a lift back to ring elements, so the Glynn and Bareiss
+engines add and multiply Python ints whatever the ring.  Glynn's sum is
+2^(n-1) times the permanent, so `lift(v, k)` returns the element whose
+image is v / 2^k; each lowering makes that division exact:
 
 * Z: the identity; the lift divides by 2^k and raises ArithmeticError on a
   remainder.
 * Z/m: the least residues.  Glynn's row products are reduced mod m*2^(n-1)
   for an n-row matrix, so the sum mod m*2^(n-1) is 2^(n-1) (per mod m) and
   halving it is exact for even m too.  The lift is
-  ModInt(v mod m*2^k / 2^k, m).  Z -> Z/m is a ring map and
-  both loops use only +, - and *.
+  ModInt(v mod m*2^k / 2^k, m).  Z -> Z/m is a ring map, so the
+  Bareiss determinant of the residues reduces to the one in Z/m.
 * Q: row j is multiplied by the common denominator d_j of its entries; the
   lift halves exactly and divides by prod d_j.
 * Q[q,1/q]: row j is multiplied by q^(-e_j), e_j its least exponent, and by
@@ -31,9 +30,10 @@ makes that division exact:
   coefficients; balanced_digits re-checks both bounds and raises
   ArithmeticError if either is broken.  The lift divides by prod d_j and
   multiplies by q^(sum e_j).
-* Q(zeta_m): cyclotomic.pack_rows and unpack (the same substitution, folded
-  mod 2^(mB) - 1 in the row products and in Bird's entries; the modulus is
-  odd, so the lift multiplies by the inverse of 2^k).
+* Q(zeta_m): cyclotomic.pack_rows and unpack (the same substitution; the
+  lift folds mod 2^(mB) - 1, the image of x^m - 1, as do Glynn's row
+  products; the modulus is odd, so the lift multiplies by the inverse of
+  2^k).
 
 Each lift is exact only for a signed sum of products of one entry per row,
 which is what a permanent or a determinant is.
@@ -352,10 +352,10 @@ def qint(m: int) -> LPoly:
 # ---------------------------------------------------------------------------
 
 class Ring:
-    """Commutative ring descriptor: identities plus optional inversion.
+    """Commutative ring descriptor: identities and an int lowering.
 
     Elements themselves carry the arithmetic via operators; the tag supplies
-    zero/one, integer embedding, inversion where available, and random
+    zero/one, integer embedding, the lowering the engines run on, and random
     elements for law testing.
     """
 
@@ -373,20 +373,16 @@ class Ring:
     def from_int(self, k: int):
         raise NotImplementedError
 
-    def inv(self, a):
-        raise UnsupportedRingError(f"{self.name} has no exact division")
-
     def rand(self, rng, span: int = 10):
         raise NotImplementedError
 
     def lower(self, rows):
-        """(int rows, row product, fold, lift) for the rows of a matrix.
+        """(int rows, row product, lift) for the rows of a matrix.
 
         The engines run on the int rows.  `product` multiplies one list of
-        int row sums for Glynn's loop; `fold` (None where the ints stay
-        exact) is a ring map applied to each entry of Bird's loop; and
-        `lift(v, k=0)` maps v / 2^k, for the int v an engine ends with, back
-        to the ring element (see the module docstring).
+        int row sums for Glynn's loop, and `lift(v, k=0)` maps v / 2^k, for
+        the int v an engine ends with, back to the ring element (see the
+        module docstring).
         """
         raise UnsupportedRingError(f"{self.name} has no int lowering")
 
@@ -406,7 +402,7 @@ class IntegerRing(Ring):
         return rng.randint(-span, span)
 
     def lower(self, rows):
-        return rows, math.prod, None, lambda v, k=0: halved(v, k)
+        return rows, math.prod, lambda v, k=0: halved(v, k)
 
 
 class RationalField(Ring):
@@ -418,11 +414,6 @@ class RationalField(Ring):
     def from_int(self, k: int):
         return Rat(k)
 
-    def inv(self, a):
-        if a == 0:
-            raise NonInvertibleError("division by zero in Q")
-        return 1 / Rat(a)
-
     def rand(self, rng, span: int = 10):
         return Rat(rng.randint(-span, span), rng.randint(1, span))
 
@@ -433,7 +424,7 @@ class RationalField(Ring):
             vals, d = cleared(row)
             ints.append(vals)
             den *= d
-        return ints, math.prod, None, lambda v, k=0: Rat(halved(v, k), den)
+        return ints, math.prod, lambda v, k=0: Rat(halved(v, k), den)
 
 
 class ResidueRing(Ring):
@@ -460,13 +451,6 @@ class ResidueRing(Ring):
     def from_int(self, k: int):
         return ModInt(k, self.m)
 
-    def inv(self, a):
-        if not self.is_field:
-            g = math.gcd(a.value, self.m)
-            if g != 1:
-                raise NonInvertibleError(f"{a.value} not invertible mod {self.m}")
-        return a.inverse()
-
     def rand(self, rng, span: int = 10):
         return ModInt(rng.randrange(self.m), self.m)
 
@@ -476,7 +460,7 @@ class ResidueRing(Ring):
         coerce = self._zero._coerce
         ints = [[coerce(x).value for x in row] for row in rows]
         glynn = m << (len(ints) - 1)
-        return (ints, lambda row: math.prod(row) % glynn, None,
+        return (ints, lambda row: math.prod(row) % glynn,
                 lambda v, k=0: ModInt(halved(v % (m << k), k), m))
 
     def __eq__(self, other):
@@ -535,7 +519,7 @@ class LaurentRing(Ring):
             digits = balanced_digits(halved(value, k), bits, span + 1, bound)
             return LPoly({e + shift: ratio(c, den)
                           for e, c in enumerate(digits) if c})
-        return ints, math.prod, None, lift
+        return ints, math.prod, lift
 
 
 ZZ = IntegerRing()

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 from .cyclotomic import Cyc, sqrt_element
-from .errors import DomainError, NonRationalResultError
+from .errors import DomainError, NonRationalResultError, SizeLimitError
 from .families import JK_SIGN, build_cyclotomic, build_rational
 from .matrices import check_ryser_size, det_field, per_orbits, per_ryser
 from .ntheory import is_prime, mod_reduce_rat
@@ -89,6 +89,12 @@ SEQ_TABLE = {
 }
 
 
+# T has no orbit symmetry, so each step of its Glynn sum costs a product of
+# n - 1 row sums over Q(zeta_n): on a 2-core x86-64 machine (Python 3.11,
+# Fraction backend) T(17) takes 5.2 s, T(19) 28 s and T(21) 221 s.
+T_LIMIT = 19
+
+
 def _table_value(name: str, n: int) -> SeqValue:
     """Evaluate one row of SEQ_TABLE at index n."""
     family, w_exp, alternating, prime_only = SEQ_TABLE[name]
@@ -96,6 +102,10 @@ def _table_value(name: str, n: int) -> SeqValue:
     # Refuse before building: the table's inverses in Q(zeta_n) alone cost
     # seconds at n in the hundreds.
     check_ryser_size(n - 1 if family == "tan_shift" else (n - 1) // 2)
+    if family == "tan_shift" and n > T_LIMIT:
+        raise SizeLimitError(
+            f"T limited to n <= {T_LIMIT}: plain Glynn on its n - 1 rows over"
+            f" Q(zeta_n) would run for minutes, got n = {n}")
     mat = build_cyclotomic(family, n=n)
     if family in JK_SIGN:
         per = per_orbits(mat, JK_SIGN[family])

@@ -708,11 +708,12 @@ def _register(check_id, kind, claim, runner, grid, max_n=None):
 
 # The max_n of the polynomial-time checks is the largest n whose run stays
 # near 0.5 s on a 2-core x86-64 machine (Python 3.11, Fraction backend):
-# det.sec2/det.tan2 take 0.13-0.19 s at n = 15 and 0.9-1.2 s at 17 (Bird's
-# loop over Q(zeta_2n), folded); thq.det 0.41 s at n = 64; lem.gauss at
-# most 0.4 s up to n = 3003 and 1.1 s at 5005; rem.qdetabs 0.51 s at n = 20
-# and 0.72 s at 21; lem.oneplus 0.45 s at n = 221 and 0.79 s at 251;
-# lem.half 0.39 s at n = 501.
+# det.sec2/det.tan2 take 0.16-0.18 s at n = 15 and 1.3-1.9 s at 17
+# (Bareiss on the Kronecker images over Q(zeta_2n)); thq.det 0.45-0.55 s at
+# n = 192 and 1.15 s at 256; lem.gauss at most 0.4 s up to n = 3003 and
+# 1.1 s at 5005; rem.qdetabs 0.48-0.56 s at n = 28 and 1.8 s at 32;
+# lem.oneplus 0.45 s at n = 221 and 0.79 s at 251; lem.half 0.39 s at
+# n = 501.
 _register("thq.floor", "theorem",
           "per[floor((j+k-1)/n)] (n x n) = 1",
           _run_thq_floor, lambda tier: _ns(tier, 9, 12))
@@ -722,7 +723,7 @@ _register("thq.qfloor", "theorem",
 _register("thq.det", "theorem",
           "det[floor((j+k-1)/n)] = (-1)^(n(n-1)/2); "
           "det[[floor((j+k)/n)]_q] = (-1)^(n(n+1)/2-1) q for n > 1",
-          _run_thq_det, lambda tier: _ns(tier, 9, 12), max_n=64)
+          _run_thq_det, lambda tier: _ns(tier, 9, 12), max_n=192)
 _register("thper.rootlinear", "theorem",
           "per[1 - zeta^j x_k] = n! (1 - x_1...x_n), zeta of order n",
           _run_rootlinear,
@@ -882,7 +883,7 @@ _register("rem.qdetabs", "theorem",
           "det[[|j-k+1|]_q] = (1+q)^(n-2); det[[|j-k|]_q] = "
           "(-1)^(n-1)(n-1)(1+q)^(n-2); det[|j-k|] = (-1)^(n-1)(n-1)2^(n-2)",
           _run_rem_qdetabs, lambda tier: _ns(tier, 8, 10, lo=2),
-          max_n=20)
+          max_n=28)
 _register("rem.perhalf", "theorem",
           "per[1/(1 + zeta^(j-k))] = (-1)^((n-1)/2) (n!!)^2/(2^n n) for odd n",
           _run_rem_perhalf, lambda tier: _odd_ns(tier, 7, 9))

@@ -24,6 +24,7 @@ from permarith.matrices import Mat, det_divfree, det_field, per_naive, per_ryser
 from permarith.rings import GF, QPOLY, QQ, ZZ, Rat, Zmod
 from permarith.sequences import masked_sum
 from permarith.verifier import run_check
+from test_matrices import _eliminate
 from test_sequences import _masked_bruteforce
 
 BUDGETS = {1: 300, 2: 120, 3: 300, 4: 60, 5: 180}
@@ -177,7 +178,8 @@ def test_criterion_4_oracle_equivalence():
         n = rng.randint(1, 8)
         m = Mat(QQ, [[Rat(rng.randint(-9, 9), rng.randint(1, 6))
                       for _ in range(n)] for _ in range(n)])
-        if det_divfree(m) != det_field(m):
+        want = _eliminate(m)
+        if det_divfree(m) != want or det_field(m) != want:
             failures.append(f"det oracle mismatch #{case}")
             break
 

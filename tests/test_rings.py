@@ -57,7 +57,7 @@ def test_laurent_lowering_decodes_at_its_bound():
     assert per_ryser(single) == det_divfree(single) == LPoly({-3: 255})
     # Forged images: L = 1 gives B = 3 and one digit.  3 fits the digit
     # width but exceeds L; 8 needs a second digit.
-    _, _, _, lift = QPOLY.lower([[LPoly({0: 1})]])
+    _, _, lift = QPOLY.lower([[LPoly({0: 1})]])
     assert lift(1) == LPoly({0: 1}) and lift(-1) == LPoly({0: -1})
     for forged in (3, -3, 8):
         with pytest.raises(ArithmeticError):
@@ -65,7 +65,7 @@ def test_laurent_lowering_decodes_at_its_bound():
 
 
 def test_residue_lowering_takes_plain_ints():
-    ints, product, _, lift = Zmod(9).lower([[ModInt(4, 9), -1], [10, 3]])
+    ints, product, lift = Zmod(9).lower([[ModInt(4, 9), -1], [10, 3]])
     assert ints == [[4, 8], [1, 3]]
     # Two rows: Glynn's products reduce mod 9 * 2, and lift(v, 1) halves.
     assert product([4, 8]) == 32 % 18

@@ -119,8 +119,9 @@ def test_size_limits_refuse_before_building(monkeypatch):
         monkeypatch.setattr(verifier, name, unbuildable)
     monkeypatch.setattr(verifier, "Cyc", UnbuildableCyc)
     guarded = {cid: c.max_n for cid, c in REGISTRY.items() if c.max_n}
-    assert set(guarded) == {"det.sec2", "det.tan2", "thq.det", "lem.gauss",
-                            "rem.qdetabs", "lem.oneplus", "lem.half"}
+    assert guarded == {"det.sec2": 15, "det.tan2": 15, "thq.det": 192,
+                       "lem.gauss": 3001, "rem.qdetabs": 28,
+                       "lem.oneplus": 221, "lem.half": 501}
     for check_id, n in (("det.sec2", 61), ("det.tan2", 17), ("thq.det", 400),
                         ("lem.gauss", 100001), ("rem.qdetabs", 30),
                         ("lem.oneplus", 401), ("lem.half", 1601)):
