@@ -57,9 +57,10 @@ def _indices(range_name: str, p: int) -> list[int]:
 def sum_structure(family: str, p: int, range_name: str):
     """(u, w) for the rank-2 families whose entries are u_j + d*w_k.
 
-    per[u_j + d*w_k] is a degree-n polynomial in d: the mod-p^2 congruence
-    grids build its coefficients once with per_sum_coeffs and evaluate them
-    at each d.
+    per[u_j + d*w_k] is a degree-n polynomial in d whose coefficients are
+    i!(n-i)! e_i(w) e_(n-i)(u): the mod-p^2 congruence grids build them once
+    with per_sum_coeffs, in O(n^2) int operations, and evaluate them at
+    each d.
     """
     idx = _indices(range_name, p)
     if family == "linear":

@@ -44,6 +44,11 @@ lift is exact on it.  Over Q(zeta_m) the lowering is Kronecker packing
 of x^m - 1, and Bareiss works on the unfolded images, whose determinant is
 the image of the determinant in Z[x]; unpack folds it once at the end.
 
+per_sum_coeffs and per_sum_matrix are the rank-2 permanents over Z in
+closed form (Minc, Permanents, 1978): per[u_j + d*w_k] =
+sum_i i!(n-i)! e_i(w) e_(n-i)(u) d^i, two elementary symmetric passes of
+O(n^2) int operations.
+
 det_field is det_divfree behind a check that the ring is a field.
 per_naive stays on ring elements, an oracle independent of every lowering.
 """
@@ -57,7 +62,7 @@ from math import gcd
 
 from .cyclotomic import CyclotomicField
 from .errors import DomainError, SizeLimitError, UnsupportedRingError
-from .ntheory import binomial
+from .ntheory import factorial
 from .rings import Ring
 
 NAIVE_LIMIT = 9
@@ -276,80 +281,40 @@ def per_naive(mat: Mat):
 
 
 def per_sum_matrix(u, v):
-    """Exact integer permanent of the rank-2 matrix [u_j + v_k].
+    """Exact integer permanent of the rank-2 matrix [u_j + v_k]: the value
+    of per_sum_coeffs(u, v) at d = 1, in O(n^2) int operations.  Equals
+    per_ryser on the same matrix."""
+    return sum(per_sum_coeffs(u, v))
 
-    Ryser's row sums depend only on (|S|, sum of v over S), so the subset
-    enumeration collapses to a subset-sum counting table: far cheaper than
-    2^n when n is around 20.  Equals per_ryser on the same matrix.
-    """
-    u = list(u)
-    v = list(v)
-    n = len(u)
-    if n == 0 or len(v) != n:
-        raise DomainError("need two equal-length nonempty integer vectors")
-    ways: list[dict[int, int]] = [dict() for _ in range(n + 1)]
-    ways[0][0] = 1
-    for x in v:
-        for s in range(n - 1, -1, -1):
-            level = ways[s]
-            if level:
-                nxt = ways[s + 1]
-                for sig, cnt in level.items():
-                    key = sig + x
-                    nxt[key] = nxt.get(key, 0) + cnt
-    acc = 0
-    for s in range(1, n + 1):
-        sub = 0
-        for sig, cnt in ways[s].items():
-            prod = 1
-            for uj in u:
-                prod *= s * uj + sig
-            sub += cnt * prod
-        acc += -sub if s & 1 else sub
-    return acc if n % 2 == 0 else -acc
+
+def _elementary(xs, n):
+    # e_0..e_n of the n values xs, adding one x at a time: e_k += x*e_(k-1).
+    e = [1] + [0] * n
+    for count, x in enumerate(xs, 1):
+        for k in range(count, 0, -1):
+            e[k] += x * e[k - 1]
+    return e
 
 
 def per_sum_coeffs(u, w) -> tuple[int, ...]:
     """Exact integers C_0..C_n with per[u_j + d*w_k] = sum_i C_i d^i.
 
-    Ryser's row sum over a column set S of size s is s*u_j + d*sigma_S with
-    sigma_S the sum of w over S, so expanding the product over j gives
-    C_i = (-1)^n sum_s (-1)^s s^(n-i) e_(n-i)(u) M_i(s), where e is the
-    elementary symmetric function and M_i(s) = sum over |S| = s of
-    sigma_S^i.  M comes from adding the w_k one at a time,
-    (sigma + x)^i = sum_t binom(i, t) x^(i-t) sigma^t, in O(n^4) int
-    operations; one vector then serves every d by Horner.  Equals
-    per_sum_matrix(u, [d*x for x in w]) at every integer d.
+    Expanding the product over j picks w from a row set J and u from the
+    rest.  For |J| = i, the permutations sending J onto a column set K
+    number i!(n-i)!, so C_i = i!(n-i)! e_i(w) e_(n-i)(u), with e the
+    elementary symmetric polynomials (Minc, Permanents, 1978): two O(n^2)
+    passes, and one vector then serves every d by Horner.  Equals
+    per_ryser on [u_j + d*w_k] at every integer d.
     """
     u = list(u)
     w = list(w)
     n = len(u)
     if n == 0 or len(w) != n:
         raise DomainError("need two equal-length nonempty integer vectors")
-    e = [1] + [0] * n
-    for x in u:
-        for k in range(n, 0, -1):
-            e[k] += x * e[k - 1]
-    binom = [[binomial(i, t) for t in range(i + 1)] for i in range(n + 1)]
-    # m[s][i] = M_i(s) over the elements of w added so far.
-    m = [[1] + [0] * n] + [[0] * (n + 1) for _ in range(n)]
-    for count, x in enumerate(w):
-        powers = [x ** k for k in range(n + 1)]
-        shift = [[c * powers[i - t] for t, c in enumerate(row)]
-                 for i, row in enumerate(binom)]
-        for s in range(count, -1, -1):
-            src = m[s]
-            dst = m[s + 1]
-            for i in range(n + 1):
-                dst[i] += sum(map(operator.mul, shift[i], src))
-    coeffs = []
-    for i in range(n + 1):
-        acc = 0
-        for s in range(1, n + 1):
-            term = s ** (n - i) * m[s][i]
-            acc += -term if s & 1 else term
-        coeffs.append(e[n - i] * acc if n % 2 == 0 else -e[n - i] * acc)
-    return tuple(coeffs)
+    eu = _elementary(u, n)
+    ew = _elementary(w, n)
+    return tuple(factorial(i) * factorial(n - i) * ew[i] * eu[n - i]
+                 for i in range(n + 1))
 
 
 # ---------------------------------------------------------------------------

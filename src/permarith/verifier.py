@@ -5,10 +5,10 @@ exactly and compares.  Theorem-tier ids gate exit codes; conjecture-tier
 ids (conj.*) report consistency evidence only.  Congruence checks compute
 the permanent exactly over Z or Q and reduce afterwards.  In the rank-2
 d-grids per[u_j + d*w_k] is one degree-n polynomial in d: its integer
-coefficients are built once per (family, p, range) by per_sum_coeffs and
-each d is one Horner evaluation.  The single random-x permanent of
-thper.jxk goes through per_sum_matrix, the collapsed subset-sum form of
-Ryser's formula, which is cheaper for one call.
+coefficients C_i = i!(n-i)! e_i(w) e_(n-i)(u) are built once per
+(family, p, range) by per_sum_coeffs in O(n^2) int operations, and each d
+is one Horner evaluation.  The random-x permanents of thper.jxk go through
+per_sum_matrix, the same closed form at d = 1.
 """
 
 from __future__ import annotations
@@ -688,32 +688,37 @@ def _pd_grid(tier, fast_hi, full_hi, lo=3):
 
 @dataclass(frozen=True)
 class Check:
-    """A registered claim.  max_n, where set, is the largest n its runner
-    accepts; run_check refuses a larger n before anything is built."""
+    """A registered claim.  limit, where set, is (key, largest value) of the
+    size parameter its runner accepts, n or p; run_check refuses a larger
+    value before anything is built."""
 
     check_id: str
     kind: str
     claim: str
     runner: object
     grid: object = field(repr=False, default=None)
-    max_n: int | None = None
+    limit: tuple[str, int] | None = None
 
 
 REGISTRY: dict[str, Check] = {}
 
 
-def _register(check_id, kind, claim, runner, grid, max_n=None):
-    REGISTRY[check_id] = Check(check_id, kind, claim, runner, grid, max_n)
+def _register(check_id, kind, claim, runner, grid, limit=None):
+    REGISTRY[check_id] = Check(check_id, kind, claim, runner, grid, limit)
 
 
-# The max_n of the polynomial-time checks is the largest n whose run stays
-# near 0.5 s on a 2-core x86-64 machine (Python 3.11, Fraction backend):
+# The limit of the polynomial-time checks is the largest n or p whose run
+# stays near 0.5 s on a 2-core x86-64 machine (Python 3.11, Fraction backend):
 # det.sec2/det.tan2 take 0.16-0.18 s at n = 15 and 1.3-1.9 s at 17
 # (Bareiss on the Kronecker images over Q(zeta_2n)); thq.det 0.45-0.55 s at
 # n = 192 and 1.15 s at 256; lem.gauss at most 0.4 s up to n = 3003 and
 # 1.1 s at 5005; rem.qdetabs 0.48-0.56 s at n = 28 and 1.8 s at 32;
 # lem.oneplus 0.45 s at n = 221 and 0.79 s at 251; lem.half 0.39 s at
-# n = 501.
+# n = 501.  The rank-2 checks build per_sum_coeffs in O(p^2) int operations
+# on numbers of O(p log p) bits: thper.jdk1-3 and cor.jdk take 0.35-0.39 s
+# at p = 751 and 0.45-0.58 s at 809; thper.quad, quad0 and cor.quadmod
+# 0.38-0.52 s at p = 1409 and 0.50-0.66 s at 1511; thper.jxk, three
+# per_sum_matrix calls, 0.40-0.47 s at p = 521 and 0.69 s at 601.
 _register("thq.floor", "theorem",
           "per[floor((j+k-1)/n)] (n x n) = 1",
           _run_thq_floor, lambda tier: _ns(tier, 9, 12))
@@ -723,7 +728,7 @@ _register("thq.qfloor", "theorem",
 _register("thq.det", "theorem",
           "det[floor((j+k-1)/n)] = (-1)^(n(n-1)/2); "
           "det[[floor((j+k)/n)]_q] = (-1)^(n(n+1)/2-1) q for n > 1",
-          _run_thq_det, lambda tier: _ns(tier, 9, 12), max_n=192)
+          _run_thq_det, lambda tier: _ns(tier, 9, 12), limit=("n", 192))
 _register("thper.rootlinear", "theorem",
           "per[1 - zeta^j x_k] = n! (1 - x_1...x_n), zeta of order n",
           _run_rootlinear,
@@ -735,30 +740,38 @@ _register("thper.rootexp", "theorem",
           _run_rootexp, lambda tier: _ns(tier, 8, 10, lo=2))
 _register("thper.jxk", "theorem",
           "per[j + x_k] (size p-1) = 1 - x_1...x_(p-1) (mod p)",
-          _run_jxk, lambda tier: _ps(tier, 13, 19))
+          _run_jxk, lambda tier: _ps(tier, 13, 19),
+          limit=("p", 521))
 _register("thper.jdk1", "theorem",
           "per[j+dk] (1..p-1) = d^(p-1) - 3 - 4(p-1)! (mod p^2)",
-          _run_jdk1, lambda tier: _pd_grid(tier, 13, 19))
+          _run_jdk1, lambda tier: _pd_grid(tier, 13, 19),
+          limit=("p", 751))
 _register("thper.jdk2", "theorem",
           "per[j+dk] (1..p) = (d+1)/2 p (mod p^2)",
-          _run_jdk2, lambda tier: _pd_grid(tier, 13, 19))
+          _run_jdk2, lambda tier: _pd_grid(tier, 13, 19),
+          limit=("p", 751))
 _register("thper.jdk3", "theorem",
           "per[j+dk] (0..p-1) = -(d+1)/2 p (mod p^2)",
-          _run_jdk3, lambda tier: _pd_grid(tier, 13, 19))
+          _run_jdk3, lambda tier: _pd_grid(tier, 13, 19),
+          limit=("p", 751))
 _register("thper.quad", "theorem",
           "per[j^2+dk^2] (1..(p-1)/2) = (d^((p-1)/2)+1) ((p-1)/2)!^3 (mod p^2)",
-          _run_quad, lambda tier: _pd_grid(tier, 13, 19, lo=5))
+          _run_quad, lambda tier: _pd_grid(tier, 13, 19, lo=5),
+          limit=("p", 1409))
 _register("thper.quad0", "theorem",
           "per[j^2+dk^2] (0..(p-1)/2) = (-1)^((p-1)/2) p/24 (d+(d/p)) "
           "((p-1)/2)! (mod p^2)",
-          _run_quad0, lambda tier: _pd_grid(tier, 13, 19, lo=5))
+          _run_quad0, lambda tier: _pd_grid(tier, 13, 19, lo=5),
+          limit=("p", 1409))
 _register("cor.jdk", "theorem",
           "per[j+dk] (1..p-1) = 2 (mod p)",
-          _run_cor_jdk, lambda tier: _pd_grid(tier, 13, 19))
+          _run_cor_jdk, lambda tier: _pd_grid(tier, 13, 19),
+          limit=("p", 751))
 _register("cor.quadmod", "theorem",
           "per[j^2+dk^2] (1..(p-1)/2) = (-1)^((p+1)/2) (1+(d/p)) "
           "((p-1)/2)! (mod p)",
-          _run_cor_quadmod, lambda tier: _pd_grid(tier, 13, 19))
+          _run_cor_quadmod, lambda tier: _pd_grid(tier, 13, 19),
+          limit=("p", 1409))
 _register("cor.sin", "theorem",
           "per[sin pi(j+k)/n] (size n-1): (-1)^((n-1)/2) n!/(2^(n-2)(n+1)) "
           "for odd n, 0 for even n",
@@ -814,24 +827,24 @@ _register("lem.circulant", "theorem",
 _register("lem.oneplus", "theorem",
           "prod_(k=1..n-1) (1 + zeta^k) = 1 for odd n",
           _run_lem_oneplus, lambda tier: _odd_ns(tier, 15, 25),
-          max_n=221)
+          limit=("n", 221))
 _register("lem.gauss", "theorem",
           "gauss_sum(n)^2 = (-1)^((n-1)/2) n",
           _run_lem_gauss, lambda tier: _odd_ns(tier, 25, 51),
-          max_n=3001)
+          limit=("n", 3001))
 _register("lem.half", "theorem",
           "prod_(k<=(n-1)/2) (1 - zeta^k) = (-2/n) i^((n-1)/2) sqrt(n) "
           "zeta^((n+1)/2 (n^2-1)/8)",
           _run_lem_half, lambda tier: _odd_ns(tier, 15, 25),
-          max_n=501)
+          limit=("n", 501))
 _register("det.sec2", "theorem",
           "det[sec^2 pi(j-k)/n] (n x n) = n^(n-1) (n!!)^2 for odd n",
           _run_det_sec2, lambda tier: _odd_ns(tier, 7, 11, lo=1),
-          max_n=15)
+          limit=("n", 15))
 _register("det.tan2", "theorem",
           "det[tan^2 pi(j-k)/n] (n x n) = (n-1) n^(n-2) (n!!)^2 for odd n",
           _run_det_tan2, lambda tier: _odd_ns(tier, 7, 11, lo=1),
-          max_n=15)
+          limit=("n", 15))
 _register("conj.qdet", "conjecture",
           "det[[floor((aj-(a+1)k)/n)]_q] = -(a(a+1)/n) q^((1-3n)/2); "
           "det[[ceil(((a+1)j-ak)/n)]_q] = (a(a+1)/n) q^((n-1)/2)",
@@ -883,7 +896,7 @@ _register("rem.qdetabs", "theorem",
           "det[[|j-k+1|]_q] = (1+q)^(n-2); det[[|j-k|]_q] = "
           "(-1)^(n-1)(n-1)(1+q)^(n-2); det[|j-k|] = (-1)^(n-1)(n-1)2^(n-2)",
           _run_rem_qdetabs, lambda tier: _ns(tier, 8, 10, lo=2),
-          max_n=28)
+          limit=("n", 28))
 _register("rem.perhalf", "theorem",
           "per[1/(1 + zeta^(j-k))] = (-1)^((n-1)/2) (n!!)^2/(2^n n) for odd n",
           _run_rem_perhalf, lambda tier: _odd_ns(tier, 7, 9))
@@ -903,7 +916,7 @@ def run_check(check_id: str, params: dict, seed: int = 0) -> Report:
     """Execute one registered check; errors become FAIL, domain gaps SKIP.
 
     Every claim with a parameter p is about odd primes p, so any other p is
-    a SKIP before the runner starts, as is an n past the check's max_n.
+    a SKIP before the runner starts, as is a size past the check's limit.
     """
     check = REGISTRY.get(check_id)
     if check is None:
@@ -913,9 +926,11 @@ def run_check(check_id: str, params: dict, seed: int = 0) -> Report:
     try:
         if "p" in params and (params["p"] < 3 or not is_prime(params["p"])):
             raise SkipCheck(f"claim requires an odd prime p, got {params['p']}")
-        if check.max_n is not None and params["n"] > check.max_n:
-            raise SizeLimitError(f"{check_id} limited to n <= {check.max_n},"
-                                 f" got n = {params['n']}")
+        if check.limit is not None:
+            key, top = check.limit
+            if params[key] > top:
+                raise SizeLimitError(f"{check_id} limited to {key} <= {top},"
+                                     f" got {key} = {params[key]}")
         items, modulus, note = check.runner(params, rng)
     except SkipCheck as exc:
         return Report(check_id, params, "SKIP", kind=check.kind,

@@ -302,20 +302,67 @@ def _horner(coeffs, d):
     return acc
 
 
+def _moment_coeffs(u, w):
+    """C_0..C_n of per[u_j + d*w_k] from Ryser's formula grouped by |S| and
+    by powers of sigma_S, the sum of w over S: an oracle that shares
+    nothing with the closed form.
+
+    C_i = (-1)^n sum_s (-1)^s s^(n-i) e_(n-i)(u) M_i(s), where M_i(s) is
+    the sum of sigma_S^i over |S| = s, built by adding the w_k one at a
+    time with (sigma + x)^i = sum_t binom(i, t) x^(i-t) sigma^t.
+    """
+    n = len(u)
+    e = [1] + [0] * n
+    for x in u:
+        for k in range(n, 0, -1):
+            e[k] += x * e[k - 1]
+    binom = [[math.comb(i, t) for t in range(i + 1)] for i in range(n + 1)]
+    # m[s][i] = M_i(s) over the elements of w added so far.
+    m = [[1] + [0] * n] + [[0] * (n + 1) for _ in range(n)]
+    for count, x in enumerate(w):
+        shift = [[c * x ** (i - t) for t, c in enumerate(row)]
+                 for i, row in enumerate(binom)]
+        for s in range(count, -1, -1):
+            for i in range(n + 1):
+                m[s + 1][i] += sum(a * b for a, b in zip(shift[i], m[s]))
+    coeffs = []
+    for i in range(n + 1):
+        acc = sum((-1) ** s * s ** (n - i) * m[s][i] for s in range(1, n + 1))
+        coeffs.append((-1) ** n * e[n - i] * acc)
+    return tuple(coeffs)
+
+
+# Vectors with zeros, repeats and both signs; the all-zero w is drawn
+# explicitly, since a random list almost never is.
+_VEC_PAIRS = st.integers(1, 9).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.sampled_from([0, 0, 1, -1, 2, 7]) | _ENTRY,
+                 min_size=n, max_size=n),
+        st.lists(_ENTRY, min_size=n, max_size=n)
+        | st.just([0] * n)))
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 8).flatmap(
-    lambda n: st.tuples(st.lists(_ENTRY, min_size=n, max_size=n),
-                        st.lists(_ENTRY, min_size=n, max_size=n))),
-       st.integers(-5, 5))
-def test_per_sum_coeffs_equals_per_sum_matrix(uw, d):
-    # The coefficient vector evaluated at d is the permanent of
-    # [u_j + d*w_k], by both exact engines.
+@given(_VEC_PAIRS, st.integers(-5, 5))
+def test_per_sum_coeffs_equals_moment_table(uw, d):
+    # The closed form i!(n-i)! e_i(w) e_(n-i)(u) agrees with the moment
+    # table term by term, and its value at d with Glynn on the built matrix.
     u, w = uw
-    dw = [d * x for x in w]
-    got = _horner(per_sum_coeffs(u, w), d)
-    assert got == per_sum_matrix(u, dw)
-    if len(u) <= 6:
-        assert got == per_ryser(Mat(ZZ, [[uj + vk for vk in dw] for uj in u]))
+    coeffs = per_sum_coeffs(u, w)
+    assert coeffs == _moment_coeffs(u, w)
+    if len(u) <= 8:
+        dw = [d * x for x in w]
+        m = Mat(ZZ, [[uj + vk for vk in dw] for uj in u])
+        assert _horner(coeffs, d) == per_ryser(m)
+
+
+def test_per_sum_coeffs_edge_cases():
+    # n = 1 is u + d*w; an all-zero w leaves only C_0 = n! prod u.
+    assert per_sum_coeffs([3], [-4]) == _moment_coeffs([3], [-4]) == (3, -4)
+    assert per_sum_coeffs([2, 0, -5], [0, 0, 0]) == (0, 0, 0, 0)
+    assert per_sum_coeffs([2, 1, -5], [0, 0, 0]) == (-60, 0, 0, 0)
+    assert per_sum_coeffs([1, 1, 1], [2, 2, 2]) == _moment_coeffs(
+        [1, 1, 1], [2, 2, 2]) == (6, 36, 72, 48)
 
 
 def test_per_sum_coeffs_examples():

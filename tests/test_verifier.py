@@ -6,10 +6,12 @@ import pytest
 import permarith.verifier as verifier
 from permarith.errors import UnknownCheckError
 from permarith.families import sum_structure
-from permarith.matrices import Mat, per_sum_matrix
+from permarith.matrices import Mat, per_ryser, per_sum_matrix
+from permarith.ntheory import odd_primes_upto
 from permarith.rings import ZZ
 from permarith.verifier import (ALL_CHECK_IDS, REGISTRY, default_grid,
                                 run_check, run_suite)
+from test_matrices import _moment_coeffs
 
 # one registry id per in-scope claim; keep in sync with the registry itself
 MANIFEST = [
@@ -105,9 +107,9 @@ def test_inputs_outside_the_claim_skip(check_id, params, reason):
 
 
 def test_size_limits_refuse_before_building(monkeypatch):
-    # Past a check's max_n the verdict is a SKIP with the limit, and no
-    # matrix, Gauss sum or cyclotomic product is built; the full tier stays
-    # inside every limit.
+    # Past a check's size limit the verdict is a SKIP with the limit, and no
+    # matrix, Gauss sum, cyclotomic product or rank-2 vector is built; the
+    # full tier stays inside every limit.
     def unbuildable(*args, **params):
         raise AssertionError("built past the size limit")
 
@@ -115,24 +117,42 @@ def test_size_limits_refuse_before_building(monkeypatch):
         rational = zeta = staticmethod(unbuildable)
 
     for name in ("build_cyclotomic", "build_integer", "build_qpoly",
-                 "gauss_sum"):
+                 "gauss_sum", "sum_structure", "per_sum_matrix"):
         monkeypatch.setattr(verifier, name, unbuildable)
     monkeypatch.setattr(verifier, "Cyc", UnbuildableCyc)
-    guarded = {cid: c.max_n for cid, c in REGISTRY.items() if c.max_n}
-    assert guarded == {"det.sec2": 15, "det.tan2": 15, "thq.det": 192,
-                       "lem.gauss": 3001, "rem.qdetabs": 28,
-                       "lem.oneplus": 221, "lem.half": 501}
-    for check_id, n in (("det.sec2", 61), ("det.tan2", 17), ("thq.det", 400),
-                        ("lem.gauss", 100001), ("rem.qdetabs", 30),
-                        ("lem.oneplus", 401), ("lem.half", 1601)):
-        r = run_check(check_id, {"n": n})
+    verifier._per_coeffs.cache_clear()
+    guarded = {cid: c.limit for cid, c in REGISTRY.items() if c.limit}
+    linear, quad = ("p", 751), ("p", 1409)
+    assert guarded == {"det.sec2": ("n", 15), "det.tan2": ("n", 15),
+                       "thq.det": ("n", 192), "lem.gauss": ("n", 3001),
+                       "rem.qdetabs": ("n", 28), "lem.oneplus": ("n", 221),
+                       "lem.half": ("n", 501), "thper.jxk": ("p", 521),
+                       "thper.jdk1": linear, "thper.jdk2": linear,
+                       "thper.jdk3": linear, "cor.jdk": linear,
+                       "thper.quad": quad, "thper.quad0": quad,
+                       "cor.quadmod": quad}
+    for check_id, params in (
+            ("det.sec2", {"n": 61}), ("det.tan2", {"n": 17}),
+            ("thq.det", {"n": 400}), ("lem.gauss", {"n": 100001}),
+            ("rem.qdetabs", {"n": 30}), ("lem.oneplus", {"n": 401}),
+            ("lem.half", {"n": 1601}), ("thper.jxk", {"p": 523}),
+            ("thper.jdk1", {"p": 3001, "d": 1}),
+            ("thper.jdk2", {"p": 757, "d": 2}),
+            ("thper.jdk3", {"p": 1009, "d": 1}),
+            ("cor.jdk", {"p": 761, "d": 5}),
+            ("thper.quad", {"p": 1423, "d": 1}),
+            ("thper.quad0", {"p": 3001, "d": 2}),
+            ("cor.quadmod", {"p": 1427, "d": 3})):
+        key, top = guarded[check_id]
+        r = run_check(check_id, params)
         assert r.status == "SKIP", r
         assert r.note == (f"out of domain: {check_id} limited to"
-                          f" n <= {guarded[check_id]}, got n = {n}")
-    for check_id, max_n in guarded.items():
-        assert max(g["n"] for g in default_grid(check_id, "full")) <= max_n
-        with pytest.raises(AssertionError, match="built"):  # at the limit
-            run_check(check_id, {"n": max_n})
+                          f" {key} <= {top}, got {key} = {params[key]}")
+    for check_id, (key, top) in guarded.items():
+        assert max(g[key] for g in default_grid(check_id, "full")) <= top
+        at_limit = dict(default_grid(check_id, "full")[0], **{key: top})
+        with pytest.raises(AssertionError, match="built"):
+            run_check(check_id, at_limit)
 
 
 @pytest.mark.parametrize("family,rng_name", [
@@ -140,13 +160,21 @@ def test_size_limits_refuse_before_building(monkeypatch):
     ("quad", "1..h"), ("quad", "0..h"),
 ])
 def test_structured_per_equals_per_sum_matrix(family, rng_name):
-    # The d-grids evaluate one coefficient vector per (family, p, range);
-    # every value must be the subset-sum permanent of the same matrix.
-    for p in (5, 7, 11, 13):
+    # The d-grids evaluate one closed-form coefficient vector per
+    # (family, p, range).  At every p <= 23, which covers the grids of both
+    # tiers, the vector must be the moment table's, and every value must be
+    # per_sum_matrix of the same matrix and, for p <= 11, Glynn's permanent.
+    for p in odd_primes_upto(23):
+        u, w = sum_structure(family, p, rng_name)
+        assert verifier._per_coeffs(family, p, rng_name) == \
+            _moment_coeffs(u, w), p
         for d in range(1, p):
-            u, w = sum_structure(family, p, rng_name)
-            assert (verifier._structured_per(family, p, d, rng_name)
-                    == per_sum_matrix(u, [d * x for x in w])), (p, d)
+            dw = [d * x for x in w]
+            got = verifier._structured_per(family, p, d, rng_name)
+            assert got == per_sum_matrix(u, dw), (p, d)
+            if p <= 11:
+                mat = Mat(ZZ, [[uj + x for x in dw] for uj in u])
+                assert got == per_ryser(mat), (p, d)
 
 
 def test_reports_reproducible():
