@@ -744,33 +744,33 @@ _register("thper.jxk", "theorem",
           limit=("p", 521))
 _register("thper.jdk1", "theorem",
           "per[j+dk] (1..p-1) = d^(p-1) - 3 - 4(p-1)! (mod p^2)",
-          _run_jdk1, lambda tier: _pd_grid(tier, 13, 19),
+          _run_jdk1, lambda tier: _pd_grid(tier, 13, 31),
           limit=("p", 751))
 _register("thper.jdk2", "theorem",
           "per[j+dk] (1..p) = (d+1)/2 p (mod p^2)",
-          _run_jdk2, lambda tier: _pd_grid(tier, 13, 19),
+          _run_jdk2, lambda tier: _pd_grid(tier, 13, 31),
           limit=("p", 751))
 _register("thper.jdk3", "theorem",
           "per[j+dk] (0..p-1) = -(d+1)/2 p (mod p^2)",
-          _run_jdk3, lambda tier: _pd_grid(tier, 13, 19),
+          _run_jdk3, lambda tier: _pd_grid(tier, 13, 31),
           limit=("p", 751))
 _register("thper.quad", "theorem",
           "per[j^2+dk^2] (1..(p-1)/2) = (d^((p-1)/2)+1) ((p-1)/2)!^3 (mod p^2)",
-          _run_quad, lambda tier: _pd_grid(tier, 13, 19, lo=5),
+          _run_quad, lambda tier: _pd_grid(tier, 13, 31, lo=5),
           limit=("p", 1409))
 _register("thper.quad0", "theorem",
           "per[j^2+dk^2] (0..(p-1)/2) = (-1)^((p-1)/2) p/24 (d+(d/p)) "
           "((p-1)/2)! (mod p^2)",
-          _run_quad0, lambda tier: _pd_grid(tier, 13, 19, lo=5),
+          _run_quad0, lambda tier: _pd_grid(tier, 13, 31, lo=5),
           limit=("p", 1409))
 _register("cor.jdk", "theorem",
           "per[j+dk] (1..p-1) = 2 (mod p)",
-          _run_cor_jdk, lambda tier: _pd_grid(tier, 13, 19),
+          _run_cor_jdk, lambda tier: _pd_grid(tier, 13, 31),
           limit=("p", 751))
 _register("cor.quadmod", "theorem",
           "per[j^2+dk^2] (1..(p-1)/2) = (-1)^((p+1)/2) (1+(d/p)) "
           "((p-1)/2)! (mod p)",
-          _run_cor_quadmod, lambda tier: _pd_grid(tier, 13, 19),
+          _run_cor_quadmod, lambda tier: _pd_grid(tier, 13, 31),
           limit=("p", 1409))
 _register("cor.sin", "theorem",
           "per[sin pi(j+k)/n] (size n-1): (-1)^((n-1)/2) n!/(2^(n-2)(n+1)) "
