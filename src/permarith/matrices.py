@@ -287,9 +287,9 @@ def per_sum_matrix(u, v):
     return sum(per_sum_coeffs(u, v))
 
 
-def _elementary(xs, n):
+def _elementary(xs):
     # e_0..e_n of the n values xs, adding one x at a time: e_k += x*e_(k-1).
-    e = [1] + [0] * n
+    e = [1] + [0] * len(xs)
     for count, x in enumerate(xs, 1):
         for k in range(count, 0, -1):
             e[k] += x * e[k - 1]
@@ -311,8 +311,8 @@ def per_sum_coeffs(u, w) -> tuple[int, ...]:
     n = len(u)
     if n == 0 or len(w) != n:
         raise DomainError("need two equal-length nonempty integer vectors")
-    eu = _elementary(u, n)
-    ew = _elementary(w, n)
+    eu = _elementary(u)
+    ew = _elementary(w)
     return tuple(factorial(i) * factorial(n - i) * ew[i] * eu[n - i]
                  for i in range(n + 1))
 

@@ -740,20 +740,16 @@ _register("thper.rootexp", "theorem",
           _run_rootexp, lambda tier: _ns(tier, 8, 10, lo=2))
 _register("thper.jxk", "theorem",
           "per[j + x_k] (size p-1) = 1 - x_1...x_(p-1) (mod p)",
-          _run_jxk, lambda tier: _ps(tier, 13, 19),
-          limit=("p", 521))
+          _run_jxk, lambda tier: _ps(tier, 13, 19), limit=("p", 521))
 _register("thper.jdk1", "theorem",
           "per[j+dk] (1..p-1) = d^(p-1) - 3 - 4(p-1)! (mod p^2)",
-          _run_jdk1, lambda tier: _pd_grid(tier, 13, 31),
-          limit=("p", 751))
+          _run_jdk1, lambda tier: _pd_grid(tier, 13, 31), limit=("p", 751))
 _register("thper.jdk2", "theorem",
           "per[j+dk] (1..p) = (d+1)/2 p (mod p^2)",
-          _run_jdk2, lambda tier: _pd_grid(tier, 13, 31),
-          limit=("p", 751))
+          _run_jdk2, lambda tier: _pd_grid(tier, 13, 31), limit=("p", 751))
 _register("thper.jdk3", "theorem",
           "per[j+dk] (0..p-1) = -(d+1)/2 p (mod p^2)",
-          _run_jdk3, lambda tier: _pd_grid(tier, 13, 31),
-          limit=("p", 751))
+          _run_jdk3, lambda tier: _pd_grid(tier, 13, 31), limit=("p", 751))
 _register("thper.quad", "theorem",
           "per[j^2+dk^2] (1..(p-1)/2) = (d^((p-1)/2)+1) ((p-1)/2)!^3 (mod p^2)",
           _run_quad, lambda tier: _pd_grid(tier, 13, 31, lo=5),
@@ -765,8 +761,7 @@ _register("thper.quad0", "theorem",
           limit=("p", 1409))
 _register("cor.jdk", "theorem",
           "per[j+dk] (1..p-1) = 2 (mod p)",
-          _run_cor_jdk, lambda tier: _pd_grid(tier, 13, 31),
-          limit=("p", 751))
+          _run_cor_jdk, lambda tier: _pd_grid(tier, 13, 31), limit=("p", 751))
 _register("cor.quadmod", "theorem",
           "per[j^2+dk^2] (1..(p-1)/2) = (-1)^((p+1)/2) (1+(d/p)) "
           "((p-1)/2)! (mod p)",
