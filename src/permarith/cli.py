@@ -25,7 +25,6 @@ import time
 from .cyclotomic import CyclotomicField, gauss_sum
 from .errors import DomainError, UnknownCheckError
 from .matrices import Mat, per_naive, per_ryser
-from .ntheory import odd_primes_upto
 from .rings import GF, QPOLY, QQ, ZZ, Rat, Zmod
 from .sequences import SEQ_NAMES, sequence_value
 from .verifier import (FAST, REGISTRY, default_grid, param_str, run_suite,
@@ -289,38 +288,17 @@ def _cmd_seq(args, command) -> int:
 # ---------------------------------------------------------------------------
 
 def explore_grid(check_id: str, pmax: int, nmax: int, a_range=None) -> list[dict]:
-    """Parameter grid for a conjecture id over user-chosen bounds."""
+    """A conjecture id's registry grid up to pmax or nmax, whichever bounds
+    its size key, and over a_range when given."""
     if check_id not in REGISTRY:
         raise UnknownCheckError(check_id)
     if not check_id.startswith("conj."):
         raise DomainError(f"{check_id} is not a conjecture check")
-    if a_range and "a" not in default_grid(check_id, FAST)[0]:
+    keys = default_grid(check_id, FAST)[0]
+    if a_range and "a" not in keys:
         raise DomainError(f"{check_id} takes no --a")
-    a_lo, a_hi = a_range if a_range else (None, None)
-
-    def a_vals(lo, hi):
-        return range(a_lo if a_lo is not None else lo,
-                     (a_hi if a_hi is not None else hi) + 1)
-
-    if check_id == "conj.absjk":
-        return [{"p": p} for p in odd_primes_upto(pmax)]
-    if check_id == "conj.qdet":
-        return [{"n": n, "a": a} for n in range(3, nmax + 1, 2)
-                for a in a_vals(-3, 3)]
-    if check_id in ("conj.maskper", "conj.maskdet"):
-        return [{"p": p, "a": a} for p in odd_primes_upto(pmax) if p > 3
-                for a in a_vals(1, 3)]
-    if check_id == "conj.derange":
-        return [{"n": n} for n in range(2, nmax + 1)]
-    if check_id == "conj.sqdiff":
-        return [{"p": p} for p in odd_primes_upto(pmax) if p % 4 == 1]
-    if check_id == "conj.csign":
-        return [{"p": p} for p in odd_primes_upto(pmax)]
-    if check_id in ("conj.ssign", "conj.tsign"):
-        return [{"n": n} for n in range(3, nmax + 1, 2)]
-    if check_id == "conj.bernoulli":
-        return [{"n": n} for n in range(1, nmax + 1)]
-    raise DomainError(f"no explorer grid for {check_id}")
+    bounds = {"a": range(a_range[0], a_range[1] + 1)} if a_range else {}
+    return REGISTRY[check_id].grid(pmax if "p" in keys else nmax, **bounds)
 
 
 def _cmd_explore(args, command) -> int:

@@ -47,7 +47,7 @@ the image of the determinant in Z[x]; unpack folds it once at the end.
 per_sum_coeffs and per_sum_matrix are the rank-2 permanents over Z in
 closed form (Minc, Permanents, 1978): per[u_j + d*w_k] =
 sum_i i!(n-i)! e_i(w) e_(n-i)(u) d^i, two elementary symmetric passes of
-O(n^2) int operations.
+O(n^2) int operations, or one when w equals u.
 
 det_field is det_divfree behind a check that the ring is a field.
 per_naive stays on ring elements, an oracle independent of every lowering.
@@ -303,8 +303,8 @@ def per_sum_coeffs(u, w) -> tuple[int, ...]:
     rest.  For |J| = i, the permutations sending J onto a column set K
     number i!(n-i)!, so C_i = i!(n-i)! e_i(w) e_(n-i)(u), with e the
     elementary symmetric polynomials (Minc, Permanents, 1978): two O(n^2)
-    passes, and one vector then serves every d by Horner.  Equals
-    per_ryser on [u_j + d*w_k] at every integer d.
+    passes (one when w equals u), and one vector then serves every d by
+    Horner.  Equals per_ryser on [u_j + d*w_k] at every integer d.
     """
     u = list(u)
     w = list(w)
@@ -312,7 +312,7 @@ def per_sum_coeffs(u, w) -> tuple[int, ...]:
     if n == 0 or len(w) != n:
         raise DomainError("need two equal-length nonempty integer vectors")
     eu = _elementary(u)
-    ew = _elementary(w)
+    ew = eu if w == u else _elementary(w)
     return tuple(factorial(i) * factorial(n - i) * ew[i] * eu[n - i]
                  for i in range(n + 1))
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .cyclotomic import (Cyc, CyclotomicField, find_fq_root, gauss_sum,
                          sqrt_element)
@@ -144,10 +144,19 @@ def _run_thq_det(params, rng):
     return items, None, None
 
 
+# Only the cyc backend is time-bound (see the timing comment above the
+# registry); a registry limit would also hide the fq root search's SKIP.
+ROOTLINEAR_CYC_LIMIT = 12
+
+
 def _run_rootlinear(params, rng):
     n, backend = params["n"], params["backend"]
     if backend not in ("cyc", "fq"):
         raise DomainError(f"unknown backend {backend!r}")
+    if backend == "cyc" and n > ROOTLINEAR_CYC_LIMIT:
+        raise SizeLimitError(f"thper.rootlinear limited to n <= "
+                             f"{ROOTLINEAR_CYC_LIMIT} with backend cyc,"
+                             f" got n = {n}")
     items = []
     for trial in range(5):
         if backend == "cyc":
@@ -648,38 +657,38 @@ def _run_rem_cp(params, rng):
 
 
 # ---------------------------------------------------------------------------
-# Parameter grids
+# Parameter grids: grid(hi, ...) lists a check's parameter rows with its one
+# size key, n or p, at most hi; the tiers and `permarith explore` call the
+# same function, each with its own bounds.
 # ---------------------------------------------------------------------------
 
-def _odds(lo, hi):
-    return [n for n in range(lo, hi + 1) if n % 2]
+def _ns(hi, lo=1):
+    return [{"n": n} for n in range(lo, hi + 1)]
 
 
-def _d_grid(p, tier):
-    if tier == FULL:
-        return range(1, p)
-    return sorted({1, 2, p - 1} & set(range(1, p)))
+def _odd_ns(hi, lo=3):
+    return [{"n": n} for n in range(lo, hi + 1) if n % 2]
 
 
-def _ns(tier, fast_hi, full_hi, lo=1):
-    return [{"n": n} for n in range(lo, (fast_hi if tier == FAST else full_hi) + 1)]
+def _ps(hi, lo=3, mod4=None):
+    return [{"p": p} for p in odd_primes_upto(hi)
+            if p >= lo and (mod4 is None or p % 4 == mod4)]
 
 
-def _odd_ns(tier, fast_hi, full_hi, lo=3):
-    return [{"n": n} for n in _odds(lo, fast_hi if tier == FAST else full_hi)]
+def _pd_grid(hi, lo=3, d=None):
+    """Every d with 0 < d < p, or only the given d taken mod p."""
+    return [{"p": p, "d": x} for p in odd_primes_upto(hi) if p >= lo
+            for x in (range(1, p) if d is None
+                      else sorted({y % p for y in d} - {0}))]
 
 
-def _ps(tier, fast_hi, full_hi, lo=3):
-    return [{"p": p} for p in odd_primes_upto(fast_hi if tier == FAST else full_hi)
-            if p >= lo]
+def _pa_grid(hi, a=range(1, 4)):
+    return [{"p": p, "a": x} for p in odd_primes_upto(hi) if p > 3
+            for x in a]
 
 
-def _pd_grid(tier, fast_hi, full_hi, lo=3):
-    out = []
-    for p in odd_primes_upto(fast_hi if tier == FAST else full_hi):
-        if p >= lo:
-            out.extend({"p": p, "d": d} for d in _d_grid(p, tier))
-    return out
+def _qdet_grid(hi, a=range(-3, 4)):
+    return [{"n": n, "a": x} for n in range(3, hi + 1, 2) for x in a]
 
 
 # ---------------------------------------------------------------------------
@@ -688,217 +697,227 @@ def _pd_grid(tier, fast_hi, full_hi, lo=3):
 
 @dataclass(frozen=True)
 class Check:
-    """A registered claim.  limit, where set, is (key, largest value) of the
-    size parameter its runner accepts, n or p; run_check refuses a larger
-    value before anything is built."""
+    """A registered claim.  grid(hi, **bounds) lists its parameter rows, and
+    bounds maps each tier to the keyword bounds it passes: hi, and a or d
+    where the tier fixes them.  limit, where set, is (key, largest value) of
+    the size parameter its runner accepts, n or p; run_check refuses a
+    larger value before anything is built."""
 
     check_id: str
     kind: str
     claim: str
     runner: object
-    grid: object = field(repr=False, default=None)
+    grid: object = field(repr=False)
+    bounds: dict = field(repr=False)
     limit: tuple[str, int] | None = None
 
 
 REGISTRY: dict[str, Check] = {}
 
 
-def _register(check_id, kind, claim, runner, grid, limit=None):
-    REGISTRY[check_id] = Check(check_id, kind, claim, runner, grid, limit)
+def _register(check_id, kind, claim, runner, grid, fast, full, limit=None):
+    # A bare int bound is hi alone.
+    fast, full = ({"hi": b} if isinstance(b, int) else b for b in (fast, full))
+    REGISTRY[check_id] = Check(check_id, kind, claim, runner, grid,
+                               {FAST: fast, FULL: full}, limit)
 
 
-# The limit of the polynomial-time checks is the largest n or p whose run
-# stays near 0.5 s on a 2-core x86-64 machine (Python 3.11, Fraction backend):
-# det.sec2/det.tan2 take 0.16-0.18 s at n = 15 and 1.3-1.9 s at 17
-# (Bareiss on the Kronecker images over Q(zeta_2n)); thq.det 0.45-0.55 s at
-# n = 192 and 1.15 s at 256; lem.gauss at most 0.4 s up to n = 3003 and
-# 1.1 s at 5005; rem.qdetabs 0.48-0.56 s at n = 28 and 1.8 s at 32;
-# lem.oneplus 0.45 s at n = 221 and 0.79 s at 251; lem.half 0.39 s at
-# n = 501.  The rank-2 checks build per_sum_coeffs in O(p^2) int operations
-# on numbers of O(p log p) bits: thper.jdk1-3 and cor.jdk take 0.35-0.39 s
-# at p = 751 and 0.45-0.58 s at 809; thper.quad, quad0 and cor.quadmod
-# 0.38-0.52 s at p = 1409 and 0.50-0.66 s at 1511; thper.jxk, three
-# per_sum_matrix calls, 0.40-0.47 s at p = 521 and 0.69 s at 601.
+# The fast tier's d-grids take d = 1, 2 and p - 1 (that is, -1 mod p).
+_FAST_D = {"hi": 13, "d": (1, 2, -1)}
+
+
+# A check's limit is the largest n or p whose run stays near 0.5 s on a 2-core
+# x86-64 machine (Python 3.11, Fraction backend): det.sec2/det.tan2 take
+# 0.16-0.18 s at n = 15 and 1.3-1.9 s at 17 (Bareiss on the Kronecker images
+# over Q(zeta_2n)); thq.det 0.45-0.55 s at n = 192 and 1.15 s at 256; lem.gauss
+# at most 0.4 s up to n = 3003 and 1.1 s at 5005; rem.qdetabs 0.48-0.56 s at
+# n = 28 and 1.8 s at 32; lem.oneplus 0.45 s at n = 221 and 0.79 s at 251;
+# lem.half 0.39 s at n = 501.  The rank-2 checks build per_sum_coeffs in O(p^2)
+# int operations on numbers of O(p log p) bits: thper.jdk1-3 and cor.jdk take
+# 0.35-0.39 s at p = 751 and 0.45-0.58 s at 809; thper.quad, quad0 and
+# cor.quadmod 0.38-0.52 s at p = 1409 and 0.50-0.66 s at 1511; thper.jxk, three
+# per_sum_matrix calls, 0.40-0.47 s at p = 521 and 0.69 s at 601.  The Glynn
+# checks over Q(zeta) take 2^(n-1) products, so their time grows 2-3x per step
+# of n; their limits keep every tier row and explore default row:
+# thper.rootlinear (cyc, random x at seeds 0-3) 0.25 s at n = 11, 0.39-0.67 s
+# at 12 and 1.0-1.8 s at 13; thper.rootexp 0.23-0.31 s at 12 and 0.74-1.03 s at
+# 13; cor.sin and cor.cos 0.27-0.44 s at 15 and 0.72-1.12 s at 16;
+# thnew.cauchyroot 0.15 s at n = 12 for x = 2 (0.49-0.66 s for x = 3/5, the
+# highest x of the grid; higher x costs more) and 0.63-0.86 s at 13 for x = 2;
+# conj.derange 0.25-0.32 s at 14 and 0.70-0.73 s at 15; rem.perhalf 0.15-0.22 s
+# at 13 and 1.4-1.7 s at 15.  thnew.invsumsq takes 0.05-0.09 s at p = 31, and
+# its next p = 3 (mod 4), 43, has 21 rows; conj.sqdiff takes 0.02-0.03 s at
+# p = 29, 0.70 s at 37 and 3.0 s at 41.
 _register("thq.floor", "theorem",
           "per[floor((j+k-1)/n)] (n x n) = 1",
-          _run_thq_floor, lambda tier: _ns(tier, 9, 12))
+          _run_thq_floor, _ns, 9, 12)
 _register("thq.qfloor", "theorem",
           "per[[floor((j+k)/n)]_q] = 2^(n-1) + q",
-          _run_thq_qfloor, lambda tier: _ns(tier, 9, 12))
+          _run_thq_qfloor, _ns, 9, 12)
 _register("thq.det", "theorem",
           "det[floor((j+k-1)/n)] = (-1)^(n(n-1)/2); "
           "det[[floor((j+k)/n)]_q] = (-1)^(n(n+1)/2-1) q for n > 1",
-          _run_thq_det, lambda tier: _ns(tier, 9, 12), limit=("n", 192))
+          _run_thq_det, _ns, 9, 12, limit=("n", 192))
 _register("thper.rootlinear", "theorem",
           "per[1 - zeta^j x_k] = n! (1 - x_1...x_n), zeta of order n",
           _run_rootlinear,
-          lambda tier: [{"n": n, "backend": b}
-                        for n in range(1, (8 if tier == FAST else 11))
-                        for b in ("cyc", "fq")])
+          lambda hi: [{"n": n, "backend": b} for n in range(1, hi + 1)
+                      for b in ("cyc", "fq")], 7, 10)
 _register("thper.rootexp", "theorem",
           "per[1 + zeta^(j+k) x] (size n-1) = sum_k (n-1)!/C(n-1,k) x^k",
-          _run_rootexp, lambda tier: _ns(tier, 8, 10, lo=2))
+          _run_rootexp, partial(_ns, lo=2), 8, 10, limit=("n", 12))
 _register("thper.jxk", "theorem",
           "per[j + x_k] (size p-1) = 1 - x_1...x_(p-1) (mod p)",
-          _run_jxk, lambda tier: _ps(tier, 13, 19), limit=("p", 521))
+          _run_jxk, _ps, 13, 19, limit=("p", 521))
 _register("thper.jdk1", "theorem",
           "per[j+dk] (1..p-1) = d^(p-1) - 3 - 4(p-1)! (mod p^2)",
-          _run_jdk1, lambda tier: _pd_grid(tier, 13, 31), limit=("p", 751))
+          _run_jdk1, _pd_grid, _FAST_D, 31, limit=("p", 751))
 _register("thper.jdk2", "theorem",
           "per[j+dk] (1..p) = (d+1)/2 p (mod p^2)",
-          _run_jdk2, lambda tier: _pd_grid(tier, 13, 31), limit=("p", 751))
+          _run_jdk2, _pd_grid, _FAST_D, 31, limit=("p", 751))
 _register("thper.jdk3", "theorem",
           "per[j+dk] (0..p-1) = -(d+1)/2 p (mod p^2)",
-          _run_jdk3, lambda tier: _pd_grid(tier, 13, 31), limit=("p", 751))
+          _run_jdk3, _pd_grid, _FAST_D, 31, limit=("p", 751))
 _register("thper.quad", "theorem",
           "per[j^2+dk^2] (1..(p-1)/2) = (d^((p-1)/2)+1) ((p-1)/2)!^3 (mod p^2)",
-          _run_quad, lambda tier: _pd_grid(tier, 13, 31, lo=5),
+          _run_quad, partial(_pd_grid, lo=5), _FAST_D, 31,
           limit=("p", 1409))
 _register("thper.quad0", "theorem",
           "per[j^2+dk^2] (0..(p-1)/2) = (-1)^((p-1)/2) p/24 (d+(d/p)) "
           "((p-1)/2)! (mod p^2)",
-          _run_quad0, lambda tier: _pd_grid(tier, 13, 31, lo=5),
+          _run_quad0, partial(_pd_grid, lo=5), _FAST_D, 31,
           limit=("p", 1409))
 _register("cor.jdk", "theorem",
           "per[j+dk] (1..p-1) = 2 (mod p)",
-          _run_cor_jdk, lambda tier: _pd_grid(tier, 13, 31), limit=("p", 751))
+          _run_cor_jdk, _pd_grid, _FAST_D, 31, limit=("p", 751))
 _register("cor.quadmod", "theorem",
           "per[j^2+dk^2] (1..(p-1)/2) = (-1)^((p+1)/2) (1+(d/p)) "
           "((p-1)/2)! (mod p)",
-          _run_cor_quadmod, lambda tier: _pd_grid(tier, 13, 31),
+          _run_cor_quadmod, _pd_grid, _FAST_D, 31,
           limit=("p", 1409))
 _register("cor.sin", "theorem",
           "per[sin pi(j+k)/n] (size n-1): (-1)^((n-1)/2) n!/(2^(n-2)(n+1)) "
           "for odd n, 0 for even n",
-          _run_cor_sin, lambda tier: _ns(tier, 9, 12, lo=2))
+          _run_cor_sin, partial(_ns, lo=2), 9, 12, limit=("n", 15))
 _register("cor.cos", "theorem",
           "per[cos pi(j+k)/n] (size n-1) = (n-1)!/(-2)^(n-1) sum 1/C(n-1,k)",
-          _run_cor_cos, lambda tier: _ns(tier, 9, 12, lo=2))
+          _run_cor_cos, partial(_ns, lo=2), 9, 12, limit=("n", 15))
 _register("thnew.cauchyroot", "theorem",
           "per[1/(1 - zeta^(j-k) x)] = prod_r (n x^n/(1-x^n) + r)",
           _run_cauchyroot,
-          lambda tier: [{"n": n, "x": x}
-                        for n in range(1, (7 if tier == FAST else 11))
-                        for x in ("2", "-1", "1/2", "3/5")])
+          lambda hi: [{"n": n, "x": x} for n in range(1, hi + 1)
+                      for x in ("2", "-1", "1/2", "3/5")], 6, 10,
+          limit=("n", 12))
 _register("thnew.invsumsq", "theorem",
           "per[1/(j^2+k^2)] (size (p-1)/2) = (-1)^((p+1)/4)/(4 ((p+1)/4)!^2) "
           "(mod p) for p = 3 (mod 4)",
-          _run_invsumsq,
-          lambda tier: [{"p": p} for p in
-                        ((3, 7, 11) if tier == FAST else (3, 7, 11, 19, 23))])
+          _run_invsumsq, partial(_ps, mod4=3), 11, 23, limit=("p", 31))
 _register("thjk.int", "theorem",
           "T(n) = per[tan pi(j+k)/n] (size n-1) is an integer",
-          _run_thjk_int, lambda tier: _odd_ns(tier, 9, 13))
+          _run_thjk_int, _odd_ns, 9, 13)
 _register("thjk.cong", "theorem",
           "T(p) = (-1)^((p+1)/2) 2p (mod p^2)",
-          _run_thjk_cong, lambda tier: _ps(tier, 11, 13))
+          _run_thjk_cong, _ps, 11, 13)
 _register("thcos.int", "theorem",
           "c_n is an integer; denominator of c'_n divides 2^(d_n)",
-          _run_thcos_int, lambda tier: _odd_ns(tier, 13, 23))
+          _run_thcos_int, _odd_ns, 13, 23)
 _register("thcos.cong", "theorem",
           "per[cos 2pi jk/p] = per[sec 2pi jk/p] = ((p-1)/2)! (mod p)",
-          _run_thcos_cong, lambda tier: _ps(tier, 13, 19))
+          _run_thcos_cong, _ps, 13, 19)
 _register("thsin.int", "theorem",
           "s_n (and s'_p for prime index) are integers",
-          _run_thsin_int, lambda tier: _odd_ns(tier, 13, 23))
+          _run_thsin_int, _odd_ns, 13, 23)
 _register("thsin.cong", "theorem",
           "s_p = (-1)^((p+1)/2), s'_p = 1 (mod p)",
-          _run_thsin_cong, lambda tier: _ps(tier, 13, 19))
+          _run_thsin_cong, _ps, 13, 19)
 _register("thtan.int", "theorem",
           "t_n (and t'_p for prime index) are integers",
-          _run_thtan_int, lambda tier: _odd_ns(tier, 13, 25))
+          _run_thtan_int, _odd_ns, 13, 25)
 _register("thtan.cong", "theorem",
           "t_p = (-1)^((p+1)/2), t'_p = 1 (mod p)",
-          _run_thtan_cong, lambda tier: _ps(tier, 13, 19))
+          _run_thtan_cong, _ps, 13, 19)
 _register("lem.cauchy", "theorem",
           "Cauchy determinant det[1/(x_j+y_k)] product formula",
-          _run_lem_cauchy, lambda tier: _ns(tier, 6, 6, lo=2))
+          _run_lem_cauchy, partial(_ns, lo=2), 6, 6)
 _register("lem.borchardt", "theorem",
           "det[1/(x_j-y_k)^2] = det[1/(x_j-y_k)] per[1/(x_j-y_k)]",
-          _run_lem_borchardt, lambda tier: _ns(tier, 6, 6, lo=2))
+          _run_lem_borchardt, partial(_ns, lo=2), 6, 6)
 _register("lem.circulant", "theorem",
           "circulant determinant = prod_r sum_k a_k zeta^((k-1)r)",
-          _run_lem_circulant, lambda tier: _ns(tier, 6, 8))
+          _run_lem_circulant, _ns, 6, 8)
 _register("lem.oneplus", "theorem",
           "prod_(k=1..n-1) (1 + zeta^k) = 1 for odd n",
-          _run_lem_oneplus, lambda tier: _odd_ns(tier, 15, 25),
+          _run_lem_oneplus, _odd_ns, 15, 25,
           limit=("n", 221))
 _register("lem.gauss", "theorem",
           "gauss_sum(n)^2 = (-1)^((n-1)/2) n",
-          _run_lem_gauss, lambda tier: _odd_ns(tier, 25, 51),
+          _run_lem_gauss, _odd_ns, 25, 51,
           limit=("n", 3001))
 _register("lem.half", "theorem",
           "prod_(k<=(n-1)/2) (1 - zeta^k) = (-2/n) i^((n-1)/2) sqrt(n) "
           "zeta^((n+1)/2 (n^2-1)/8)",
-          _run_lem_half, lambda tier: _odd_ns(tier, 15, 25),
+          _run_lem_half, _odd_ns, 15, 25,
           limit=("n", 501))
 _register("det.sec2", "theorem",
           "det[sec^2 pi(j-k)/n] (n x n) = n^(n-1) (n!!)^2 for odd n",
-          _run_det_sec2, lambda tier: _odd_ns(tier, 7, 11, lo=1),
+          _run_det_sec2, partial(_odd_ns, lo=1), 7, 11,
           limit=("n", 15))
 _register("det.tan2", "theorem",
           "det[tan^2 pi(j-k)/n] (n x n) = (n-1) n^(n-2) (n!!)^2 for odd n",
-          _run_det_tan2, lambda tier: _odd_ns(tier, 7, 11, lo=1),
+          _run_det_tan2, partial(_odd_ns, lo=1), 7, 11,
           limit=("n", 15))
 _register("conj.qdet", "conjecture",
           "det[[floor((aj-(a+1)k)/n)]_q] = -(a(a+1)/n) q^((1-3n)/2); "
           "det[[ceil(((a+1)j-ak)/n)]_q] = (a(a+1)/n) q^((n-1)/2)",
-          _run_conj_qdet,
-          lambda tier: [{"n": n, "a": a}
-                        for n in _odds(3, 7 if tier == FAST else 9)
-                        for a in range(-2 if tier == FAST else -3,
-                                       (3 if tier == FAST else 4))])
+          _run_conj_qdet, _qdet_grid, {"hi": 7, "a": range(-2, 3)}, 9)
 _register("conj.bernoulli", "theorem",
           "per[floor((2j-k)/n)] = 2 (2^(n+1) - 1) B_(n+1)",
-          _run_conj_bernoulli, lambda tier: _ns(tier, 10, 10))
+          _run_conj_bernoulli, _ns, 10, 10)
 _register("conj.absjk", "conjecture",
           "per[|j-k|] = -1/2 and per[|j-k+1|] = 1/2 (mod p), size p",
-          _run_conj_absjk, lambda tier: _ps(tier, 11, 13))
+          _run_conj_absjk, _ps, 11, 13)
 _register("conj.maskper", "conjecture",
           "sum over tau with p never dividing aj+tau(j) of "
           "prod 1/(aj+tau(j)) = 0 (mod p^2)",
-          _run_conj_maskper,
-          lambda tier: [{"p": p, "a": a} for p in (5, 7) for a in (1, 2, 3)])
+          _run_conj_maskper, _pa_grid, 7, 7)
 _register("conj.derange", "conjecture",
           "derangement sums of 1/(1 - zeta^(j-tau(j))) "
           "and the cot-ratio variant match closed forms",
-          _run_conj_derange, lambda tier: _ns(tier, 8, 10, lo=2))
+          _run_conj_derange, partial(_ns, lo=2), 8, 10, limit=("n", 14))
 _register("conj.maskdet", "conjecture",
           "signed/unsigned masked sums of 1/(a+j tau(j)) match "
           "(a/p)(3-a^(p-1))/2 and (-1)^((p+1)/2)(3-a^(p-1))/2 (mod p^2)",
           _run_conj_maskdet,
-          lambda tier: [{"p": p, "a": a} for p in (5, 7)
-                        for a in (1, 2, 3, 5)])
+          _pa_grid, {"hi": 7, "a": (1, 2, 3, 5)},
+          {"hi": 7, "a": (1, 2, 3, 5)})
 _register("conj.sqdiff", "conjecture",
           "derangement sum of 1/prod(j^2 - tau(j)^2) = ((p-1)/4)!^(-2) "
           "(mod p) for p = 1 (mod 4)",
-          _run_conj_sqdiff,
-          lambda tier: [{"p": p} for p in ((5, 13) if tier == FAST
-                                           else (5, 13, 17))])
+          _run_conj_sqdiff, partial(_ps, mod4=1), 13, 17, limit=("p", 29))
 _register("conj.csign", "conjecture",
           "(-1)^((p-1)/2) c_p is a positive odd integer; "
           "(-1)^((p-1)/2) c'_p > 0",
-          _run_conj_csign, lambda tier: _ps(tier, 13, 23))
+          _run_conj_csign, _ps, 13, 23)
 _register("conj.ssign", "conjecture",
           "s_p < 0 iff p = 5 (mod 12); s'_p < 0 iff p = 7 (mod 8); "
           "s_n = 0 (mod n) for odd composite n",
-          _run_conj_ssign, lambda tier: _odd_ns(tier, 13, 23))
+          _run_conj_ssign, _odd_ns, 13, 23)
 _register("conj.tsign", "conjecture",
           "(2/p) t_p < 0; (-1/p) t'_p < 0; t_n = 0 (mod n) "
           "for odd composite n",
-          _run_conj_tsign, lambda tier: _odd_ns(tier, 13, 25))
+          _run_conj_tsign, _odd_ns, 13, 25)
 _register("rem.qdetabs", "theorem",
           "det[[|j-k+1|]_q] = (1+q)^(n-2); det[[|j-k|]_q] = "
           "(-1)^(n-1)(n-1)(1+q)^(n-2); det[|j-k|] = (-1)^(n-1)(n-1)2^(n-2)",
-          _run_rem_qdetabs, lambda tier: _ns(tier, 8, 10, lo=2),
+          _run_rem_qdetabs, partial(_ns, lo=2), 8, 10,
           limit=("n", 28))
 _register("rem.perhalf", "theorem",
           "per[1/(1 + zeta^(j-k))] = (-1)^((n-1)/2) (n!!)^2/(2^n n) for odd n",
-          _run_rem_perhalf, lambda tier: _odd_ns(tier, 7, 9))
+          _run_rem_perhalf, _odd_ns, 7, 9, limit=("n", 13))
 _register("rem.cp", "theorem",
           "signed derangement sum of 1/(1 - zeta^(j-tau(j))): "
           "(-1)^(n/2)((n-1)!!)^2/2^n for even n, 0 for odd n",
-          _run_rem_cp, lambda tier: _ns(tier, 8, 10, lo=2))
+          _run_rem_cp, partial(_ns, lo=2), 8, 10)
 
 ALL_CHECK_IDS = tuple(REGISTRY)
 
@@ -957,7 +976,7 @@ def default_grid(check_id: str, tier: str = FAST) -> list[dict]:
         raise UnknownCheckError(check_id)
     if tier not in TIERS:
         raise DomainError(f"tier must be one of {TIERS}, got {tier!r}")
-    return list(check.grid(tier))
+    return list(check.grid(**check.bounds[tier]))
 
 
 def run_tasks(tasks, seed: int = 0) -> list[Report]:

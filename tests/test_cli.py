@@ -6,8 +6,9 @@ import json
 
 import pytest
 
-from permarith.cli import main
+from permarith.cli import explore_grid, main
 from permarith.rings import Rat
+from permarith.verifier import REGISTRY, default_grid
 
 
 def run_cli(capsys, *argv):
@@ -111,6 +112,41 @@ def test_seq_json_values_are_exact_strings(capsys):
     values = {r["index"]: r["value"] for r in doc["results"]}
     assert values == {3: "-1", 5: "3", 7: "-8", 9: "75/2"}
     assert Rat(values[9]) == Rat(75, 2)
+
+
+# explore's grids at the CLI defaults --pmax 13 --nmax 9, written out.
+EXPLORE_DEFAULTS = {
+    "conj.absjk": [{"p": p} for p in (3, 5, 7, 11, 13)],
+    "conj.bernoulli": [{"n": n} for n in (1, 2, 3, 4, 5, 6, 7, 8, 9)],
+    "conj.csign": [{"p": p} for p in (3, 5, 7, 11, 13)],
+    "conj.derange": [{"n": n} for n in (2, 3, 4, 5, 6, 7, 8, 9)],
+    "conj.maskdet": [{"p": p, "a": a} for p in (5, 7, 11, 13)
+                     for a in (1, 2, 3)],
+    "conj.maskper": [{"p": p, "a": a} for p in (5, 7, 11, 13)
+                     for a in (1, 2, 3)],
+    "conj.qdet": [{"n": n, "a": a} for n in (3, 5, 7, 9)
+                  for a in (-3, -2, -1, 0, 1, 2, 3)],
+    "conj.sqdiff": [{"p": 5}, {"p": 13}],
+    "conj.ssign": [{"n": n} for n in (3, 5, 7, 9)],
+    "conj.tsign": [{"n": n} for n in (3, 5, 7, 9)],
+}
+
+
+def test_explore_default_grids():
+    assert sorted(EXPLORE_DEFAULTS) == sorted(
+        cid for cid in REGISTRY if cid.startswith("conj."))
+    for check_id, want in EXPLORE_DEFAULTS.items():
+        assert explore_grid(check_id, 13, 9) == want, check_id
+
+
+def test_explore_and_full_tier_share_one_grid():
+    # Where the full tier fixes no a, explore at the full tier's bound lists
+    # exactly the full tier's rows.
+    for check_id, check in REGISTRY.items():
+        if check_id.startswith("conj.") and "a" not in check.bounds["full"]:
+            hi = check.bounds["full"]["hi"]
+            assert explore_grid(check_id, hi, hi) == \
+                default_grid(check_id, "full"), check_id
 
 
 def test_explore_summary_and_exit(capsys):

@@ -108,8 +108,8 @@ def test_inputs_outside_the_claim_skip(check_id, params, reason):
 
 def test_size_limits_refuse_before_building(monkeypatch):
     # Past a check's size limit the verdict is a SKIP with the limit, and no
-    # matrix, Gauss sum, cyclotomic product or rank-2 vector is built; the
-    # full tier stays inside every limit.
+    # matrix, Gauss sum, cyclotomic product, derangement sum or rank-2 vector
+    # is built; the full tier stays inside every limit.
     def unbuildable(*args, **params):
         raise AssertionError("built past the size limit")
 
@@ -117,7 +117,8 @@ def test_size_limits_refuse_before_building(monkeypatch):
         rational = zeta = staticmethod(unbuildable)
 
     for name in ("build_cyclotomic", "build_integer", "build_qpoly",
-                 "gauss_sum", "sum_structure", "per_sum_matrix"):
+                 "build_rational", "derangement_sum", "gauss_sum",
+                 "sum_structure", "per_sum_matrix"):
         monkeypatch.setattr(verifier, name, unbuildable)
     monkeypatch.setattr(verifier, "Cyc", UnbuildableCyc)
     verifier._per_coeffs.cache_clear()
@@ -130,7 +131,11 @@ def test_size_limits_refuse_before_building(monkeypatch):
                        "thper.jdk1": linear, "thper.jdk2": linear,
                        "thper.jdk3": linear, "cor.jdk": linear,
                        "thper.quad": quad, "thper.quad0": quad,
-                       "cor.quadmod": quad}
+                       "cor.quadmod": quad, "thnew.invsumsq": ("p", 31),
+                       "conj.sqdiff": ("p", 29),
+                       "thper.rootexp": ("n", 12), "cor.sin": ("n", 15),
+                       "cor.cos": ("n", 15), "thnew.cauchyroot": ("n", 12),
+                       "conj.derange": ("n", 14), "rem.perhalf": ("n", 13)}
     for check_id, params in (
             ("det.sec2", {"n": 61}), ("det.tan2", {"n": 17}),
             ("thq.det", {"n": 400}), ("lem.gauss", {"n": 100001}),
@@ -142,7 +147,11 @@ def test_size_limits_refuse_before_building(monkeypatch):
             ("cor.jdk", {"p": 761, "d": 5}),
             ("thper.quad", {"p": 1423, "d": 1}),
             ("thper.quad0", {"p": 3001, "d": 2}),
-            ("cor.quadmod", {"p": 1427, "d": 3})):
+            ("cor.quadmod", {"p": 1427, "d": 3}),
+            ("thnew.invsumsq", {"p": 4007}), ("conj.sqdiff", {"p": 37}),
+            ("thper.rootexp", {"n": 14}), ("cor.sin", {"n": 16}),
+            ("cor.cos", {"n": 19}), ("thnew.cauchyroot", {"n": 13, "x": "2"}),
+            ("conj.derange", {"n": 15}), ("rem.perhalf", {"n": 19})):
         key, top = guarded[check_id]
         r = run_check(check_id, params)
         assert r.status == "SKIP", r
@@ -153,6 +162,16 @@ def test_size_limits_refuse_before_building(monkeypatch):
         at_limit = dict(default_grid(check_id, "full")[0], **{key: top})
         with pytest.raises(AssertionError, match="built"):
             run_check(check_id, at_limit)
+    # thper.rootlinear bounds only its cyc backend, in the runner.
+    top = verifier.ROOTLINEAR_CYC_LIMIT
+    assert top == 12
+    assert max(g["n"] for g in default_grid("thper.rootlinear", "full")) <= top
+    r = run_check("thper.rootlinear", {"n": top + 1, "backend": "cyc"})
+    assert r.status == "SKIP" and r.note == (
+        "out of domain: thper.rootlinear limited to n <= 12 with backend cyc,"
+        " got n = 13")
+    with pytest.raises(AssertionError, match="built"):
+        run_check("thper.rootlinear", {"n": top, "backend": "cyc"})
 
 
 @pytest.mark.parametrize("family,rng_name", [
