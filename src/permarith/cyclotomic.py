@@ -1,18 +1,24 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_m).
 
-Elements are stored as length-m coefficient vectors on the exponent lattice
-(reduced mod x^m - 1).  Canonicalization modulo the m-th cyclotomic
-polynomial happens only for equality, rational recognition and inversion.
+An element is a coefficient vector on the exponent lattice (reduced mod
+x^m - 1), stored as m ints `num` over one shared int `den` in normal form:
+den > 0 and gcd(den, *num) = 1.  Each lattice vector has exactly one such
+pair, so equal pairs mean equal vectors, and every operation runs on ints:
+sums over the lcm of the two denominators, scalar products by scaling num
+and den, the Galois action by permuting num.  Canonicalization modulo the
+m-th cyclotomic polynomial happens only for equality, rational recognition
+and inversion; `coeffs` and `canonical()` give rationals back.
 
 Products run on plain ints by Kronecker substitution (Harvey, J. Symb.
-Comput. 44, 2009).  `pack_rows` clears each row's common denominator d_j
-and evaluates every integral vector at x = 2^B; `unpack` reduces an int
-mod 2^(mB) - 1, which is x^m - 1 at x = 2^B, decodes the m signed base-2^B
-digits and divides by prod d_j.  The digit width is safe because of a
-bound fixed before any product is taken: on Z[x]/(x^m - 1) the L1 norm is
-submultiplicative, so every coefficient of a product of one entry per row,
-and hence of any signed sum of such products over permutations (a
-permanent or determinant), is at most L = prod_j (sum_k |row_j entry_k|_1).
+Comput. 44, 2009).  `pack_rows` scales each row's numerators to d_j, the
+lcm of its denominators, and evaluates every integral vector at x = 2^B;
+`unpack` reduces an int mod 2^(mB) - 1, which is x^m - 1 at x = 2^B,
+decodes the m signed base-2^B digits and puts them over prod d_j in normal
+form.  The digit width is safe because of a bound fixed before any product
+is taken: on Z[x]/(x^m - 1) the L1 norm is submultiplicative, so every
+coefficient of a product of one entry per row, and hence of any signed sum
+of such products over permutations (a permanent or determinant), is at
+most L = prod_j (sum_k |row_j entry_k|_1).
 With B = bitlen(L) + 2 each coefficient lies in (-2^(B-2), 2^(B-2)): the
 value fits well inside the symmetric residues mod 2^(mB) - 1 and its
 balanced digits are the coefficients.  Decoding (rings.balanced_digits,
@@ -24,9 +30,9 @@ unfolded images, whose determinant is the image of the determinant in
 Z[x], and unpack folds it.  2^(mB) - 1 is the image of x^m - 1, so the
 fold is a ring map, and folding a vector of L1 norm at most L keeps every
 coefficient within L.
-Cyc.__mul__ packs its two operands as two one-entry rows, so a cyclic
-convolution becomes one int product, and Cyc.inverse multiplies the Galois
-conjugates the same way.
+Cyc.__mul__ packs its two operands' numerators as two one-entry rows, so a
+cyclic convolution becomes one int product, and Cyc.inverse multiplies the
+Galois conjugates the same way.
 
 Square roots of integers never become floats here: for odd n the quadratic
 Gauss sum g = sum_x zeta^(x^2) satisfies g^2 = (-1)^((n-1)/2) n, and
@@ -39,13 +45,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from operator import lshift
+from operator import add, lshift, sub
 from typing import NamedTuple
 
 from .errors import (DomainError, NonInvertibleError, SearchExhaustedError)
 from .ntheory import divisors, is_prime, prime_factors
-from .rings import (ModInt, Rat, Ring, ResidueRing, balanced_digits, cleared,
-                    ratio)
+from .rings import ModInt, Rat, Ring, ResidueRing, balanced_digits, ratio
 
 # ---------------------------------------------------------------------------
 # Cyclotomic polynomials
@@ -94,19 +99,55 @@ def euler_phi(m: int) -> int:
 # Field elements
 # ---------------------------------------------------------------------------
 
-def _demote(c):
-    # Integral rationals become plain ints so hot loops stay in int arithmetic.
-    if isinstance(c, int):
-        return c
-    if c.denominator == 1:
-        return int(c)
-    return c
+def _cyc(order: int, num: list, den: int) -> "Cyc":
+    # A Cyc from a (num, den) pair already in normal form.
+    z = object.__new__(Cyc)
+    z.order = order
+    z.num = num
+    z.den = den
+    z._canon = None
+    return z
+
+
+def _normal(order: int, num: list, den: int) -> "Cyc":
+    # The Cyc num / den for any den != 0: divide out gcd(den, *num) and give
+    # den the positive sign.
+    if den != 1:
+        g = math.gcd(den, *num)
+        if den < 0:
+            g = -g
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+    return _cyc(order, num, den)
+
+
+def _remainder(order: int, num) -> list[int]:
+    # num modulo the m-th cyclotomic polynomial (monic): phi(m) ints.
+    phi = cyclotomic_poly(order)
+    deg = len(phi) - 1
+    rem = list(num)
+    for i in range(len(rem) - 1, deg - 1, -1):
+        c = rem[i]
+        if c:
+            base = i - deg
+            for t in range(deg):
+                pt = phi[t]
+                if pt:
+                    rem[base + t] -= c * pt
+    del rem[deg:]
+    return rem
 
 
 class Cyc:
-    """Element of Q(zeta_m), as sum of c_e * zeta^e for e = 0..m-1."""
+    """Element of Q(zeta_m), as sum of (num[e] / den) * zeta^e for e = 0..m-1.
 
-    __slots__ = ("order", "coeffs", "_canon")
+    num is a list of m ints and den one int, in normal form: den > 0 and
+    gcd(den, *num) = 1, so each lattice vector has exactly one pair.
+    Cyc(m, coeffs) takes ints and Rats; `coeffs` reads them back.
+    """
+
+    __slots__ = ("order", "num", "den", "_canon")
 
     def __init__(self, order: int, coeffs):
         if order < 1:
@@ -114,21 +155,42 @@ class Cyc:
         coeffs = list(coeffs)
         if len(coeffs) != order:
             raise DomainError(f"need {order} coefficients, got {len(coeffs)}")
+        num, den = coeffs, 1
+        if not all(type(c) is int for c in coeffs):
+            den = math.lcm(*[int(c.denominator) for c in coeffs
+                             if not isinstance(c, int)])
+            num = [c * den if isinstance(c, int)
+                   else int(c.numerator) * (den // int(c.denominator))
+                   for c in coeffs]
+        z = _normal(order, num, den)
         self.order = order
-        self.coeffs = coeffs
+        self.num = z.num
+        self.den = z.den
         self._canon = None
+
+    @property
+    def coeffs(self) -> list:
+        """The rational coordinates num[e] / den: an int where integral,
+        else a Rat."""
+        den = self.den
+        if den == 1:
+            return list(self.num)
+        return [ratio(c, den) for c in self.num]
 
     @classmethod
     def rational(cls, order: int, value) -> "Cyc":
-        coeffs = [0] * order
-        coeffs[0] = _demote(value) if not isinstance(value, int) else value
-        return cls(order, coeffs)
+        num = [0] * order
+        if isinstance(value, int):
+            num[0] = value
+            return _cyc(order, num, 1)
+        num[0] = int(value.numerator)
+        return _cyc(order, num, int(value.denominator))
 
     @classmethod
     def zeta(cls, order: int, e: int = 1) -> "Cyc":
-        coeffs = [0] * order
-        coeffs[e % order] = 1
-        return cls(order, coeffs)
+        num = [0] * order
+        num[e % order] = 1
+        return _cyc(order, num, 1)
 
     # -- ring operations ---------------------------------------------------
 
@@ -137,32 +199,34 @@ class Cyc:
             raise DomainError(
                 f"cyclotomic order mismatch: {self.order} vs {other.order}")
 
-    def __add__(self, other):
+    def _plus(self, other, op):
+        # self op other over the lcm of the two denominators.
         if isinstance(other, Cyc):
             self._check(other)
-            a, b = self.coeffs, other.coeffs
-            return Cyc(self.order, [x + y for x, y in zip(a, b)])
-        if isinstance(other, (int, Rat)):
-            out = self.coeffs[:]
-            out[0] = out[0] + other
-            return Cyc(self.order, out)
-        return NotImplemented
+        elif isinstance(other, (int, Rat)):
+            other = Cyc.rational(self.order, other)
+        else:
+            return NotImplemented
+        a, da, b, db = self.num, self.den, other.num, other.den
+        if da != db:
+            d = math.lcm(da, db)
+            if d != da:
+                a = [c * (d // da) for c in a]
+            if d != db:
+                b = [c * (d // db) for c in b]
+            da = d
+        return _normal(self.order, list(map(op, a, b)), da)
+
+    def __add__(self, other):
+        return self._plus(other, add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyc(self.order, [-c for c in self.coeffs])
+        return _cyc(self.order, [-c for c in self.num], self.den)
 
     def __sub__(self, other):
-        if isinstance(other, Cyc):
-            self._check(other)
-            return Cyc(self.order,
-                       [x - y for x, y in zip(self.coeffs, other.coeffs)])
-        if isinstance(other, (int, Rat)):
-            out = self.coeffs[:]
-            out[0] = out[0] - other
-            return Cyc(self.order, out)
-        return NotImplemented
+        return self._plus(other, sub)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -172,15 +236,17 @@ class Cyc:
             self._check(other)
             # pack_rows on the rows (self,) and (other,), without the
             # per-row bookkeeping: one int product replaces the convolution.
-            a, da = cleared(self.coeffs)
-            b, db = cleared(other.coeffs)
+            a, b = self.num, other.num
             bound = sum(map(abs, a)) * sum(map(abs, b))
-            layout = Layout(self.order, bound.bit_length() + 2, da * db, bound)
+            layout = Layout(self.order, bound.bit_length() + 2,
+                            self.den * other.den, bound)
             return unpack(layout.image(a) * layout.image(b), layout)
         if isinstance(other, (int, Rat)):
             if other == 0:
-                return Cyc(self.order, [0] * self.order)
-            return Cyc(self.order, [c * other for c in self.coeffs])
+                return Cyc.rational(self.order, 0)
+            return _normal(self.order,
+                           [c * int(other.numerator) for c in self.num],
+                           self.den * int(other.denominator))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -200,21 +266,13 @@ class Cyc:
     # -- canonical form ------------------------------------------------------
 
     def canonical(self) -> tuple:
-        """Remainder modulo the m-th cyclotomic polynomial, degree < phi(m)."""
+        """Remainder modulo the m-th cyclotomic polynomial, degree < phi(m),
+        as rationals: an int where integral, else a Rat."""
         if self._canon is None:
-            phi = cyclotomic_poly(self.order)
-            deg = len(phi) - 1
-            rem = list(self.coeffs)
-            for i in range(len(rem) - 1, deg - 1, -1):
-                c = rem[i]
-                if c:
-                    rem[i] = 0
-                    base = i - deg
-                    for t in range(deg):
-                        pt = phi[t]
-                        if pt:
-                            rem[base + t] -= c * pt
-            self._canon = tuple(_demote(c) for c in rem[:deg])
+            rem = _remainder(self.order, self.num)
+            den = self.den
+            self._canon = tuple(rem if den == 1
+                                else [ratio(c, den) for c in rem])
         return self._canon
 
     def is_zero(self) -> bool:
@@ -243,27 +301,26 @@ class Cyc:
         """Multiplicative inverse: the product of the phi(m) - 1 other Galois
         conjugates, divided by the rational norm.
 
-        The conjugates of the integral numerator are multiplied as Kronecker
-        images in one pass, and the result comes back in canonical
-        coordinates.
+        The conjugates of the integral numerator num are multiplied as
+        Kronecker images in one pass.  With conj their product, num * conj
+        reduces to the integer norm N, and the inverse is den * (conj mod
+        Phi_m) / N, in canonical coordinates.
         """
         if self.is_zero():
             raise NonInvertibleError("inverse of zero in a cyclotomic field")
         m = self.order
-        coeffs, den = cleared(self.coeffs)
-        num = Cyc(m, coeffs)
+        num = _cyc(m, self.num, 1)
         others = [num.galois(a) for a in range(2, m) if math.gcd(a, m) == 1]
         if others:
             rows, layout = pack_rows(m, [(z,) for z in others])
             conj = unpack(layout.product([img for (img,) in rows]), layout)
         else:
             conj = Cyc.rational(m, 1)
-        norm = int((num * conj).as_rational())
-        out = [0] * m
-        for i, c in enumerate(conj.canonical()):
-            if c:
-                out[i] = ratio(c * den, norm)
-        return Cyc(m, out)
+        norm, *rest = _remainder(m, (num * conj).num)
+        if any(rest):
+            raise ArithmeticError(f"the norm of {self!r} is not rational")
+        out = [c * self.den for c in _remainder(m, conj.num)]
+        return _normal(m, out + [0] * (m - len(out)), norm)
 
     def galois(self, a: int) -> "Cyc":
         """Field automorphism zeta -> zeta^a; requires gcd(a, m) = 1."""
@@ -271,18 +328,18 @@ class Cyc:
         if math.gcd(a, m) != 1:
             raise DomainError(f"gcd({a}, {m}) != 1: not a Galois automorphism")
         out = [0] * m
-        for e, c in enumerate(self.coeffs):
+        for e, c in enumerate(self.num):
             if c:
                 out[(a * e) % m] = c
-        return Cyc(m, out)
+        return _cyc(m, out, self.den)
 
     def embed(self) -> complex:
         """Float approximation at zeta = exp(2*pi*i/m); diagnostics only."""
-        m = self.order
+        m, den = self.order, self.den
         total = 0j
-        for e, c in enumerate(self.coeffs):
+        for e, c in enumerate(self.num):
             if c:
-                total += float(c) * cmath.exp(2j * cmath.pi * e / m)
+                total += c / den * cmath.exp(2j * cmath.pi * e / m)
         return total
 
     def __str__(self):
@@ -350,19 +407,17 @@ class Layout(NamedTuple):
 def pack_rows(order: int, rows):
     """Kronecker images of rows of Cyc entries, and the layout to decode by.
 
-    Row j is multiplied by the common denominator d_j of its entries'
-    coefficients; each integral vector v is replaced by the int v(2^B).
-    The Layout carries the coefficient bound L of the module docstring,
-    which fixes B.
+    Row j is multiplied by d_j, the lcm of its entries' denominators; each
+    integral vector v is replaced by the int v(2^B).  The Layout carries the
+    coefficient bound L of the module docstring, which fixes B.
     """
     den = 1
     bound = 1
     integral = []
     for row in rows:
-        cleared_row = [cleared(z.coeffs) for z in row]
-        d = math.lcm(*[dz for _, dz in cleared_row])
-        vecs = [v if dz == d else [c * (d // dz) for c in v]
-                for v, dz in cleared_row]
+        d = math.lcm(*[z.den for z in row])
+        vecs = [z.num if z.den == d else [c * (d // z.den) for c in z.num]
+                for z in row]
         bound *= sum(sum(map(abs, v)) for v in vecs)
         den *= d
         integral.append(vecs)
@@ -382,10 +437,7 @@ def unpack(value: int, layout: Layout) -> Cyc:
     value %= modulus
     if value > modulus >> 1:
         value -= modulus
-    coeffs = balanced_digits(value, bits, m, bound)
-    if den != 1:
-        coeffs = [ratio(c, den) for c in coeffs]
-    return Cyc(m, coeffs)
+    return _normal(m, balanced_digits(value, bits, m, bound), den)
 
 
 # ---------------------------------------------------------------------------

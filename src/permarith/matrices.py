@@ -44,10 +44,11 @@ lift is exact on it.  Over Q(zeta_m) the lowering is Kronecker packing
 of x^m - 1, and Bareiss works on the unfolded images, whose determinant is
 the image of the determinant in Z[x]; unpack folds it once at the end.
 
-per_sum_coeffs and per_sum_matrix are the rank-2 permanents over Z in
-closed form (Minc, Permanents, 1978): per[u_j + d*w_k] =
-sum_i i!(n-i)! e_i(w) e_(n-i)(u) d^i, two elementary symmetric passes of
-O(n^2) int operations, or one when w equals u.
+per_sum_coeffs, per_sum_matrix and per_sum_values are the rank-2
+permanents over Z in closed form (Minc, Permanents, 1978): per[u_j + d*w_k]
+= sum_i i!(n-i)! e_i(w) e_(n-i)(u) d^i, two elementary symmetric passes of
+O(n^2) int operations, or one when w equals u; per_sum_values shares the
+pass over u among several w.
 
 det_field is det_divfree behind a check that the ring is a field.
 per_naive stays on ring elements, an oracle independent of every lowering.
@@ -156,19 +157,20 @@ def per_ryser(mat: Mat):
 def _check_jk_symmetry(mat: Mat, sign: int):
     # Raise unless entry (j, k) is T[jk mod n] with T[n - r] = sign * T[r],
     # as coefficient lists; that is what makes every orbit's terms equal.
+    # Each (num, den) pair is in normal form, so equal pairs are equal lists.
     n = mat.ring.m
     seen = {}
     for j, row in enumerate(mat.rows, 1):
         for k, z in enumerate(row, 1):
             r = j * k % n
-            coeffs = z.coeffs
+            num = z.num
             if sign < 0 and r > n - r:
-                coeffs = [-c for c in coeffs]
-            if seen.setdefault(min(r, n - r), coeffs) != coeffs:
+                num = [-c for c in num]
+            if seen.setdefault(min(r, n - r), (num, z.den)) != (num, z.den):
                 raise ArithmeticError(
                     f"entry ({j}, {k}) breaks T[n - r] = {sign:+d} T[r] on the"
                     f" exponent lattice of Q(zeta_{n})")
-    if sign < 0 and any(seen.get(0, ())):
+    if sign < 0 and any(seen.get(0, ((),))[0]):
         raise ArithmeticError("T[0] must be 0 when T[n - r] = -T[r]")
 
 
@@ -307,11 +309,23 @@ def per_sum_coeffs(u, w) -> tuple[int, ...]:
     Horner.  Equals per_ryser on [u_j + d*w_k] at every integer d.
     """
     u = list(u)
+    return _closed_form(u, _elementary(u), w)
+
+
+def per_sum_values(u, ws) -> list[int]:
+    """per_sum_matrix(u, w) for each w in ws, sharing one elementary
+    symmetric pass over u."""
+    u = list(u)
+    eu = _elementary(u)
+    return [sum(_closed_form(u, eu, w)) for w in ws]
+
+
+def _closed_form(u, eu, w) -> tuple[int, ...]:
+    # C_0..C_n of per[u_j + d*w_k], given eu = e(u).
     w = list(w)
     n = len(u)
     if n == 0 or len(w) != n:
         raise DomainError("need two equal-length nonempty integer vectors")
-    eu = _elementary(u)
     ew = eu if w == u else _elementary(w)
     return tuple(factorial(i) * factorial(n - i) * ew[i] * eu[n - i]
                  for i in range(n + 1))

@@ -7,8 +7,9 @@ the permanent exactly over Z or Q and reduce afterwards.  In the rank-2
 d-grids per[u_j + d*w_k] is one degree-n polynomial in d: its integer
 coefficients C_i = i!(n-i)! e_i(w) e_(n-i)(u) are built once per
 (family, p, range) by per_sum_coeffs in O(n^2) int operations, and each d
-is one Horner evaluation.  The random-x permanents of thper.jxk go through
-per_sum_matrix, the same closed form at d = 1.
+is one Horner evaluation.  The three random-x permanents of thper.jxk go
+through per_sum_values, the same closed form at d = 1 with one elementary
+symmetric pass over u = 1..p-1.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .errors import (DomainError, SearchExhaustedError, SingularFamilyError,
 from .families import (build_cyclotomic, build_integer, build_qpoly,
                        build_rational, sum_structure)
 from .matrices import (Mat, det_divfree, det_field, per_ryser, per_sum_coeffs,
-                       per_sum_matrix)
+                       per_sum_values)
 from .ntheory import (bernoulli, binomial, double_factorial, factorial,
                       inv_mod, is_prime, jacobi, mod_reduce_rat,
                       odd_primes_upto)
@@ -144,19 +145,22 @@ def _run_thq_det(params, rng):
     return items, None, None
 
 
-# Only the cyc backend is time-bound (see the timing comment above the
-# registry); a registry limit would also hide the fq root search's SKIP.
-ROOTLINEAR_CYC_LIMIT = 12
+# Each backend's largest n (see the timing comment above the registry).  The
+# runner checks them after the fq root search, so that its SKIP still shows;
+# a registry limit would come first.
+ROOTLINEAR_LIMITS = {"cyc": 12, "fq": 16}
 
 
 def _run_rootlinear(params, rng):
     n, backend = params["n"], params["backend"]
-    if backend not in ("cyc", "fq"):
+    if backend not in ROOTLINEAR_LIMITS:
         raise DomainError(f"unknown backend {backend!r}")
-    if backend == "cyc" and n > ROOTLINEAR_CYC_LIMIT:
-        raise SizeLimitError(f"thper.rootlinear limited to n <= "
-                             f"{ROOTLINEAR_CYC_LIMIT} with backend cyc,"
-                             f" got n = {n}")
+    if backend == "fq":
+        root = find_fq_root(n)
+    top = ROOTLINEAR_LIMITS[backend]
+    if n > top:
+        raise SizeLimitError(f"thper.rootlinear limited to n <= {top} with"
+                             f" backend {backend}, got n = {n}")
     items = []
     for trial in range(5):
         if backend == "cyc":
@@ -169,7 +173,6 @@ def _run_rootlinear(params, rng):
                 prod *= x
             want = factorial(n) * (1 - prod)
         else:
-            root = find_fq_root(n)
             p = root.prime
             xs = tuple(rng.randrange(p) for _ in range(n))
             mat = build_cyclotomic("root_linear", n=n, x=xs, fq=root)
@@ -196,10 +199,10 @@ def _run_rootexp(params, rng):
 
 def _run_jxk(params, rng):
     p = params["p"]
+    trials = [[rng.randrange(p) for _ in range(p - 1)] for _ in range(3)]
     items = []
-    for trial in range(3):
-        xs = [rng.randrange(p) for _ in range(p - 1)]
-        per = per_sum_matrix(list(range(1, p)), xs)
+    pers = per_sum_values(range(1, p), trials)
+    for trial, (xs, per) in enumerate(zip(trials, pers)):
         prod = 1
         for x in xs:
             prod = prod * x % p
@@ -292,9 +295,20 @@ def _run_cor_cos(params, rng):
     return [_eq(got, want)], None, None
 
 
+# The largest n * height(x) thnew.cauchyroot accepts, height(x) being the bit
+# length of the larger of |numerator| and denominator (see the timing comment
+# above the registry).
+CAUCHYROOT_HEIGHT_LIMIT = 35
+
+
 def _run_cauchyroot(params, rng):
     n = params["n"]
     x = Rat(params["x"])
+    height = max(abs(int(x.numerator)).bit_length(),
+                 int(x.denominator).bit_length())
+    if n * height > CAUCHYROOT_HEIGHT_LIMIT:
+        raise SizeLimitError(f"thnew.cauchyroot limited to n * height(x) <="
+                             f" {CAUCHYROOT_HEIGHT_LIMIT}, got {n} * {height}")
     try:
         mat = build_cyclotomic("cauchy_root", n=n, x=x)
     except SingularFamilyError as exc:
@@ -736,14 +750,18 @@ _FAST_D = {"hi": 13, "d": (1, 2, -1)}
 # int operations on numbers of O(p log p) bits: thper.jdk1-3 and cor.jdk take
 # 0.35-0.39 s at p = 751 and 0.45-0.58 s at 809; thper.quad, quad0 and
 # cor.quadmod 0.38-0.52 s at p = 1409 and 0.50-0.66 s at 1511; thper.jxk, three
-# per_sum_matrix calls, 0.40-0.47 s at p = 521 and 0.69 s at 601.  The Glynn
-# checks over Q(zeta) take 2^(n-1) products, so their time grows 2-3x per step
-# of n; their limits keep every tier row and explore default row:
-# thper.rootlinear (cyc, random x at seeds 0-3) 0.25 s at n = 11, 0.39-0.67 s
-# at 12 and 1.0-1.8 s at 13; thper.rootexp 0.23-0.31 s at 12 and 0.74-1.03 s at
-# 13; cor.sin and cor.cos 0.27-0.44 s at 15 and 0.72-1.12 s at 16;
-# thnew.cauchyroot 0.15 s at n = 12 for x = 2 (0.49-0.66 s for x = 3/5, the
-# highest x of the grid; higher x costs more) and 0.63-0.86 s at 13 for x = 2;
+# rank-2 permanents sharing one pass over u = 1..p-1, 0.38-0.48 s at p = 601
+# and 0.55-0.71 s at 701.  The Glynn checks over Q(zeta) take 2^(n-1)
+# products, so their time grows 2-3x per step of n; their limits keep every
+# tier row and explore default row: thper.rootlinear (random x at seeds 0-3)
+# with backend cyc 0.28-0.34 s at n = 12 and 0.71-0.98 s at 13, with backend
+# fq 0.22-0.24 s at 15, 0.33-0.54 s at 16 and 1.1 s at 17; thper.rootexp
+# 0.23-0.31 s at 12 and 0.74-1.03 s at 13; cor.sin and cor.cos 0.27-0.44 s at
+# 15 and 0.72-1.12 s at 16; thnew.cauchyroot also grows with the height of x,
+# so it refuses n * height(x) > 35: 0.12-0.38 s at n = 12 for x of height 2
+# (2, -2, 1/2, 1/3, +-3/2) and 0.53-0.73 s for height 3 (3/5, 7/5, -7/6),
+# 0.18-0.29 s at 11 for heights 3 and 4, 1.43 s at 12 and 0.51 s at 11 for
+# x = 97/89, and at most 0.004 s for n <= 7 at n * height(x) = 35;
 # conj.derange 0.25-0.32 s at 14 and 0.70-0.73 s at 15; rem.perhalf 0.15-0.22 s
 # at 13 and 1.4-1.7 s at 15.  thnew.invsumsq takes 0.05-0.09 s at p = 31, and
 # its next p = 3 (mod 4), 43, has 21 rows; conj.sqdiff takes 0.02-0.03 s at
@@ -768,7 +786,7 @@ _register("thper.rootexp", "theorem",
           _run_rootexp, partial(_ns, lo=2), 8, 10, limit=("n", 12))
 _register("thper.jxk", "theorem",
           "per[j + x_k] (size p-1) = 1 - x_1...x_(p-1) (mod p)",
-          _run_jxk, _ps, 13, 19, limit=("p", 521))
+          _run_jxk, _ps, 13, 19, limit=("p", 601))
 _register("thper.jdk1", "theorem",
           "per[j+dk] (1..p-1) = d^(p-1) - 3 - 4(p-1)! (mod p^2)",
           _run_jdk1, _pd_grid, _FAST_D, 31, limit=("p", 751))

@@ -4,6 +4,7 @@ inversion, rational recognition, finite-field roots."""
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from permarith.cyclotomic import (Cyc, CyclotomicField, cyclotomic_poly,
                                   pack_rows, sqrt_element, unpack)
 from permarith.errors import (DomainError, NonInvertibleError,
                               SearchExhaustedError)
+from permarith.matrices import Mat, det_field, per_orbits, per_ryser
 from permarith.ntheory import jacobi
 from permarith.rings import Rat
 
@@ -193,24 +195,66 @@ def test_zeta_x_order_mismatch():
         Cyc.zeta(5, 1) * Cyc.zeta(7, 1)
 
 
-def _schoolbook(a, b):
-    m = a.order
-    out = [0] * m
-    for i, x in enumerate(a.coeffs):
-        for j, y in enumerate(b.coeffs):
-            out[(i + j) % m] += x * y
+# An independent model of Q(zeta_m): Fraction vectors on the exponent
+# lattice, multiplied by the schoolbook cyclic convolution and reduced by
+# long division by the cyclotomic polynomial.  It never touches num/den,
+# Kronecker packing or Cyc's own reduction.
+
+def _model(coords):
+    return [Fraction(int(c.numerator), int(c.denominator)) for c in coords]
+
+
+def _convolve(x, y):
+    m = len(x)
+    out = [Fraction(0)] * m
+    for i, a in enumerate(x):
+        if a:
+            for j, b in enumerate(y):
+                if b:
+                    out[(i + j) % m] += a * b
     return out
 
 
-_COORD = st.one_of(st.just(0), st.integers(-10 ** 6, 10 ** 6),
-                   st.builds(Rat, st.integers(-999, 999),
-                             st.integers(1, 60)))
+def _schoolbook(a, b):
+    return _convolve(_model(a.coeffs), _model(b.coeffs))
+
+
+def _reduce(x):
+    # x modulo the m-th cyclotomic polynomial, padded back to m coordinates.
+    m = len(x)
+    phi = cyclotomic_poly(m)
+    deg = len(phi) - 1
+    rem = list(x)
+    for i in range(m - 1, deg - 1, -1):
+        c, rem[i] = rem[i], 0
+        for t in range(deg):
+            rem[i - deg + t] -= c * phi[t]
+    return rem
+
+
+def _normal_form(z):
+    # Every Cyc holds m ints over one positive int, with no common factor.
+    assert len(z.num) == z.order
+    assert all(type(c) is int for c in z.num) and type(z.den) is int
+    assert z.den > 0 and math.gcd(z.den, *z.num) == 1
+    return z
+
+
+# Rationals drawn as p/q with q of either sign and not in lowest terms,
+# integral Fractions among them.
+_RAT = st.one_of(
+    st.builds(Rat, st.integers(-999, 999),
+              st.integers(-60, 60).filter(bool)),
+    st.builds(lambda k, q: Rat(k * q, q), st.integers(-99, 99),
+              st.integers(-9, 9).filter(bool)))
+_COORD = st.one_of(st.just(0), st.integers(-10 ** 6, 10 ** 6), _RAT)
 
 
 @st.composite
 def _cyc_pairs(draw):
     m = draw(st.integers(1, 30))
-    vec = st.lists(_COORD, min_size=m, max_size=m)
+    vec = st.one_of(st.just([0] * m),
+                    st.lists(_COORD, min_size=m, max_size=m))
     return Cyc(m, draw(vec)), Cyc(m, draw(vec))
 
 
@@ -219,6 +263,106 @@ def _cyc_pairs(draw):
 def test_kronecker_mul_equals_schoolbook(pair):
     a, b = pair
     assert (a * b).coeffs == _schoolbook(a, b)
+
+
+@st.composite
+def _operands(draw):
+    m = draw(st.integers(1, 30))
+    vec = st.one_of(st.just([0] * m),
+                    st.lists(_COORD, min_size=m, max_size=m))
+    units = [u for u in range(1, m + 1) if math.gcd(u, m) == 1]
+    return (m, draw(vec), draw(vec), draw(st.one_of(_RAT, st.integers())),
+            draw(st.sampled_from(units)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_operands())
+def test_field_operations_equal_the_fraction_model(operands):
+    m, xs, ys, r, u = operands
+    a, b = _normal_form(Cyc(m, xs)), _normal_form(Cyc(m, ys))
+    x, y, q = _model(xs), _model(ys), _model([r])[0]
+    assert a.coeffs == x and b.coeffs == y
+    assert _normal_form(a + b).coeffs == [s + t for s, t in zip(x, y)]
+    assert _normal_form(a - b).coeffs == [s - t for s, t in zip(x, y)]
+    assert _normal_form(-a).coeffs == [-s for s in x]
+    assert _normal_form(a + r).coeffs == [x[0] + q] + x[1:]
+    assert _normal_form(r - a).coeffs == [q - x[0]] + [-s for s in x[1:]]
+    assert _normal_form(a * b).coeffs == _convolve(x, y)
+    assert _normal_form(a * r).coeffs == [s * q for s in x]
+    assert _normal_form(r * a).coeffs == [q * s for s in x]
+    moved = [Fraction(0)] * m
+    for e, s in enumerate(x):
+        moved[u * e % m] = s
+    assert _normal_form(a.galois(u)).coeffs == moved
+    if any(_reduce(x)):
+        inv = _normal_form(a.inverse())
+        assert _reduce(_convolve(_model(inv.coeffs), x)) == [1] + [0] * (m - 1)
+    else:
+        with pytest.raises(NonInvertibleError):
+            a.inverse()
+
+
+def _model_sum(rows, signed):
+    # Sum over all permutations of the model products, each times its sign
+    # when signed: the naive permanent or the Leibniz determinant.
+    n, m = len(rows), len(rows[0][0])
+    total = [Fraction(0)] * m
+
+    def walk(j, used, acc, sign):
+        nonlocal total
+        if j == n:
+            total = [t + sign * s for t, s in zip(total, acc)]
+            return
+        for k in range(n):
+            if not used >> k & 1:
+                # Rows above that took a larger column are inversions.
+                flip = signed and (used >> k).bit_count() & 1
+                walk(j + 1, used | 1 << k, _convolve(acc, rows[j][k]),
+                     -sign if flip else sign)
+
+    walk(0, 0, [Fraction(1)] + [Fraction(0)] * (m - 1), 1)
+    return total
+
+
+def _sparse_coords(m, rng):
+    # Up to three rational coordinates with denominators of either sign;
+    # now and then a zero entry.
+    coords = [0] * m
+    for _ in range(rng.choice((0, 1, 2, 3, 3))):
+        coords[rng.randrange(m)] = Rat(rng.randint(-9, 9),
+                                       rng.choice((-4, -3, -2, -1, 1, 2, 6)))
+    return coords
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6), st.sampled_from((1, 2, 4, 6, 7, 9, 12, 15)),
+       st.randoms(use_true_random=False))
+def test_engines_equal_the_model_permutation_sum(n, m, rng):
+    # Glynn and Bareiss on Kronecker images against the permutation sums of
+    # the Fraction model, coordinate by coordinate on the exponent lattice.
+    coords = [[_sparse_coords(m, rng) for _ in range(n)] for _ in range(n)]
+    mat = Mat(CyclotomicField(m), [[Cyc(m, c) for c in row] for row in coords])
+    model = [[_model(c) for c in row] for row in coords]
+    assert _normal_form(per_ryser(mat)).coeffs == _model_sum(model, False)
+    assert _normal_form(det_field(mat)).coeffs == _model_sum(model, True)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 6), st.sampled_from((1, -1)),
+       st.randoms(use_true_random=False))
+def test_per_orbits_equals_the_model_permutation_sum(h, sign, rng):
+    # [T(jk mod n)] with T(n - r) = sign * T(r), n = 2h + 1, prime or not.
+    n = 2 * h + 1
+    table = {r: _sparse_coords(n, rng) for r in range(1, h + 1)}
+    table[0] = _sparse_coords(n, rng) if sign > 0 else [0] * n
+    for r in range(1, h + 1):
+        table[n - r] = [sign * c for c in table[r]]
+    coords = [[table[j * k % n] for k in range(1, h + 1)]
+              for j in range(1, h + 1)]
+    mat = Mat(CyclotomicField(n), [[Cyc(n, c) for c in row] for row in coords])
+    model = [[_model(c) for c in row] for row in coords]
+    assert _normal_form(per_orbits(mat, sign)).coeffs == \
+        _model_sum(model, False)
 
 
 def test_unpack_checks_the_bound():

@@ -16,7 +16,8 @@ from permarith.errors import (DomainError, SizeLimitError,
 from permarith.families import JK_SIGN, build_cyclotomic
 from permarith.matrices import (RYSER_LIMIT, Mat, _orbits, det_divfree,
                                 det_field, per_naive, per_orbits, per_ryser,
-                                per_sum_coeffs, per_sum_matrix)
+                                per_sum_coeffs, per_sum_matrix,
+                                per_sum_values)
 from permarith.ntheory import is_prime
 from permarith.rings import GF, QPOLY, QQ, ZZ, LPoly, Rat, Zmod
 
@@ -375,6 +376,19 @@ def test_per_sum_coeffs_examples():
             per_sum_coeffs(u, w)
     with pytest.raises(DomainError):
         per_sum_matrix([], [])
+
+
+def test_per_sum_values_equals_per_sum_matrix():
+    # One pass over u serves every w, u itself included.
+    rng = random.Random("values")
+    for n in range(1, 9):
+        u = [rng.randint(-9, 9) for _ in range(n)]
+        ws = [list(u)] + [[rng.randint(-9, 9) for _ in range(n)]
+                          for _ in range(3)]
+        assert per_sum_values(u, ws) == [per_sum_matrix(u, w) for w in ws]
+    assert per_sum_values(range(1, 4), [range(1, 4)]) == [336]
+    with pytest.raises(DomainError):
+        per_sum_values([1, 2], [[1, 2], [1]])
 
 
 def test_det_examples():

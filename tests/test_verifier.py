@@ -118,7 +118,7 @@ def test_size_limits_refuse_before_building(monkeypatch):
 
     for name in ("build_cyclotomic", "build_integer", "build_qpoly",
                  "build_rational", "derangement_sum", "gauss_sum",
-                 "sum_structure", "per_sum_matrix"):
+                 "sum_structure", "per_sum_values"):
         monkeypatch.setattr(verifier, name, unbuildable)
     monkeypatch.setattr(verifier, "Cyc", UnbuildableCyc)
     verifier._per_coeffs.cache_clear()
@@ -127,7 +127,7 @@ def test_size_limits_refuse_before_building(monkeypatch):
     assert guarded == {"det.sec2": ("n", 15), "det.tan2": ("n", 15),
                        "thq.det": ("n", 192), "lem.gauss": ("n", 3001),
                        "rem.qdetabs": ("n", 28), "lem.oneplus": ("n", 221),
-                       "lem.half": ("n", 501), "thper.jxk": ("p", 521),
+                       "lem.half": ("n", 501), "thper.jxk": ("p", 601),
                        "thper.jdk1": linear, "thper.jdk2": linear,
                        "thper.jdk3": linear, "cor.jdk": linear,
                        "thper.quad": quad, "thper.quad0": quad,
@@ -140,7 +140,7 @@ def test_size_limits_refuse_before_building(monkeypatch):
             ("det.sec2", {"n": 61}), ("det.tan2", {"n": 17}),
             ("thq.det", {"n": 400}), ("lem.gauss", {"n": 100001}),
             ("rem.qdetabs", {"n": 30}), ("lem.oneplus", {"n": 401}),
-            ("lem.half", {"n": 1601}), ("thper.jxk", {"p": 523}),
+            ("lem.half", {"n": 1601}), ("thper.jxk", {"p": 607}),
             ("thper.jdk1", {"p": 3001, "d": 1}),
             ("thper.jdk2", {"p": 757, "d": 2}),
             ("thper.jdk3", {"p": 1009, "d": 1}),
@@ -162,16 +162,33 @@ def test_size_limits_refuse_before_building(monkeypatch):
         at_limit = dict(default_grid(check_id, "full")[0], **{key: top})
         with pytest.raises(AssertionError, match="built"):
             run_check(check_id, at_limit)
-    # thper.rootlinear bounds only its cyc backend, in the runner.
-    top = verifier.ROOTLINEAR_CYC_LIMIT
-    assert top == 12
-    assert max(g["n"] for g in default_grid("thper.rootlinear", "full")) <= top
-    r = run_check("thper.rootlinear", {"n": top + 1, "backend": "cyc"})
-    assert r.status == "SKIP" and r.note == (
-        "out of domain: thper.rootlinear limited to n <= 12 with backend cyc,"
-        " got n = 13")
-    with pytest.raises(AssertionError, match="built"):
-        run_check("thper.rootlinear", {"n": top, "backend": "cyc"})
+    # thper.rootlinear bounds each backend in its runner, after the fq root
+    # search, whose own SKIP still shows past the limit.
+    assert verifier.ROOTLINEAR_LIMITS == {"cyc": 12, "fq": 16}
+    assert max(g["n"] for g in default_grid("thper.rootlinear", "full")) <= 12
+    for backend, top in verifier.ROOTLINEAR_LIMITS.items():
+        r = run_check("thper.rootlinear", {"n": top + 1, "backend": backend})
+        assert r.status == "SKIP" and r.note == (
+            f"out of domain: thper.rootlinear limited to n <= {top} with"
+            f" backend {backend}, got n = {top + 1}")
+        with pytest.raises(AssertionError, match="built"):
+            run_check("thper.rootlinear", {"n": top, "backend": backend})
+    r = run_check("thper.rootlinear", {"n": 100000, "backend": "fq"})
+    assert r.status == "SKIP" and "no prime" in r.note
+    # thnew.cauchyroot also bounds n * height(x), the height being the bit
+    # length of the larger of |numerator| and denominator.
+    assert verifier.CAUCHYROOT_HEIGHT_LIMIT == 35
+    assert all(g["n"] * max(len(f"{abs(int(v)):b}") for v in g["x"].split("/"))
+               <= 35 for g in default_grid("thnew.cauchyroot", "full"))
+    for n, x, height in ((12, "3/5", 3), (11, "97/89", 7), (6, "-97/89", 7),
+                         (2, str(2 ** 18), 19)):
+        r = run_check("thnew.cauchyroot", {"n": n, "x": x})
+        assert r.status == "SKIP" and r.note == (
+            "out of domain: thnew.cauchyroot limited to n * height(x) <= 35,"
+            f" got {n} * {height}")
+    for n, x in ((12, "-2"), (11, "-7/6"), (7, "31/29"), (1, str(2 ** 35 - 1))):
+        with pytest.raises(AssertionError, match="built"):
+            run_check("thnew.cauchyroot", {"n": n, "x": x})
 
 
 @pytest.mark.parametrize("family,rng_name", [
