@@ -242,8 +242,6 @@ class Cyc:
                             self.den * other.den, bound)
             return unpack(layout.image(a) * layout.image(b), layout)
         if isinstance(other, (int, Rat)):
-            if other == 0:
-                return Cyc.rational(self.order, 0)
             return _normal(self.order,
                            [c * int(other.numerator) for c in self.num],
                            self.den * int(other.denominator))
