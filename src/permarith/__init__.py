@@ -11,7 +11,7 @@ from .cyclotomic import (Cyc, CyclotomicField, FqRoot, cyclotomic_poly,
 from .families import (build_cyclotomic, build_integer, build_qpoly,
                        build_rational)
 from .matrices import (Mat, det_divfree, det_field, per_naive, per_ryser,
-                       per_sum_coeffs, per_sum_matrix)
+                       per_sum_coeffs)
 from .ntheory import (bernoulli, binomial, double_factorial, factorial,
                       is_prime, jacobi, mod_reduce_rat)
 from .rings import GF, QPOLY, QQ, ZZ, LPoly, ModInt, Rat, Ring, Zmod, qint

@@ -44,11 +44,11 @@ lift is exact on it.  Over Q(zeta_m) the lowering is Kronecker packing
 of x^m - 1, and Bareiss works on the unfolded images, whose determinant is
 the image of the determinant in Z[x]; unpack folds it once at the end.
 
-per_sum_coeffs, per_sum_matrix and per_sum_values are the rank-2
-permanents over Z in closed form (Minc, Permanents, 1978): per[u_j + d*w_k]
-= sum_i i!(n-i)! e_i(w) e_(n-i)(u) d^i, two elementary symmetric passes of
-O(n^2) int operations, or one when w equals u; per_sum_values shares the
-pass over u among several w.
+per_sum_coeffs and per_sum_values are the rank-2 permanents over Z in
+closed form (Minc, Permanents, 1978): per[u_j + d*w_k] = sum_i i!(n-i)!
+e_i(w) e_(n-i)(u) d^i, two elementary symmetric passes of O(n^2) int
+operations, or one when w equals u; per_sum_values shares the pass over
+u among several w.
 
 det_field is det_divfree behind a check that the ring is a field.
 per_naive stays on ring elements, an oracle independent of every lowering.
@@ -282,13 +282,6 @@ def per_naive(mat: Mat):
     return acc
 
 
-def per_sum_matrix(u, v):
-    """Exact integer permanent of the rank-2 matrix [u_j + v_k]: the value
-    of per_sum_coeffs(u, v) at d = 1, in O(n^2) int operations.  Equals
-    per_ryser on the same matrix."""
-    return sum(per_sum_coeffs(u, v))
-
-
 def _elementary(xs):
     # e_0..e_n of the n values xs, adding one x at a time: e_k += x*e_(k-1).
     e = [1] + [0] * len(xs)
@@ -313,8 +306,8 @@ def per_sum_coeffs(u, w) -> tuple[int, ...]:
 
 
 def per_sum_values(u, ws) -> list[int]:
-    """per_sum_matrix(u, w) for each w in ws, sharing one elementary
-    symmetric pass over u."""
+    """per[u_j + w_k] (per_sum_coeffs(u, w) summed) for each w in ws,
+    sharing one elementary symmetric pass over u."""
     u = list(u)
     eu = _elementary(u)
     return [sum(_closed_form(u, eu, w)) for w in ws]

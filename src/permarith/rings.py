@@ -218,10 +218,6 @@ class LPoly:
         return cls({0: c})
 
     @classmethod
-    def term(cls, c, e: int) -> "LPoly":
-        return cls({e: c})
-
-    @classmethod
     def q(cls) -> "LPoly":
         return cls({1: 1})
 

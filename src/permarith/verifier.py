@@ -1,14 +1,17 @@
 """Registry of executable identity/congruence checks producing Reports.
 
 Each check id maps to a runner that computes both sides of one claim
-exactly and compares.  Theorem-tier ids gate exit codes; conjecture-tier
-ids (conj.*) report consistency evidence only.  Congruence checks compute
-the permanent exactly over Z or Q and reduce afterwards.  In the rank-2
-d-grids per[u_j + d*w_k] is one degree-n polynomial in d: its integer
-coefficients C_i = i!(n-i)! e_i(w) e_(n-i)(u) are built once per
-(family, p, range) by per_sum_coeffs in O(n^2) int operations, and each d
-is one Horner evaluation.  The three random-x permanents of thper.jxk go
-through per_sum_values, the same closed form at d = 1 with one elementary
+exactly and compares; claims that differ only in data share one runner
+per claim shape (_rank2, _integral_pair, _congruent_pair, _odd_det),
+built at the _register call that states the claim.  Theorem-tier ids
+gate exit codes; conjecture-tier ids (conj.*) report consistency
+evidence only.  Congruence checks compute the permanent exactly over Z
+or Q and reduce afterwards.  In the rank-2 d-grids per[u_j + d*w_k] is
+one degree-n polynomial in d: its integer coefficients C_i = i!(n-i)!
+e_i(w) e_(n-i)(u) are built once per (family, p, range) by
+per_sum_coeffs in O(n^2) int operations, and each d is one Horner
+evaluation.  The three random-x permanents of thper.jxk go through
+per_sum_values, the same closed form at d = 1 with one elementary
 symmetric pass over u = 1..p-1.
 """
 
@@ -32,7 +35,8 @@ from .ntheory import (bernoulli, binomial, double_factorial, factorial,
                       odd_primes_upto)
 from .rings import QQ, LPoly, ModInt, Rat
 from .sequences import (derangement_sum, masked_sum, seq_c, seq_c_prime,
-                        seq_d, seq_s, seq_s_prime, seq_t, seq_t_prime, seq_T)
+                        seq_d, seq_s, seq_s_prime, seq_t, seq_t_prime, seq_T,
+                        sequence_value)
 
 FAST, FULL = "fast", "full"
 TIERS = (FAST, FULL)
@@ -114,13 +118,60 @@ def _structured_per(family: str, p: int, d: int, rng_name: str) -> int:
     return acc
 
 
-def _wilson(p: int) -> int:
-    return factorial(p - 1)
+def _rank2(family: str, rng_name: str, power: int, want, requires=None):
+    """Runner: per[u_j + d*w_k] over sum_structure(family, p, rng_name) is
+    want(p, d, m) mod m = p^power; requires = (in_claim(p, d), text)."""
+    def run(params, rng):
+        p, d = params["p"], params["d"]
+        if requires and not requires[0](p, d):
+            raise SkipCheck(f"claim requires {requires[1]}")
+        m = p ** power
+        got = ModInt(_structured_per(family, p, d, rng_name), m)
+        return [_modint_eq(got, ModInt(want(p, d, m), m))], str(m), None
+    return run
+
+
+_D_UNIT = (lambda p, d: d % p, "d not divisible by p")
+_P_OVER_3 = (lambda p, d: p > 3, "p > 3")
 
 
 # ---------------------------------------------------------------------------
 # Runners (each returns (items, modulus, note))
 # ---------------------------------------------------------------------------
+
+def _integral_pair(name: str):
+    """Runner: name(n) and, for prime n, (name + "prime")(n) are integers."""
+    def run(params, rng):
+        n = params["n"]
+        items = [_int_item(sequence_value(name, n).value, f"{name}({n})")]
+        if is_prime(n):
+            items.append(_int_item(sequence_value(name + "prime", n).value,
+                                   f"{name}'({n})"))
+        return items, None, None
+    return run
+
+
+def _congruent_pair(name: str):
+    """Runner: name(p) = (-1)^((p+1)/2), (name + "prime")(p) = 1 (mod p)."""
+    def run(params, rng):
+        p = params["p"]
+        got = mod_reduce_rat(sequence_value(name, p).value, p)
+        got_prime = mod_reduce_rat(sequence_value(name + "prime", p).value, p)
+        return [_modint_eq(got, ModInt((-1) ** ((p + 1) // 2), p), name),
+                _modint_eq(got_prime, ModInt(1, p), name + "'")], str(p), None
+    return run
+
+
+def _odd_det(family: str, want):
+    """Runner: for odd n, det of build_cyclotomic(family, n=n) = want(n)."""
+    def run(params, rng):
+        n = params["n"]
+        if n % 2 == 0:
+            raise SkipCheck("claim requires odd n")
+        got = det_field(build_cyclotomic(family, n=n)).as_rational()
+        return [_eq(got, want(n))], None, None
+    return run
+
 
 def _run_thq_floor(params, rng):
     n = params["n"]
@@ -209,70 +260,6 @@ def _run_jxk(params, rng):
         items.append(_modint_eq(ModInt(per, p), ModInt(1 - prod, p),
                                 f"trial{trial}"))
     return items, str(p), None
-
-
-def _linear_per(params, rng_name):
-    p, d = params["p"], params["d"]
-    if d % p == 0:
-        raise SkipCheck("claim requires d not divisible by p")
-    return p, d, _structured_per("linear", p, d, rng_name)
-
-
-def _run_jdk(params, rng, rng_name, expected_fn):
-    p, d, per = _linear_per(params, rng_name)
-    m = p * p
-    return [_modint_eq(ModInt(per, m), expected_fn(p, d, m))], str(m), None
-
-
-def _run_jdk1(params, rng):
-    return _run_jdk(params, rng, "1..p-1",
-                    lambda p, d, m: ModInt(pow(d, p - 1, m) - 3
-                                           - 4 * _wilson(p), m))
-
-
-def _run_jdk2(params, rng):
-    return _run_jdk(params, rng, "1..p",
-                    lambda p, d, m: ModInt((d + 1) * inv_mod(2, m) * p, m))
-
-
-def _run_jdk3(params, rng):
-    return _run_jdk(params, rng, "0..p-1",
-                    lambda p, d, m: ModInt(-(d + 1) * inv_mod(2, m) * p, m))
-
-
-def _run_quad(params, rng):
-    p, d = params["p"], params["d"]
-    if p <= 3:
-        raise SkipCheck("claim requires p > 3")
-    m = p * p
-    per = _structured_per("quad", p, d, "1..h")
-    want = ModInt((pow(d, (p - 1) // 2, m) + 1)
-                  * factorial((p - 1) // 2) ** 3, m)
-    return [_modint_eq(ModInt(per, m), want)], str(m), None
-
-
-def _run_quad0(params, rng):
-    p, d = params["p"], params["d"]
-    if p <= 3:
-        raise SkipCheck("claim requires p > 3")
-    m = p * p
-    per = _structured_per("quad", p, d, "0..h")
-    want = ModInt((-1) ** ((p - 1) // 2) * p * inv_mod(24, m)
-                  * (d + jacobi(d, p)) * factorial((p - 1) // 2), m)
-    return [_modint_eq(ModInt(per, m), want)], str(m), None
-
-
-def _run_cor_jdk(params, rng):
-    p, _, per = _linear_per(params, "1..p-1")
-    return [_modint_eq(ModInt(per, p), ModInt(2, p))], str(p), None
-
-
-def _run_cor_quadmod(params, rng):
-    p, d = params["p"], params["d"]
-    per = _structured_per("quad", p, d, "1..h")
-    want = ModInt((-1) ** ((p + 1) // 2) * (1 + jacobi(d, p))
-                  * factorial((p - 1) // 2), p)
-    return [_modint_eq(ModInt(per, p), want)], str(p), None
 
 
 def _run_cor_sin(params, rng):
@@ -364,38 +351,6 @@ def _run_thcos_cong(params, rng):
     per_sec = mod_reduce_rat(seq_c_prime(p).value * 2 ** h, p)
     return [_modint_eq(per_cos, want, "cos"),
             _modint_eq(per_sec, want, "sec")], str(p), None
-
-
-def _run_thsin_int(params, rng):
-    n = params["n"]
-    items = [_int_item(seq_s(n).value, f"s({n})")]
-    if is_prime(n):
-        items.append(_int_item(seq_s_prime(n).value, f"s'({n})"))
-    return items, None, None
-
-
-def _run_thsin_cong(params, rng):
-    p = params["p"]
-    got_s = mod_reduce_rat(seq_s(p).value, p)
-    got_sp = mod_reduce_rat(seq_s_prime(p).value, p)
-    return [_modint_eq(got_s, ModInt((-1) ** ((p + 1) // 2), p), "s"),
-            _modint_eq(got_sp, ModInt(1, p), "s'")], str(p), None
-
-
-def _run_thtan_int(params, rng):
-    n = params["n"]
-    items = [_int_item(seq_t(n).value, f"t({n})")]
-    if is_prime(n):
-        items.append(_int_item(seq_t_prime(n).value, f"t'({n})"))
-    return items, None, None
-
-
-def _run_thtan_cong(params, rng):
-    p = params["p"]
-    got_t = mod_reduce_rat(seq_t(p).value, p)
-    got_tp = mod_reduce_rat(seq_t_prime(p).value, p)
-    return [_modint_eq(got_t, ModInt((-1) ** ((p + 1) // 2), p), "t"),
-            _modint_eq(got_tp, ModInt(1, p), "t'")], str(p), None
 
 
 def _distinct_rationals(rng, count, taboo=()):
@@ -491,26 +446,6 @@ def _run_lem_half(params, rng):
     e = ((n + 1) // 2) * ((n * n - 1) // 8)
     want = jacobi(-2, n) * sqrt_element(n) * Cyc.zeta(n, e)
     return [_eq(prod, want)], None, None
-
-
-def _run_det_sec2(params, rng):
-    n = params["n"]
-    if n % 2 == 0:
-        raise SkipCheck("claim requires odd n")
-    mat = build_cyclotomic("sec2_diff", n=n)
-    got = det_field(mat).as_rational()
-    want = n ** (n - 1) * double_factorial(n) ** 2
-    return [_eq(got, want)], None, None
-
-
-def _run_det_tan2(params, rng):
-    n = params["n"]
-    if n % 2 == 0:
-        raise SkipCheck("claim requires odd n")
-    mat = build_cyclotomic("tan2_diff", n=n)
-    got = det_field(mat).as_rational()
-    want = 0 if n == 1 else (n - 1) * n ** (n - 2) * double_factorial(n) ** 2
-    return [_eq(got, want)], None, None
 
 
 def _run_conj_qdet(params, rng):
@@ -789,30 +724,42 @@ _register("thper.jxk", "theorem",
           _run_jxk, _ps, 13, 19, limit=("p", 601))
 _register("thper.jdk1", "theorem",
           "per[j+dk] (1..p-1) = d^(p-1) - 3 - 4(p-1)! (mod p^2)",
-          _run_jdk1, _pd_grid, _FAST_D, 31, limit=("p", 751))
+          _rank2("linear", "1..p-1", 2, lambda p, d, m: pow(d, p - 1, m) - 3
+                 - 4 * factorial(p - 1), _D_UNIT),
+          _pd_grid, _FAST_D, 31, limit=("p", 751))
 _register("thper.jdk2", "theorem",
           "per[j+dk] (1..p) = (d+1)/2 p (mod p^2)",
-          _run_jdk2, _pd_grid, _FAST_D, 31, limit=("p", 751))
+          _rank2("linear", "1..p", 2,
+                 lambda p, d, m: (d + 1) * inv_mod(2, m) * p, _D_UNIT),
+          _pd_grid, _FAST_D, 31, limit=("p", 751))
 _register("thper.jdk3", "theorem",
           "per[j+dk] (0..p-1) = -(d+1)/2 p (mod p^2)",
-          _run_jdk3, _pd_grid, _FAST_D, 31, limit=("p", 751))
+          _rank2("linear", "0..p-1", 2,
+                 lambda p, d, m: -(d + 1) * inv_mod(2, m) * p, _D_UNIT),
+          _pd_grid, _FAST_D, 31, limit=("p", 751))
 _register("thper.quad", "theorem",
           "per[j^2+dk^2] (1..(p-1)/2) = (d^((p-1)/2)+1) ((p-1)/2)!^3 (mod p^2)",
-          _run_quad, partial(_pd_grid, lo=5), _FAST_D, 31,
-          limit=("p", 1409))
+          _rank2("quad", "1..h", 2, lambda p, d, m:
+                 (pow(d, (p - 1) // 2, m) + 1) * factorial((p - 1) // 2) ** 3,
+                 _P_OVER_3),
+          partial(_pd_grid, lo=5), _FAST_D, 31, limit=("p", 1409))
 _register("thper.quad0", "theorem",
           "per[j^2+dk^2] (0..(p-1)/2) = (-1)^((p-1)/2) p/24 (d+(d/p)) "
           "((p-1)/2)! (mod p^2)",
-          _run_quad0, partial(_pd_grid, lo=5), _FAST_D, 31,
-          limit=("p", 1409))
+          _rank2("quad", "0..h", 2, lambda p, d, m:
+                 (-1) ** ((p - 1) // 2) * p * inv_mod(24, m)
+                 * (d + jacobi(d, p)) * factorial((p - 1) // 2), _P_OVER_3),
+          partial(_pd_grid, lo=5), _FAST_D, 31, limit=("p", 1409))
 _register("cor.jdk", "theorem",
           "per[j+dk] (1..p-1) = 2 (mod p)",
-          _run_cor_jdk, _pd_grid, _FAST_D, 31, limit=("p", 751))
+          _rank2("linear", "1..p-1", 1, lambda p, d, m: 2, _D_UNIT),
+          _pd_grid, _FAST_D, 31, limit=("p", 751))
 _register("cor.quadmod", "theorem",
           "per[j^2+dk^2] (1..(p-1)/2) = (-1)^((p+1)/2) (1+(d/p)) "
           "((p-1)/2)! (mod p)",
-          _run_cor_quadmod, _pd_grid, _FAST_D, 31,
-          limit=("p", 1409))
+          _rank2("quad", "1..h", 1, lambda p, d, m: (-1) ** ((p + 1) // 2)
+                 * (1 + jacobi(d, p)) * factorial((p - 1) // 2)),
+          _pd_grid, _FAST_D, 31, limit=("p", 1409))
 _register("cor.sin", "theorem",
           "per[sin pi(j+k)/n] (size n-1): (-1)^((n-1)/2) n!/(2^(n-2)(n+1)) "
           "for odd n, 0 for even n",
@@ -844,16 +791,16 @@ _register("thcos.cong", "theorem",
           _run_thcos_cong, _ps, 13, 19)
 _register("thsin.int", "theorem",
           "s_n (and s'_p for prime index) are integers",
-          _run_thsin_int, _odd_ns, 13, 23)
+          _integral_pair("s"), _odd_ns, 13, 23)
 _register("thsin.cong", "theorem",
           "s_p = (-1)^((p+1)/2), s'_p = 1 (mod p)",
-          _run_thsin_cong, _ps, 13, 19)
+          _congruent_pair("s"), _ps, 13, 19)
 _register("thtan.int", "theorem",
           "t_n (and t'_p for prime index) are integers",
-          _run_thtan_int, _odd_ns, 13, 25)
+          _integral_pair("t"), _odd_ns, 13, 25)
 _register("thtan.cong", "theorem",
           "t_p = (-1)^((p+1)/2), t'_p = 1 (mod p)",
-          _run_thtan_cong, _ps, 13, 19)
+          _congruent_pair("t"), _ps, 13, 19)
 _register("lem.cauchy", "theorem",
           "Cauchy determinant det[1/(x_j+y_k)] product formula",
           _run_lem_cauchy, partial(_ns, lo=2), 6, 6)
@@ -878,12 +825,14 @@ _register("lem.half", "theorem",
           limit=("n", 501))
 _register("det.sec2", "theorem",
           "det[sec^2 pi(j-k)/n] (n x n) = n^(n-1) (n!!)^2 for odd n",
-          _run_det_sec2, partial(_odd_ns, lo=1), 7, 11,
-          limit=("n", 15))
+          _odd_det("sec2_diff",
+                   lambda n: n ** (n - 1) * double_factorial(n) ** 2),
+          partial(_odd_ns, lo=1), 7, 11, limit=("n", 15))
 _register("det.tan2", "theorem",
           "det[tan^2 pi(j-k)/n] (n x n) = (n-1) n^(n-2) (n!!)^2 for odd n",
-          _run_det_tan2, partial(_odd_ns, lo=1), 7, 11,
-          limit=("n", 15))
+          _odd_det("tan2_diff", lambda n: 0 if n == 1 else
+                   (n - 1) * n ** (n - 2) * double_factorial(n) ** 2),
+          partial(_odd_ns, lo=1), 7, 11, limit=("n", 15))
 _register("conj.qdet", "conjecture",
           "det[[floor((aj-(a+1)k)/n)]_q] = -(a(a+1)/n) q^((1-3n)/2); "
           "det[[ceil(((a+1)j-ak)/n)]_q] = (a(a+1)/n) q^((n-1)/2)",

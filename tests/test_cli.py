@@ -1,8 +1,10 @@
 """CLI behavior: subcommands, exit codes, JSON/CSV shapes, determinism."""
 
 import csv
+import hashlib
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -170,6 +172,28 @@ def test_threads_byte_identical(capsys):
     r1 = json.dumps(json.loads(out1)["results"])
     r8 = json.dumps(json.loads(out8)["results"])
     assert r1 == r8
+
+
+# sha256 of the stdout of `verify all --tier T --json --seed 0` on the
+# fractions backend.  A change that alters rows on purpose updates the digest
+# and says why.  The JSON "command" field echoes the argv, so the argv must
+# stay exactly this.
+RESULT_DIGESTS = {
+    "full": "b3434e189981548e13acec3a8c69bcf05c99c055d1ccf3c5148394336ffb9d9b",
+    "fast": "ce4ddac873b0d194109d21e4f713cf4abfd89b7d3b76edf430cfdbd59414eb93",
+}
+
+
+@pytest.mark.skipif(Rat is not Fraction,
+                    reason="digests were recorded on the fractions backend")
+@pytest.mark.parametrize("tier", ["full", "fast"])
+def test_verify_all_json_matches_the_pinned_digest(capsys, tier):
+    code, out = run_cli(capsys, "verify", "all", "--tier", tier, "--json",
+                        "--seed", "0")
+    assert code == 0
+    if tier == "full":
+        assert len(json.loads(out)["results"]) == 1438
+    assert hashlib.sha256(out.encode()).hexdigest() == RESULT_DIGESTS[tier]
 
 
 def test_verify_all_fast_smoke(capsys):

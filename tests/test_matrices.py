@@ -16,8 +16,7 @@ from permarith.errors import (DomainError, SizeLimitError,
 from permarith.families import JK_SIGN, build_cyclotomic
 from permarith.matrices import (RYSER_LIMIT, Mat, _orbits, det_divfree,
                                 det_field, per_naive, per_orbits, per_ryser,
-                                per_sum_coeffs, per_sum_matrix,
-                                per_sum_values)
+                                per_sum_coeffs, per_sum_values)
 from permarith.ntheory import is_prime
 from permarith.rings import GF, QPOLY, QQ, ZZ, LPoly, Rat, Zmod
 
@@ -290,10 +289,10 @@ _ENTRY = st.integers(-9, 9)
 @given(st.integers(1, 7).flatmap(
     lambda n: st.tuples(st.lists(_ENTRY, min_size=n, max_size=n),
                         st.lists(_ENTRY, min_size=n, max_size=n))))
-def test_per_sum_matrix_equals_ryser(uv):
+def test_per_sum_values_equals_ryser(uv):
     u, v = uv
     m = Mat(ZZ, [[uj + vk for vk in v] for uj in u])
-    assert per_sum_matrix(u, v) == per_ryser(m)
+    assert per_sum_values(u, [v]) == [per_ryser(m)]
 
 
 def _horner(coeffs, d):
@@ -366,26 +365,27 @@ def test_per_sum_coeffs_edge_cases():
 
 
 def test_per_sum_coeffs_examples():
-    # per[j + d*k], 1 <= j, k <= 3, at d = 1 is per_sum_matrix's 336.
+    # per[j + d*k], 1 <= j, k <= 3, is 336 at d = 1.
     coeffs = per_sum_coeffs([1, 2, 3], [1, 2, 3])
     assert len(coeffs) == 4 and sum(coeffs) == 336
-    assert per_sum_matrix([1, 2, 3], [1, 2, 3]) == 336
+    assert per_sum_values([1, 2, 3], [[1, 2, 3]]) == [336]
     assert coeffs[0] == 36  # d = 0: every row is constant, 3! * 1 * 2 * 3
     for u, w in (([], []), ([1, 2], [1]), ([1], [1, 2])):
         with pytest.raises(DomainError):
             per_sum_coeffs(u, w)
     with pytest.raises(DomainError):
-        per_sum_matrix([], [])
+        per_sum_values([], [[]])
 
 
-def test_per_sum_values_equals_per_sum_matrix():
+def test_per_sum_values_equals_summed_coeffs():
     # One pass over u serves every w, u itself included.
     rng = random.Random("values")
     for n in range(1, 9):
         u = [rng.randint(-9, 9) for _ in range(n)]
         ws = [list(u)] + [[rng.randint(-9, 9) for _ in range(n)]
                           for _ in range(3)]
-        assert per_sum_values(u, ws) == [per_sum_matrix(u, w) for w in ws]
+        assert per_sum_values(u, ws) == [sum(per_sum_coeffs(u, w))
+                                         for w in ws]
     assert per_sum_values(range(1, 4), [range(1, 4)]) == [336]
     with pytest.raises(DomainError):
         per_sum_values([1, 2], [[1, 2], [1]])

@@ -6,7 +6,7 @@ import pytest
 import permarith.verifier as verifier
 from permarith.errors import UnknownCheckError
 from permarith.families import sum_structure
-from permarith.matrices import Mat, per_ryser, per_sum_matrix
+from permarith.matrices import Mat, per_ryser, per_sum_values
 from permarith.ntheory import odd_primes_upto
 from permarith.rings import ZZ
 from permarith.verifier import (ALL_CHECK_IDS, REGISTRY, default_grid,
@@ -98,6 +98,7 @@ def test_out_of_domain_params_skip():
     ("thper.rootlinear", {"n": 100000, "backend": "fq"}, "no prime"),
     ("thper.rootlinear", {"n": 3, "backend": "gpu"}, "unknown backend"),
     ("thq.floor", {"n": 40}, "limited to n <= 20"),
+    ("thper.quad0", {"p": 3, "d": 1}, "p > 3"),
 ])
 def test_inputs_outside_the_claim_skip(check_id, params, reason):
     # Outside a claim's domain the verdict is SKIP with the reason, never a
@@ -195,11 +196,11 @@ def test_size_limits_refuse_before_building(monkeypatch):
     ("linear", "1..p-1"), ("linear", "1..p"), ("linear", "0..p-1"),
     ("quad", "1..h"), ("quad", "0..h"),
 ])
-def test_structured_per_equals_per_sum_matrix(family, rng_name):
+def test_structured_per_equals_per_sum_values(family, rng_name):
     # The d-grids evaluate one closed-form coefficient vector per
     # (family, p, range).  At every p <= 23, which covers the grids of both
     # tiers, the vector must be the moment table's, and every value must be
-    # per_sum_matrix of the same matrix and, for p <= 11, Glynn's permanent.
+    # per_sum_values of the same matrix and, for p <= 11, Glynn's permanent.
     for p in odd_primes_upto(23):
         u, w = sum_structure(family, p, rng_name)
         assert verifier._per_coeffs(family, p, rng_name) == \
@@ -207,10 +208,31 @@ def test_structured_per_equals_per_sum_matrix(family, rng_name):
         for d in range(1, p):
             dw = [d * x for x in w]
             got = verifier._structured_per(family, p, d, rng_name)
-            assert got == per_sum_matrix(u, dw), (p, d)
+            assert [got] == per_sum_values(u, [dw]), (p, d)
             if p <= 11:
                 mat = Mat(ZZ, [[uj + x for x in dw] for uj in u])
                 assert got == per_ryser(mat), (p, d)
+
+
+def test_rank2_runner_reports_a_wrong_coefficient(monkeypatch):
+    # The seven d-grid claims share one runner; a rank-2 vector with one
+    # coefficient off by one must make each of them a FAIL with both values.
+    real = verifier._per_coeffs
+
+    def off_by_one(family, p, rng_name):
+        c0, *rest = real(family, p, rng_name)
+        return (c0 + 1, *rest)
+
+    d_grid_checks = ("thper.jdk1", "thper.jdk2", "thper.jdk3", "thper.quad",
+                     "thper.quad0", "cor.jdk", "cor.quadmod")
+    params = {"p": 7, "d": 2}
+    for check_id in d_grid_checks:
+        assert run_check(check_id, params).status == "PASS", check_id
+    monkeypatch.setattr(verifier, "_per_coeffs", off_by_one)
+    for check_id in d_grid_checks:
+        r = run_check(check_id, params)
+        assert r.status == "FAIL", check_id
+        assert r.computed and r.expected and r.computed != r.expected, r
 
 
 def test_reports_reproducible():
