@@ -30,6 +30,10 @@ unfolded images, whose determinant is the image of the determinant in
 Z[x], and unpack folds it.  2^(mB) - 1 is the image of x^m - 1, so the
 fold is a ring map, and folding a vector of L1 norm at most L keeps every
 coefficient within L.
+CyclotomicField.lower_rational shares pack_rows' row clearing (clear_rows)
+and its bound L, and maps each vector to its value at 2^e mod Phi_m(2^e):
+one int of about bitlen(L) bits in place of m digits of B bits, exact
+when the permanent is rational (see the matrices module docstring).
 Cyc.__mul__ packs its two operands' numerators as two one-entry rows, so a
 cyclic convolution becomes one int product, and Cyc.inverse multiplies the
 Galois conjugates the same way.
@@ -280,7 +284,9 @@ class Cyc:
         if isinstance(other, Cyc):
             if other.order != self.order:
                 return False
-            return self.canonical() == other.canonical()
+            # Equal normal-form pairs are equal lattice vectors.
+            return (self.den == other.den and self.num == other.num
+                    or self.canonical() == other.canonical())
         if isinstance(other, (int, Rat)):
             can = self.canonical()
             return can[0] == other and all(c == 0 for c in can[1:])
@@ -402,12 +408,12 @@ class Layout(NamedTuple):
         return prod
 
 
-def pack_rows(order: int, rows):
-    """Kronecker images of rows of Cyc entries, and the layout to decode by.
+def clear_rows(rows):
+    """(integral rows, prod d_j, L) for rows of Cyc entries.
 
-    Row j is multiplied by d_j, the lcm of its entries' denominators; each
-    integral vector v is replaced by the int v(2^B).  The Layout carries the
-    coefficient bound L of the module docstring, which fixes B.
+    Row j is multiplied by d_j, the lcm of its entries' denominators, so
+    each entry becomes an integral coefficient vector; L is the coefficient
+    bound of the module docstring, the product of the rows' L1 norms.
     """
     den = 1
     bound = 1
@@ -419,6 +425,16 @@ def pack_rows(order: int, rows):
         bound *= sum(sum(map(abs, v)) for v in vecs)
         den *= d
         integral.append(vecs)
+    return integral, den, bound
+
+
+def pack_rows(order: int, rows):
+    """Kronecker images of rows of Cyc entries, and the layout to decode by.
+
+    Each integral vector v of clear_rows is replaced by the int v(2^B).  The
+    Layout carries the coefficient bound L, which fixes B.
+    """
+    integral, den, bound = clear_rows(rows)
     layout = Layout(order, bound.bit_length() + 2, den, bound)
     return [list(map(layout.image, vecs)) for vecs in integral], layout
 
@@ -504,6 +520,40 @@ class CyclotomicField(Ring):
         def lift(value, k=0):
             return unpack(value * pow(2, -k, modulus), layout)
         return images, layout.product, lift
+
+    def lower_rational(self, rows):
+        """The int lowering for rows whose permanent is rational, m >= 3.
+
+        Each cleared entry vector v becomes v(2^e) mod N, N = Phi_m(2^e),
+        e = ceil((bitlen(L) + 2) / phi(m)) + 1.  Glynn multiplies the row
+        sums as plain ints (one reduction mod N at the end costs less than
+        one per product); the lift reduces and halves mod N (N is odd),
+        takes the balanced residue v, raises ArithmeticError if |v| > L,
+        and returns the rational v / prod d_j.  The matrices module
+        docstring proves this exact for a Galois-invariant matrix, which
+        per_ryser checks first.
+        """
+        m = self.m
+        integral, den, bound = clear_rows(rows)
+        phi = cyclotomic_poly(m)
+        e = -(-(bound.bit_length() + 2) // (len(phi) - 1)) + 1
+        modulus = 0
+        for c in reversed(phi):
+            modulus = (modulus << e) + c
+        shifts = range(0, m * e, e)
+        ints = [[sum(map(lshift, v, shifts)) % modulus for v in vecs]
+                for vecs in integral]
+
+        def lift(value, k=0):
+            v = value * pow(2, -k, modulus) % modulus
+            if v > modulus >> 1:
+                v -= modulus
+            if abs(v) > bound:
+                raise ArithmeticError(
+                    f"residue mod Phi_{m}(2^{e}) exceeds its bound {bound}:"
+                    f" the permanent is not rational")
+            return Cyc.rational(m, ratio(v, den))
+        return ints, math.prod, lift
 
     def zeta(self, e: int = 1) -> Cyc:
         return Cyc.zeta(self.m, e)

@@ -44,6 +44,30 @@ lift is exact on it.  Over Q(zeta_m) the lowering is Kronecker packing
 of x^m - 1, and Bareiss works on the unfolded images, whose determinant is
 the image of the determinant in Z[x]; unpack folds it once at the end.
 
+per_ryser over Q(zeta_m), m >= 3, takes a smaller lowering
+(CyclotomicField.lower_rational) when the matrix is Galois-invariant: it
+has n = m - 1 or m rows, labelled 1..n with label m standing for residue
+0, and for every generator a of (Z/m)^* (unit_generators) the check finds
+sigma_a(M[j][k]) == M[pi(j)][tau(k)] in the field for all j, k, with
+pi(j) = a*j mod m and tau = pi or the identity.  Then sigma_a(per M) is
+the permanent of M with its rows and columns permuted, which is per M;
+the generators generate the Galois group, so per M is rational.  Let
+P in Z[x]/(x^m - 1) be the lattice permanent of the cleared rows (row j
+times d_j), so that P(zeta) = prod d_j * per M is a rational algebraic
+integer, an int v, with |v| <= |P|_1 <= L (L as in pack_rows).  Let
+N = Phi_m(2^e).  Phi_m divides x^m - 1, so x -> 2^e mod N is a ring map
+from Z[x]/(x^m - 1) to Z/N that factors through Z[x]/Phi_m = Z[zeta];
+it sends P to v mod N, and Glynn's sum, 2^(n-1) P, to 2^(n-1) v mod N.
+N is odd, since Phi_m(0) = 1 for m >= 2, so halving mod N is exact.
+The primitive m-th roots of unity are not real for m >= 3, so
+N = prod |2^e - zeta^k| >= (2^e - 1)^phi(m) >= 2^((e-1) phi(m)), which
+with e = ceil((bitlen(L) + 2)/phi(m)) + 1 is at least 2^(bitlen(L) + 2)
+> 4L.  So v is the balanced residue mod N, and the lift returns
+v / prod d_j.  The lift also refuses a residue over L, but that is only a
+guard: a permanent off Q can still leave one within L, so the check alone
+makes the lowering exact.  Every other matrix, per_orbits and the
+determinants stay on Kronecker images.
+
 per_sum_coeffs and per_sum_values are the rank-2 permanents over Z in
 closed form (Minc, Permanents, 1978): per[u_j + d*w_k] = sum_i i!(n-i)!
 e_i(w) e_(n-i)(u) d^i, two elementary symmetric passes of O(n^2) int
@@ -147,11 +171,61 @@ def check_ryser_size(n: int):
 
 def per_ryser(mat: Mat):
     """Permanent by Glynn's formula with Gray-code updates (the name is
-    kept from the Ryser loop it replaced, as is the size limit)."""
+    kept from the Ryser loop it replaced, as is the size limit), on the
+    ring's lowering, or on CyclotomicField.lower_rational when the matrix
+    is Galois-invariant (see the module docstring)."""
     n = mat.n
     check_ryser_size(n)
-    rows, product, lift = mat.ring.lower(mat.rows)
+    ring = mat.ring
+    lower = ring.lower_rational if _galois_invariant(mat) else ring.lower
+    rows, product, lift = lower(mat.rows)
     return lift(_glynn(rows, product), n - 1)
+
+
+@lru_cache(maxsize=None)
+def unit_generators(m: int) -> tuple[int, ...]:
+    """A generating set of (Z/m)^*, taken greedily from 2, 3, ..., m - 1
+    (empty for m <= 2)."""
+    gens, reached = [], {1}
+    for a in range(2, m):
+        if gcd(a, m) == 1 and a not in reached:
+            gens.append(a)
+            while True:
+                more = {x * g % m for x in reached for g in gens} - reached
+                if not more:
+                    break
+                reached |= more
+    return tuple(gens)
+
+
+def _galois_invariant(mat: Mat) -> bool:
+    # True if mat is over Q(zeta_m), m >= 3, with n = m - 1 or m rows, and
+    # every generator a of (Z/m)^* satisfies sigma_a(M[j][k]) ==
+    # M[pi(j)][tau(k)] in the field, where pi(j) = a*j mod m on the labels
+    # 1..n (label m for residue 0) and tau is pi or the identity.
+    ring = mat.ring
+    if not isinstance(ring, CyclotomicField) or ring.m < 3:
+        return False
+    m, n, rows = ring.m, mat.n, mat.rows
+    if n not in (m - 1, m):
+        return False
+    same = list(range(n))
+    for a in unit_generators(m):
+        pi = [a * j % m - 1 for j in range(1, n + 1)]  # index -1 is label m
+        images = {}  # id(entry) -> sigma_a(entry); rows keep entries alive
+
+        def maps_onto(tau):
+            for j, row in enumerate(rows):
+                for k, z in enumerate(row):
+                    image = images.get(id(z))
+                    if image is None:
+                        image = images[id(z)] = z.galois(a)
+                    if image != rows[pi[j]][tau[k]]:
+                        return False
+            return True
+        if not (maps_onto(pi) or maps_onto(same)):
+            return False
+    return True
 
 
 def _check_jk_symmetry(mat: Mat, sign: int):
@@ -186,18 +260,8 @@ def _orbits(n: int, sign: int) -> tuple[tuple[int, int], ...]:
     """
     h = (n - 1) // 2
     full = (1 << h) - 1
-    units = [a for a in range(2, n) if gcd(a, n) == 1]
-    gens, reached = [], {1}
-    for a in units:  # a generating set of (Z/n)^*
-        if a not in reached:
-            gens.append(a)
-            while True:
-                more = {x * g % n for x in reached for g in gens} - reached
-                if not more:
-                    break
-                reached |= more
     maps = []
-    for a in gens:
+    for a in unit_generators(n):
         image = [0] * h
         flip = 0
         for k in range(1, h + 1):

@@ -89,9 +89,12 @@ SEQ_TABLE = {
 }
 
 
-# T has no orbit symmetry, so each step of its Glynn sum costs a product of
-# n - 1 row sums over Q(zeta_n): on a 2-core x86-64 machine (Python 3.11,
-# Fraction backend) T(17) takes 5.2 s, T(19) 28 s and T(21) 221 s.
+# T has no orbit symmetry, so its Glynn sum takes 2^(n-2) products of n - 1
+# row sums.  Its matrix is Galois-invariant, so per_ryser takes them on
+# residues mod Phi_n(2^e), 160 bits at n = 17 where a Kronecker image has
+# 2,193: on a 2-core x86-64 machine (Python 3.11, Fraction backend) T(17)
+# takes 0.38-0.44 s, T(19) 1.9-2.3 s and T(21) 10.4 s (5.2 s, 28 s and
+# 221 s on Kronecker images).
 T_LIMIT = 19
 
 

@@ -687,20 +687,25 @@ _FAST_D = {"hi": 13, "d": (1, 2, -1)}
 # cor.quadmod 0.38-0.52 s at p = 1409 and 0.50-0.66 s at 1511; thper.jxk, three
 # rank-2 permanents sharing one pass over u = 1..p-1, 0.38-0.48 s at p = 601
 # and 0.55-0.71 s at 701.  The Glynn checks over Q(zeta) take 2^(n-1)
-# products, so their time grows 2-3x per step of n; their limits keep every
-# tier row and explore default row: thper.rootlinear (random x at seeds 0-3)
-# with backend cyc 0.28-0.34 s at n = 12 and 0.71-0.98 s at 13, with backend
-# fq 0.22-0.24 s at 15, 0.33-0.54 s at 16 and 1.1 s at 17; thper.rootexp
-# 0.23-0.31 s at 12 and 0.74-1.03 s at 13; cor.sin and cor.cos 0.27-0.44 s at
-# 15 and 0.72-1.12 s at 16; thnew.cauchyroot also grows with the height of x,
-# so it refuses n * height(x) > 35: 0.12-0.38 s at n = 12 for x of height 2
-# (2, -2, 1/2, 1/3, +-3/2) and 0.53-0.73 s for height 3 (3/5, 7/5, -7/6),
-# 0.18-0.29 s at 11 for heights 3 and 4, 1.43 s at 12 and 0.51 s at 11 for
-# x = 97/89, and at most 0.004 s for n <= 7 at n * height(x) = 35;
-# conj.derange 0.25-0.32 s at 14 and 0.70-0.73 s at 15; rem.perhalf 0.15-0.22 s
-# at 13 and 1.4-1.7 s at 15.  thnew.invsumsq takes 0.05-0.09 s at p = 31, and
-# its next p = 3 (mod 4), 43, has 21 rows; conj.sqdiff takes 0.02-0.03 s at
-# p = 29, 0.70 s at 37 and 3.0 s at 41.
+# products, so their time grows 2-3x per step of n.  Their matrices are
+# Galois-invariant, so per_ryser lowers them to one residue mod Phi_m(2^e)
+# (see matrices), and each now runs well inside the limit it got on Kronecker
+# images; the limits are kept, and keep every tier row and explore default
+# row: thper.rootlinear (random x at seeds 0-3) with backend cyc 0.07-0.08 s
+# at n = 12, 0.19-0.23 s at 13 and 1.2-1.3 s at 15, with backend fq (no
+# Q(zeta)) 0.21-0.28 s at 15, 0.39-0.52 s at 16 and 1.1-1.3 s at 17;
+# thper.rootexp 0.05-0.06 s at 12, 0.09-0.16 s at 13 and 0.64-0.89 s at 15;
+# cor.sin and cor.cos 0.03-0.04 s at 15, 0.07-0.10 s at 16 and 0.16-0.24 s at
+# 17; thnew.cauchyroot also grows with the height of x, so it refuses
+# n * height(x) > 35: 0.014-0.030 s at n = 12 for x of height 2 (2, -2, 1/2,
+# 1/3, +-3/2) and 0.03-0.06 s for height 3 (3/5, 7/5, -7/6), 0.015-0.032 s
+# at 11 for heights 3 and 4, 0.16-0.19 s at 12 and 0.05-0.06 s at 11 for
+# x = 97/89, and at most 0.001 s for n <= 7 at n * height(x) = 35;
+# conj.derange 0.06-0.07 s at 14 and 0.40-0.42 s at 15 (mostly its two
+# determinants, which stay on Kronecker); rem.perhalf 0.02-0.03 s at 13,
+# 0.11-0.13 s at 15 and 0.73-0.89 s at 17.  thnew.invsumsq takes 0.05-0.09 s
+# at p = 31, and its next p = 3 (mod 4), 43, has 21 rows; conj.sqdiff takes
+# 0.02-0.03 s at p = 29, 0.70 s at 37 and 3.0 s at 41.
 _register("thq.floor", "theorem",
           "per[floor((j+k-1)/n)] (n x n) = 1",
           _run_thq_floor, _ns, 9, 12)

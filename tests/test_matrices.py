@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 from permarith.cyclotomic import Cyc, CyclotomicField, pack_rows
 from permarith.errors import (DomainError, SizeLimitError,
                               UnsupportedRingError)
-from permarith.families import JK_SIGN, build_cyclotomic
-from permarith.matrices import (RYSER_LIMIT, Mat, _orbits, det_divfree,
-                                det_field, per_naive, per_orbits, per_ryser,
-                                per_sum_coeffs, per_sum_values)
+from permarith.families import JK_SIGN, build_cyclotomic, conjugates
+from permarith.matrices import (RYSER_LIMIT, Mat, _galois_invariant, _glynn,
+                                _orbits, det_divfree, det_field, per_naive,
+                                per_orbits, per_ryser, per_sum_coeffs,
+                                per_sum_values, unit_generators)
 from permarith.ntheory import is_prime
 from permarith.rings import GF, QPOLY, QQ, ZZ, LPoly, Rat, Zmod
 
@@ -280,6 +281,107 @@ def test_packed_engines_over_cyclotomic(m):
         want = _leibniz(mat)
         assert det_field(mat) == want, mat
         assert det_divfree(mat) == want, mat
+
+
+# Orders for the rational lowering: prime, prime power, composite, even.
+_INVARIANT_ORDERS = (3, 4, 5, 7, 9, 12)
+
+
+def _glynn_with(lower, mat):
+    # per_ryser's body on a chosen lowering.
+    rows, product, lift = lower(mat.rows)
+    return lift(_glynn(rows, product), mat.n - 1)
+
+
+@st.composite
+def _invariant_mats(draw, max_n=12):
+    """Galois-invariant matrices over Q(zeta_m), m in _INVARIANT_ORDERS,
+    with n = m - 1 or m <= max_n rows: [T(j+k)] or [T(j-k)] for a table
+    T(r) = F(zeta^r) from families.conjugates, F a sparse polynomial with
+    rational coefficients, now and then over 1 - x*y; or [1 - zeta^j x_k]
+    with rational x_k."""
+    m = draw(st.sampled_from([m for m in _INVARIANT_ORDERS if m - 1 <= max_n]))
+    n = draw(st.sampled_from([n for n in (m - 1, m) if n <= max_n]))
+    ring = CyclotomicField(m)
+    kind = draw(st.sampled_from(("j+k", "j-k", "1-zeta^j x_k")))
+    if kind == "1-zeta^j x_k":
+        xs = draw(st.lists(_RAT, min_size=n, max_size=n))
+        return Mat(ring, [[1 - ring.zeta(j) * x for x in xs]
+                          for j in range(1, n + 1)])
+    terms = draw(st.lists(st.tuples(st.integers(0, m - 1), _RAT),
+                          min_size=1, max_size=3))
+    x = draw(st.none() | _RAT.filter(lambda x: x ** m != 1))
+
+    def f(r):
+        z = sum((c * ring.zeta(e * r) for e, c in terms), ring.zero)
+        return z if x is None else z * (1 - ring.zeta(r) * x).inverse()
+    table = conjugates(ring, range(m), f)
+    sign = 1 if kind == "j+k" else -1
+    return Mat(ring, [[table[(j + sign * k) % m] for k in range(1, n + 1)]
+                      for j in range(1, n + 1)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_invariant_mats())
+def test_rational_lowering_on_invariant_matrices(mat):
+    # per_ryser takes the evaluation mod Phi_m(2^e) here; it must equal the
+    # Kronecker path in the field, and the n! oracle where that is cheap.
+    assert _galois_invariant(mat)
+    got = per_ryser(mat)
+    assert not any(got.num[1:])
+    assert got == _glynn_with(mat.ring.lower, mat)
+    if mat.n <= 7:
+        assert got == per_naive(mat)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_invariant_mats(max_n=7), st.data())
+def test_a_perturbed_entry_fails_the_invariance_check(mat, data):
+    # A passing check permutes the entries under each sigma_a, so it forces
+    # the sum of all entries to be rational.  Adding zeta to one entry moves
+    # that sum off Q, so the check must refuse, and Kronecker answers.
+    j = data.draw(st.integers(0, mat.n - 1))
+    k = data.draw(st.integers(0, mat.n - 1))
+    rows = [list(row) for row in mat.rows]
+    rows[j][k] = rows[j][k] + mat.ring.zeta(1)
+    bent = Mat(mat.ring, rows)
+    assert not _galois_invariant(bent)
+    assert per_ryser(bent) == per_naive(bent)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_INVARIANT_ORDERS), st.integers(1, 6), st.data())
+def test_the_rational_lift_refuses_a_nonrational_permanent(m, n, data):
+    # A monomial matrix of signed powers of zeta has L = 1 and permanent
+    # +-zeta^s, which is not rational unless 2s = 0 mod m.  A residue v with
+    # |v| <= 1 would put the nonzero zeta^s -+ v in the ideal
+    # (N, zeta - 2^e) of norm N = Phi_m(2^e) >= 3^phi(m), but its norm is at
+    # most 2^phi(m): so the lift must raise.
+    ring = CyclotomicField(m)
+    perm = data.draw(st.permutations(range(n)))
+    exps = data.draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n)
+                     .filter(lambda es: 2 * sum(es) % m))
+    signs = data.draw(st.lists(st.sampled_from((1, -1)), min_size=n,
+                               max_size=n))
+    mat = Mat(ring, [[signs[j] * ring.zeta(exps[j]) if k == perm[j]
+                      else ring.zero for k in range(n)] for j in range(n)])
+    with pytest.raises(ArithmeticError):
+        _glynn_with(ring.lower_rational, mat)
+    assert not _galois_invariant(mat)
+    assert per_ryser(mat) == per_naive(mat)
+
+
+def test_unit_generators_generate_the_unit_group():
+    for m in range(1, 40):
+        units = {a for a in range(2, m) if math.gcd(a, m) == 1}
+        reached = {1}
+        while True:
+            more = {x * g % m for x in reached for g in unit_generators(m)}
+            if more <= reached:
+                break
+            reached |= more
+        assert reached - {1} == units, m
+        assert set(unit_generators(m)) <= units, m
 
 
 _ENTRY = st.integers(-9, 9)

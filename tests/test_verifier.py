@@ -81,7 +81,8 @@ def test_out_of_domain_params_skip():
     assert run_check("thper.quad", {"p": 3, "d": 1}).status == "SKIP"
     assert run_check("lem.oneplus", {"n": 8}).status == "SKIP"
     r = run_check("thnew.cauchyroot", {"n": 4, "x": "-1"})
-    assert r.status == "SKIP" and "singular" in r.note.lower() or "x^n" in r.note
+    assert r.status == "SKIP" and ("singular" in r.note.lower()
+                                   or "x^n" in r.note)
 
 
 @pytest.mark.parametrize("check_id,params,reason", [
