@@ -49,50 +49,51 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import add, lshift, sub
 from typing import NamedTuple
 
 from .errors import (DomainError, NonInvertibleError, SearchExhaustedError)
 from .ntheory import divisors, is_prime, prime_factors
-from .rings import ModInt, Rat, Ring, ResidueRing, balanced_digits, ratio
+from .rings import (ModInt, Rat, Ring, ResidueRing, _power, _show_terms,
+                    balanced_digits, cleared, ratio)
 
 # ---------------------------------------------------------------------------
 # Cyclotomic polynomials
 # ---------------------------------------------------------------------------
 
-_phi_cache: dict[int, tuple[int, ...]] = {}
-
-
-def _poly_div_exact_int(num: list[int], den: list[int]) -> list[int]:
-    # Exact division of integer polynomials, den monic; ascending coefficients.
-    num = num[:]
-    dd = len(den) - 1
-    out = [0] * (len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
+def _divmod_phi(num, m: int) -> tuple[list[int], list[int]]:
+    # Quotient and remainder of an integer polynomial (ascending coefficients)
+    # by the monic Phi_m, divided in place: each step leaves its quotient
+    # coefficient where the leading term was.  The zero coefficients of Phi_m
+    # are skipped: it has many, and the remainder runs inside every
+    # canonical().
+    phi = cyclotomic_poly(m)
+    deg = len(phi) - 1
+    rem = list(num)
+    for i in range(len(rem) - 1, deg - 1, -1):
+        c = rem[i]
         if c:
-            out[i - dd] = c
-            for t in range(dd + 1):
-                num[i - dd + t] -= c * den[t]
-    if any(num):
-        raise ArithmeticError("non-exact polynomial division")
-    return out
+            base = i - deg
+            for t in range(deg):
+                pt = phi[t]
+                if pt:
+                    rem[base + t] -= c * pt
+    return rem[deg:], rem[:deg]
 
 
+@lru_cache(maxsize=None)
 def cyclotomic_poly(m: int) -> tuple[int, ...]:
     """Coefficients (ascending) of the m-th cyclotomic polynomial."""
     if m < 1:
         raise DomainError(f"cyclotomic order must be >= 1, got {m}")
-    cached = _phi_cache.get(m)
-    if cached is not None:
-        return cached
     poly = [-1] + [0] * (m - 1) + [1]  # x^m - 1
     for d in divisors(m):
         if d != m:
-            poly = _poly_div_exact_int(poly, list(cyclotomic_poly(d)))
-    result = tuple(poly)
-    _phi_cache[m] = result
-    return result
+            poly, rem = _divmod_phi(poly, d)
+            if any(rem):
+                raise ArithmeticError("non-exact polynomial division")
+    return tuple(poly)
 
 
 def euler_phi(m: int) -> int:
@@ -126,23 +127,6 @@ def _normal(order: int, num: list, den: int) -> "Cyc":
     return _cyc(order, num, den)
 
 
-def _remainder(order: int, num) -> list[int]:
-    # num modulo the m-th cyclotomic polynomial (monic): phi(m) ints.
-    phi = cyclotomic_poly(order)
-    deg = len(phi) - 1
-    rem = list(num)
-    for i in range(len(rem) - 1, deg - 1, -1):
-        c = rem[i]
-        if c:
-            base = i - deg
-            for t in range(deg):
-                pt = phi[t]
-                if pt:
-                    rem[base + t] -= c * pt
-    del rem[deg:]
-    return rem
-
-
 class Cyc:
     """Element of Q(zeta_m), as sum of (num[e] / den) * zeta^e for e = 0..m-1.
 
@@ -159,14 +143,7 @@ class Cyc:
         coeffs = list(coeffs)
         if len(coeffs) != order:
             raise DomainError(f"need {order} coefficients, got {len(coeffs)}")
-        num, den = coeffs, 1
-        if not all(type(c) is int for c in coeffs):
-            den = math.lcm(*[int(c.denominator) for c in coeffs
-                             if not isinstance(c, int)])
-            num = [c * den if isinstance(c, int)
-                   else int(c.numerator) * (den // int(c.denominator))
-                   for c in coeffs]
-        z = _normal(order, num, den)
+        z = _normal(order, *cleared(coeffs))
         self.order = order
         self.num = z.num
         self.den = z.den
@@ -256,14 +233,7 @@ class Cyc:
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        result = Cyc.rational(self.order, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return _power(self, k, Cyc.rational(self.order, 1))
 
     # -- canonical form ------------------------------------------------------
 
@@ -271,7 +241,7 @@ class Cyc:
         """Remainder modulo the m-th cyclotomic polynomial, degree < phi(m),
         as rationals: an int where integral, else a Rat."""
         if self._canon is None:
-            rem = _remainder(self.order, self.num)
+            rem = _divmod_phi(self.num, self.order)[1]
             den = self.den
             self._canon = tuple(rem if den == 1
                                 else [ratio(c, den) for c in rem])
@@ -320,10 +290,10 @@ class Cyc:
             conj = unpack(layout.product([img for (img,) in rows]), layout)
         else:
             conj = Cyc.rational(m, 1)
-        norm, *rest = _remainder(m, (num * conj).num)
+        norm, *rest = _divmod_phi((num * conj).num, m)[1]
         if any(rest):
             raise ArithmeticError(f"the norm of {self!r} is not rational")
-        out = [c * self.den for c in _remainder(m, conj.num)]
+        out = [c * self.den for c in _divmod_phi(conj.num, m)[1]]
         return _normal(m, out + [0] * (m - len(out)), norm)
 
     def galois(self, a: int) -> "Cyc":
@@ -347,27 +317,7 @@ class Cyc:
         return total
 
     def __str__(self):
-        can = self.canonical()
-        parts = []
-        for e, c in enumerate(can):
-            if c == 0:
-                continue
-            if e == 0:
-                parts.append(str(c))
-            else:
-                zp = "z" if e == 1 else f"z^{e}"
-                if c == 1:
-                    parts.append(zp)
-                elif c == -1:
-                    parts.append(f"-{zp}")
-                else:
-                    parts.append(f"{c!s}*{zp}")
-        if not parts:
-            return "0"
-        out = parts[0]
-        for term in parts[1:]:
-            out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-        return out
+        return _show_terms(enumerate(self.canonical()), "z")
 
     def __repr__(self):
         return f"Cyc({self.order}; {self})"

@@ -6,13 +6,15 @@ per_ryser is Glynn's formula (Glynn, European J. Combin. 31, 2010),
 walked in Gray-code order: each of the 2^(n-1) steps negates one delta_k,
 adding or subtracting twice column k to the row sums.  It keeps the name of
 the Ryser loop it replaced and refuses matrices above RYSER_LIMIT rows with
-a SizeLimitError, which callers report as out of domain; check_ryser_size
-lets a caller refuse before it builds the matrix.
+a SizeLimitError, which callers report as out of domain.  per_ryser is the
+one entry point for a permanent: it reads the matrix and takes the orbit
+sum, the rational lowering or the ring's own lowering, in that order, as
+described below.
 
 per_orbits is the same sum for the matrices [T(jk mod n)], 1 <= j, k <= h,
 h = (n-1)/2, over Q(zeta_n) whose table satisfies T(n - r) = sign * T(r)
-as coefficient lists (the six families cos2, sec2, sin2, csc2, tan_jk and
-cot_jk).  A unit a mod n maps delta to a.delta with
+as coefficient lists for sign 1 or -1 (the six families cos2, sec2, sin2,
+csc2, tan_jk and cot_jk).  A unit a mod n maps delta to a.delta with
 (a.delta)_fold(ak) = delta_k * sign^[ak mod n > h], fold(x) = min(x, n-x).
 Row j of a.delta is then sign^[aj mod n > h] times row fold(aj) of delta,
 entry by entry on the lattice, and the column factor prod_k delta_k picks
@@ -23,8 +25,10 @@ equality of coefficient lists, so the terms are equal in Z[x]/(x^n - 1),
 not only in the field, and so are their Kronecker images.  Summing one
 term per orbit, times the orbit's size, therefore gives the full sum
 2^h per A on the packed lattice: the bound L is the one of the plain sum,
-and unpack still checks every digit.  per_orbits checks the lattice
-symmetry of the matrix it is given and raises ArithmeticError if it fails.
+and unpack still checks every digit.  One pass over the entries reads the
+sign off the table, checking the lattice symmetry; per_ryser takes the
+orbit sum for every h x h matrix over Q(zeta_(2h+1)) that has it, and
+per_orbits raises ArithmeticError for one that has it for neither sign.
 
 det_divfree and det_field are fraction-free elimination (Bareiss, Math.
 Comp. 22, 1968) in Z: step k replaces every entry below and right of the
@@ -45,9 +49,10 @@ of x^m - 1, and Bareiss works on the unfolded images, whose determinant is
 the image of the determinant in Z[x]; unpack folds it once at the end.
 
 per_ryser over Q(zeta_m), m >= 3, takes a smaller lowering
-(CyclotomicField.lower_rational) when the matrix is Galois-invariant: it
-has n = m - 1 or m rows, labelled 1..n with label m standing for residue
-0, and for every generator a of (Z/m)^* (unit_generators) the check finds
+(CyclotomicField.lower_rational) for a matrix that is not such a table but
+is Galois-invariant: it has n = m - 1 or m rows, labelled 1..n with label
+m standing for residue 0, and for every generator a of (Z/m)^*
+(unit_generators) the check finds
 sigma_a(M[j][k]) == M[pi(j)][tau(k)] in the field for all j, k, with
 pi(j) = a*j mod m and tau = pi or the identity.  Then sigma_a(per M) is
 the permanent of M with its rows and columns permuted, which is per M;
@@ -65,7 +70,7 @@ with e = ceil((bitlen(L) + 2)/phi(m)) + 1 is at least 2^(bitlen(L) + 2)
 > 4L.  So v is the balanced residue mod N, and the lift returns
 v / prod d_j.  The lift also refuses a residue over L, but that is only a
 guard: a permanent off Q can still leave one within L, so the check alone
-makes the lowering exact.  Every other matrix, per_orbits and the
+makes the lowering exact.  Every other matrix, the orbit sum and the
 determinants stay on Kronecker images.
 
 per_sum_coeffs and per_sum_values are the rank-2 permanents over Z in
@@ -115,10 +120,6 @@ class Mat:
         """Entries fn(j, k) with 1-based indices."""
         return cls(ring, [[fn(j, k) for k in range(1, n + 1)]
                           for j in range(1, n + 1)])
-
-    def entry(self, j: int, k: int):
-        """1-based access."""
-        return self.rows[j - 1][k - 1]
 
     def transpose(self) -> "Mat":
         return Mat(self.ring, list(zip(*self.rows)))
@@ -171,11 +172,15 @@ def check_ryser_size(n: int):
 
 def per_ryser(mat: Mat):
     """Permanent by Glynn's formula with Gray-code updates (the name is
-    kept from the Ryser loop it replaced, as is the size limit), on the
-    ring's lowering, or on CyclotomicField.lower_rational when the matrix
-    is Galois-invariant (see the module docstring)."""
+    kept from the Ryser loop it replaced, as is the size limit): the orbit
+    sum for a symmetric [T(jk mod n)] table, else Glynn on
+    CyclotomicField.lower_rational for a Galois-invariant matrix, else on
+    the ring's lowering (see the module docstring)."""
     n = mat.n
     check_ryser_size(n)
+    sign = _jk_shaped(mat) and _jk_sign(mat)[0]
+    if sign:
+        return _orbit_sum(mat, sign)
     ring = mat.ring
     lower = ring.lower_rational if _galois_invariant(mat) else ring.lower
     rows, product, lift = lower(mat.rows)
@@ -212,40 +217,69 @@ def _galois_invariant(mat: Mat) -> bool:
     same = list(range(n))
     for a in unit_generators(m):
         pi = [a * j % m - 1 for j in range(1, n + 1)]  # index -1 is label m
-        images = {}  # id(entry) -> sigma_a(entry); rows keep entries alive
+        # sigma_a sends coefficient e to a*e, so image[f] = num[f / a].
+        b = pow(a, -1, m)
+        back = [b * f % m for f in range(m)]
+        # id(entry) -> [sigma_a(entry).num, sigma_a(entry) once the field is
+        # asked]; rows keep entries alive.
+        images = {}
 
         def maps_onto(tau):
             for j, row in enumerate(rows):
                 for k, z in enumerate(row):
                     image = images.get(id(z))
                     if image is None:
-                        image = images[id(z)] = z.galois(a)
-                    if image != rows[pi[j]][tau[k]]:
-                        return False
+                        num = z.num
+                        image = images[id(z)] = [[num[i] for i in back], None]
+                    w = rows[pi[j]][tau[k]]
+                    # Equal normal-form pairs are equal; else ask the field.
+                    if image[0] != w.num or z.den != w.den:
+                        if image[1] is None:
+                            image[1] = z.galois(a)
+                        if image[1] != w:
+                            return False
             return True
         if not (maps_onto(pi) or maps_onto(same)):
             return False
     return True
 
 
-def _check_jk_symmetry(mat: Mat, sign: int):
-    # Raise unless entry (j, k) is T[jk mod n] with T[n - r] = sign * T[r],
-    # as coefficient lists; that is what makes every orbit's terms equal.
-    # Each (num, den) pair is in normal form, so equal pairs are equal lists.
+def _jk_shaped(mat: Mat) -> bool:
+    # h x h over Q(zeta_(2h+1)), the shape of the [T(jk mod n)] tables.
+    ring = mat.ring
+    return isinstance(ring, CyclotomicField) and ring.m == 2 * mat.n + 1
+
+
+def _jk_sign(mat: Mat) -> tuple[int, str]:
+    # (sign, "") if entry (j, k) is T[jk mod n] with T[n - r] = sign * T[r]
+    # as coefficient lists, sign 1 where both hold; else (0, why).  That is
+    # what makes every orbit's terms equal.  Each (num, den) pair is in
+    # normal form, so equal pairs are equal lists.
     n = mat.ring.m
-    seen = {}
+    table = {}
     for j, row in enumerate(mat.rows, 1):
         for k, z in enumerate(row, 1):
             r = j * k % n
-            num = z.num
-            if sign < 0 and r > n - r:
-                num = [-c for c in num]
-            if seen.setdefault(min(r, n - r), (num, z.den)) != (num, z.den):
-                raise ArithmeticError(
-                    f"entry ({j}, {k}) breaks T[n - r] = {sign:+d} T[r] on the"
-                    f" exponent lattice of Q(zeta_{n})")
-    if sign < 0 and any(seen.get(0, ((),))[0]):
-        raise ArithmeticError("T[0] must be 0 when T[n - r] = -T[r]")
+            t = table.setdefault(r, z)
+            if t is not z and (t.num, t.den) != (z.num, z.den):
+                return 0, (f"entry ({j}, {k}) differs from another T[{r}] on"
+                           f" the exponent lattice of Q(zeta_{n})")
+    why = {}
+    for r, z in table.items():
+        w = table.get(-r % n)
+        if w is None:
+            continue
+        if w is z or (w.num, w.den) == (z.num, z.den):
+            if any(z.num):
+                why.setdefault(-1, f"T[{-r % n}] != -T[{r}]")
+        else:
+            why.setdefault(1, f"T[{-r % n}] != T[{r}]")
+            if w.den != z.den or any(map(operator.add, w.num, z.num)):
+                why.setdefault(-1, f"T[{-r % n}] != -T[{r}]")
+    sign = next((s for s in (1, -1) if s not in why), 0)
+    return sign, "" if sign else (
+        f"[T(jk mod n)] breaks T[n - r] = +T[r] ({why[1]}) and = -T[r]"
+        f" ({why[-1]}) on the exponent lattice of Q(zeta_{n})")
 
 
 @lru_cache(maxsize=None)
@@ -300,29 +334,35 @@ def _orbits(n: int, sign: int) -> tuple[tuple[int, int], ...]:
     return tuple(orbits)
 
 
-def per_orbits(mat: Mat, sign: int):
+def per_orbits(mat: Mat):
     """Permanent of [T(jk mod n)], 1 <= j, k <= h = (n-1)/2, over Q(zeta_n),
-    where T(n - r) = sign * T(r) as coefficient lists: Glynn's sum over all
-    of {+-1}^h, one term per orbit times the orbit's size.
+    where T(n - r) = sign * T(r) as coefficient lists for one sign, which
+    is read off the table: Glynn's sum over all of {+-1}^h, one term per
+    orbit times the orbit's size.
 
     Every delta in an orbit has the same term on the exponent lattice (see
     the module docstring), so this is the full sum 2^h per, and the
     lowering's lift halves and decodes it as it does per_ryser's.  Raises
-    ArithmeticError if the table is not symmetric on the lattice.
+    ArithmeticError if the table is symmetric for neither sign.  per_ryser
+    takes this sum itself for such a table.
     """
-    ring = mat.ring
-    h = mat.n
-    if not isinstance(ring, CyclotomicField) or ring.m != 2 * h + 1:
+    if not _jk_shaped(mat):
         raise DomainError(f"per_orbits needs an h x h matrix over "
                           f"Q(zeta_(2h+1)), got {mat!r}")
-    if sign not in (1, -1):
-        raise DomainError(f"sign must be 1 or -1, got {sign}")
-    check_ryser_size(h)
-    _check_jk_symmetry(mat, sign)
-    rows, product, lift = ring.lower(mat.rows)
+    check_ryser_size(mat.n)
+    sign, why = _jk_sign(mat)
+    if not sign:
+        raise ArithmeticError(why)
+    return _orbit_sum(mat, sign)
+
+
+def _orbit_sum(mat: Mat, sign: int):
+    # per_orbits' sum, for a table already checked for the sign.
+    h = mat.n
+    rows, product, lift = mat.ring.lower(mat.rows)
     totals = [sum(row) for row in rows]
     acc = 0
-    for mask, size in _orbits(ring.m, sign):
+    for mask, size in _orbits(2 * h + 1, sign):
         sums = totals[:]
         for k in range(h):
             if mask >> k & 1:

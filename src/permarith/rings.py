@@ -84,6 +84,33 @@ def halved(v: int, k: int) -> int:
     return q
 
 
+def _power(base, k: int, one):
+    """base^k for k >= 0 by square-and-multiply, starting from `one`."""
+    result = one
+    while k:
+        if k & 1:
+            result = result * base
+        k >>= 1
+        if k:
+            base = base * base
+    return result
+
+
+def _show_terms(terms, var: str) -> str:
+    """The sum of c * var^e over the (e, c) pairs, in their order, as text:
+    "0" if every c is 0, else "1 - var + 3/2*var^2"."""
+    parts = []
+    for e, c in terms:
+        if c != 0:
+            power = var if e == 1 else f"{var}^{e}"
+            parts.append(str(c) if e == 0 else power if c == 1
+                         else f"-{power}" if c == -1 else f"{c!s}*{power}")
+    if not parts:
+        return "0"
+    return parts[0] + "".join(f" - {t[1:]}" if t.startswith("-") else f" + {t}"
+                              for t in parts[1:])
+
+
 def balanced_digits(value: int, bits: int, count: int, bound: int) -> list[int]:
     """The `count` balanced base-2^bits digits of `value`, lowest first.
 
@@ -286,14 +313,7 @@ class LPoly:
     def __pow__(self, k: int):
         if k < 0:
             raise DomainError("negative powers of a Laurent polynomial are not closed")
-        result = LPoly.const(1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return _power(self, k, LPoly.const(1))
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -309,26 +329,7 @@ class LPoly:
         return sum(self.coeffs.values())
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for e in sorted(self.coeffs):
-            c = self.coeffs[e]
-            if e == 0:
-                term = str(c)
-            else:
-                qp = "q" if e == 1 else f"q^{e}"
-                if c == 1:
-                    term = qp
-                elif c == -1:
-                    term = f"-{qp}"
-                else:
-                    term = f"{c!s}*{qp}"
-            parts.append(term)
-        out = parts[0]
-        for term in parts[1:]:
-            out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-        return out
+        return _show_terms(sorted(self.coeffs.items()), "q")
 
     def __repr__(self):
         return f"LPoly({self})"

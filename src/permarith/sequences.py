@@ -3,9 +3,10 @@
 Each value is the permanent of a families.build_cyclotomic matrix over
 Q(zeta_n), times W^e for the Gauss-sum carrier W = sqrt_element(n) =
 i^h sqrt(n), h = (n-1)/2, and e in {-1, 0, 1} (SEQ_TABLE says which).
-The permanent is matrices.per_orbits for the six [f(zeta^(jk))] families
-(their tables are symmetric with the sign families.JK_SIGN) and per_ryser
-for T.
+matrices.per_ryser chooses the engine: the orbit sum for the six
+[f(zeta^(jk))] families, whose tables are symmetric, and Glynn on one
+residue per entry for T, whose matrix is Galois-invariant.  Each row of
+SEQ_TABLE refuses an index past its timed limit before building anything.
 Integrality is a theorem for T, c, s, s', t, t'; the code checks that the
 result is rational at recognition time and treats failure as an arithmetic
 bug.
@@ -18,8 +19,8 @@ from functools import lru_cache, partial
 
 from .cyclotomic import Cyc, sqrt_element
 from .errors import DomainError, NonRationalResultError, SizeLimitError
-from .families import JK_SIGN, build_cyclotomic, build_rational
-from .matrices import check_ryser_size, det_field, per_orbits, per_ryser
+from .families import build_cyclotomic, build_rational
+from .matrices import det_field, per_ryser
 from .ntheory import is_prime, mod_reduce_rat
 from .rings import ModInt, Rat
 
@@ -66,7 +67,8 @@ def _check_domain(name: str, n: int, prime_only: bool = False):
         raise DomainError(f"{name} is defined for {what}, got {n}")
 
 
-# name -> (family, exponent e of W, times (-1)^h, prime index only), for
+# name -> (family, exponent e of W, times (-1)^h, prime index only, largest
+# index), for
 #   T       per[tan pi (j+k)/n], 1 <= j,k <= n-1
 #   c       2^h per[cos 2 pi jk/n], 1 <= j,k <= h
 #   cprime  2^-h per[sec 2 pi jk/n]; rational, denominator divides 2^(d_n)
@@ -78,43 +80,38 @@ def _check_domain(name: str, n: int, prime_only: bool = False):
 # times 2 (cos), 1/2 (sec), 2i (sin), 1/(2i) (csc), i (tan) or 1/i (cot),
 # one factor per row, so each value is W^e per[built matrix]; T's n-1 rows
 # give i^(n-1) = (-1)^h.
+#
+# A jk row's largest index is the last n whose value takes about 0.5 s or
+# less, timed from a fresh process on a 2-core x86-64 machine (Python 3.11,
+# Fraction backend); the orbit sum's time grows about 3x per step of n: c
+# 0.10-0.13 s at 29, 0.30-0.32 s at 31 and 0.8-1.1 s at 33; cprime 0.38-0.48
+# s at 31 and 1.5-1.8 s at 33; s 0.22-0.28 s at 31 and 1.0-1.1 s at 33;
+# sprime 0.32-0.37 s at 29 and 0.8-1.0 s at 31; t 0.19-0.23 s at 29 and
+# 0.59-0.60 s at 31; tprime 0.37-0.41 s at 29 and 0.8-1.1 s at 31.  T keeps
+# 19, its limit before the rational lowering: with no orbit symmetry its
+# Glynn sum takes 2^(n-2) products of n - 1 row sums (residues mod
+# Phi_n(2^e)), and T(17) takes 0.38-0.44 s, T(19) 1.9-2.3 s, T(21) 10.4 s.
 SEQ_TABLE = {
-    "T": ("tan_shift", 0, True, False),
-    "c": ("cos2", 0, False, False),
-    "cprime": ("sec2", 0, False, False),
-    "s": ("sin2", -1, False, False),
-    "sprime": ("csc2", 1, False, True),
-    "t": ("tan_jk", -1, False, False),
-    "tprime": ("cot_jk", 1, False, True),
+    "T": ("tan_shift", 0, True, False, 19),
+    "c": ("cos2", 0, False, False, 31),
+    "cprime": ("sec2", 0, False, False, 31),
+    "s": ("sin2", -1, False, False, 31),
+    "sprime": ("csc2", 1, False, True, 29),
+    "t": ("tan_jk", -1, False, False, 29),
+    "tprime": ("cot_jk", 1, False, True, 29),
 }
-
-
-# T has no orbit symmetry, so its Glynn sum takes 2^(n-2) products of n - 1
-# row sums.  Its matrix is Galois-invariant, so per_ryser takes them on
-# residues mod Phi_n(2^e), 160 bits at n = 17 where a Kronecker image has
-# 2,193: on a 2-core x86-64 machine (Python 3.11, Fraction backend) T(17)
-# takes 0.38-0.44 s, T(19) 1.9-2.3 s and T(21) 10.4 s (5.2 s, 28 s and
-# 221 s on Kronecker images).
-T_LIMIT = 19
 
 
 def _table_value(name: str, n: int) -> SeqValue:
     """Evaluate one row of SEQ_TABLE at index n."""
-    family, w_exp, alternating, prime_only = SEQ_TABLE[name]
+    family, w_exp, alternating, prime_only, top = SEQ_TABLE[name]
     _check_domain(name, n, prime_only)
     # Refuse before building: the table's inverses in Q(zeta_n) alone cost
     # seconds at n in the hundreds.
-    check_ryser_size(n - 1 if family == "tan_shift" else (n - 1) // 2)
-    if family == "tan_shift" and n > T_LIMIT:
-        raise SizeLimitError(
-            f"T limited to n <= {T_LIMIT}: plain Glynn on its n - 1 rows over"
-            f" Q(zeta_n) would run for minutes, got n = {n}")
-    mat = build_cyclotomic(family, n=n)
-    if family in JK_SIGN:
-        per = per_orbits(mat, JK_SIGN[family])
-    else:
-        per = per_ryser(mat)
-    val = _resolve(per, w_exp, alternating, n)
+    if n > top:
+        raise SizeLimitError(f"{name} limited to n <= {top}, got n = {n}")
+    val = _resolve(per_ryser(build_cyclotomic(family, n=n)), w_exp,
+                   alternating, n)
     bound = None
     if name == "cprime":
         bound = 1 << int(seq_d(n).value)

@@ -199,7 +199,7 @@ def _run_thq_det(params, rng):
 # Each backend's largest n (see the timing comment above the registry).  The
 # runner checks them after the fq root search, so that its SKIP still shows;
 # a registry limit would come first.
-ROOTLINEAR_LIMITS = {"cyc": 12, "fq": 16}
+ROOTLINEAR_LIMITS = {"cyc": 13, "fq": 16}
 
 
 def _run_rootlinear(params, rng):
@@ -282,10 +282,12 @@ def _run_cor_cos(params, rng):
     return [_eq(got, want)], None, None
 
 
-# The largest n * height(x) thnew.cauchyroot accepts, height(x) being the bit
-# length of the larger of |numerator| and denominator (see the timing comment
-# above the registry).
-CAUCHYROOT_HEIGHT_LIMIT = 35
+# thnew.cauchyroot accepts height(x) <= CAUCHYROOT_HEIGHT_LIMIT / 2^max(n, 7),
+# height(x) being the bit length of the larger of |numerator| and
+# denominator (see the timing comment above the registry).  The cap of 256
+# at n <= 7 keeps the value, about n^2 * height(x) bits, printable: str()
+# refuses ints of more than 4300 digits.
+CAUCHYROOT_HEIGHT_LIMIT = 1 << 15
 
 
 def _run_cauchyroot(params, rng):
@@ -293,9 +295,10 @@ def _run_cauchyroot(params, rng):
     x = Rat(params["x"])
     height = max(abs(int(x.numerator)).bit_length(),
                  int(x.denominator).bit_length())
-    if n * height > CAUCHYROOT_HEIGHT_LIMIT:
-        raise SizeLimitError(f"thnew.cauchyroot limited to n * height(x) <="
-                             f" {CAUCHYROOT_HEIGHT_LIMIT}, got {n} * {height}")
+    top = CAUCHYROOT_HEIGHT_LIMIT >> max(n, 7)
+    if height > top:
+        raise SizeLimitError(f"thnew.cauchyroot limited to height(x) <= {top}"
+                             f" at n = {n}, got {height}")
     try:
         mat = build_cyclotomic("cauchy_root", n=n, x=x)
     except SingularFamilyError as exc:
@@ -689,21 +692,22 @@ _FAST_D = {"hi": 13, "d": (1, 2, -1)}
 # and 0.55-0.71 s at 701.  The Glynn checks over Q(zeta) take 2^(n-1)
 # products, so their time grows 2-3x per step of n.  Their matrices are
 # Galois-invariant, so per_ryser lowers them to one residue mod Phi_m(2^e)
-# (see matrices), and each now runs well inside the limit it got on Kronecker
-# images; the limits are kept, and keep every tier row and explore default
-# row: thper.rootlinear (random x at seeds 0-3) with backend cyc 0.07-0.08 s
-# at n = 12, 0.19-0.23 s at 13 and 1.2-1.3 s at 15, with backend fq (no
+# (see matrices); each was timed on that engine, its runner called directly
+# in a fresh process: thper.rootlinear (random x at seeds 0-3) with backend
+# cyc 0.13-0.27 s at n = 13 and 0.42-0.61 s at 14, with backend fq (no
 # Q(zeta)) 0.21-0.28 s at 15, 0.39-0.52 s at 16 and 1.1-1.3 s at 17;
-# thper.rootexp 0.05-0.06 s at 12, 0.09-0.16 s at 13 and 0.64-0.89 s at 15;
-# cor.sin and cor.cos 0.03-0.04 s at 15, 0.07-0.10 s at 16 and 0.16-0.24 s at
-# 17; thnew.cauchyroot also grows with the height of x, so it refuses
-# n * height(x) > 35: 0.014-0.030 s at n = 12 for x of height 2 (2, -2, 1/2,
-# 1/3, +-3/2) and 0.03-0.06 s for height 3 (3/5, 7/5, -7/6), 0.015-0.032 s
-# at 11 for heights 3 and 4, 0.16-0.19 s at 12 and 0.05-0.06 s at 11 for
-# x = 97/89, and at most 0.001 s for n <= 7 at n * height(x) = 35;
+# thper.rootexp 0.23-0.38 s at 14 and 0.70 s at 15; cor.sin 0.22-0.29 s at 17
+# and 0.55-0.58 s at 18; cor.cos 0.46-0.49 s at 18; thnew.cauchyroot also
+# grows with the height of x, about 2x per step of n at a fixed time, so it
+# refuses height(x) > 2^15 / 2^max(n, 7): at the largest height each n
+# accepts, x = 3, -3 or 1/3 takes 0.25-0.27 s at n = 14 (0.79-0.89 s at
+# 15), values of height 4 at most 0.42 s at 13 (0.53-0.66 s for height 5),
+# height 8 at most 0.44 s at 12 (0.31-0.54 s for 10), 16 at most 0.44 s at
+# 11, 32 at most 0.43 s at 10, 64 at most 0.39 s at 9, 128 at most 0.16 s
+# at 8 and 256 at most 0.18 s at 7;
 # conj.derange 0.06-0.07 s at 14 and 0.40-0.42 s at 15 (mostly its two
-# determinants, which stay on Kronecker); rem.perhalf 0.02-0.03 s at 13,
-# 0.11-0.13 s at 15 and 0.73-0.89 s at 17.  thnew.invsumsq takes 0.05-0.09 s
+# determinants, which stay on Kronecker); rem.perhalf 0.10-0.13 s at 15 and
+# 0.62-0.88 s at 17.  thnew.invsumsq takes 0.05-0.09 s
 # at p = 31, and its next p = 3 (mod 4), 43, has 21 rows; conj.sqdiff takes
 # 0.02-0.03 s at p = 29, 0.70 s at 37 and 3.0 s at 41.
 _register("thq.floor", "theorem",
@@ -723,7 +727,7 @@ _register("thper.rootlinear", "theorem",
                       for b in ("cyc", "fq")], 7, 10)
 _register("thper.rootexp", "theorem",
           "per[1 + zeta^(j+k) x] (size n-1) = sum_k (n-1)!/C(n-1,k) x^k",
-          _run_rootexp, partial(_ns, lo=2), 8, 10, limit=("n", 12))
+          _run_rootexp, partial(_ns, lo=2), 8, 10, limit=("n", 14))
 _register("thper.jxk", "theorem",
           "per[j + x_k] (size p-1) = 1 - x_1...x_(p-1) (mod p)",
           _run_jxk, _ps, 13, 19, limit=("p", 601))
@@ -768,16 +772,16 @@ _register("cor.quadmod", "theorem",
 _register("cor.sin", "theorem",
           "per[sin pi(j+k)/n] (size n-1): (-1)^((n-1)/2) n!/(2^(n-2)(n+1)) "
           "for odd n, 0 for even n",
-          _run_cor_sin, partial(_ns, lo=2), 9, 12, limit=("n", 15))
+          _run_cor_sin, partial(_ns, lo=2), 9, 12, limit=("n", 17))
 _register("cor.cos", "theorem",
           "per[cos pi(j+k)/n] (size n-1) = (n-1)!/(-2)^(n-1) sum 1/C(n-1,k)",
-          _run_cor_cos, partial(_ns, lo=2), 9, 12, limit=("n", 15))
+          _run_cor_cos, partial(_ns, lo=2), 9, 12, limit=("n", 18))
 _register("thnew.cauchyroot", "theorem",
           "per[1/(1 - zeta^(j-k) x)] = prod_r (n x^n/(1-x^n) + r)",
           _run_cauchyroot,
           lambda hi: [{"n": n, "x": x} for n in range(1, hi + 1)
                       for x in ("2", "-1", "1/2", "3/5")], 6, 10,
-          limit=("n", 12))
+          limit=("n", 14))
 _register("thnew.invsumsq", "theorem",
           "per[1/(j^2+k^2)] (size (p-1)/2) = (-1)^((p+1)/4)/(4 ((p+1)/4)!^2) "
           "(mod p) for p = 3 (mod 4)",
@@ -885,7 +889,7 @@ _register("rem.qdetabs", "theorem",
           limit=("n", 28))
 _register("rem.perhalf", "theorem",
           "per[1/(1 + zeta^(j-k))] = (-1)^((n-1)/2) (n!!)^2/(2^n n) for odd n",
-          _run_rem_perhalf, _odd_ns, 7, 9, limit=("n", 13))
+          _run_rem_perhalf, _odd_ns, 7, 9, limit=("n", 15))
 _register("rem.cp", "theorem",
           "signed derangement sum of 1/(1 - zeta^(j-tau(j))): "
           "(-1)^(n/2)((n-1)!!)^2/2^n for even n, 0 for odd n",

@@ -100,11 +100,11 @@ def test_seq_skip_row(capsys):
     code, out = run_cli(capsys, "seq", "sprime", "--range", "9..9", "--json")
     doc = json.loads(out)
     assert doc["results"][0]["status"] == "SKIP"
-    # t(43) is a 21-row permanent, past the Ryser size guard.
-    code, out = run_cli(capsys, "seq", "t", "--range", "43..43", "--json")
+    # t(31) is past the largest index of t.
+    code, out = run_cli(capsys, "seq", "t", "--range", "31..31", "--json")
     row = json.loads(out)["results"][0]
     assert code == 0
-    assert row["status"] == "SKIP" and "limited to n <= 20" in row["note"]
+    assert row["status"] == "SKIP" and "t limited to n <= 29" in row["note"]
 
 
 def test_seq_json_values_are_exact_strings(capsys):
@@ -194,6 +194,29 @@ def test_verify_all_json_matches_the_pinned_digest(capsys, tier):
     if tier == "full":
         assert len(json.loads(out)["results"]) == 1438
     assert hashlib.sha256(out.encode()).hexdigest() == RESULT_DIGESTS[tier]
+
+
+# sha256 of the stdout of `seq NAME --range 3..17 --odd --json` on the
+# fractions backend, pinned as RESULT_DIGESTS is.
+SEQ_DIGESTS = {
+    "T": "4258841327f4113d915702bcc82e4aafb6ff7a725ba51c4855d41d5b9440741b",
+    "c": "f54b7e941c4149d47d4c321a7025d5f496cc8f1a42b3be305541f142471441db",
+    "cprime": "64536586574034991cd1f0db9d03e653ccb822755bcd588315df43e4a787c302",
+    "s": "40e834cab39628835af737e6603bd65514165b3ca36f737167eeca86f9d69765",
+    "sprime": "e4cf819ef39ff222dee4fbae23323277b2aaa6699aca49cdb6bdb19ea5acdf77",
+    "t": "453e9a20671c271fd1981d259b6159a353d42a3515b0cac3759b3f8b9549503f",
+    "tprime": "18dd8438b1aff8c6289d94481fccde19e75e5fb81068664a2989ac28e85fa26c",
+}
+
+
+@pytest.mark.skipif(Rat is not Fraction,
+                    reason="digests were recorded on the fractions backend")
+@pytest.mark.parametrize("name", list(SEQ_DIGESTS))
+def test_seq_json_matches_the_pinned_digest(capsys, name):
+    code, out = run_cli(capsys, "seq", name, "--range", "3..17", "--odd",
+                        "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SEQ_DIGESTS[name]
 
 
 def test_verify_all_fast_smoke(capsys):

@@ -369,7 +369,7 @@ def test_per_orbits_equals_the_model_permutation_sum(h, sign, rng):
               for j in range(1, h + 1)]
     mat = Mat(CyclotomicField(n), [[Cyc(n, c) for c in row] for row in coords])
     model = [[_model(c) for c in row] for row in coords]
-    assert _normal_form(per_orbits(mat, sign)).coeffs == \
+    assert _normal_form(per_orbits(mat)).coeffs == \
         _model_sum(model, False)
 
 

@@ -7,7 +7,7 @@ from collections import Counter
 from itertools import permutations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from permarith.cyclotomic import Cyc, CyclotomicField, pack_rows
@@ -15,9 +15,10 @@ from permarith.errors import (DomainError, SizeLimitError,
                               UnsupportedRingError)
 from permarith.families import JK_SIGN, build_cyclotomic, conjugates
 from permarith.matrices import (RYSER_LIMIT, Mat, _galois_invariant, _glynn,
-                                _orbits, det_divfree, det_field, per_naive,
-                                per_orbits, per_ryser, per_sum_coeffs,
-                                per_sum_values, unit_generators)
+                                _jk_sign, _orbits, det_divfree, det_field,
+                                per_naive, per_orbits, per_ryser,
+                                per_sum_coeffs, per_sum_values,
+                                unit_generators)
 from permarith.ntheory import is_prime
 from permarith.rings import GF, QPOLY, QQ, ZZ, LPoly, Rat, Zmod
 
@@ -136,15 +137,17 @@ def test_glynn_halving_past_the_word_length(m):
 
 @pytest.mark.parametrize("family", list(JK_SIGN))
 def test_per_orbits_equals_glynn_and_naive(family):
-    # The orbit sum against plain Glynn at every odd n <= 23 in the family's
-    # domain (composite 9, 15, 21 for cos2, sec2, sin2 and tan_jk), and
-    # against the n! oracle up to n = 13.
+    # The orbit sum against plain Glynn on the Kronecker lowering at every
+    # odd n <= 23 in the family's domain (composite 9, 15, 21 for cos2,
+    # sec2, sin2 and tan_jk), and against the n! oracle up to n = 13.
+    # per_ryser takes the orbit sum itself here.
     for n in range(3, 24, 2):
         if family in ("csc2", "cot_jk") and not is_prime(n):
             continue
         mat = build_cyclotomic(family, n=n)
-        got = per_orbits(mat, JK_SIGN[family])
-        assert got == per_ryser(mat), n
+        got = per_orbits(mat)
+        assert got == _glynn_with(mat.ring.lower, mat), n
+        assert per_ryser(mat) == got, n
         if n <= 13:
             assert got == per_naive(mat), n
 
@@ -195,18 +198,26 @@ def test_per_orbits_refuses_an_asymmetric_table():
     rows[0][1] = rows[0][1] + Cyc(7, [1] * 7)
     assert rows[0][1] == mat.rows[0][1]
     with pytest.raises(ArithmeticError, match="entry"):
-        per_orbits(Mat(mat.ring, rows), -1)
-    with pytest.raises(ArithmeticError):  # the wrong sign
-        per_orbits(mat, 1)
+        per_orbits(Mat(mat.ring, rows))
     sin9 = build_cyclotomic("sin2", n=9)
     rows = [list(r) for r in sin9.rows]
     rows[2][2] = sin9.ring.one  # 3 * 3 = 0 mod 9, and T[0] = -T[0]
     with pytest.raises(ArithmeticError, match="T\\[0\\]"):
-        per_orbits(Mat(sin9.ring, rows), -1)
+        per_orbits(Mat(sin9.ring, rows))
     with pytest.raises(DomainError):  # 3 rows need Q(zeta_7)
-        per_orbits(Mat(CyclotomicField(9), mat.rows), -1)
-    with pytest.raises(DomainError):
-        per_orbits(mat, 0)
+        per_orbits(Mat(CyclotomicField(9), mat.rows))
+
+
+def test_per_ryser_on_an_asymmetric_jk_table():
+    # The table of the test above is symmetric in the field but not on the
+    # lattice, so per_ryser must not take the orbit sum; it still gives the
+    # permanent.
+    mat = build_cyclotomic("tan_jk", n=7)
+    rows = [list(r) for r in mat.rows]
+    rows[0][1] = rows[0][1] + Cyc(7, [1] * 7)
+    bent = Mat(mat.ring, rows)
+    assert _jk_sign(bent)[0] == 0 and _jk_sign(mat) == (-1, "")
+    assert per_ryser(bent) == per_naive(bent) == per_ryser(mat)
 
 
 def test_permutation_and_transpose_invariance():
@@ -323,9 +334,12 @@ def _invariant_mats(draw, max_n=12):
 
 @settings(max_examples=40, deadline=None)
 @given(_invariant_mats())
+@example(build_cyclotomic("recip_root_diff", n=7, size=6))
 def test_rational_lowering_on_invariant_matrices(mat):
     # per_ryser takes the evaluation mod Phi_m(2^e) here; it must equal the
     # Kronecker path in the field, and the n! oracle where that is cheap.
+    # The example's entries are inverses in canonical coordinates, so the
+    # invariance check needs the field for them, not only the lattice.
     assert _galois_invariant(mat)
     got = per_ryser(mat)
     assert not any(got.num[1:])

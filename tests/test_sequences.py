@@ -91,24 +91,19 @@ def test_domain_errors():
 
 
 def test_size_guard_refuses_before_building(monkeypatch):
-    # Past RYSER_LIMIT rows (n - 1 for T, (n-1)/2 for the others) the row is
-    # refused with per_ryser's own message, before any matrix is built.
+    # Past its row's largest index in SEQ_TABLE a sequence is refused before
+    # any matrix is built.
     def unbuildable(family, **params):
         raise AssertionError(f"built {family} at n = {params['n']}")
 
     monkeypatch.setattr(sequences, "build_cyclotomic", unbuildable)
-    for name, n, rows in (("t", 201, 100), ("T", 1009, 1008), ("T", 23, 22),
-                          ("sprime", 43, 21), ("c", 43, 21)):
+    for name, n, top in (("t", 201, 29), ("T", 1009, 19), ("T", 21, 19),
+                         ("sprime", 43, 29), ("c", 43, 31), ("c", 33, 31),
+                         ("tprime", 31, 29)):
         with pytest.raises(SizeLimitError) as err:
             sequence_value(name, n)
-        assert str(err.value) == ("Ryser permanent limited to n <= 20"
-                                  f" (2^n subsets), got n = {rows}"), name
-    # T(21) has 20 rows, inside RYSER_LIMIT, but T_LIMIT refuses it: plain
-    # Glynn over Q(zeta_21) would run for minutes.
-    with pytest.raises(SizeLimitError) as err:
-        sequence_value("T", 21)
-    assert str(err.value).startswith("T limited to n <= 19:")
-    for name, n in (("T", 19), ("t", 41)):  # the largest built
+        assert str(err.value) == f"{name} limited to n <= {top}, got n = {n}"
+    for name, n in (("T", 19), ("t", 29), ("c", 31)):  # the largest built
         with pytest.raises(AssertionError, match="built"):
             sequence_value(name, n)
 

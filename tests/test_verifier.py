@@ -135,9 +135,9 @@ def test_size_limits_refuse_before_building(monkeypatch):
                        "thper.quad": quad, "thper.quad0": quad,
                        "cor.quadmod": quad, "thnew.invsumsq": ("p", 31),
                        "conj.sqdiff": ("p", 29),
-                       "thper.rootexp": ("n", 12), "cor.sin": ("n", 15),
-                       "cor.cos": ("n", 15), "thnew.cauchyroot": ("n", 12),
-                       "conj.derange": ("n", 14), "rem.perhalf": ("n", 13)}
+                       "thper.rootexp": ("n", 14), "cor.sin": ("n", 17),
+                       "cor.cos": ("n", 18), "thnew.cauchyroot": ("n", 14),
+                       "conj.derange": ("n", 14), "rem.perhalf": ("n", 15)}
     for check_id, params in (
             ("det.sec2", {"n": 61}), ("det.tan2", {"n": 17}),
             ("thq.det", {"n": 400}), ("lem.gauss", {"n": 100001}),
@@ -151,9 +151,9 @@ def test_size_limits_refuse_before_building(monkeypatch):
             ("thper.quad0", {"p": 3001, "d": 2}),
             ("cor.quadmod", {"p": 1427, "d": 3}),
             ("thnew.invsumsq", {"p": 4007}), ("conj.sqdiff", {"p": 37}),
-            ("thper.rootexp", {"n": 14}), ("cor.sin", {"n": 16}),
-            ("cor.cos", {"n": 19}), ("thnew.cauchyroot", {"n": 13, "x": "2"}),
-            ("conj.derange", {"n": 15}), ("rem.perhalf", {"n": 19})):
+            ("thper.rootexp", {"n": 15}), ("cor.sin", {"n": 18}),
+            ("cor.cos", {"n": 19}), ("thnew.cauchyroot", {"n": 15, "x": "-1"}),
+            ("conj.derange", {"n": 15}), ("rem.perhalf", {"n": 17})):
         key, top = guarded[check_id]
         r = run_check(check_id, params)
         assert r.status == "SKIP", r
@@ -166,8 +166,8 @@ def test_size_limits_refuse_before_building(monkeypatch):
             run_check(check_id, at_limit)
     # thper.rootlinear bounds each backend in its runner, after the fq root
     # search, whose own SKIP still shows past the limit.
-    assert verifier.ROOTLINEAR_LIMITS == {"cyc": 12, "fq": 16}
-    assert max(g["n"] for g in default_grid("thper.rootlinear", "full")) <= 12
+    assert verifier.ROOTLINEAR_LIMITS == {"cyc": 13, "fq": 16}
+    assert max(g["n"] for g in default_grid("thper.rootlinear", "full")) <= 13
     for backend, top in verifier.ROOTLINEAR_LIMITS.items():
         r = run_check("thper.rootlinear", {"n": top + 1, "backend": backend})
         assert r.status == "SKIP" and r.note == (
@@ -177,18 +177,23 @@ def test_size_limits_refuse_before_building(monkeypatch):
             run_check("thper.rootlinear", {"n": top, "backend": backend})
     r = run_check("thper.rootlinear", {"n": 100000, "backend": "fq"})
     assert r.status == "SKIP" and "no prime" in r.note
-    # thnew.cauchyroot also bounds n * height(x), the height being the bit
-    # length of the larger of |numerator| and denominator.
-    assert verifier.CAUCHYROOT_HEIGHT_LIMIT == 35
-    assert all(g["n"] * max(len(f"{abs(int(v)):b}") for v in g["x"].split("/"))
-               <= 35 for g in default_grid("thnew.cauchyroot", "full"))
-    for n, x, height in ((12, "3/5", 3), (11, "97/89", 7), (6, "-97/89", 7),
-                         (2, str(2 ** 18), 19)):
+    # thnew.cauchyroot also bounds height(x) by 2^15 / 2^max(n, 7), the
+    # height being the bit length of the larger of |numerator| and
+    # denominator.
+    assert verifier.CAUCHYROOT_HEIGHT_LIMIT == 2 ** 15
+    assert all(max(len(f"{abs(int(v)):b}") for v in g["x"].split("/"))
+               << max(g["n"], 7) <= 2 ** 15
+               for g in default_grid("thnew.cauchyroot", "full"))
+    for n, x, top, height in ((14, "3/5", 2, 3), (13, "31", 4, 5),
+                              (12, "1000/997", 8, 10),
+                              (7, str(2 ** 256), 256, 257),
+                              (2, str(2 ** 8192), 256, 8193)):
         r = run_check("thnew.cauchyroot", {"n": n, "x": x})
         assert r.status == "SKIP" and r.note == (
-            "out of domain: thnew.cauchyroot limited to n * height(x) <= 35,"
-            f" got {n} * {height}")
-    for n, x in ((12, "-2"), (11, "-7/6"), (7, "31/29"), (1, str(2 ** 35 - 1))):
+            f"out of domain: thnew.cauchyroot limited to height(x) <= {top}"
+            f" at n = {n}, got {height}")
+    for n, x in ((14, "-3"), (12, "-255/253"), (6, "-97/89"),
+                 (7, f"-{2 ** 256 - 1}/{2 ** 255 + 1}"), (1, str(2 ** 255))):
         with pytest.raises(AssertionError, match="built"):
             run_check("thnew.cauchyroot", {"n": n, "x": x})
 
