@@ -447,16 +447,8 @@ class CyclotomicField(Ring):
         self.m = m
         self.name = f"Q(zeta_{m})"
         cyclotomic_poly(m)
-        self._zero = Cyc.rational(m, 0)
-        self._one = Cyc.rational(m, 1)
-
-    @property
-    def zero(self):
-        return self._zero
-
-    @property
-    def one(self):
-        return self._one
+        self.zero = Cyc.rational(m, 0)
+        self.one = Cyc.rational(m, 1)
 
     def from_int(self, k: int):
         return Cyc.rational(self.m, k)

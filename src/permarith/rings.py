@@ -354,20 +354,12 @@ class Ring:
     """Commutative ring descriptor: identities and an int lowering.
 
     Elements themselves carry the arithmetic via operators; the tag supplies
-    zero/one, integer embedding, the lowering the engines run on, and random
-    elements for law testing.
+    the attributes zero and one, integer embedding, the lowering the engines
+    run on, and random elements for law testing.
     """
 
     name = "ring"
     is_field = False
-
-    @property
-    def zero(self):
-        raise NotImplementedError
-
-    @property
-    def one(self):
-        raise NotImplementedError
 
     def from_int(self, k: int):
         raise NotImplementedError
@@ -434,18 +426,10 @@ class ResidueRing(Ring):
             raise DomainError(f"modulus must be >= 2, got {m}")
         self.m = m
         self.name = f"Z/{m}"
-        self._zero = ModInt(0, m)
-        self._one = ModInt(1, m)
+        self.zero = ModInt(0, m)
+        self.one = ModInt(1, m)
         from .ntheory import is_prime
         self.is_field = is_prime(m)
-
-    @property
-    def zero(self):
-        return self._zero
-
-    @property
-    def one(self):
-        return self._one
 
     def from_int(self, k: int):
         return ModInt(k, self.m)
@@ -456,7 +440,7 @@ class ResidueRing(Ring):
     def lower(self, rows):
         # Plain ints are reduced; a ModInt of another modulus is refused.
         m = self.m
-        coerce = self._zero._coerce
+        coerce = self.zero._coerce
         ints = [[coerce(x).value for x in row] for row in rows]
         glynn = m << (len(ints) - 1)
         return (ints, lambda row: math.prod(row) % glynn,

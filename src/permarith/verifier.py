@@ -2,12 +2,15 @@
 
 Each check id maps to a runner that computes both sides of one claim
 exactly and compares; claims that differ only in data share one runner
-per claim shape (_rank2, _integral_pair, _congruent_pair, _odd_det),
-built at the _register call that states the claim.  Theorem-tier ids
-gate exit codes; conjecture-tier ids (conj.*) report consistency
-evidence only.  Congruence checks compute the permanent exactly over Z
-or Q and reduce afterwards.  In the rank-2 d-grids per[u_j + d*w_k] is
-one degree-n polynomial in d: its integer coefficients C_i = i!(n-i)!
+per claim shape (_rank2, _integral_pair, _congruent_pair, and _equals for
+one value against one closed form), built at the _register call that
+states the claim.  run_check is the one gate for parameters: it refuses
+keys other than the check's grid keys and SKIPs values of the wrong type
+before any runner starts.  Theorem-tier ids gate exit codes;
+conjecture-tier ids (conj.*) report consistency evidence only.
+Congruence checks compute the permanent exactly over Z or Q and reduce
+afterwards.  In the rank-2 d-grids per[u_j + d*w_k] is one degree-n
+polynomial in d: its integer coefficients C_i = i!(n-i)!
 e_i(w) e_(n-i)(u) are built once per (family, p, range) by
 per_sum_coeffs in O(n^2) int operations, and each d is one Horner
 evaluation.  The three random-x permanents of thper.jxk go through
@@ -17,10 +20,11 @@ symmetric pass over u = 1..p-1.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 
 from .cyclotomic import (Cyc, CyclotomicField, find_fq_root, gauss_sum,
                          sqrt_element)
@@ -162,28 +166,14 @@ def _congruent_pair(name: str):
     return run
 
 
-def _odd_det(family: str, want):
-    """Runner: for odd n, det of build_cyclotomic(family, n=n) = want(n)."""
+def _equals(value, want, odd=False):
+    """Runner: value(n) = want(n), a claim about odd n only if odd."""
     def run(params, rng):
         n = params["n"]
-        if n % 2 == 0:
+        if odd and n % 2 == 0:
             raise SkipCheck("claim requires odd n")
-        got = det_field(build_cyclotomic(family, n=n)).as_rational()
-        return [_eq(got, want(n))], None, None
+        return [_eq(value(n), want(n))], None, None
     return run
-
-
-def _run_thq_floor(params, rng):
-    n = params["n"]
-    got = per_ryser(build_integer("floor_shift", n=n))
-    return [_eq(got, 1)], None, None
-
-
-def _run_thq_qfloor(params, rng):
-    n = params["n"]
-    got = per_ryser(build_qpoly("qfloor", n=n))
-    want = LPoly({0: 2 ** (n - 1), 1: 1})
-    return [_eq(got, want)], None, None
 
 
 def _run_thq_det(params, rng):
@@ -422,33 +412,11 @@ def _run_lem_circulant(params, rng):
     return items, None, None
 
 
-def _run_lem_oneplus(params, rng):
-    n = params["n"]
-    if n % 2 == 0:
-        raise SkipCheck("claim requires odd n")
-    prod = Cyc.rational(n, 1)
-    for k in range(1, n):
-        prod = prod * (1 + Cyc.zeta(n, k))
-    return [_eq(prod, Cyc.rational(n, 1))], None, None
-
-
 def _run_lem_gauss(params, rng):
     n = params["n"]
     g = gauss_sum(n)
     want = Cyc.rational(n, n if (n - 1) // 2 % 2 == 0 else -n)
     return [_eq(g * g, want)], None, None
-
-
-def _run_lem_half(params, rng):
-    n = params["n"]
-    if n % 2 == 0:
-        raise SkipCheck("claim requires odd n")
-    prod = Cyc.rational(n, 1)
-    for k in range(1, (n - 1) // 2 + 1):
-        prod = prod * (1 - Cyc.zeta(n, k))
-    e = ((n + 1) // 2) * ((n * n - 1) // 8)
-    want = jacobi(-2, n) * sqrt_element(n) * Cyc.zeta(n, e)
-    return [_eq(prod, want)], None, None
 
 
 def _run_conj_qdet(params, rng):
@@ -462,13 +430,6 @@ def _run_conj_qdet(params, rng):
     want_ceil = LPoly({(n - 1) // 2: ja})
     return [_eq(got_floor, want_floor, "floor"),
             _eq(got_ceil, want_ceil, "ceil")], None, None
-
-
-def _run_conj_bernoulli(params, rng):
-    n = params["n"]
-    got = Rat(per_ryser(build_integer("floor_2jk", n=n)))
-    want = 2 * (2 ** (n + 1) - 1) * bernoulli(n + 1)
-    return [_eq(got, want)], None, None
 
 
 def _run_conj_absjk(params, rng):
@@ -588,16 +549,6 @@ def _run_rem_qdetabs(params, rng):
     return items, None, None
 
 
-def _run_rem_perhalf(params, rng):
-    n = params["n"]
-    if n % 2 == 0:
-        raise SkipCheck("claim requires odd n")
-    mat = build_cyclotomic("cauchy_root", n=n, x=-1)
-    got = per_ryser(mat).as_rational()
-    want = Rat((-1) ** ((n - 1) // 2) * double_factorial(n) ** 2, 2 ** n * n)
-    return [_eq(got, want)], None, None
-
-
 def _run_rem_cp(params, rng):
     n = params["n"]
     got = derangement_sum(n, "signed_recip_full")
@@ -663,6 +614,11 @@ class Check:
     bounds: dict = field(repr=False)
     limit: tuple[str, int] | None = None
 
+    @cached_property
+    def keys(self) -> frozenset:
+        """The parameter keys of every grid row, which run_check requires."""
+        return frozenset(self.grid(**self.bounds[FAST])[0])
+
 
 REGISTRY: dict[str, Check] = {}
 
@@ -712,10 +668,14 @@ _FAST_D = {"hi": 13, "d": (1, 2, -1)}
 # 0.02-0.03 s at p = 29, 0.70 s at 37 and 3.0 s at 41.
 _register("thq.floor", "theorem",
           "per[floor((j+k-1)/n)] (n x n) = 1",
-          _run_thq_floor, _ns, 9, 12)
+          _equals(lambda n: per_ryser(build_integer("floor_shift", n=n)),
+                  lambda n: 1),
+          _ns, 9, 12)
 _register("thq.qfloor", "theorem",
           "per[[floor((j+k)/n)]_q] = 2^(n-1) + q",
-          _run_thq_qfloor, _ns, 9, 12)
+          _equals(lambda n: per_ryser(build_qpoly("qfloor", n=n)),
+                  lambda n: LPoly({0: 2 ** (n - 1), 1: 1})),
+          _ns, 9, 12)
 _register("thq.det", "theorem",
           "det[floor((j+k-1)/n)] = (-1)^(n(n-1)/2); "
           "det[[floor((j+k)/n)]_q] = (-1)^(n(n+1)/2-1) q for n > 1",
@@ -724,7 +684,7 @@ _register("thper.rootlinear", "theorem",
           "per[1 - zeta^j x_k] = n! (1 - x_1...x_n), zeta of order n",
           _run_rootlinear,
           lambda hi: [{"n": n, "backend": b} for n in range(1, hi + 1)
-                      for b in ("cyc", "fq")], 7, 10)
+                      for b in ROOTLINEAR_LIMITS], 7, 10)
 _register("thper.rootexp", "theorem",
           "per[1 + zeta^(j+k) x] (size n-1) = sum_k (n-1)!/C(n-1,k) x^k",
           _run_rootexp, partial(_ns, lo=2), 8, 10, limit=("n", 14))
@@ -821,8 +781,11 @@ _register("lem.circulant", "theorem",
           _run_lem_circulant, _ns, 6, 8)
 _register("lem.oneplus", "theorem",
           "prod_(k=1..n-1) (1 + zeta^k) = 1 for odd n",
-          _run_lem_oneplus, _odd_ns, 15, 25,
-          limit=("n", 221))
+          _equals(lambda n: math.prod((1 + Cyc.zeta(n, k)
+                                       for k in range(1, n)),
+                                      start=Cyc.rational(n, 1)),
+                  lambda n: Cyc.rational(n, 1), odd=True),
+          _odd_ns, 15, 25, limit=("n", 221))
 _register("lem.gauss", "theorem",
           "gauss_sum(n)^2 = (-1)^((n-1)/2) n",
           _run_lem_gauss, _odd_ns, 25, 51,
@@ -830,17 +793,25 @@ _register("lem.gauss", "theorem",
 _register("lem.half", "theorem",
           "prod_(k<=(n-1)/2) (1 - zeta^k) = (-2/n) i^((n-1)/2) sqrt(n) "
           "zeta^((n+1)/2 (n^2-1)/8)",
-          _run_lem_half, _odd_ns, 15, 25,
-          limit=("n", 501))
+          _equals(lambda n: math.prod((1 - Cyc.zeta(n, k)
+                                       for k in range(1, (n - 1) // 2 + 1)),
+                                      start=Cyc.rational(n, 1)),
+                  lambda n: jacobi(-2, n) * sqrt_element(n)
+                  * Cyc.zeta(n, ((n + 1) // 2) * ((n * n - 1) // 8)),
+                  odd=True),
+          _odd_ns, 15, 25, limit=("n", 501))
 _register("det.sec2", "theorem",
           "det[sec^2 pi(j-k)/n] (n x n) = n^(n-1) (n!!)^2 for odd n",
-          _odd_det("sec2_diff",
-                   lambda n: n ** (n - 1) * double_factorial(n) ** 2),
+          _equals(lambda n: det_field(build_cyclotomic("sec2_diff", n=n))
+                  .as_rational(),
+                  lambda n: n ** (n - 1) * double_factorial(n) ** 2, odd=True),
           partial(_odd_ns, lo=1), 7, 11, limit=("n", 15))
 _register("det.tan2", "theorem",
           "det[tan^2 pi(j-k)/n] (n x n) = (n-1) n^(n-2) (n!!)^2 for odd n",
-          _odd_det("tan2_diff", lambda n: 0 if n == 1 else
-                   (n - 1) * n ** (n - 2) * double_factorial(n) ** 2),
+          _equals(lambda n: det_field(build_cyclotomic("tan2_diff", n=n))
+                  .as_rational(),
+                  lambda n: 0 if n == 1 else
+                  (n - 1) * n ** (n - 2) * double_factorial(n) ** 2, odd=True),
           partial(_odd_ns, lo=1), 7, 11, limit=("n", 15))
 _register("conj.qdet", "conjecture",
           "det[[floor((aj-(a+1)k)/n)]_q] = -(a(a+1)/n) q^((1-3n)/2); "
@@ -848,7 +819,9 @@ _register("conj.qdet", "conjecture",
           _run_conj_qdet, _qdet_grid, {"hi": 7, "a": range(-2, 3)}, 9)
 _register("conj.bernoulli", "theorem",
           "per[floor((2j-k)/n)] = 2 (2^(n+1) - 1) B_(n+1)",
-          _run_conj_bernoulli, _ns, 10, 10)
+          _equals(lambda n: Rat(per_ryser(build_integer("floor_2jk", n=n))),
+                  lambda n: 2 * (2 ** (n + 1) - 1) * bernoulli(n + 1)),
+          _ns, 10, 10)
 _register("conj.absjk", "conjecture",
           "per[|j-k|] = -1/2 and per[|j-k+1|] = 1/2 (mod p), size p",
           _run_conj_absjk, _ps, 11, 13)
@@ -889,7 +862,12 @@ _register("rem.qdetabs", "theorem",
           limit=("n", 28))
 _register("rem.perhalf", "theorem",
           "per[1/(1 + zeta^(j-k))] = (-1)^((n-1)/2) (n!!)^2/(2^n n) for odd n",
-          _run_rem_perhalf, _odd_ns, 7, 9, limit=("n", 15))
+          _equals(lambda n: per_ryser(build_cyclotomic("cauchy_root", n=n,
+                                                        x=-1)).as_rational(),
+                  lambda n: Rat((-1) ** ((n - 1) // 2)
+                                * double_factorial(n) ** 2, 2 ** n * n),
+                  odd=True),
+          _odd_ns, 7, 9, limit=("n", 15))
 _register("rem.cp", "theorem",
           "signed derangement sum of 1/(1 - zeta^(j-tau(j))): "
           "(-1)^(n/2)((n-1)!!)^2/2^n for even n, 0 for odd n",
@@ -902,18 +880,50 @@ ALL_CHECK_IDS = tuple(REGISTRY)
 # Execution
 # ---------------------------------------------------------------------------
 
+# The type of every parameter but x, which must read as a rational.
+_PARAM_TYPES = {"n": int, "p": int, "d": int, "a": int, "backend": str}
+
+
+def _read_values(params: dict):
+    """Refuse a value of the wrong type, and an x that does not read as a
+    rational (str() reads no int of more than 4300 digits)."""
+    bad = [k for k, t in _PARAM_TYPES.items()
+           if k in params and type(params[k]) is not t]
+    if "x" in params:
+        try:
+            Rat(params["x"])
+        except (TypeError, ValueError, ZeroDivisionError):
+            bad.append("x")
+    if bad:
+        key = bad[0]
+        text = repr(params[key])
+        if len(text) > 40:
+            text = f"{text[:20]}... ({len(text)} characters)"
+        want = ("read as a rational" if key == "x"
+                else f"be of type {_PARAM_TYPES[key].__name__}")
+        raise DomainError(f"{key} must {want}, got {text}")
+
+
 def run_check(check_id: str, params: dict, seed: int = 0) -> Report:
     """Execute one registered check; errors become FAIL, domain gaps SKIP.
 
-    Every claim with a parameter p is about odd primes p, so any other p is
-    a SKIP before the runner starts, as is a size past the check's limit.
+    params must have exactly the check's keys, or DomainError names the
+    missing and extra ones, in the CLI's flag names.  A value of the wrong
+    type is a SKIP.  Every claim with a parameter p is about odd primes p,
+    so any other p is a SKIP before the runner starts, as is a size past
+    the check's limit.
     """
     check = REGISTRY.get(check_id)
     if check is None:
         raise UnknownCheckError(check_id)
+    if params.keys() != check.keys:
+        raise DomainError(f"{check_id} " + ", ".join(
+            [f"needs --{k}" for k in sorted(check.keys - params.keys())]
+            + [f"takes no --{k}" for k in sorted(params.keys() - check.keys)]))
     rng = _rng(seed, check_id, params)
     start = time.perf_counter()
     try:
+        _read_values(params)
         if "p" in params and (params["p"] < 3 or not is_prime(params["p"])):
             raise SkipCheck(f"claim requires an odd prime p, got {params['p']}")
         if check.limit is not None:

@@ -52,6 +52,8 @@ def test_usage_errors_exit_2(capsys):
      "argument --x: expected a rational"),
     (["verify", "thnew.cauchyroot", "--n", "3", "--x", "1/0"],
      "argument --x: expected a rational"),
+    (["verify", "thnew.cauchyroot", "--n", "3", "--x", "1" * 4400],
+     "argument --x: expected a rational"),
 ])
 def test_parameter_usage_errors(capsys, argv, message):
     # Explicit parameters must be exactly the check's grid keys; anything
@@ -217,6 +219,28 @@ def test_seq_json_matches_the_pinned_digest(capsys, name):
                         "--json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == SEQ_DIGESTS[name]
+
+
+# sha256 of the stdout of `explore ID --json` at the default --pmax and
+# --nmax on the fractions backend, pinned as RESULT_DIGESTS is.
+EXPLORE_DIGESTS = {
+    "conj.qdet":
+        "51f78aae114c8f48172c4ae7e58936c53e53730c94857585fb0a65de728d87b2",
+    "conj.maskdet":
+        "f7996fe07ac57463881de0ab2dbd50edbdf566a8c093d24bf4bdb725cacbd470",
+    "conj.absjk":
+        "c1af8ff5397d1f638f04f03a587d91b3eddb2ac319ff04caf985a4c9803510e9",
+}
+
+
+@pytest.mark.skipif(Rat is not Fraction,
+                    reason="digests were recorded on the fractions backend")
+@pytest.mark.parametrize("check_id", list(EXPLORE_DIGESTS))
+def test_explore_json_matches_the_pinned_digest(capsys, check_id):
+    code, out = run_cli(capsys, "explore", check_id, "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        EXPLORE_DIGESTS[check_id]
 
 
 def test_verify_all_fast_smoke(capsys):

@@ -4,7 +4,7 @@ mutation test proving FAIL reports carry both values."""
 import pytest
 
 import permarith.verifier as verifier
-from permarith.errors import UnknownCheckError
+from permarith.errors import DomainError, UnknownCheckError
 from permarith.families import sum_structure
 from permarith.matrices import Mat, per_ryser, per_sum_values
 from permarith.ntheory import odd_primes_upto
@@ -279,3 +279,89 @@ def test_run_suite_sorted_and_green():
     keys = [r.sort_key() for r in reports]
     assert keys == sorted(keys)
     assert all(r.status == "PASS" for r in reports)
+
+
+@pytest.mark.parametrize("check_id,params,message", [
+    ("thper.jdk1", {"p": 7}, "thper.jdk1 needs --d"),
+    ("thq.floor", {"n": 3, "p": 5}, "thq.floor takes no --p"),
+    ("thper.rootlinear", {"n": 3}, "thper.rootlinear needs --backend"),
+    ("thq.det", {"p": 5}, "thq.det needs --n, takes no --p"),
+])
+def test_run_check_refuses_missing_and_extra_keys(monkeypatch, check_id,
+                                                  params, message):
+    # The registry owns each check's keys: anything else is refused with the
+    # CLI's text before the runner starts.
+    import dataclasses
+
+    def unreachable(params, rng):
+        raise AssertionError("runner started")
+
+    monkeypatch.setitem(REGISTRY, check_id, dataclasses.replace(
+        REGISTRY[check_id], runner=unreachable))
+    with pytest.raises(DomainError) as exc:
+        run_check(check_id, params)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("check_id,params", [
+    ("thjk.int", {"n": "7"}),
+    ("thjk.int", {"n": 7.0}),
+    ("thper.jdk1", {"p": 7, "d": "2"}),
+    ("conj.qdet", {"n": 3, "a": None}),
+    ("thper.rootlinear", {"n": 3, "backend": ["cyc"]}),
+    ("thnew.cauchyroot", {"n": 3, "x": "abc"}),
+    ("thnew.cauchyroot", {"n": 3, "x": "1/0"}),
+    ("thnew.cauchyroot", {"n": 3, "x": "1" * 4400}),
+])
+def test_mistyped_values_skip(check_id, params):
+    # A value of the wrong type, or an x that str() cannot read, is out of
+    # domain: never a FAIL or a traceback, and a long value is not repeated.
+    r = run_check(check_id, params)
+    assert r.status == "SKIP" and r.note.startswith("out of domain: "), r
+    assert len(r.note) < 100
+
+
+def test_every_runner_reads_exactly_its_keys():
+    # Each runner, called on its first fast-grid row, reads every key that
+    # run_check requires of the check and no other.
+    class Recording(dict):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.read = set()
+
+        def __getitem__(self, key):
+            self.read.add(key)
+            return super().__getitem__(key)
+
+        def get(self, key, default=None):
+            self.read.add(key)
+            return super().get(key, default)
+
+    for check_id, check in REGISTRY.items():
+        row = default_grid(check_id, "fast")[0]
+        params = Recording(row)
+        try:
+            check.runner(params, verifier._rng(0, check_id, row))
+        except verifier.SkipCheck:
+            pass
+        assert params.read == check.keys == set(row), check_id
+
+
+def test_equals_runner_fails_a_wrong_value_and_skips_even_n(monkeypatch):
+    # One runner states value(n) = want(n) for the one-value claims; a wrong
+    # value is a FAIL with both sides, and odd=True SKIPs an even n.
+    import dataclasses
+
+    wrong = verifier._equals(lambda n: n, lambda n: n + 1, odd=True)
+    monkeypatch.setitem(REGISTRY, "det.sec2", dataclasses.replace(
+        REGISTRY["det.sec2"], runner=wrong))
+    r = run_check("det.sec2", {"n": 3})
+    assert (r.status, r.computed, r.expected) == ("FAIL", "3", "4")
+    r = run_check("det.sec2", {"n": 4})
+    assert r.status == "SKIP" and r.note == "claim requires odd n"
+    r = run_check("thq.floor", {"n": 4})
+    assert r.status == "PASS"
+    monkeypatch.setattr(verifier, "double_factorial", lambda n: 1)
+    for check_id in ("det.tan2", "rem.perhalf"):
+        r = run_check(check_id, {"n": 5})
+        assert r.status == "FAIL" and r.computed != r.expected, r
