@@ -1,6 +1,8 @@
 """Check registry: completeness, spot examples, reproducibility, and the
 mutation test proving FAIL reports carry both values."""
 
+import dataclasses
+
 import pytest
 
 import permarith.verifier as verifier
@@ -291,8 +293,6 @@ def test_run_check_refuses_missing_and_extra_keys(monkeypatch, check_id,
                                                   params, message):
     # The registry owns each check's keys: anything else is refused with the
     # CLI's text before the runner starts.
-    import dataclasses
-
     def unreachable(params, rng):
         raise AssertionError("runner started")
 
@@ -314,8 +314,9 @@ def test_run_check_refuses_missing_and_extra_keys(monkeypatch, check_id,
     ("thnew.cauchyroot", {"n": 3, "x": "1" * 4400}),
 ])
 def test_mistyped_values_skip(check_id, params):
-    # A value of the wrong type, or an x that str() cannot read, is out of
-    # domain: never a FAIL or a traceback, and a long value is not repeated.
+    # A value of the wrong type, or an x that does not read as a rational
+    # (past str()'s 4300 digits too), is out of domain: never a FAIL or a
+    # traceback, and a long value is not repeated in the note.
     r = run_check(check_id, params)
     assert r.status == "SKIP" and r.note.startswith("out of domain: "), r
     assert len(r.note) < 100
@@ -333,10 +334,6 @@ def test_every_runner_reads_exactly_its_keys():
             self.read.add(key)
             return super().__getitem__(key)
 
-        def get(self, key, default=None):
-            self.read.add(key)
-            return super().get(key, default)
-
     for check_id, check in REGISTRY.items():
         row = default_grid(check_id, "fast")[0]
         params = Recording(row)
@@ -350,8 +347,6 @@ def test_every_runner_reads_exactly_its_keys():
 def test_equals_runner_fails_a_wrong_value_and_skips_even_n(monkeypatch):
     # One runner states value(n) = want(n) for the one-value claims; a wrong
     # value is a FAIL with both sides, and odd=True SKIPs an even n.
-    import dataclasses
-
     wrong = verifier._equals(lambda n: n, lambda n: n + 1, odd=True)
     monkeypatch.setitem(REGISTRY, "det.sec2", dataclasses.replace(
         REGISTRY["det.sec2"], runner=wrong))
@@ -359,7 +354,7 @@ def test_equals_runner_fails_a_wrong_value_and_skips_even_n(monkeypatch):
     assert (r.status, r.computed, r.expected) == ("FAIL", "3", "4")
     r = run_check("det.sec2", {"n": 4})
     assert r.status == "SKIP" and r.note == "claim requires odd n"
-    r = run_check("thq.floor", {"n": 4})
+    r = run_check("thq.floor", {"n": 4})  # no odd: an even n runs
     assert r.status == "PASS"
     monkeypatch.setattr(verifier, "double_factorial", lambda n: 1)
     for check_id in ("det.tan2", "rem.perhalf"):
