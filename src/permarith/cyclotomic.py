@@ -542,10 +542,11 @@ def find_fq_root(n: int, bound: int = 200_000) -> FqRoot:
         raise DomainError(f"order must be >= 1, got {n}")
     if n == 1:
         return FqRoot(2, 1, 1)
-    cofactors = [n // ell for ell in prime_factors(n)]
     p = n + 1
     while p <= bound:
         if is_prime(p):
+            # Factored only here, so an n past the bound is refused at once.
+            cofactors = [n // ell for ell in prime_factors(n)]
             for g in range(2, p):
                 c = pow(g, (p - 1) // n, p)
                 if c != 1 and all(pow(c, co, p) != 1 for co in cofactors):

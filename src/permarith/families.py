@@ -3,7 +3,6 @@
 Families are grouped by scalar ring (integer, Laurent-polynomial, cyclotomic,
 rational), one builder per ring taking a family name and its parameters as
 keywords; root_linear alone is also built over F_p, given an FqRoot as fq.
-sum_structure gives the (u, w) vectors of the rank-2 families.
 
 Trigonometric families are built over Q(zeta_n) from three elements and
 their inverses, each a trigonometric value times a constant (zeta =
@@ -38,37 +37,6 @@ from .rings import QPOLY, QQ, ZZ, Rat, qint
 def _require(cond: bool, family: str, msg: str):
     if not cond:
         raise DomainError(f"{family}: {msg}")
-
-
-def _indices(range_name: str, p: int) -> list[int]:
-    if range_name == "1..p-1":
-        return list(range(1, p))
-    if range_name == "1..p":
-        return list(range(1, p + 1))
-    if range_name == "0..p-1":
-        return list(range(p))
-    if range_name == "1..h":
-        return list(range(1, (p - 1) // 2 + 1))
-    if range_name == "0..h":
-        return list(range((p - 1) // 2 + 1))
-    raise DomainError(f"unknown index range {range_name!r}")
-
-
-def sum_structure(family: str, p: int, range_name: str):
-    """(u, w) for the rank-2 families whose entries are u_j + d*w_k.
-
-    per[u_j + d*w_k] is a degree-n polynomial in d whose coefficients are
-    i!(n-i)! e_i(w) e_(n-i)(u): the mod-p^2 congruence grids build them once
-    with per_sum_coeffs, in O(n^2) int operations, and evaluate them at
-    each d.
-    """
-    idx = _indices(range_name, p)
-    if family == "linear":
-        return idx, idx
-    if family == "quad":
-        squares = [j * j for j in idx]
-        return squares, squares
-    raise DomainError(f"{family} is not a rank-2 family")
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +229,6 @@ def build_cyclotomic(family: str, **params) -> Mat:
                           for j in range(1, size + 1)])
 
     raise DomainError(f"unknown cyclotomic family {family!r}")
-
 
 
 # ---------------------------------------------------------------------------

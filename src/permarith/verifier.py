@@ -1,27 +1,31 @@
 """Registry of executable identity/congruence checks producing Reports.
 
 Each check id maps to a runner that computes both sides of one claim
-exactly and compares; claims that differ only in data share one runner
-per claim shape (_rank2, _integral_pair, _congruent_pair, and _equals for
-one value against one closed form), built at the _register call that
-states the claim.  run_check is the one gate for parameters: it refuses
-keys other than the check's grid keys and SKIPs values of the wrong type
-before any runner starts.  Theorem-tier ids gate exit codes;
+exactly and compares, built at the _register call that states the claim.
+28 of the 46 claims have one shape, "each value equals its closed form,
+mod p^k where stated, unless a SKIP rule applies", and one runner,
+_claim: its labelled (value, want) pairs are functions of the check's
+parameters by name, and its SKIP rules are (in_claim, note) data.
+run_check is the one gate for parameters: it refuses keys other than the
+check's grid keys and ints too long to print, SKIPs values of the wrong
+type, then sizes past the check's limit, then a p that is not an odd
+prime, before any runner starts.  Theorem-tier ids gate exit codes;
 conjecture-tier ids (conj.*) report consistency evidence only.
 Congruence checks compute the permanent exactly over Z or Q and reduce
-afterwards.  In the rank-2 d-grids per[u_j + d*w_k] is one degree-n
-polynomial in d: its integer coefficients C_i = i!(n-i)!
-e_i(w) e_(n-i)(u) are built once per (family, p, range) by
-per_sum_coeffs in O(n^2) int operations, and each d is one Horner
-evaluation.  The three random-x permanents of thper.jxk go through
-per_sum_values, the same closed form at d = 1 with one elementary
-symmetric pass over u = 1..p-1.
+afterwards.  In the rank-2 d-grids per[u_j + d*u_k], u_j = j^e for
+lo <= j < hi stated at the _register call, is one degree-n polynomial in
+d: its integer coefficients C_i = i!(n-i)! e_i(u) e_(n-i)(u) are built
+once per (lo, hi, e) by per_sum_coeffs in O(n^2) int operations, and each
+d is one Horner evaluation.  The three random-x permanents of thper.jxk
+go through per_sum_values, the same closed form at d = 1 with one
+elementary symmetric pass over u = 1..p-1.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import sys
 import time
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
@@ -31,16 +35,16 @@ from .cyclotomic import (Cyc, CyclotomicField, find_fq_root, gauss_sum,
 from .errors import (DomainError, SearchExhaustedError, SingularFamilyError,
                      SizeLimitError, UnknownCheckError, UnsupportedRingError)
 from .families import (build_cyclotomic, build_integer, build_qpoly,
-                       build_rational, sum_structure)
-from .matrices import (Mat, det_divfree, det_field, per_ryser, per_sum_coeffs,
-                       per_sum_values)
+                       build_rational)
+from .matrices import (RYSER_LIMIT, Mat, det_divfree, det_field, per_ryser,
+                       per_sum_coeffs, per_sum_values)
 from .ntheory import (bernoulli, binomial, double_factorial, factorial,
                       inv_mod, is_prime, jacobi, mod_reduce_rat,
                       odd_primes_upto)
 from .rings import QQ, LPoly, ModInt, Rat
-from .sequences import (derangement_sum, masked_sum, seq_c, seq_c_prime,
-                        seq_d, seq_s, seq_s_prime, seq_t, seq_t_prime, seq_T,
-                        sequence_value)
+from .sequences import (SEQ_TABLE, derangement_sum, masked_sum, seq_c,
+                        seq_c_prime, seq_d, seq_s, seq_s_prime, seq_t,
+                        seq_t_prime, seq_T, sequence_value)
 
 FAST, FULL = "fast", "full"
 TIERS = (FAST, FULL)
@@ -93,10 +97,6 @@ def _true(flag: bool, computed: str, expected: str, label=None) -> Item:
     return Item(computed, expected, bool(flag), label)
 
 
-def _modint_eq(got: ModInt, want: ModInt, label=None) -> Item:
-    return Item(str(got.value), str(want.value), got == want, label)
-
-
 def _int_item(value: Rat, label: str) -> Item:
     return Item(str(value), "integer", value.denominator == 1, label)
 
@@ -106,41 +106,76 @@ def _rng(seed, check_id, params) -> random.Random:
 
 
 # ---------------------------------------------------------------------------
-# Rank-2 congruence grids: one cached coefficient vector per (family, p, range)
+# The claim runner: each value equals its closed form, mod p^k where stated
 # ---------------------------------------------------------------------------
 
+def _mod(value, m: int) -> int:
+    if isinstance(value, int):
+        return value % m
+    return mod_reduce_rat(value, m).value
+
+
+def _claim(*pairs, power=None, skip=()):
+    """Runner: value = want for each pair, (value, want) or (label, value,
+    want); mod p^power where power is given.  skip holds (in_claim, note)
+    rules: the first rule whose in_claim is false makes the check a SKIP
+    with its note.  Every function takes the check's parameters, each
+    naming them alike and in the same order."""
+    pairs = [pair if len(pair) == 3 else (None, *pair) for pair in pairs]
+    fns = [f for pair in pairs for f in pair[1:]] + [rule[0] for rule in skip]
+    # One parameter list for every function, or the unpacking fails.
+    (keys,) = {f.__code__.co_varnames[:f.__code__.co_argcount] for f in fns}
+
+    def run(params, rng):
+        args = [params[key] for key in keys]
+        for in_claim, note in skip:
+            if not in_claim(*args):
+                raise SkipCheck(note)
+        m = None if power is None else params["p"] ** power
+        items = []
+        for label, value, want in pairs:
+            got, exp = value(*args), want(*args)
+            if m is not None:
+                got, exp = _mod(got, m), _mod(exp, m)
+            items.append(_eq(got, exp, label))
+        return items, None if m is None else str(m), None
+    return run
+
+
+_ODD_N = (lambda n: n % 2, "claim requires odd n")
+_D_UNIT = (lambda p, d: d % p, "claim requires d not divisible by p")
+_P_OVER_3 = (lambda p, d: p > 3, "claim requires p > 3")
+
+
+def _congruent_pair(name: str):
+    """The claim name(p) = (-1)^((p+1)/2), (name + "prime")(p) = 1 (mod p)."""
+    return _claim((name, lambda p: sequence_value(name, p).value,
+                   lambda p: (-1) ** ((p + 1) // 2)),
+                  (name + "'",
+                   lambda p: sequence_value(name + "prime", p).value,
+                   lambda p: 1), power=1)
+
+
+# The rank-2 d-grids: per[u_j + d*u_k] with u_j = j^e for lo <= j < hi is
+# one degree-n polynomial in d.  Its coefficient vector is cached per
+# (lo, hi, e), so checks over the same u share it, and each d is one Horner
+# evaluation.
+
 @lru_cache(maxsize=None)
-def _per_coeffs(family: str, p: int, rng_name: str) -> tuple[int, ...]:
-    u, w = sum_structure(family, p, rng_name)
-    return per_sum_coeffs(u, w)
+def _per_coeffs(lo: int, hi: int, e: int) -> tuple[int, ...]:
+    u = [j ** e for j in range(lo, hi)]
+    return per_sum_coeffs(u, u)
 
 
-def _structured_per(family: str, p: int, d: int, rng_name: str) -> int:
+def _structured_per(lo: int, hi: int, e: int, d: int) -> int:
     acc = 0
-    for c in reversed(_per_coeffs(family, p, rng_name)):
+    for c in reversed(_per_coeffs(lo, hi, e)):
         acc = acc * d + c
     return acc
 
 
-def _rank2(family: str, rng_name: str, power: int, want, requires=None):
-    """Runner: per[u_j + d*w_k] over sum_structure(family, p, rng_name) is
-    want(p, d, m) mod m = p^power; requires = (in_claim(p, d), text)."""
-    def run(params, rng):
-        p, d = params["p"], params["d"]
-        if requires and not requires[0](p, d):
-            raise SkipCheck(f"claim requires {requires[1]}")
-        m = p ** power
-        got = ModInt(_structured_per(family, p, d, rng_name), m)
-        return [_modint_eq(got, ModInt(want(p, d, m), m))], str(m), None
-    return run
-
-
-_D_UNIT = (lambda p, d: d % p, "d not divisible by p")
-_P_OVER_3 = (lambda p, d: p > 3, "p > 3")
-
-
 # ---------------------------------------------------------------------------
-# Runners (each returns (items, modulus, note))
+# Runners of the other claims (each returns (items, modulus, note))
 # ---------------------------------------------------------------------------
 
 def _integral_pair(name: str):
@@ -152,27 +187,6 @@ def _integral_pair(name: str):
             items.append(_int_item(sequence_value(name + "prime", n).value,
                                    f"{name}'({n})"))
         return items, None, None
-    return run
-
-
-def _congruent_pair(name: str):
-    """Runner: name(p) = (-1)^((p+1)/2), (name + "prime")(p) = 1 (mod p)."""
-    def run(params, rng):
-        p = params["p"]
-        got = mod_reduce_rat(sequence_value(name, p).value, p)
-        got_prime = mod_reduce_rat(sequence_value(name + "prime", p).value, p)
-        return [_modint_eq(got, ModInt((-1) ** ((p + 1) // 2), p), name),
-                _modint_eq(got_prime, ModInt(1, p), name + "'")], str(p), None
-    return run
-
-
-def _equals(value, want, odd=False):
-    """Runner: value(n) = want(n), a claim about odd n only if odd."""
-    def run(params, rng):
-        n = params["n"]
-        if odd and n % 2 == 0:
-            raise SkipCheck("claim requires odd n")
-        return [_eq(value(n), want(n))], None, None
     return run
 
 
@@ -209,19 +223,13 @@ def _run_rootlinear(params, rng):
                        for _ in range(n))
             mat = build_cyclotomic("root_linear", n=n, x=xs)
             got = per_ryser(mat).as_rational()
-            prod = Rat(1)
-            for x in xs:
-                prod *= x
-            want = factorial(n) * (1 - prod)
+            want = factorial(n) * (1 - math.prod(xs, start=Rat(1)))
         else:
             p = root.prime
             xs = tuple(rng.randrange(p) for _ in range(n))
             mat = build_cyclotomic("root_linear", n=n, x=xs, fq=root)
             got = per_ryser(mat)
-            prod = 1
-            for x in xs:
-                prod = prod * x % p
-            want = ModInt(factorial(n) * (1 - prod), p)
+            want = ModInt(factorial(n) * (1 - math.prod(xs)), p)
         items.append(_eq(got, want, f"x{trial}"))
     return items, None, None
 
@@ -241,15 +249,9 @@ def _run_rootexp(params, rng):
 def _run_jxk(params, rng):
     p = params["p"]
     trials = [[rng.randrange(p) for _ in range(p - 1)] for _ in range(3)]
-    items = []
     pers = per_sum_values(range(1, p), trials)
-    for trial, (xs, per) in enumerate(zip(trials, pers)):
-        prod = 1
-        for x in xs:
-            prod = prod * x % p
-        items.append(_modint_eq(ModInt(per, p), ModInt(1 - prod, p),
-                                f"trial{trial}"))
-    return items, str(p), None
+    return [_eq(per % p, (1 - math.prod(xs)) % p, f"trial{trial}")
+            for trial, (xs, per) in enumerate(zip(trials, pers))], str(p), None
 
 
 def _run_cor_sin(params, rng):
@@ -260,15 +262,6 @@ def _run_cor_sin(params, rng):
         return [_true(per.is_zero(), str(per), "0")], None, None
     got = Rat(per.as_rational() * (-1) ** ((n - 1) // 2), 2 ** (n - 1))
     want = Rat((-1) ** ((n - 1) // 2) * factorial(n), 2 ** (n - 2) * (n + 1))
-    return [_eq(got, want)], None, None
-
-
-def _run_cor_cos(params, rng):
-    n = params["n"]
-    mat = build_cyclotomic("root_exp_shift", n=n, x=1)
-    got = Rat(per_ryser(mat).as_rational() * (-1) ** (n - 1), 2 ** (n - 1))
-    want = Rat(factorial(n - 1), (-2) ** (n - 1)) * sum(
-        Rat(1, binomial(n - 1, k)) for k in range(n))
     return [_eq(got, want)], None, None
 
 
@@ -295,35 +288,13 @@ def _run_cauchyroot(params, rng):
         raise SkipCheck(str(exc))
     got = per_ryser(mat).as_rational()
     base = Rat(n * x ** n, 1 - x ** n)
-    want = Rat(1)
-    for r in range(1, n + 1):
-        want *= base + r
+    want = math.prod((base + r for r in range(1, n + 1)), start=Rat(1))
     return [_eq(got, want)], None, None
-
-
-def _run_invsumsq(params, rng):
-    p = params["p"]
-    if p % 4 != 3:
-        raise SkipCheck("claim requires p = 3 (mod 4)")
-    per = per_ryser(build_rational("inv_sum_sq", p=p))
-    got = mod_reduce_rat(per, p)
-    q = (p + 1) // 4
-    want = mod_reduce_rat(Rat((-1) ** q, 4 * factorial(q) ** 2), p)
-    return [_modint_eq(got, want)], str(p), None
 
 
 def _run_thjk_int(params, rng):
     n = params["n"]
-    v = seq_T(n)
-    return [_int_item(v.value, f"T({n})")], None, None
-
-
-def _run_thjk_cong(params, rng):
-    p = params["p"]
-    m = p * p
-    got = mod_reduce_rat(seq_T(p).value, m)
-    want = ModInt((-1) ** ((p + 1) // 2) * 2 * p, m)
-    return [_modint_eq(got, want)], str(m), None
+    return [_int_item(seq_T(n).value, f"T({n})")], None, None
 
 
 def _run_thcos_int(params, rng):
@@ -336,44 +307,30 @@ def _run_thcos_int(params, rng):
     return items, None, f"c'({n}) = {v.value}, d = {int(seq_d(n).value)}"
 
 
-def _run_thcos_cong(params, rng):
-    p = params["p"]
-    h = (p - 1) // 2
-    want = ModInt(factorial(h), p)
-    per_cos = mod_reduce_rat(seq_c(p).value * Rat(1, 2 ** h), p)
-    per_sec = mod_reduce_rat(seq_c_prime(p).value * 2 ** h, p)
-    return [_modint_eq(per_cos, want, "cos"),
-            _modint_eq(per_sec, want, "sec")], str(p), None
-
-
-def _distinct_rationals(rng, count, taboo=()):
-    out = []
-    while len(out) < count:
-        x = Rat(rng.randint(-30, 30), rng.randint(1, 12))
-        if x not in out and x not in taboo:
-            out.append(x)
-    return out
+def _rational_lists(rng, n, apart):
+    """Two lists of n distinct random rationals, drawn again until
+    apart(x, y) holds for every x of the first and y of the second."""
+    while True:
+        xs, ys = [], []
+        for out in (xs, ys):
+            while len(out) < n:
+                x = Rat(rng.randint(-30, 30), rng.randint(1, 12))
+                if x not in out:
+                    out.append(x)
+        if all(apart(x, y) for x in xs for y in ys):
+            return xs, ys
 
 
 def _run_lem_cauchy(params, rng):
     n = params["n"]
     items = []
     for trial in range(3):
-        while True:
-            xs = _distinct_rationals(rng, n)
-            ys = _distinct_rationals(rng, n)
-            if all(x + y != 0 for x in xs for y in ys):
-                break
+        xs, ys = _rational_lists(rng, n, lambda x, y: x + y != 0)
         mat = Mat(QQ, [[Rat(1, x + y) for y in ys] for x in xs])
         got = det_field(mat)
-        num = Rat(1)
-        for j in range(n):
-            for k in range(j + 1, n):
-                num *= (xs[k] - xs[j]) * (ys[k] - ys[j])
-        den = Rat(1)
-        for x in xs:
-            for y in ys:
-                den *= x + y
+        num = math.prod(((xs[k] - xs[j]) * (ys[k] - ys[j]) for j in range(n)
+                         for k in range(j + 1, n)), start=Rat(1))
+        den = math.prod((x + y for x in xs for y in ys), start=Rat(1))
         items.append(_eq(got, num / den, f"trial{trial}"))
     return items, None, None
 
@@ -382,11 +339,7 @@ def _run_lem_borchardt(params, rng):
     n = params["n"]
     items = []
     for trial in range(3):
-        while True:
-            xs = _distinct_rationals(rng, n)
-            ys = _distinct_rationals(rng, n)
-            if all(x != y for x in xs for y in ys):
-                break
+        xs, ys = _rational_lists(rng, n, lambda x, y: x != y)
         cauchy = Mat(QQ, [[Rat(1, x - y) for y in ys] for x in xs])
         squared = Mat(QQ, [[Rat(1, (x - y) ** 2) for y in ys] for x in xs])
         got = det_field(squared)
@@ -404,70 +357,26 @@ def _run_lem_circulant(params, rng):
         mat = Mat(ring, [[Cyc.rational(n, a[(k - i) % n]) for k in range(n)]
                          for i in range(n)])
         got = det_field(mat)
-        want = ring.one
-        for r in range(n):
-            want = want * sum((a[k] * ring.zeta((k * r) % n)
+        want = math.prod((sum((a[k] * ring.zeta((k * r) % n)
                                for k in range(n)), ring.zero)
+                          for r in range(n)), start=ring.one)
         items.append(_eq(got, want, f"trial{trial}"))
     return items, None, None
 
 
-def _run_lem_gauss(params, rng):
-    n = params["n"]
-    g = gauss_sum(n)
-    want = Cyc.rational(n, n if (n - 1) // 2 % 2 == 0 else -n)
-    return [_eq(g * g, want)], None, None
-
-
-def _run_conj_qdet(params, rng):
-    n, a = params["n"], params["a"]
-    if n % 2 == 0 or n < 3:
-        raise SkipCheck("conjecture requires odd n > 1")
-    ja = jacobi(a * (a + 1), n)
-    got_floor = det_divfree(build_qpoly("qfloor_gen", n=n, a=a))
-    got_ceil = det_divfree(build_qpoly("qceil_gen", n=n, a=a))
-    want_floor = LPoly({(1 - 3 * n) // 2: -ja})
-    want_ceil = LPoly({(n - 1) // 2: ja})
-    return [_eq(got_floor, want_floor, "floor"),
-            _eq(got_ceil, want_ceil, "ceil")], None, None
-
-
-def _run_conj_absjk(params, rng):
-    p = params["p"]
-    inv2 = inv_mod(2, p)
-    got0 = per_ryser(build_integer("abs", n=p, shift=0))
-    got1 = per_ryser(build_integer("abs", n=p, shift=1))
-    return [_modint_eq(ModInt(got0, p), ModInt(-inv2, p), "|j-k|"),
-            _modint_eq(ModInt(got1, p), ModInt(inv2, p), "|j-k+1|")], str(p), None
-
-
-def _run_conj_maskper(params, rng):
-    p, a = params["p"], params["a"]
-    if p <= 3:
-        raise SkipCheck("conjecture requires p > 3")
-    if a % p == 0:
-        raise SkipCheck("conjecture requires a nonzero mod p")
-    got = masked_sum(p, a, signed=False, family="recip_aj_k")
-    return [_modint_eq(got, ModInt(0, p * p))], str(p * p), None
-
-
 def _run_conj_derange(params, rng):
     n = params["n"]
-    items = []
+    h = (n - 1) // 2
+    got = derangement_sum(n, "unsigned_recip")
     if n % 2 == 0:
-        got = derangement_sum(n, "unsigned_recip")
         want = Rat(double_factorial(n - 1) ** 2, 2 ** n)
-        items.append(_eq(got, want, "unsigned"))
-    else:
-        h = (n - 1) // 2
-        got = derangement_sum(n, "unsigned_recip")
-        items.append(_eq(got, Rat(factorial(h) ** 2, n), "unsigned"))
-        got = derangement_sum(n, "signed_recip")
-        items.append(_eq(got, Rat((-1) ** h * factorial(h) ** 2, n), "signed"))
-        got = derangement_sum(n, "signed_cot_ratio")
-        items.append(_eq(got, Rat((-1) ** h * double_factorial(n - 2) ** 2, n),
-                         "cot"))
-    return items, None, None
+        return [_eq(got, want, "unsigned")], None, None
+    return [_eq(got, Rat(factorial(h) ** 2, n), "unsigned"),
+            _eq(derangement_sum(n, "signed_recip"),
+                Rat((-1) ** h * factorial(h) ** 2, n), "signed"),
+            _eq(derangement_sum(n, "signed_cot_ratio"),
+                Rat((-1) ** h * double_factorial(n - 2) ** 2, n), "cot")
+            ], None, None
 
 
 def _run_conj_maskdet(params, rng):
@@ -475,29 +384,16 @@ def _run_conj_maskdet(params, rng):
     if p <= 3:
         raise SkipCheck("conjecture requires p > 3")
     m = p * p
-    items = []
-    got = masked_sum(p, a, signed=True, family="recip_ajk")
-    want = ModInt(jacobi(a, p) * (3 - pow(a, p - 1, m)) * inv_mod(2, m), m)
-    items.append(_modint_eq(got, want, "signed"))
+    half = (3 - pow(a, p - 1, m)) * inv_mod(2, m)
+    got = masked_sum(p, a, signed=True, family="recip_ajk").value
+    items = [_eq(got, jacobi(a, p) * half % m, "signed")]
     note = None
     if a % p != 0:
-        got_u = masked_sum(p, a, signed=False, family="recip_ajk")
-        want_u = ModInt((-1) ** ((p + 1) // 2)
-                        * (3 - pow(a, p - 1, m)) * inv_mod(2, m), m)
-        items.append(_modint_eq(got_u, want_u, "unsigned"))
+        got = masked_sum(p, a, signed=False, family="recip_ajk").value
+        items.append(_eq(got, (-1) ** ((p + 1) // 2) * half % m, "unsigned"))
     else:
         note = "unsigned claim void for p | a; signed side evaluated"
     return items, str(m), note
-
-
-def _run_conj_sqdiff(params, rng):
-    p = params["p"]
-    if p % 4 != 1:
-        raise SkipCheck("conjecture requires p = 1 (mod 4)")
-    per = per_ryser(build_rational("inv_sqdiff", p=p))
-    got = mod_reduce_rat(per, p)
-    want = mod_reduce_rat(Rat(1, factorial((p - 1) // 4) ** 2), p)
-    return [_modint_eq(got, want)], str(p), None
 
 
 def _run_conj_csign(params, rng):
@@ -518,8 +414,7 @@ def _run_conj_ssign(params, rng):
                       "s < 0 iff p = 5 (mod 12)", "s"),
                 _true((sp < 0) == (n % 8 == 7), str(sp),
                       "s' < 0 iff p = 7 (mod 8)", "s'")], None, None
-    got = mod_reduce_rat(seq_s(n).value, n)
-    return [_modint_eq(got, ModInt(0, n), "s mod n")], str(n), None
+    return [_eq(_mod(seq_s(n).value, n), 0, "s mod n")], str(n), None
 
 
 def _run_conj_tsign(params, rng):
@@ -529,34 +424,7 @@ def _run_conj_tsign(params, rng):
         tp = jacobi(-1, n) * seq_t_prime(n).value
         return [_true(t < 0, str(t), "negative", "(2/p) t"),
                 _true(tp < 0, str(tp), "negative", "(-1/p) t'")], None, None
-    got = mod_reduce_rat(seq_t(n).value, n)
-    return [_modint_eq(got, ModInt(0, n), "t mod n")], str(n), None
-
-
-def _run_rem_qdetabs(params, rng):
-    n = params["n"]
-    if n < 2:
-        raise SkipCheck("claims require n >= 2")
-    one_plus_q = LPoly({0: 1, 1: 1})
-    items = [
-        _eq(det_divfree(build_qpoly("qabs", n=n, shift=1)),
-            one_plus_q ** (n - 2), "|j-k+1|_q"),
-        _eq(det_divfree(build_qpoly("qabs", n=n, shift=0)),
-            ((-1) ** (n - 1) * (n - 1)) * one_plus_q ** (n - 2), "|j-k|_q"),
-        _eq(det_divfree(build_integer("abs", n=n, shift=0)),
-            (-1) ** (n - 1) * (n - 1) * 2 ** (n - 2), "|j-k|"),
-    ]
-    return items, None, None
-
-
-def _run_rem_cp(params, rng):
-    n = params["n"]
-    got = derangement_sum(n, "signed_recip_full")
-    if n % 2 == 0:
-        want = Rat((-1) ** (n // 2) * double_factorial(n - 1) ** 2, 2 ** n)
-    else:
-        want = Rat(0)
-    return [_eq(got, want)], None, None
+    return [_eq(_mod(seq_t(n).value, n), 0, "t mod n")], str(n), None
 
 
 # ---------------------------------------------------------------------------
@@ -602,9 +470,10 @@ def _qdet_grid(hi, a=range(-3, 4)):
 class Check:
     """A registered claim.  grid(hi, **bounds) lists its parameter rows, and
     bounds maps each tier to the keyword bounds it passes: hi, and a or d
-    where the tier fixes them.  limit, where set, is (key, largest value) of
-    the size parameter its runner accepts, n or p; run_check refuses a
-    larger value before anything is built."""
+    where the tier fixes them.  limit is (key, largest value) of the size
+    parameter its runner accepts, n or p; run_check refuses a larger value
+    before anything is built.  Only thper.rootlinear has none: its runner
+    limits each backend."""
 
     check_id: str
     kind: str
@@ -665,17 +534,32 @@ _FAST_D = {"hi": 13, "d": (1, 2, -1)}
 # determinants, which stay on Kronecker); rem.perhalf 0.10-0.13 s at 15 and
 # 0.62-0.88 s at 17.  thnew.invsumsq takes 0.05-0.09 s
 # at p = 31, and its next p = 3 (mod 4), 43, has 21 rows; conj.sqdiff takes
-# 0.02-0.03 s at p = 29, 0.70 s at 37 and 3.0 s at 41.
+# 0.02-0.03 s at p = 29, 0.70 s at 37 and 3.0 s at 41.  lem.cauchy (seeds
+# 0-3) takes 0.28-0.43 s at n = 29 and 0.40-0.80 s at 30; lem.borchardt
+# 0.40-0.52 s at 16 and 0.76-1.30 s at 17; lem.circulant 0.42 s at 60 and
+# 0.55-0.64 s at 61-63; conj.qdet, slower for larger |a|, at most 0.32 s at
+# n = 33 and 0.67 s at 35 for a = -3..3; conj.maskdet 0.13-0.18 s at p = 17
+# and 0.58-0.69 s at 19; rem.cp 0.08 s at 16 and 1.2 s at 17.  thq.floor,
+# thq.qfloor, conj.bernoulli, conj.absjk and conj.maskper are Glynn
+# permanents over Z or Q of n or p rows, bounded by RYSER_LIMIT (20 rows, so
+# p <= 19), and take 1.3-2.0 s there.  A check that reads sequences has the
+# smallest largest index of their SEQ_TABLE rows as its limit, which it
+# applies before the primality test.
+
+def _seq_limit(key, *names):
+    return key, min(SEQ_TABLE[name][-1] for name in names)
+
+
 _register("thq.floor", "theorem",
           "per[floor((j+k-1)/n)] (n x n) = 1",
-          _equals(lambda n: per_ryser(build_integer("floor_shift", n=n)),
-                  lambda n: 1),
-          _ns, 9, 12)
+          _claim((lambda n: per_ryser(build_integer("floor_shift", n=n)),
+                  lambda n: 1)),
+          _ns, 9, 12, limit=("n", RYSER_LIMIT))
 _register("thq.qfloor", "theorem",
           "per[[floor((j+k)/n)]_q] = 2^(n-1) + q",
-          _equals(lambda n: per_ryser(build_qpoly("qfloor", n=n)),
-                  lambda n: LPoly({0: 2 ** (n - 1), 1: 1})),
-          _ns, 9, 12)
+          _claim((lambda n: per_ryser(build_qpoly("qfloor", n=n)),
+                  lambda n: LPoly({0: 2 ** (n - 1), 1: 1}))),
+          _ns, 9, 12, limit=("n", RYSER_LIMIT))
 _register("thq.det", "theorem",
           "det[floor((j+k-1)/n)] = (-1)^(n(n-1)/2); "
           "det[[floor((j+k)/n)]_q] = (-1)^(n(n+1)/2-1) q for n > 1",
@@ -693,41 +577,48 @@ _register("thper.jxk", "theorem",
           _run_jxk, _ps, 13, 19, limit=("p", 601))
 _register("thper.jdk1", "theorem",
           "per[j+dk] (1..p-1) = d^(p-1) - 3 - 4(p-1)! (mod p^2)",
-          _rank2("linear", "1..p-1", 2, lambda p, d, m: pow(d, p - 1, m) - 3
-                 - 4 * factorial(p - 1), _D_UNIT),
+          _claim((lambda p, d: _structured_per(1, p, 1, d),
+                  lambda p, d: pow(d, p - 1, p * p) - 3
+                  - 4 * factorial(p - 1)), power=2, skip=[_D_UNIT]),
           _pd_grid, _FAST_D, 31, limit=("p", 751))
 _register("thper.jdk2", "theorem",
           "per[j+dk] (1..p) = (d+1)/2 p (mod p^2)",
-          _rank2("linear", "1..p", 2,
-                 lambda p, d, m: (d + 1) * inv_mod(2, m) * p, _D_UNIT),
+          _claim((lambda p, d: _structured_per(1, p + 1, 1, d),
+                  lambda p, d: (d + 1) * inv_mod(2, p * p) * p),
+                 power=2, skip=[_D_UNIT]),
           _pd_grid, _FAST_D, 31, limit=("p", 751))
 _register("thper.jdk3", "theorem",
           "per[j+dk] (0..p-1) = -(d+1)/2 p (mod p^2)",
-          _rank2("linear", "0..p-1", 2,
-                 lambda p, d, m: -(d + 1) * inv_mod(2, m) * p, _D_UNIT),
+          _claim((lambda p, d: _structured_per(0, p, 1, d),
+                  lambda p, d: -(d + 1) * inv_mod(2, p * p) * p),
+                 power=2, skip=[_D_UNIT]),
           _pd_grid, _FAST_D, 31, limit=("p", 751))
 _register("thper.quad", "theorem",
           "per[j^2+dk^2] (1..(p-1)/2) = (d^((p-1)/2)+1) ((p-1)/2)!^3 (mod p^2)",
-          _rank2("quad", "1..h", 2, lambda p, d, m:
-                 (pow(d, (p - 1) // 2, m) + 1) * factorial((p - 1) // 2) ** 3,
-                 _P_OVER_3),
+          _claim((lambda p, d: _structured_per(1, (p + 1) // 2, 2, d),
+                  lambda p, d: (pow(d, (p - 1) // 2, p * p) + 1)
+                  * factorial((p - 1) // 2) ** 3),
+                 power=2, skip=[_P_OVER_3]),
           partial(_pd_grid, lo=5), _FAST_D, 31, limit=("p", 1409))
 _register("thper.quad0", "theorem",
           "per[j^2+dk^2] (0..(p-1)/2) = (-1)^((p-1)/2) p/24 (d+(d/p)) "
           "((p-1)/2)! (mod p^2)",
-          _rank2("quad", "0..h", 2, lambda p, d, m:
-                 (-1) ** ((p - 1) // 2) * p * inv_mod(24, m)
-                 * (d + jacobi(d, p)) * factorial((p - 1) // 2), _P_OVER_3),
+          _claim((lambda p, d: _structured_per(0, (p + 1) // 2, 2, d),
+                  lambda p, d: (-1) ** ((p - 1) // 2) * p * inv_mod(24, p * p)
+                  * (d + jacobi(d, p)) * factorial((p - 1) // 2)),
+                 power=2, skip=[_P_OVER_3]),
           partial(_pd_grid, lo=5), _FAST_D, 31, limit=("p", 1409))
 _register("cor.jdk", "theorem",
           "per[j+dk] (1..p-1) = 2 (mod p)",
-          _rank2("linear", "1..p-1", 1, lambda p, d, m: 2, _D_UNIT),
+          _claim((lambda p, d: _structured_per(1, p, 1, d),
+                  lambda p, d: 2), power=1, skip=[_D_UNIT]),
           _pd_grid, _FAST_D, 31, limit=("p", 751))
 _register("cor.quadmod", "theorem",
           "per[j^2+dk^2] (1..(p-1)/2) = (-1)^((p+1)/2) (1+(d/p)) "
           "((p-1)/2)! (mod p)",
-          _rank2("quad", "1..h", 1, lambda p, d, m: (-1) ** ((p + 1) // 2)
-                 * (1 + jacobi(d, p)) * factorial((p - 1) // 2)),
+          _claim((lambda p, d: _structured_per(1, (p + 1) // 2, 2, d),
+                  lambda p, d: (-1) ** ((p + 1) // 2) * (1 + jacobi(d, p))
+                  * factorial((p - 1) // 2)), power=1),
           _pd_grid, _FAST_D, 31, limit=("p", 1409))
 _register("cor.sin", "theorem",
           "per[sin pi(j+k)/n] (size n-1): (-1)^((n-1)/2) n!/(2^(n-2)(n+1)) "
@@ -735,7 +626,12 @@ _register("cor.sin", "theorem",
           _run_cor_sin, partial(_ns, lo=2), 9, 12, limit=("n", 17))
 _register("cor.cos", "theorem",
           "per[cos pi(j+k)/n] (size n-1) = (n-1)!/(-2)^(n-1) sum 1/C(n-1,k)",
-          _run_cor_cos, partial(_ns, lo=2), 9, 12, limit=("n", 18))
+          _claim((lambda n: Rat(per_ryser(build_cyclotomic(
+                      "root_exp_shift", n=n, x=1)).as_rational()
+                      * (-1) ** (n - 1), 2 ** (n - 1)),
+                  lambda n: Rat(factorial(n - 1), (-2) ** (n - 1)) * sum(
+                      Rat(1, binomial(n - 1, k)) for k in range(n)))),
+          partial(_ns, lo=2), 9, 12, limit=("n", 18))
 _register("thnew.cauchyroot", "theorem",
           "per[1/(1 - zeta^(j-k) x)] = prod_r (n x^n/(1-x^n) + r)",
           _run_cauchyroot,
@@ -745,90 +641,132 @@ _register("thnew.cauchyroot", "theorem",
 _register("thnew.invsumsq", "theorem",
           "per[1/(j^2+k^2)] (size (p-1)/2) = (-1)^((p+1)/4)/(4 ((p+1)/4)!^2) "
           "(mod p) for p = 3 (mod 4)",
-          _run_invsumsq, partial(_ps, mod4=3), 11, 23, limit=("p", 31))
+          _claim((lambda p: per_ryser(build_rational("inv_sum_sq", p=p)),
+                  lambda p: Rat((-1) ** ((p + 1) // 4),
+                                4 * factorial((p + 1) // 4) ** 2)), power=1,
+                 skip=[(lambda p: p % 4 == 3,
+                        "claim requires p = 3 (mod 4)")]),
+          partial(_ps, mod4=3), 11, 23, limit=("p", 31))
 _register("thjk.int", "theorem",
           "T(n) = per[tan pi(j+k)/n] (size n-1) is an integer",
-          _run_thjk_int, _odd_ns, 9, 13)
+          _run_thjk_int, _odd_ns, 9, 13, limit=_seq_limit("n", "T"))
 _register("thjk.cong", "theorem",
           "T(p) = (-1)^((p+1)/2) 2p (mod p^2)",
-          _run_thjk_cong, _ps, 11, 13)
+          _claim((lambda p: seq_T(p).value,
+                  lambda p: (-1) ** ((p + 1) // 2) * 2 * p), power=2),
+          _ps, 11, 13, limit=_seq_limit("p", "T"))
 _register("thcos.int", "theorem",
           "c_n is an integer; denominator of c'_n divides 2^(d_n)",
-          _run_thcos_int, _odd_ns, 13, 23)
+          _run_thcos_int, _odd_ns, 13, 23,
+          limit=_seq_limit("n", "c", "cprime"))
 _register("thcos.cong", "theorem",
           "per[cos 2pi jk/p] = per[sec 2pi jk/p] = ((p-1)/2)! (mod p)",
-          _run_thcos_cong, _ps, 13, 19)
+          _claim(("cos",
+                  lambda p: seq_c(p).value * Rat(1, 2 ** ((p - 1) // 2)),
+                  lambda p: factorial((p - 1) // 2)),
+                 ("sec", lambda p: seq_c_prime(p).value * 2 ** ((p - 1) // 2),
+                  lambda p: factorial((p - 1) // 2)), power=1),
+          _ps, 13, 19, limit=_seq_limit("p", "c", "cprime"))
 _register("thsin.int", "theorem",
           "s_n (and s'_p for prime index) are integers",
-          _integral_pair("s"), _odd_ns, 13, 23)
+          _integral_pair("s"), _odd_ns, 13, 23,
+          limit=_seq_limit("n", "s", "sprime"))
 _register("thsin.cong", "theorem",
           "s_p = (-1)^((p+1)/2), s'_p = 1 (mod p)",
-          _congruent_pair("s"), _ps, 13, 19)
+          _congruent_pair("s"), _ps, 13, 19,
+          limit=_seq_limit("p", "s", "sprime"))
 _register("thtan.int", "theorem",
           "t_n (and t'_p for prime index) are integers",
-          _integral_pair("t"), _odd_ns, 13, 25)
+          _integral_pair("t"), _odd_ns, 13, 25,
+          limit=_seq_limit("n", "t", "tprime"))
 _register("thtan.cong", "theorem",
           "t_p = (-1)^((p+1)/2), t'_p = 1 (mod p)",
-          _congruent_pair("t"), _ps, 13, 19)
+          _congruent_pair("t"), _ps, 13, 19,
+          limit=_seq_limit("p", "t", "tprime"))
 _register("lem.cauchy", "theorem",
           "Cauchy determinant det[1/(x_j+y_k)] product formula",
-          _run_lem_cauchy, partial(_ns, lo=2), 6, 6)
+          _run_lem_cauchy, partial(_ns, lo=2), 6, 6, limit=("n", 29))
 _register("lem.borchardt", "theorem",
           "det[1/(x_j-y_k)^2] = det[1/(x_j-y_k)] per[1/(x_j-y_k)]",
-          _run_lem_borchardt, partial(_ns, lo=2), 6, 6)
+          _run_lem_borchardt, partial(_ns, lo=2), 6, 6, limit=("n", 16))
 _register("lem.circulant", "theorem",
           "circulant determinant = prod_r sum_k a_k zeta^((k-1)r)",
-          _run_lem_circulant, _ns, 6, 8)
+          _run_lem_circulant, _ns, 6, 8, limit=("n", 60))
 _register("lem.oneplus", "theorem",
           "prod_(k=1..n-1) (1 + zeta^k) = 1 for odd n",
-          _equals(lambda n: math.prod((1 + Cyc.zeta(n, k)
+          _claim((lambda n: math.prod((1 + Cyc.zeta(n, k)
                                        for k in range(1, n)),
                                       start=Cyc.rational(n, 1)),
-                  lambda n: Cyc.rational(n, 1), odd=True),
+                  lambda n: Cyc.rational(n, 1)), skip=[_ODD_N]),
           _odd_ns, 15, 25, limit=("n", 221))
 _register("lem.gauss", "theorem",
           "gauss_sum(n)^2 = (-1)^((n-1)/2) n",
-          _run_lem_gauss, _odd_ns, 25, 51,
-          limit=("n", 3001))
+          _claim((lambda n: gauss_sum(n) * gauss_sum(n),
+                  lambda n: Cyc.rational(n, n if (n - 1) // 2 % 2 == 0
+                                         else -n))),
+          _odd_ns, 25, 51, limit=("n", 3001))
 _register("lem.half", "theorem",
           "prod_(k<=(n-1)/2) (1 - zeta^k) = (-2/n) i^((n-1)/2) sqrt(n) "
           "zeta^((n+1)/2 (n^2-1)/8)",
-          _equals(lambda n: math.prod((1 - Cyc.zeta(n, k)
+          _claim((lambda n: math.prod((1 - Cyc.zeta(n, k)
                                        for k in range(1, (n - 1) // 2 + 1)),
                                       start=Cyc.rational(n, 1)),
                   lambda n: jacobi(-2, n) * sqrt_element(n)
-                  * Cyc.zeta(n, ((n + 1) // 2) * ((n * n - 1) // 8)),
-                  odd=True),
+                  * Cyc.zeta(n, ((n + 1) // 2) * ((n * n - 1) // 8))),
+                 skip=[_ODD_N]),
           _odd_ns, 15, 25, limit=("n", 501))
 _register("det.sec2", "theorem",
           "det[sec^2 pi(j-k)/n] (n x n) = n^(n-1) (n!!)^2 for odd n",
-          _equals(lambda n: det_field(build_cyclotomic("sec2_diff", n=n))
+          _claim((lambda n: det_field(build_cyclotomic("sec2_diff", n=n))
                   .as_rational(),
-                  lambda n: n ** (n - 1) * double_factorial(n) ** 2, odd=True),
+                  lambda n: n ** (n - 1) * double_factorial(n) ** 2),
+                 skip=[_ODD_N]),
           partial(_odd_ns, lo=1), 7, 11, limit=("n", 15))
 _register("det.tan2", "theorem",
           "det[tan^2 pi(j-k)/n] (n x n) = (n-1) n^(n-2) (n!!)^2 for odd n",
-          _equals(lambda n: det_field(build_cyclotomic("tan2_diff", n=n))
+          _claim((lambda n: det_field(build_cyclotomic("tan2_diff", n=n))
                   .as_rational(),
                   lambda n: 0 if n == 1 else
-                  (n - 1) * n ** (n - 2) * double_factorial(n) ** 2, odd=True),
+                  (n - 1) * n ** (n - 2) * double_factorial(n) ** 2),
+                 skip=[_ODD_N]),
           partial(_odd_ns, lo=1), 7, 11, limit=("n", 15))
 _register("conj.qdet", "conjecture",
           "det[[floor((aj-(a+1)k)/n)]_q] = -(a(a+1)/n) q^((1-3n)/2); "
           "det[[ceil(((a+1)j-ak)/n)]_q] = (a(a+1)/n) q^((n-1)/2)",
-          _run_conj_qdet, _qdet_grid, {"hi": 7, "a": range(-2, 3)}, 9)
+          _claim(("floor", lambda n, a: det_divfree(
+                      build_qpoly("qfloor_gen", n=n, a=a)),
+                  lambda n, a: LPoly({(1 - 3 * n) // 2:
+                                      -jacobi(a * (a + 1), n)})),
+                 ("ceil", lambda n, a: det_divfree(
+                     build_qpoly("qceil_gen", n=n, a=a)),
+                  lambda n, a: LPoly({(n - 1) // 2: jacobi(a * (a + 1), n)})),
+                 skip=[(lambda n, a: n % 2 and n > 1,
+                        "conjecture requires odd n > 1")]),
+          _qdet_grid, {"hi": 7, "a": range(-2, 3)}, 9, limit=("n", 33))
 _register("conj.bernoulli", "theorem",
           "per[floor((2j-k)/n)] = 2 (2^(n+1) - 1) B_(n+1)",
-          _equals(lambda n: Rat(per_ryser(build_integer("floor_2jk", n=n))),
-                  lambda n: 2 * (2 ** (n + 1) - 1) * bernoulli(n + 1)),
-          _ns, 10, 10)
+          _claim((lambda n: Rat(per_ryser(build_integer("floor_2jk", n=n))),
+                  lambda n: 2 * (2 ** (n + 1) - 1) * bernoulli(n + 1))),
+          _ns, 10, 10, limit=("n", RYSER_LIMIT))
 _register("conj.absjk", "conjecture",
           "per[|j-k|] = -1/2 and per[|j-k+1|] = 1/2 (mod p), size p",
-          _run_conj_absjk, _ps, 11, 13)
+          _claim(("|j-k|",
+                  lambda p: per_ryser(build_integer("abs", n=p, shift=0)),
+                  lambda p: -inv_mod(2, p)),
+                 ("|j-k+1|",
+                  lambda p: per_ryser(build_integer("abs", n=p, shift=1)),
+                  lambda p: inv_mod(2, p)), power=1),
+          _ps, 11, 13, limit=("p", 19))
 _register("conj.maskper", "conjecture",
           "sum over tau with p never dividing aj+tau(j) of "
           "prod 1/(aj+tau(j)) = 0 (mod p^2)",
-          _run_conj_maskper, _pa_grid, 7, 7)
+          _claim((lambda p, a: masked_sum(p, a, signed=False,
+                                          family="recip_aj_k").value,
+                  lambda p, a: 0), power=2,
+                 skip=[(lambda p, a: p > 3, "conjecture requires p > 3"),
+                       (lambda p, a: a % p,
+                        "conjecture requires a nonzero mod p")]),
+          _pa_grid, 7, 7, limit=("p", 19))
 _register("conj.derange", "conjecture",
           "derangement sums of 1/(1 - zeta^(j-tau(j))) "
           "and the cot-ratio variant match closed forms",
@@ -838,40 +776,59 @@ _register("conj.maskdet", "conjecture",
           "(a/p)(3-a^(p-1))/2 and (-1)^((p+1)/2)(3-a^(p-1))/2 (mod p^2)",
           _run_conj_maskdet,
           _pa_grid, {"hi": 7, "a": (1, 2, 3, 5)},
-          {"hi": 7, "a": (1, 2, 3, 5)})
+          {"hi": 7, "a": (1, 2, 3, 5)}, limit=("p", 17))
 _register("conj.sqdiff", "conjecture",
           "derangement sum of 1/prod(j^2 - tau(j)^2) = ((p-1)/4)!^(-2) "
           "(mod p) for p = 1 (mod 4)",
-          _run_conj_sqdiff, partial(_ps, mod4=1), 13, 17, limit=("p", 29))
+          _claim((lambda p: per_ryser(build_rational("inv_sqdiff", p=p)),
+                  lambda p: Rat(1, factorial((p - 1) // 4) ** 2)), power=1,
+                 skip=[(lambda p: p % 4 == 1,
+                        "conjecture requires p = 1 (mod 4)")]),
+          partial(_ps, mod4=1), 13, 17, limit=("p", 29))
 _register("conj.csign", "conjecture",
           "(-1)^((p-1)/2) c_p is a positive odd integer; "
           "(-1)^((p-1)/2) c'_p > 0",
-          _run_conj_csign, _ps, 13, 23)
+          _run_conj_csign, _ps, 13, 23, limit=_seq_limit("p", "c", "cprime"))
 _register("conj.ssign", "conjecture",
           "s_p < 0 iff p = 5 (mod 12); s'_p < 0 iff p = 7 (mod 8); "
           "s_n = 0 (mod n) for odd composite n",
-          _run_conj_ssign, _odd_ns, 13, 23)
+          _run_conj_ssign, _odd_ns, 13, 23,
+          limit=_seq_limit("n", "s", "sprime"))
 _register("conj.tsign", "conjecture",
           "(2/p) t_p < 0; (-1/p) t'_p < 0; t_n = 0 (mod n) "
           "for odd composite n",
-          _run_conj_tsign, _odd_ns, 13, 25)
+          _run_conj_tsign, _odd_ns, 13, 25,
+          limit=_seq_limit("n", "t", "tprime"))
 _register("rem.qdetabs", "theorem",
           "det[[|j-k+1|]_q] = (1+q)^(n-2); det[[|j-k|]_q] = "
           "(-1)^(n-1)(n-1)(1+q)^(n-2); det[|j-k|] = (-1)^(n-1)(n-1)2^(n-2)",
-          _run_rem_qdetabs, partial(_ns, lo=2), 8, 10,
-          limit=("n", 28))
+          _claim(("|j-k+1|_q",
+                  lambda n: det_divfree(build_qpoly("qabs", n=n, shift=1)),
+                  lambda n: LPoly({0: 1, 1: 1}) ** (n - 2)),
+                 ("|j-k|_q",
+                  lambda n: det_divfree(build_qpoly("qabs", n=n, shift=0)),
+                  lambda n: ((-1) ** (n - 1) * (n - 1))
+                  * LPoly({0: 1, 1: 1}) ** (n - 2)),
+                 ("|j-k|",
+                  lambda n: det_divfree(build_integer("abs", n=n, shift=0)),
+                  lambda n: (-1) ** (n - 1) * (n - 1) * 2 ** (n - 2)),
+                 skip=[(lambda n: n >= 2, "claims require n >= 2")]),
+          partial(_ns, lo=2), 8, 10, limit=("n", 28))
 _register("rem.perhalf", "theorem",
           "per[1/(1 + zeta^(j-k))] = (-1)^((n-1)/2) (n!!)^2/(2^n n) for odd n",
-          _equals(lambda n: per_ryser(build_cyclotomic("cauchy_root", n=n,
-                                                        x=-1)).as_rational(),
+          _claim((lambda n: per_ryser(build_cyclotomic(
+                      "cauchy_root", n=n, x=-1)).as_rational(),
                   lambda n: Rat((-1) ** ((n - 1) // 2)
-                                * double_factorial(n) ** 2, 2 ** n * n),
-                  odd=True),
+                                * double_factorial(n) ** 2, 2 ** n * n)),
+                 skip=[_ODD_N]),
           _odd_ns, 7, 9, limit=("n", 15))
 _register("rem.cp", "theorem",
           "signed derangement sum of 1/(1 - zeta^(j-tau(j))): "
           "(-1)^(n/2)((n-1)!!)^2/2^n for even n, 0 for odd n",
-          _run_rem_cp, partial(_ns, lo=2), 8, 10)
+          _claim((lambda n: derangement_sum(n, "signed_recip_full"),
+                  lambda n: Rat(0) if n % 2 else Rat((-1) ** (n // 2)
+                  * double_factorial(n - 1) ** 2, 2 ** n))),
+          partial(_ns, lo=2), 8, 10, limit=("n", 16))
 
 ALL_CHECK_IDS = tuple(REGISTRY)
 
@@ -904,14 +861,26 @@ def _read_values(params: dict):
         raise DomainError(f"{key} must {want}, got {text}")
 
 
+def _printable(params: dict):
+    """Refuse an int that str(), and so every report writer, cannot print:
+    one of more than sys.get_int_max_str_digits() digits."""
+    for key in sorted(params):
+        try:
+            str(params[key])
+        except ValueError:
+            digits = sys.get_int_max_str_digits()
+            raise DomainError(f"{key} must have at most {digits} digits"
+                              ) from None
+
+
 def run_check(check_id: str, params: dict, seed: int = 0) -> Report:
     """Execute one registered check; errors become FAIL, domain gaps SKIP.
 
     params must have exactly the check's keys, or DomainError names the
-    missing and extra ones, in the CLI's flag names.  A value of the wrong
-    type is a SKIP.  Every claim with a parameter p is about odd primes p,
-    so any other p is a SKIP before the runner starts, as is a size past
-    the check's limit.
+    missing and extra ones, in the CLI's flag names; an int too long to
+    print is a DomainError too.  A value of the wrong type is a SKIP, then a
+    size past the check's limit.  Every claim with a parameter p is about
+    odd primes p, so any other p is a SKIP before the runner starts.
     """
     check = REGISTRY.get(check_id)
     if check is None:
@@ -920,17 +889,21 @@ def run_check(check_id: str, params: dict, seed: int = 0) -> Report:
         raise DomainError(f"{check_id} " + ", ".join(
             [f"needs --{k}" for k in sorted(check.keys - params.keys())]
             + [f"takes no --{k}" for k in sorted(params.keys() - check.keys)]))
-    rng = _rng(seed, check_id, params)
+    try:
+        rng = _rng(seed, check_id, params)
+    except ValueError:
+        _printable(params)
+        raise
     start = time.perf_counter()
     try:
         _read_values(params)
-        if "p" in params and (params["p"] < 3 or not is_prime(params["p"])):
-            raise SkipCheck(f"claim requires an odd prime p, got {params['p']}")
         if check.limit is not None:
             key, top = check.limit
             if params[key] > top:
                 raise SizeLimitError(f"{check_id} limited to {key} <= {top},"
                                      f" got {key} = {params[key]}")
+        if "p" in params and (params["p"] < 3 or not is_prime(params["p"])):
+            raise SkipCheck(f"claim requires an odd prime p, got {params['p']}")
         items, modulus, note = check.runner(params, rng)
     except SkipCheck as exc:
         return Report(check_id, params, "SKIP", kind=check.kind,

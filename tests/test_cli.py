@@ -221,8 +221,8 @@ def test_seq_json_matches_the_pinned_digest(capsys, name):
     assert hashlib.sha256(out.encode()).hexdigest() == SEQ_DIGESTS[name]
 
 
-# sha256 of the stdout of `explore ID --json` at the default --pmax and
-# --nmax on the fractions backend, pinned as RESULT_DIGESTS is.
+# sha256 of the stdout of `explore ID [ARGS] --json` at the default --pmax
+# and --nmax on the fractions backend, pinned as RESULT_DIGESTS is.
 EXPLORE_DIGESTS = {
     "conj.qdet":
         "51f78aae114c8f48172c4ae7e58936c53e53730c94857585fb0a65de728d87b2",
@@ -230,17 +230,20 @@ EXPLORE_DIGESTS = {
         "f7996fe07ac57463881de0ab2dbd50edbdf566a8c093d24bf4bdb725cacbd470",
     "conj.absjk":
         "c1af8ff5397d1f638f04f03a587d91b3eddb2ac319ff04caf985a4c9803510e9",
+    "conj.maskper --a 0..7":
+        "0d30a280432e24d47859d6ffaf459dd37354bd3d5d3dcdb5d5de573ad73c08fc",
+    "conj.sqdiff":
+        "55fb56c5961a4bac7379b77acd565fc924a381f3e6021f82a4e261303160f428",
 }
 
 
 @pytest.mark.skipif(Rat is not Fraction,
                     reason="digests were recorded on the fractions backend")
-@pytest.mark.parametrize("check_id", list(EXPLORE_DIGESTS))
-def test_explore_json_matches_the_pinned_digest(capsys, check_id):
-    code, out = run_cli(capsys, "explore", check_id, "--json")
+@pytest.mark.parametrize("args", list(EXPLORE_DIGESTS))
+def test_explore_json_matches_the_pinned_digest(capsys, args):
+    code, out = run_cli(capsys, "explore", *args.split(), "--json")
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == \
-        EXPLORE_DIGESTS[check_id]
+    assert hashlib.sha256(out.encode()).hexdigest() == EXPLORE_DIGESTS[args]
 
 
 def test_verify_all_fast_smoke(capsys):

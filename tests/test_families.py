@@ -1,5 +1,5 @@
 """Matrix family constructors: spot values, symmetry, masking, per-entry
-trigonometric factors (float diagnostics), and the rank-2 (u, w) vectors."""
+trigonometric factors (float diagnostics)."""
 
 import math
 
@@ -8,7 +8,7 @@ import pytest
 from permarith.cyclotomic import CyclotomicField
 from permarith.errors import DomainError, SingularFamilyError
 from permarith.families import (build_cyclotomic, build_integer, build_qpoly,
-                                build_rational, conjugates, sum_structure)
+                                build_rational, conjugates)
 from permarith.matrices import per_naive, per_ryser
 from permarith.rings import LPoly, Rat, qint
 
@@ -53,21 +53,6 @@ def test_qfloor_gen_negative_entries():
     m = build_qpoly("qfloor_gen", n=3, a=1)
     # (j,k) = (1,2): floor((1-4)/3) = -1, whose q-analogue is -q^(-1)
     assert m.rows[0][1] == LPoly({-1: -1})
-
-
-def test_sum_structure_vectors():
-    assert sum_structure("linear", 5, "1..p-1") == ([1, 2, 3, 4], [1, 2, 3, 4])
-    assert sum_structure("linear", 5, "1..p") == ([1, 2, 3, 4, 5],
-                                                  [1, 2, 3, 4, 5])
-    assert sum_structure("linear", 5, "0..p-1") == ([0, 1, 2, 3, 4],
-                                                    [0, 1, 2, 3, 4])
-    squares = [0, 1, 4, 9, 16, 25]
-    assert sum_structure("quad", 11, "0..h") == (squares, squares)
-    assert sum_structure("quad", 11, "1..h") == (squares[1:], squares[1:])
-    with pytest.raises(DomainError):
-        sum_structure("abs", 5, "1..p-1")
-    with pytest.raises(DomainError):
-        sum_structure("linear", 5, "2..p")
 
 
 def test_cauchy_root_examples():

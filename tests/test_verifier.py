@@ -5,12 +5,14 @@ import dataclasses
 
 import pytest
 
+import permarith.cyclotomic as cyclotomic
+import permarith.families as families
+import permarith.sequences as sequences
 import permarith.verifier as verifier
 from permarith.errors import DomainError, UnknownCheckError
-from permarith.families import sum_structure
 from permarith.matrices import Mat, per_ryser, per_sum_values
-from permarith.ntheory import odd_primes_upto
-from permarith.rings import ZZ
+from permarith.ntheory import inv_mod, odd_primes_upto
+from permarith.rings import ZZ, Rat
 from permarith.verifier import (ALL_CHECK_IDS, REGISTRY, default_grid,
                                 run_check, run_suite)
 from test_matrices import _moment_coeffs
@@ -102,6 +104,12 @@ def test_out_of_domain_params_skip():
     ("thper.rootlinear", {"n": 3, "backend": "gpu"}, "unknown backend"),
     ("thq.floor", {"n": 40}, "limited to n <= 20"),
     ("thper.quad0", {"p": 3, "d": 1}, "p > 3"),
+    ("thnew.invsumsq", {"p": 5}, "claim requires p = 3 (mod 4)"),
+    ("conj.sqdiff", {"p": 7}, "conjecture requires p = 1 (mod 4)"),
+    ("conj.maskper", {"p": 5, "a": 5}, "conjecture requires a nonzero mod p"),
+    ("conj.qdet", {"n": 4, "a": 1}, "conjecture requires odd n > 1"),
+    ("rem.qdetabs", {"n": 1}, "claims require n >= 2"),
+    ("det.sec2", {"n": 4}, "claim requires odd n"),
 ])
 def test_inputs_outside_the_claim_skip(check_id, params, reason):
     # Outside a claim's domain the verdict is SKIP with the reason, never a
@@ -110,22 +118,38 @@ def test_inputs_outside_the_claim_skip(check_id, params, reason):
     assert r.status == "SKIP" and reason in r.note, r
 
 
-def test_size_limits_refuse_before_building(monkeypatch):
-    # Past a check's size limit the verdict is a SKIP with the limit, and no
-    # matrix, Gauss sum, cyclotomic product, derangement sum or rank-2 vector
-    # is built; the full tier stays inside every limit.
+def _forbid_building(monkeypatch, primality=True):
+    # Make every matrix, Gauss sum, cyclotomic product, sequence value,
+    # derangement or masked sum and rank-2 vector the verifier could build
+    # raise, and with primality every primality test too.
     def unbuildable(*args, **params):
         raise AssertionError("built past the size limit")
+
+    def untestable(n):
+        raise AssertionError("primality test run")
 
     class UnbuildableCyc:
         rational = zeta = staticmethod(unbuildable)
 
     for name in ("build_cyclotomic", "build_integer", "build_qpoly",
                  "build_rational", "derangement_sum", "gauss_sum",
-                 "sum_structure", "per_sum_values"):
+                 "per_sum_coeffs", "per_sum_values", "masked_sum", "Mat",
+                 "CyclotomicField", "sequence_value", "seq_T", "seq_c",
+                 "seq_c_prime", "seq_s", "seq_s_prime", "seq_t",
+                 "seq_t_prime"):
         monkeypatch.setattr(verifier, name, unbuildable)
     monkeypatch.setattr(verifier, "Cyc", UnbuildableCyc)
+    if primality:
+        for module in (verifier, sequences, families, cyclotomic):
+            monkeypatch.setattr(module, "is_prime", untestable)
+        monkeypatch.setattr(cyclotomic, "prime_factors", untestable)
     verifier._per_coeffs.cache_clear()
+
+
+def test_size_limits_refuse_before_building(monkeypatch):
+    # Past a check's size limit the verdict is a SKIP with the limit, and
+    # nothing is built; the full tier stays inside every limit.
+    _forbid_building(monkeypatch, primality=False)
     guarded = {cid: c.limit for cid, c in REGISTRY.items() if c.limit}
     linear, quad = ("p", 751), ("p", 1409)
     assert guarded == {"det.sec2": ("n", 15), "det.tan2": ("n", 15),
@@ -139,7 +163,32 @@ def test_size_limits_refuse_before_building(monkeypatch):
                        "conj.sqdiff": ("p", 29),
                        "thper.rootexp": ("n", 14), "cor.sin": ("n", 17),
                        "cor.cos": ("n", 18), "thnew.cauchyroot": ("n", 14),
-                       "conj.derange": ("n", 14), "rem.perhalf": ("n", 15)}
+                       "conj.derange": ("n", 14), "rem.perhalf": ("n", 15),
+                       "thq.floor": ("n", 20), "thq.qfloor": ("n", 20),
+                       "conj.bernoulli": ("n", 20), "conj.absjk": ("p", 19),
+                       "conj.maskper": ("p", 19), "lem.cauchy": ("n", 29),
+                       "lem.borchardt": ("n", 16),
+                       "lem.circulant": ("n", 60), "conj.qdet": ("n", 33),
+                       "conj.maskdet": ("p", 17), "rem.cp": ("n", 16),
+                       "thjk.cong": ("p", 19), "thcos.cong": ("p", 31),
+                       "thsin.cong": ("p", 29), "thtan.cong": ("p", 29),
+                       "conj.csign": ("p", 31), "conj.ssign": ("n", 29),
+                       "conj.tsign": ("n", 29), "thjk.int": ("n", 19),
+                       "thcos.int": ("n", 31), "thsin.int": ("n", 29),
+                       "thtan.int": ("n", 29)}
+    # A check that reads sequences takes its limit from SEQ_TABLE.
+    for check_id, names in (("thjk.cong", ("T",)), ("thjk.int", ("T",)),
+                            ("thcos.int", ("c", "cprime")),
+                            ("thsin.int", ("s", "sprime")),
+                            ("thtan.int", ("t", "tprime")),
+                            ("thcos.cong", ("c", "cprime")),
+                            ("thsin.cong", ("s", "sprime")),
+                            ("thtan.cong", ("t", "tprime")),
+                            ("conj.csign", ("c", "cprime")),
+                            ("conj.ssign", ("s", "sprime")),
+                            ("conj.tsign", ("t", "tprime"))):
+        assert guarded[check_id][1] == min(sequences.SEQ_TABLE[name][-1]
+                                           for name in names), check_id
     for check_id, params in (
             ("det.sec2", {"n": 61}), ("det.tan2", {"n": 17}),
             ("thq.det", {"n": 400}), ("lem.gauss", {"n": 100001}),
@@ -155,7 +204,19 @@ def test_size_limits_refuse_before_building(monkeypatch):
             ("thnew.invsumsq", {"p": 4007}), ("conj.sqdiff", {"p": 37}),
             ("thper.rootexp", {"n": 15}), ("cor.sin", {"n": 18}),
             ("cor.cos", {"n": 19}), ("thnew.cauchyroot", {"n": 15, "x": "-1"}),
-            ("conj.derange", {"n": 15}), ("rem.perhalf", {"n": 17})):
+            ("conj.derange", {"n": 15}), ("rem.perhalf", {"n": 17}),
+            ("thq.floor", {"n": 40}), ("thq.qfloor", {"n": 21}),
+            ("conj.bernoulli", {"n": 21}), ("conj.absjk", {"p": 23}),
+            ("conj.maskper", {"p": 23, "a": 1}), ("lem.cauchy", {"n": 800}),
+            ("lem.borchardt", {"n": 17}), ("lem.circulant", {"n": 61}),
+            ("conj.qdet", {"n": 35, "a": 1}),
+            ("conj.maskdet", {"p": 19, "a": 1}),
+            ("rem.cp", {"n": 40}), ("thjk.cong", {"p": 23}),
+            ("thcos.cong", {"p": 37}), ("thsin.cong", {"p": 31}),
+            ("thtan.cong", {"p": 1000}), ("conj.csign", {"p": 37}),
+            ("conj.ssign", {"n": 31}), ("conj.tsign", {"n": 33}),
+            ("thjk.int", {"n": 21}), ("thcos.int", {"n": 33}),
+            ("thsin.int", {"n": 31}), ("thtan.int", {"n": 35})):
         key, top = guarded[check_id]
         r = run_check(check_id, params)
         assert r.status == "SKIP", r
@@ -200,22 +261,30 @@ def test_size_limits_refuse_before_building(monkeypatch):
             run_check("thnew.cauchyroot", {"n": n, "x": x})
 
 
-@pytest.mark.parametrize("family,rng_name", [
-    ("linear", "1..p-1"), ("linear", "1..p"), ("linear", "0..p-1"),
-    ("quad", "1..h"), ("quad", "0..h"),
-])
-def test_structured_per_equals_per_sum_values(family, rng_name):
-    # The d-grids evaluate one closed-form coefficient vector per
-    # (family, p, range).  At every p <= 23, which covers the grids of both
-    # tiers, the vector must be the moment table's, and every value must be
+# The five vectors u_j = j^e (lo <= j < hi) of the rank-2 claims, as
+# (lo, hi) of p and e.
+RANK2_VECTORS = [
+    pytest.param(lambda p: (1, p), 1, id="linear-1..p-1"),
+    pytest.param(lambda p: (1, p + 1), 1, id="linear-1..p"),
+    pytest.param(lambda p: (0, p), 1, id="linear-0..p-1"),
+    pytest.param(lambda p: (1, (p + 1) // 2), 2, id="quad-1..h"),
+    pytest.param(lambda p: (0, (p + 1) // 2), 2, id="quad-0..h"),
+]
+
+
+@pytest.mark.parametrize("bounds,e", RANK2_VECTORS)
+def test_structured_per_equals_per_sum_values(bounds, e):
+    # The d-grids evaluate one closed-form coefficient vector per vector
+    # u_j = j^e.  At every p <= 23, which covers the grids of both tiers,
+    # the vector must be the moment table's, and every value must be
     # per_sum_values of the same matrix and, for p <= 11, Glynn's permanent.
     for p in odd_primes_upto(23):
-        u, w = sum_structure(family, p, rng_name)
-        assert verifier._per_coeffs(family, p, rng_name) == \
-            _moment_coeffs(u, w), p
+        lo, hi = bounds(p)
+        u = w = [j ** e for j in range(lo, hi)]
+        assert verifier._per_coeffs(lo, hi, e) == _moment_coeffs(u, w), p
         for d in range(1, p):
             dw = [d * x for x in w]
-            got = verifier._structured_per(family, p, d, rng_name)
+            got = verifier._structured_per(lo, hi, e, d)
             assert [got] == per_sum_values(u, [dw]), (p, d)
             if p <= 11:
                 mat = Mat(ZZ, [[uj + x for x in dw] for uj in u])
@@ -223,12 +292,13 @@ def test_structured_per_equals_per_sum_values(family, rng_name):
 
 
 def test_rank2_runner_reports_a_wrong_coefficient(monkeypatch):
-    # The seven d-grid claims share one runner; a rank-2 vector with one
-    # coefficient off by one must make each of them a FAIL with both values.
+    # The seven d-grid claims share the claim runner and the cached vectors;
+    # a rank-2 vector with one coefficient off by one must make each of them
+    # a FAIL with both values.
     real = verifier._per_coeffs
 
-    def off_by_one(family, p, rng_name):
-        c0, *rest = real(family, p, rng_name)
+    def off_by_one(lo, hi, e):
+        c0, *rest = real(lo, hi, e)
         return (c0 + 1, *rest)
 
     d_grid_checks = ("thper.jdk1", "thper.jdk2", "thper.jdk3", "thper.quad",
@@ -288,11 +358,18 @@ def test_run_suite_sorted_and_green():
     ("thq.floor", {"n": 3, "p": 5}, "thq.floor takes no --p"),
     ("thper.rootlinear", {"n": 3}, "thper.rootlinear needs --backend"),
     ("thq.det", {"p": 5}, "thq.det needs --n, takes no --p"),
+    ("thq.floor", {"n": 10 ** 5000}, "n must have at most 4300 digits"),
+    ("lem.gauss", {"n": -10 ** 5000}, "n must have at most 4300 digits"),
+    ("thper.jdk1", {"p": 7, "d": 10 ** 4300},
+     "d must have at most 4300 digits"),
+    ("thnew.cauchyroot", {"n": 3, "x": 10 ** 4300},
+     "x must have at most 4300 digits"),
 ])
 def test_run_check_refuses_missing_and_extra_keys(monkeypatch, check_id,
                                                   params, message):
     # The registry owns each check's keys: anything else is refused with the
-    # CLI's text before the runner starts.
+    # CLI's text before the runner starts.  So is an int that str() cannot
+    # print (more than 4300 digits), which no report could show.
     def unreachable(params, rng):
         raise AssertionError("runner started")
 
@@ -344,10 +421,11 @@ def test_every_runner_reads_exactly_its_keys():
         assert params.read == check.keys == set(row), check_id
 
 
-def test_equals_runner_fails_a_wrong_value_and_skips_even_n(monkeypatch):
+def test_claim_runner_fails_a_wrong_value_and_skips_even_n(monkeypatch):
     # One runner states value(n) = want(n) for the one-value claims; a wrong
-    # value is a FAIL with both sides, and odd=True SKIPs an even n.
-    wrong = verifier._equals(lambda n: n, lambda n: n + 1, odd=True)
+    # value is a FAIL with both sides, and the odd-n rule SKIPs an even n.
+    wrong = verifier._claim((lambda n: n, lambda n: n + 1),
+                            skip=[verifier._ODD_N])
     monkeypatch.setitem(REGISTRY, "det.sec2", dataclasses.replace(
         REGISTRY["det.sec2"], runner=wrong))
     r = run_check("det.sec2", {"n": 3})
@@ -360,3 +438,49 @@ def test_equals_runner_fails_a_wrong_value_and_skips_even_n(monkeypatch):
     for check_id in ("det.tan2", "rem.perhalf"):
         r = run_check(check_id, {"n": 5})
         assert r.status == "FAIL" and r.computed != r.expected, r
+
+
+def test_claim_runner_reduces_both_sides_mod_p_power(monkeypatch):
+    # With power=k the claim runner reduces each value and each closed form,
+    # int or rational, mod p^k, labels each pair and reports the modulus;
+    # its SKIP rules are tried in order before any value is computed.
+    def claim(want_half, rules=()):
+        return verifier._claim(
+            ("half", lambda p: Rat(1, 2), want_half),
+            ("one", lambda p: p * p + 1, lambda p: 1), power=2, skip=rules)
+
+    def run(runner):
+        monkeypatch.setitem(REGISTRY, "thjk.cong", dataclasses.replace(
+            REGISTRY["thjk.cong"], runner=runner))
+        return run_check("thjk.cong", {"p": 7})
+
+    r = run(claim(lambda p: inv_mod(2, p * p)))
+    assert (r.status, r.computed, r.expected, r.modulus) == (
+        "PASS", "half=25; one=1", "half=25; one=1", "49")
+    r = run(claim(lambda p: Rat(-1, 2)))
+    assert (r.status, r.computed, r.expected) == (
+        "FAIL", "half=25; one=1", "half=24; one=1")
+
+    def unreachable(p):
+        raise AssertionError("value computed")
+
+    r = run(claim(unreachable, rules=[(lambda p: p > 3, "first"),
+                                      (lambda p: p > 7, "second"),
+                                      (lambda p: False, "third")]))
+    assert (r.status, r.note) == ("SKIP", "second")
+
+
+HUGE = 998244359987710471  # 1000000007 * 998244353
+
+
+def test_every_check_refuses_a_huge_size_at_once(monkeypatch):
+    # An 18-digit n or p is a SKIP for every check, with nothing built and
+    # no primality test run (trial division would take minutes).
+    _forbid_building(monkeypatch)
+    for check_id in REGISTRY:
+        rows = default_grid(check_id, "fast")
+        key = "p" if "p" in rows[0] else "n"
+        for params in {tuple(sorted({**row, key: HUGE}.items()))
+                       for row in rows}:
+            r = run_check(check_id, dict(params))
+            assert r.status == "SKIP" and r.ms < 1000, r
