@@ -4,9 +4,18 @@ per_ryser is Glynn's formula (Glynn, European J. Combin. 31, 2010),
     per A = 2^-(n-1) sum over delta in {+-1}^n with delta_1 = 1 of
             (prod_k delta_k) prod_j sum_k delta_k a_jk,
 walked in Gray-code order: each of the 2^(n-1) steps negates one delta_k,
-adding or subtracting twice column k to the row sums.  It keeps the name of
-the Ryser loop it replaced and refuses matrices above RYSER_LIMIT rows with
-a SizeLimitError, which callers report as out of domain.  per_ryser is the
+adding or subtracting twice column k to the row sums.  From 7 rows on the
+walk is blocked: the Gray code runs over the outer free columns only, and
+each of its states yields 2^b terms at once (b = 5), one per subset S of
+the first b free columns, whose row sums are the state's plus the offset
+-2 * sum_{k in S} column k.  The offsets are built once and grouped by the
+parity of |S|, so the state adds the products of the even group and
+subtracts those of the odd one, all times the sign of the outer deltas.
+Each term is the same product of the same int row sums, only summed in
+another order, so the int each lift receives is the same and every
+exactness argument below carries over unchanged.  per_ryser keeps the name
+of the Ryser loop it replaced and refuses matrices above RYSER_LIMIT rows
+with a SizeLimitError, which callers report as out of domain.  It is the
 one entry point for a permanent: it reads the matrix and takes the orbit
 sum, the rational lowering or the ring's own lowering, in that order, as
 described below.
@@ -86,7 +95,7 @@ per_naive stays on ring elements, an oracle independent of every lowering.
 from __future__ import annotations
 
 import operator
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from itertools import permutations
 from math import gcd
 
@@ -144,22 +153,41 @@ def _glynn(rows, product):
 
     Row sum j is sum_k delta_k a_jk; each step negates one delta_k, so it
     adds or subtracts twice column k, and the sign prod delta_k alternates.
+    From 7 rows on, the Gray code walks only the outer free columns, and
+    each of its states yields the 2^5 terms of the inner block: the row
+    sums plus each precomputed offset, grouped by the parity of the inner
+    deltas it negates (see the module docstring).
     """
+    add = operator.add
     n = len(rows)
-    doubled = [[2 * c for c in col] for col in list(zip(*rows))[1:]]
+    cols = list(zip(*rows))[1:]
+    # Below 7 rows the block's set-up costs more than it saves.
+    b = 5 if n >= 7 else 0
+    if b:
+        # Offset -2 * (sum of the negated inner columns), by parity.
+        even, odd = [[0] * n], []
+        for col in cols[:b]:
+            twice = [-2 * c for c in col]
+            even, odd = (even + [list(map(add, o, twice)) for o in odd],
+                         odd + [list(map(add, o, twice)) for o in even])
+
+        def terms(sums):
+            shifted = partial(map, add, sums)
+            return (sum(map(product, map(shifted, even)))
+                    - sum(map(product, map(shifted, odd))))
+    else:
+        terms = product
+    # What negating delta_k adds to the row sums, and what restoring it adds.
+    steps = [([-2 * c for c in col], [2 * c for c in col]) for col in cols[b:]]
     sums = [sum(row) for row in rows]
-    acc = product(sums)
+    acc = terms(sums)
     negated = 0
-    for s in range(1, 1 << (n - 1)):
+    for s in range(1, 1 << (n - 1 - b)):
         k = (s & -s).bit_length() - 1
-        col = doubled[k]
-        if negated >> k & 1:
-            sums = [r + c for r, c in zip(sums, col)]
-        else:
-            sums = [r - c for r, c in zip(sums, col)]
+        sums = list(map(add, sums, steps[k][negated >> k & 1]))
         negated ^= 1 << k
-        # s and the number of negated deltas have the same parity.
-        acc = acc - product(sums) if s & 1 else acc + product(sums)
+        # s and the number of negated outer deltas have the same parity.
+        acc = acc - terms(sums) if s & 1 else acc + terms(sums)
     return acc
 
 

@@ -85,14 +85,16 @@ def halved(v: int, k: int) -> int:
 
 
 def _power(base, k: int, one):
-    """base^k for k >= 0 by square-and-multiply, starting from `one`."""
-    result = one
-    while k:
-        if k & 1:
+    """base^k for k >= 0 by square-and-multiply from the top bit of k:
+    bitlen(k) - 1 squarings and popcount(k) - 1 further products, and
+    `one` for k = 0."""
+    if not k:
+        return one
+    result = base
+    for bit in bin(k)[3:]:
+        result = result * result
+        if bit == "1":
             result = result * base
-        k >>= 1
-        if k:
-            base = base * base
     return result
 
 
@@ -370,8 +372,8 @@ class Ring:
     def lower(self, rows):
         """(int rows, row product, lift) for the rows of a matrix.
 
-        The engines run on the int rows.  `product` multiplies one list of
-        int row sums for Glynn's loop, and `lift(v, k=0)` maps v / 2^k, for
+        The engines run on the int rows.  `product` multiplies one iterable
+        of int row sums for Glynn's loop, and `lift(v, k=0)` maps v / 2^k, for
         the int v an engine ends with, back to the ring element (see the
         module docstring).
         """

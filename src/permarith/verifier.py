@@ -101,8 +101,23 @@ def _int_item(value: Rat, label: str) -> Item:
     return Item(str(value), "integer", value.denominator == 1, label)
 
 
-def _rng(seed, check_id, params) -> random.Random:
-    return random.Random(f"{seed}|{check_id}|{param_str(params)}")
+class _Rng:
+    """random.Random(text), seeded when a runner first reads it: seeding
+    costs more than most checks, and only five runners draw anything."""
+
+    def __init__(self, text: str):
+        self.text = text
+
+    @cached_property
+    def stream(self) -> random.Random:
+        return random.Random(self.text)
+
+    def __getattr__(self, name):
+        return getattr(self.stream, name)
+
+
+def _rng(seed, check_id, params) -> _Rng:
+    return _Rng(f"{seed}|{check_id}|{param_str(params)}")
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +305,24 @@ def _run_cauchyroot(params, rng):
     base = Rat(n * x ** n, 1 - x ** n)
     want = math.prod((base + r for r in range(1, n + 1)), start=Rat(1))
     return [_eq(got, want)], None, None
+
+
+# conj.qdet accepts |a| <= QDET_LIMIT / (n + 2)^3, fitted to the times in
+# the comment above the registry: |a| <= 3 at its largest n, 33, and so on
+# every tier row.
+QDET_LIMIT = 3 * 35 ** 3
+
+
+def _qdet_bounded(run):
+    """conj.qdet's runner behind its bound on |a|, checked first."""
+    def bounded(params, rng):
+        n, a = params["n"], params["a"]
+        if n > 0 and (n + 2) ** 3 * abs(a) > QDET_LIMIT:
+            raise SizeLimitError(f"conj.qdet limited to |a| <="
+                                 f" {QDET_LIMIT // (n + 2) ** 3} at n = {n},"
+                                 f" got a = {a}")
+        return run(params, rng)
+    return bounded
 
 
 def _run_thjk_int(params, rng):
@@ -733,15 +766,16 @@ _register("det.tan2", "theorem",
 _register("conj.qdet", "conjecture",
           "det[[floor((aj-(a+1)k)/n)]_q] = -(a(a+1)/n) q^((1-3n)/2); "
           "det[[ceil(((a+1)j-ak)/n)]_q] = (a(a+1)/n) q^((n-1)/2)",
-          _claim(("floor", lambda n, a: det_divfree(
-                      build_qpoly("qfloor_gen", n=n, a=a)),
-                  lambda n, a: LPoly({(1 - 3 * n) // 2:
-                                      -jacobi(a * (a + 1), n)})),
-                 ("ceil", lambda n, a: det_divfree(
-                     build_qpoly("qceil_gen", n=n, a=a)),
-                  lambda n, a: LPoly({(n - 1) // 2: jacobi(a * (a + 1), n)})),
-                 skip=[(lambda n, a: n % 2 and n > 1,
-                        "conjecture requires odd n > 1")]),
+          _qdet_bounded(_claim(
+              ("floor", lambda n, a: det_divfree(
+                  build_qpoly("qfloor_gen", n=n, a=a)),
+               lambda n, a: LPoly({(1 - 3 * n) // 2:
+                                   -jacobi(a * (a + 1), n)})),
+              ("ceil", lambda n, a: det_divfree(
+                  build_qpoly("qceil_gen", n=n, a=a)),
+               lambda n, a: LPoly({(n - 1) // 2: jacobi(a * (a + 1), n)})),
+              skip=[(lambda n, a: n % 2 and n > 1,
+                     "conjecture requires odd n > 1")])),
           _qdet_grid, {"hi": 7, "a": range(-2, 3)}, 9, limit=("n", 33))
 _register("conj.bernoulli", "theorem",
           "per[floor((2j-k)/n)] = 2 (2^(n+1) - 1) B_(n+1)",

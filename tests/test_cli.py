@@ -246,6 +246,44 @@ def test_explore_json_matches_the_pinned_digest(capsys, args):
     assert hashlib.sha256(out.encode()).hexdigest() == EXPLORE_DIGESTS[args]
 
 
+# sha256 of the stdout of `verify ID --tier full --json --seed S` for the
+# checks that draw random inputs, pinned as RESULT_DIGESTS is: every seeded
+# stream must stay byte-identical.
+SEEDED_DIGESTS = {
+    ("thper.rootlinear", 1):
+        "5ef867604d9e1233ca4c2d7478f8fd741b21e93eeef4951f65439da33c4cb9a0",
+    ("thper.rootlinear", 7):
+        "976c4ded1a1412703fa35dda2abfbb64829d8e9bc46f6ae5b869a54b1f161e6e",
+    ("thper.jxk", 1):
+        "68f4874ac22fd9d9000c16a9c80dba7c45e54a8730e7bd224b90267cffd88489",
+    ("thper.jxk", 7):
+        "672591dec3acf62c6786cfed3309fc99b8beaa87d3c4bbf79bc6856d3f5bd84c",
+    ("lem.cauchy", 1):
+        "d27ac0c3423f1b8eb3e9d004519cf22035db2809d9a25e847844bf275470719c",
+    ("lem.cauchy", 7):
+        "fb1648d8b9848ed23c73f11d8c2a7b798640a2585a13b7a33ba56af93d925b8c",
+    ("lem.borchardt", 1):
+        "87987cf8e3395aeb407e29eeb4a089596d406c945ce4df786e9b23e76d76170f",
+    ("lem.borchardt", 7):
+        "aa1fb2e51033c55b7c7bf430522e222178be46a44e90db4e4030f3c79c377758",
+    ("lem.circulant", 1):
+        "f5a0d8db1a9789f32b6a6acf136d33929d8774171a4f88ffc5db1bed415b285b",
+    ("lem.circulant", 7):
+        "b8b109f6f9b34c1b8406da0ca231514ff65f21edf2a2e0c3c7bbff63d0bb0f95",
+}
+
+
+@pytest.mark.skipif(Rat is not Fraction,
+                    reason="digests were recorded on the fractions backend")
+@pytest.mark.parametrize("check_id,seed", list(SEEDED_DIGESTS))
+def test_seeded_json_matches_the_pinned_digest(capsys, check_id, seed):
+    code, out = run_cli(capsys, "verify", check_id, "--tier", "full",
+                        "--json", "--seed", str(seed))
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == SEEDED_DIGESTS[check_id, seed]
+
+
 def test_verify_all_fast_smoke(capsys):
     code, out = run_cli(capsys, "verify", "all", "--tier", "fast",
                         "--threads", "2")
@@ -338,6 +376,22 @@ def test_verify_out_of_domain_param_skips(capsys):
     code, out = run_cli(capsys, "verify", "thq.floor", "--n", "0")
     assert code == 0
     assert "[SKIP]" in out and "out of domain" in out
+
+
+def test_qdet_bound_on_a_reaches_verify_and_explore(capsys):
+    # Past |a| <= 3 * 35^3 / (n + 2)^3 both commands SKIP the row at once.
+    code, out = run_cli(capsys, "verify", "conj.qdet", "--n", "33", "--a",
+                        "-4", "--json")
+    row = json.loads(out)["results"][0]
+    assert code == 0 and row["status"] == "SKIP"
+    assert row["note"] == ("out of domain: conj.qdet limited to |a| <= 3"
+                           " at n = 33, got a = -4")
+    code, out = run_cli(capsys, "explore", "conj.qdet", "--nmax", "5",
+                        "--a", "374..376", "--json")
+    rows = json.loads(out)["results"]
+    assert code == 0
+    assert [(r["params"]["n"], r["params"]["a"]) for r in rows
+            if r["status"] == "SKIP"] == [(5, 376)]
 
 
 def test_explore_never_gates_without_strict(capsys, monkeypatch):

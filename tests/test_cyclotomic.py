@@ -18,7 +18,7 @@ from permarith.errors import (DomainError, NonInvertibleError,
 from permarith.matrices import (Mat, _galois_invariant, det_field,
                                 per_orbits, per_ryser)
 from permarith.ntheory import jacobi
-from permarith.rings import Rat
+from permarith.rings import LPoly, Rat
 
 
 def test_cyclotomic_poly_known():
@@ -388,3 +388,44 @@ def test_unpack_checks_the_bound():
     # So is a digit outside the balanced range of the width.
     with pytest.raises(ArithmeticError):
         unpack(1 << (layout.bits - 1), layout)
+
+
+def _laurent_model(x, y):
+    # {exponent: Fraction} Laurent polynomials, multiplied term by term.
+    out = {}
+    for e, a in x.items():
+        for f, b in y.items():
+            out[e + f] = out.get(e + f, 0) + a * b
+    return {e: c for e, c in out.items() if c}
+
+
+@settings(max_examples=60, deadline=None)
+@given(xs=st.integers(1, 12).flatmap(
+    lambda m: st.lists(_COORD, min_size=m, max_size=m)),
+    cs=st.dictionaries(st.integers(-3, 3), _COORD, max_size=3),
+    k=st.integers(0, 40))
+def test_powers_take_the_fewest_square_and_multiply_products(xs, cs, k):
+    # x ** k makes bitlen(k) - 1 squarings and popcount(k) - 1 further
+    # products, and x ** 0 is one; each value matches k model products.
+    want = k.bit_length() + k.bit_count() - 2 if k else 0
+    x = _model(xs)
+    y = {e: Fraction(int(c.numerator), int(c.denominator))
+         for e, c in cs.items() if c}
+    xk, yk = [Fraction(1)] + [Fraction(0)] * (len(xs) - 1), {0: 1}
+    for _ in range(k):
+        xk, yk = _convolve(xk, x), _laurent_model(yk, y)
+    for value, model in ((Cyc(len(xs), xs), xk), (LPoly(cs), yk)):
+        cls = type(value)
+        real = cls.__mul__
+        count = 0
+
+        def counted(self, other):
+            nonlocal count
+            count += 1
+            return real(self, other)
+        cls.__mul__ = counted
+        try:
+            got = value ** k
+        finally:
+            cls.__mul__ = real
+        assert count == want and got.coeffs == model, cls

@@ -77,10 +77,10 @@ def _entries(ring):
 
 
 @st.composite
-def _mats(draw, ring, max_n):
-    """Square matrices over `ring` of size 1..max_n; about one in four has
-    an all-zero row."""
-    n = draw(st.integers(1, max_n))
+def _mats(draw, ring, max_n, min_n=1):
+    """Square matrices over `ring` of size min_n..max_n; about one in four
+    has an all-zero row."""
+    n = draw(st.integers(min_n, max_n))
     row = st.lists(_entries(ring), min_size=n, max_size=n)
     rows = draw(st.lists(row, min_size=n, max_size=n))
     if draw(st.integers(0, 3)) == 0:
@@ -112,6 +112,51 @@ def test_per_ryser_equals_naive_large_heavy(ring):
     for n in (6, 7):
         mat = _rand_mat(ring, n, rng, span=3)
         assert per_ryser(mat) == per_naive(mat), n
+
+
+# The sizes at the edges of _glynn's inner block of 5 columns, which it
+# takes from 7 rows on: no free column (n = b + 1 with b = 0), one free
+# column, the last size without a block, the first with one (one outer
+# column, n = b + 2) and the first whose Gray code restores an outer delta.
+# At 8 rows per_naive's 8! terms are cheap enough over Z and Z/4 only.
+@pytest.mark.parametrize("ring", ENGINE_RINGS, ids=lambda r: r.name)
+@settings(max_examples=3, deadline=None)
+@given(st.data())
+def test_blocked_glynn_equals_naive_at_the_block_edges(ring, data):
+    sizes = (1, 2, 6, 7) + ((8,) if ring in (ZZ, Zmod(4)) else ())
+    for n in sizes:
+        mat = data.draw(_mats(ring, n, min_n=n))
+        assert per_ryser(mat) == per_naive(mat), n
+
+
+def _plain_glynn(rows, product):
+    # Glynn's sum one term per Gray-code step, with no inner block.
+    n = len(rows)
+    doubled = [[2 * c for c in col] for col in list(zip(*rows))[1:]]
+    sums = [sum(row) for row in rows]
+    acc = product(sums)
+    negated = 0
+    for s in range(1, 1 << (n - 1)):
+        k = (s & -s).bit_length() - 1
+        sign = 1 if negated >> k & 1 else -1
+        sums = [r + sign * c for r, c in zip(sums, doubled[k])]
+        negated ^= 1 << k
+        acc += (-1) ** bin(negated).count("1") * product(sums)
+    return acc
+
+
+def test_blocked_glynn_on_large_negative_entries():
+    # Twelve rows: an inner block of 5 columns under 6 outer ones.  Every
+    # entry is negative and up to 40 bits, so every row sum is too.
+    rng = random.Random("glynn:negative")
+    rows = [[-rng.randrange(1, 1 << 40) for _ in range(12)]
+            for _ in range(12)]
+    total = _plain_glynn(rows, math.prod)
+    assert _glynn(rows, math.prod) == total
+    assert per_ryser(Mat(ZZ, rows)) == total >> 11
+    assert total % (1 << 11) == 0
+    for m in (4, 49):
+        assert per_ryser(Mat(Zmod(m), rows)) == (total >> 11) % m
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -305,14 +350,15 @@ def _glynn_with(lower, mat):
 
 
 @st.composite
-def _invariant_mats(draw, max_n=12):
+def _invariant_mats(draw, max_n=12, min_n=1):
     """Galois-invariant matrices over Q(zeta_m), m in _INVARIANT_ORDERS,
-    with n = m - 1 or m <= max_n rows: [T(j+k)] or [T(j-k)] for a table
-    T(r) = F(zeta^r) from families.conjugates, F a sparse polynomial with
-    rational coefficients, now and then over 1 - x*y; or [1 - zeta^j x_k]
-    with rational x_k."""
-    m = draw(st.sampled_from([m for m in _INVARIANT_ORDERS if m - 1 <= max_n]))
-    n = draw(st.sampled_from([n for n in (m - 1, m) if n <= max_n]))
+    with n = m - 1 or m rows, min_n <= n <= max_n: [T(j+k)] or [T(j-k)]
+    for a table T(r) = F(zeta^r) from families.conjugates, F a sparse
+    polynomial with rational coefficients, now and then over 1 - x*y; or
+    [1 - zeta^j x_k] with rational x_k."""
+    m = draw(st.sampled_from([m for m in _INVARIANT_ORDERS
+                              if m - 1 <= max_n and m >= min_n]))
+    n = draw(st.sampled_from([n for n in (m - 1, m) if min_n <= n <= max_n]))
     ring = CyclotomicField(m)
     kind = draw(st.sampled_from(("j+k", "j-k", "1-zeta^j x_k")))
     if kind == "1-zeta^j x_k":
@@ -346,6 +392,17 @@ def test_rational_lowering_on_invariant_matrices(mat):
     assert got == _glynn_with(mat.ring.lower, mat)
     if mat.n <= 7:
         assert got == per_naive(mat)
+
+
+@pytest.mark.parametrize("n", [2, 6, 7])
+@settings(max_examples=3, deadline=None)
+@given(st.data())
+def test_blocked_glynn_on_the_rational_lowering(n, data):
+    # The rational lowering at the block edges that its orders reach:
+    # n = 2 (m = 3), 6 and 7 (m = 7).
+    mat = data.draw(_invariant_mats(max_n=n, min_n=n))
+    assert _galois_invariant(mat)
+    assert per_ryser(mat) == per_naive(mat)
 
 
 @settings(max_examples=30, deadline=None)

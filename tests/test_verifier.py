@@ -259,6 +259,19 @@ def test_size_limits_refuse_before_building(monkeypatch):
                  (7, f"-{2 ** 256 - 1}/{2 ** 255 + 1}"), (1, str(2 ** 255))):
         with pytest.raises(AssertionError, match="built"):
             run_check("thnew.cauchyroot", {"n": n, "x": x})
+    # conj.qdet also bounds |a| by 3 * 35^3 / (n + 2)^3, 3 at n = 33.
+    assert verifier.QDET_LIMIT == 3 * 35 ** 3
+    assert all((g["n"] + 2) ** 3 * abs(g["a"]) <= verifier.QDET_LIMIT
+               for g in default_grid("conj.qdet", "full"))
+    for n, top in ((33, 3), (9, 96), (3, 1029)):
+        for a in (top + 1, -top - 1):
+            r = run_check("conj.qdet", {"n": n, "a": a})
+            assert r.status == "SKIP" and r.note == (
+                f"out of domain: conj.qdet limited to |a| <= {top} at"
+                f" n = {n}, got a = {a}")
+        for a in (top, -top):
+            with pytest.raises(AssertionError, match="built"):
+                run_check("conj.qdet", {"n": n, "a": a})
 
 
 # The five vectors u_j = j^e (lo <= j < hi) of the rank-2 claims, as
@@ -323,6 +336,24 @@ def test_reports_reproducible():
             (b.status, b.computed, b.expected)
         c = run_check(check_id, params, seed=4)
         assert c.status == "PASS"  # different seed still passes
+
+
+def test_only_the_drawing_runners_seed_a_stream(monkeypatch):
+    # run_check seeds its random.Random only when a runner reads it, so a
+    # rank-2 check passes with seeding made to raise, and a check that draws
+    # still reaches it.
+    def unseedable(*args):
+        raise AssertionError("seeded")
+
+    monkeypatch.setattr(verifier.random, "Random", unseedable)
+    assert run_check("thper.jdk1", {"p": 13, "d": 2}).status == "PASS"
+    assert run_check("conj.absjk", {"p": 7}).status == "PASS"
+    for check_id, params in (("thper.rootlinear", {"n": 3, "backend": "fq"}),
+                             ("thper.jxk", {"p": 7}), ("lem.cauchy", {"n": 3}),
+                             ("lem.borchardt", {"n": 3}),
+                             ("lem.circulant", {"n": 3})):
+        with pytest.raises(AssertionError, match="seeded"):
+            run_check(check_id, params)
 
 
 def test_mutation_is_caught(monkeypatch):
