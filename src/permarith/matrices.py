@@ -160,16 +160,17 @@ def _glynn(rows, product):
     """
     add = operator.add
     n = len(rows)
-    cols = list(zip(*rows))[1:]
+    # What negating delta_k adds to the row sums, and what restoring it adds.
+    steps = [([-2 * c for c in col], [2 * c for c in col])
+             for col in list(zip(*rows))[1:]]
     # Below 7 rows the block's set-up costs more than it saves.
     b = 5 if n >= 7 else 0
     if b:
         # Offset -2 * (sum of the negated inner columns), by parity.
         even, odd = [[0] * n], []
-        for col in cols[:b]:
-            twice = [-2 * c for c in col]
-            even, odd = (even + [list(map(add, o, twice)) for o in odd],
-                         odd + [list(map(add, o, twice)) for o in even])
+        for negate, _ in steps[:b]:
+            even, odd = (even + [list(map(add, o, negate)) for o in odd],
+                         odd + [list(map(add, o, negate)) for o in even])
 
         def terms(sums):
             shifted = partial(map, add, sums)
@@ -177,14 +178,13 @@ def _glynn(rows, product):
                     - sum(map(product, map(shifted, odd))))
     else:
         terms = product
-    # What negating delta_k adds to the row sums, and what restoring it adds.
-    steps = [([-2 * c for c in col], [2 * c for c in col]) for col in cols[b:]]
+    outer = steps[b:]
     sums = [sum(row) for row in rows]
     acc = terms(sums)
     negated = 0
     for s in range(1, 1 << (n - 1 - b)):
         k = (s & -s).bit_length() - 1
-        sums = list(map(add, sums, steps[k][negated >> k & 1]))
+        sums = list(map(add, sums, outer[k][negated >> k & 1]))
         negated ^= 1 << k
         # s and the number of negated outer deltas have the same parity.
         acc = acc - terms(sums) if s & 1 else acc + terms(sums)

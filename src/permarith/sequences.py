@@ -90,7 +90,8 @@ def _check_domain(name: str, n: int, prime_only: bool = False):
 # 0.59-0.60 s at 31; tprime 0.37-0.41 s at 29 and 0.8-1.1 s at 31.  T keeps
 # 19, its limit before the rational lowering: with no orbit symmetry its
 # Glynn sum takes 2^(n-2) products of n - 1 row sums (residues mod
-# Phi_n(2^e)), and T(17) takes 0.38-0.44 s, T(19) 1.9-2.3 s, T(21) 10.4 s.
+# Phi_n(2^e)), and T(17) takes 0.23-0.30 s, T(19) 1.4 s, T(21) 6.4 s: the
+# products of these long residues, not the loop, set its time.
 SEQ_TABLE = {
     "T": ("tan_shift", 0, True, False, 19),
     "c": ("cos2", 0, False, False, 31),

@@ -551,31 +551,38 @@ _FAST_D = {"hi": 13, "d": (1, 2, -1)}
 # products, so their time grows 2-3x per step of n.  Their matrices are
 # Galois-invariant, so per_ryser lowers them to one residue mod Phi_m(2^e)
 # (see matrices); each was timed on that engine, its runner called directly
-# in a fresh process: thper.rootlinear (random x at seeds 0-3) with backend
-# cyc 0.13-0.27 s at n = 13 and 0.42-0.61 s at 14, with backend fq (no
-# Q(zeta)) 0.21-0.28 s at 15, 0.39-0.52 s at 16 and 1.1-1.3 s at 17;
-# thper.rootexp 0.23-0.38 s at 14 and 0.70 s at 15; cor.sin 0.22-0.29 s at 17
-# and 0.55-0.58 s at 18; cor.cos 0.46-0.49 s at 18; thnew.cauchyroot also
-# grows with the height of x, about 2x per step of n at a fixed time, so it
-# refuses height(x) > 2^15 / 2^max(n, 7): at the largest height each n
-# accepts, x = 3, -3 or 1/3 takes 0.25-0.27 s at n = 14 (0.79-0.89 s at
-# 15), values of height 4 at most 0.42 s at 13 (0.53-0.66 s for height 5),
-# height 8 at most 0.44 s at 12 (0.31-0.54 s for 10), 16 at most 0.44 s at
-# 11, 32 at most 0.43 s at 10, 64 at most 0.39 s at 9, 128 at most 0.16 s
-# at 8 and 256 at most 0.18 s at 7;
+# in a fresh process.  These limits were fitted before Glynn's sum went to
+# blocks (matrices) and were kept; timed since: thper.rootlinear (random x at
+# seeds 0-2) with backend cyc 0.10-0.29 s at n = 13 and 0.28-0.33 s at 14,
+# with backend fq (no Q(zeta)) 0.14-0.15 s at 15, 0.26-0.28 s at 16 and
+# 0.51-0.56 s at 17; thper.rootexp 0.17-0.19 s at 14 and 0.48-0.72 s at 15;
+# rem.perhalf 0.08-0.12 s at 15 and 0.55-0.58 s at 17; cor.sin 0.13-0.22 s
+# at 17 and 0.26-0.39 s at 18; cor.cos 0.27-0.30 s at 18.  Timed before the
+# blocks: thnew.cauchyroot also grows with the height of x, about 2x per
+# step of n at a fixed time, so it refuses height(x) > 2^15 / 2^max(n, 7):
+# at the largest height each n accepts, x = 3, -3 or 1/3 takes 0.25-0.27 s
+# at n = 14 (0.79-0.89 s at 15), values of height 4 at most 0.42 s at 13
+# (0.53-0.66 s for height 5), height 8 at most 0.44 s at 12 (0.31-0.54 s
+# for 10), 16 at most 0.44 s at 11, 32 at most 0.43 s at 10, 64 at most
+# 0.39 s at 9, 128 at most 0.16 s at 8 and 256 at most 0.18 s at 7;
 # conj.derange 0.06-0.07 s at 14 and 0.40-0.42 s at 15 (mostly its two
-# determinants, which stay on Kronecker); rem.perhalf 0.10-0.13 s at 15 and
-# 0.62-0.88 s at 17.  thnew.invsumsq takes 0.05-0.09 s
+# determinants, which stay on Kronecker).  thnew.invsumsq takes 0.05-0.09 s
 # at p = 31, and its next p = 3 (mod 4), 43, has 21 rows; conj.sqdiff takes
 # 0.02-0.03 s at p = 29, 0.70 s at 37 and 3.0 s at 41.  lem.cauchy (seeds
 # 0-3) takes 0.28-0.43 s at n = 29 and 0.40-0.80 s at 30; lem.borchardt
 # 0.40-0.52 s at 16 and 0.76-1.30 s at 17; lem.circulant 0.42 s at 60 and
 # 0.55-0.64 s at 61-63; conj.qdet, slower for larger |a|, at most 0.32 s at
-# n = 33 and 0.67 s at 35 for a = -3..3; conj.maskdet 0.13-0.18 s at p = 17
+# n = 33 and 0.67 s at 35 for a = -3..3, and, within its bound on |a|, at
+# most 0.36 s for the slowest a at each odd n (every a for n >= 7, every
+# 37th below; a bound on n^3 |a| through n = 33, a = 3 let n = 7 take 0.70
+# s at a = 312); conj.maskdet 0.13-0.18 s at p = 17
 # and 0.58-0.69 s at 19; rem.cp 0.08 s at 16 and 1.2 s at 17.  thq.floor,
 # thq.qfloor, conj.bernoulli, conj.absjk and conj.maskper are Glynn
 # permanents over Z or Q of n or p rows, bounded by RYSER_LIMIT (20 rows, so
-# p <= 19), and take 1.3-2.0 s there.  A check that reads sequences has the
+# p <= 19): thq.floor takes 0.45-0.53 s there, thq.qfloor 0.57-0.68 s,
+# conj.bernoulli 0.47-0.55 s, conj.absjk 0.58-0.70 s and conj.maskper
+# 0.67-0.91 s at a = 1.
+# A check that reads sequences has the
 # smallest largest index of their SEQ_TABLE rows as its limit, which it
 # applies before the primality test.
 
