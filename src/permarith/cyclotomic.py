@@ -5,9 +5,14 @@ x^m - 1), stored as m ints `num` over one shared int `den` in normal form:
 den > 0 and gcd(den, *num) = 1.  Each lattice vector has exactly one such
 pair, so equal pairs mean equal vectors, and every operation runs on ints:
 sums over the lcm of the two denominators, scalar products by scaling num
-and den, the Galois action by permuting num.  Canonicalization modulo the
-m-th cyclotomic polynomial happens only for equality, rational recognition
-and inversion; `coeffs` and `canonical()` give rationals back.
+and den, the Galois action by permuting num.  For prime m the lattice
+vectors that vanish at zeta_m are exactly the constant ones (x^m - 1 =
+(x - 1) Phi_m), so equality over one denominator, is_zero and rational
+recognition read num alone: a == b when num_a - num_b is constant, and a
+value is rational when num[1:] are all equal.  Composite m, and equality
+over unequal denominators, take the remainder modulo the m-th cyclotomic
+polynomial (canonical()), as does inversion; `coeffs` and `canonical()`
+give rationals back.
 
 Products run on plain ints by Kronecker substitution (Harvey, J. Symb.
 Comput. 44, 2009).  `pack_rows` scales each row's numerators to d_j, the
@@ -34,6 +39,11 @@ CyclotomicField.lower_rational shares pack_rows' row clearing (clear_rows)
 and its bound L, and maps each vector to its value at 2^e mod Phi_m(2^e):
 one int of about bitlen(L) bits in place of m digits of B bits, exact
 when the permanent is rational (see the matrices module docstring).
+Given a carrier W it is exact when the permanent times W is rational: the
+bound grows by the factor |W.num|_1, and the lift multiplies by W's
+residue before it recognises the rational and divides W back out.  The
+orbit sum of the [T(jk mod n)] tables takes it with W = sqrt_element(n)
+for the tables with T(n - r) = -T(r).
 Cyc.__mul__ packs its two operands' numerators as two one-entry rows, so a
 cyclic convolution becomes one int product, and Cyc.inverse multiplies the
 Galois conjugates the same way.
@@ -103,6 +113,13 @@ def euler_phi(m: int) -> int:
 # ---------------------------------------------------------------------------
 # Field elements
 # ---------------------------------------------------------------------------
+
+# For prime m, Phi_m = 1 + x + ... + x^(m-1) and x^m - 1 = (x - 1) Phi_m,
+# so the lattice vectors that vanish at zeta_m are the multiples of Phi_m
+# mod x^m - 1, f * Phi_m = f(1) * Phi_m: exactly the constant vectors.
+# Cached per order, since every comparison asks.
+_prime_order = lru_cache(maxsize=None)(is_prime)
+
 
 def _cyc(order: int, num: list, den: int) -> "Cyc":
     # A Cyc from a (num, den) pair already in normal form.
@@ -248,24 +265,38 @@ class Cyc:
         return self._canon
 
     def is_zero(self) -> bool:
+        num = self.num
+        if _prime_order(self.order):
+            return num.count(num[0]) == len(num)
         return all(c == 0 for c in self.canonical())
 
     def __eq__(self, other):
         if isinstance(other, Cyc):
             if other.order != self.order:
                 return False
-            # Equal normal-form pairs are equal lattice vectors.
-            return (self.den == other.den and self.num == other.num
-                    or self.canonical() == other.canonical())
+            if self.den == other.den:
+                # Equal normal-form pairs are equal lattice vectors.
+                if self.num == other.num:
+                    return True
+                if _prime_order(self.order):
+                    diff = list(map(sub, self.num, other.num))
+                    return diff.count(diff[0]) == len(diff)
+            return self.canonical() == other.canonical()
         if isinstance(other, (int, Rat)):
-            can = self.canonical()
-            return can[0] == other and all(c == 0 for c in can[1:])
+            value = self.as_rational()
+            return value is not None and value == other
         return NotImplemented
 
     __hash__ = None
 
     def as_rational(self):
-        """The value as a Rat if the canonical form has degree 0, else None."""
+        """The value as a Rat if it is rational (the canonical form has
+        degree 0), else None."""
+        if _prime_order(self.order):
+            rest = self.num[1:]
+            if rest.count(rest[0]) != len(rest):
+                return None
+            return Rat(self.num[0] - rest[0], self.den)
         can = self.canonical()
         if any(c != 0 for c in can[1:]):
             return None
@@ -463,38 +494,54 @@ class CyclotomicField(Ring):
             return unpack(value * pow(2, -k, modulus), layout)
         return images, layout.product, lift
 
-    def lower_rational(self, rows):
-        """The int lowering for rows whose permanent is rational, m >= 3.
+    def lower_rational(self, rows, carrier: Cyc | None = None):
+        """The int lowering for rows whose permanent times a carrier W is
+        rational, m >= 3 (W = 1 if no carrier is given).
 
         Each cleared entry vector v becomes v(2^e) mod N, N = Phi_m(2^e),
-        e = ceil((bitlen(L) + 2) / phi(m)) + 1.  Glynn multiplies the row
-        sums as plain ints (one reduction mod N at the end costs less than
-        one per product); the lift reduces and halves mod N (N is odd),
-        takes the balanced residue v, raises ArithmeticError if |v| > L,
-        and returns the rational v / prod d_j.  The matrices module
-        docstring proves this exact for a Galois-invariant matrix, which
-        per_ryser checks first.
+        e = ceil((bitlen(L') + 2) / phi(m)) + 1 with L' = L * |w|_1 for
+        W's integral vector w = W.num.  Glynn multiplies the row sums as
+        plain ints (one reduction mod N at the end costs less than one per
+        product); the lift multiplies by w(2^e), reduces and halves mod N
+        (N is odd), takes the balanced residue v, raises ArithmeticError if
+        |v| > L', and returns v W / (W^2 prod d_j den_W), which is
+        v / prod d_j for W = 1.  The matrices module docstring proves this
+        exact for a Galois-invariant matrix, which per_ryser checks first,
+        and for a [T(jk mod n)] table whose Galois character W shares,
+        which the orbit sum checks first.
         """
         m = self.m
+        if carrier is None:
+            carrier, square = self.one, 1
+        else:
+            square = (carrier * carrier).as_rational()
+            if not square:
+                raise DomainError(f"the carrier {carrier} is no square root"
+                                  f" of a nonzero rational")
         integral, den, bound = clear_rows(rows)
+        bound *= sum(map(abs, carrier.num))
         phi = cyclotomic_poly(m)
         e = -(-(bound.bit_length() + 2) // (len(phi) - 1)) + 1
         modulus = 0
         for c in reversed(phi):
             modulus = (modulus << e) + c
         shifts = range(0, m * e, e)
-        ints = [[sum(map(lshift, v, shifts)) % modulus for v in vecs]
-                for vecs in integral]
+
+        def residue(v):
+            return sum(map(lshift, v, shifts)) % modulus
+        ints = [list(map(residue, vecs)) for vecs in integral]
+        twist = residue(carrier.num)
+        scale = square * carrier.den * den
 
         def lift(value, k=0):
-            v = value * pow(2, -k, modulus) % modulus
+            v = value * twist * pow(2, -k, modulus) % modulus
             if v > modulus >> 1:
                 v -= modulus
             if abs(v) > bound:
                 raise ArithmeticError(
                     f"residue mod Phi_{m}(2^{e}) exceeds its bound {bound}:"
-                    f" the permanent is not rational")
-            return Cyc.rational(m, ratio(v, den))
+                    f" the permanent times {carrier} is not rational")
+            return carrier * (Rat(v) / scale)
         return ints, math.prod, lift
 
     def zeta(self, e: int = 1) -> Cyc:

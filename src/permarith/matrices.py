@@ -31,13 +31,14 @@ up sign once for each k with ak mod n > h: the same count, so the two
 cancel and the term of a.delta equals the term of delta.  -delta has the
 same term too, since both products change by (-1)^h.  Every step is an
 equality of coefficient lists, so the terms are equal in Z[x]/(x^n - 1),
-not only in the field, and so are their Kronecker images.  Summing one
-term per orbit, times the orbit's size, therefore gives the full sum
-2^h per A on the packed lattice: the bound L is the one of the plain sum,
-and unpack still checks every digit.  One pass over the entries reads the
-sign off the table, checking the lattice symmetry; per_ryser takes the
-orbit sum for every h x h matrix over Q(zeta_(2h+1)) that has it, and
-per_orbits raises ArithmeticError for one that has it for neither sign.
+not only in the field, and so are their images under any ring map from
+it.  Summing one term per orbit, times the orbit's size, therefore gives
+the full sum 2^h per A on either lowering below: on Kronecker images the
+bound L is the one of the plain sum, and unpack still checks every digit.
+One pass over the entries reads the sign off the table, checking the
+lattice symmetry; per_ryser takes the orbit sum for every h x h matrix
+over Q(zeta_(2h+1)) that has it, and per_orbits raises ArithmeticError
+for one that has it for neither sign.
 
 det_divfree and det_field are fraction-free elimination (Bareiss, Math.
 Comp. 22, 1968) in Z: step k replaces every entry below and right of the
@@ -79,8 +80,36 @@ with e = ceil((bitlen(L) + 2)/phi(m)) + 1 is at least 2^(bitlen(L) + 2)
 > 4L.  So v is the balanced residue mod N, and the lift returns
 v / prod d_j.  The lift also refuses a residue over L, but that is only a
 guard: a permanent off Q can still leave one within L, so the check alone
-makes the lowering exact.  Every other matrix, the orbit sum and the
-determinants stay on Kronecker images.
+makes the lowering exact.  Every other matrix and the determinants stay
+on Kronecker images.
+
+The orbit sum takes the same lowering, twisted by a carrier W, for a
+table whose Galois character it finds (_carrier).  Let R be the residues
+jk mod n of the table's entries.  For a unit a and r = jk in R,
+a*r = +-fold(aj)*k mod n, so a*r or n - a*r lies in R; where only n - x
+does, read T[x] as sign * T[n - x], the folded entry.  The check asks,
+for every generator a of (Z/n)^* and every r in R, that
+sigma_a(T[r]) == T[a*r mod n] in the field.  Then sigma_a maps row j of M
+to sign^[aj mod n > h] times row fold(aj) (where both a*r and n - a*r
+lie in R, _jk_sign's lattice symmetry makes the two readings agree), so
+sigma_a(per M) = chi(a) per M with chi(a) = sign^#{j <= h : aj mod n > h},
+counted from the table.  W is 1 for sign 1, where chi = 1, and
+sqrt_element(n) for sign -1, and the check asks sigma_a(W) == chi(a) W in
+the field too.  (For sign -1, chi(a) is the Jacobi symbol (a/n) by Gauss's
+lemma, and the Gauss sum has that character (Berndt, Evans and Williams,
+Gauss and Jacobi Sums, 1998), so the six families pass; the engine checks
+it rather than trusting it.)  So every sigma_a fixes W per M, which is
+rational.  With w = W.num over den_W and P the lattice permanent of the
+cleared rows, (P w)(zeta) = prod d_j den_W W per M is a rational
+algebraic integer v, and |v| <= |P|_1 |w|_1 <= L |w|_1.  The checks hold
+in the field, not on the lattice, and that suffices once the sum runs
+mod N: x -> 2^e mod N maps Z[x]/(x^n - 1) to Z/N through Z[x]/Phi_n =
+Z[zeta], so the residue of a lattice vector depends only on the field
+element it stands for.  The orbit sum is 2^h P on the lattice, so its
+residue times w(2^e) is 2^h (P w)(2^e) = 2^h v mod N.  With L |w|_1 in
+place of L, e is chosen and v recovered as above, and the lift returns
+v W / (W^2 prod d_j den_W) = per M.  A table that fails any check, and a
+one-row table, stay on Kronecker images.
 
 per_sum_coeffs and per_sum_values are the rank-2 permanents over Z in
 closed form (Minc, Permanents, 1978): per[u_j + d*w_k] = sum_i i!(n-i)!
@@ -99,7 +128,7 @@ from functools import lru_cache, partial, reduce
 from itertools import permutations
 from math import gcd
 
-from .cyclotomic import CyclotomicField
+from .cyclotomic import CyclotomicField, sqrt_element
 from .errors import DomainError, SizeLimitError, UnsupportedRingError
 from .ntheory import factorial
 from .rings import Ring
@@ -316,49 +345,46 @@ def _orbits(n: int, sign: int) -> tuple[tuple[int, int], ...]:
     delta -> -delta and the units a mod n, which act by
     (a delta)_fold(ak) = delta_k * sign^[ak mod n > h], fold(x) = min(x, n-x).
 
-    A mask has bit k-1 set where delta_k = -1.  Each unit is a bit
-    permutation, applied through one lookup table per byte, followed by a
-    fixed flip; negation flips every bit.
+    A mask has bit k-1 set where delta_k = -1.  Each generator's action is
+    tabulated once as the image of every mask, a bit permutation followed
+    by a fixed flip, built by doubling the list one bit at a time;
+    negation flips every bit.  Each orbit grows from its least mask, the
+    first that no earlier orbit reached, by reading those lists.
     """
     h = (n - 1) // 2
     full = (1 << h) - 1
-    maps = []
+    images = []
     for a in unit_generators(n):
-        image = [0] * h
+        bits = []
         flip = 0
         for k in range(1, h + 1):
             r = a * k % n
-            image[k - 1] = 1 << (min(r, n - r) - 1)
+            bit = 1 << (min(r, n - r) - 1)
+            bits.append(bit)
             if sign < 0 and r > h:
-                flip |= image[k - 1]
-        tables = []
-        for lo in range(0, h, 8):
-            bits = list(enumerate(image[lo:lo + 8]))
-            tables.append((lo, [sum(b for i, b in bits if v >> i & 1)
-                                for v in range(1 << len(bits))]))
-        maps.append((flip, tables))
+                flip |= bit
+        image = [flip]
+        for bit in bits:
+            image += [y ^ bit for y in image]
+        images.append(image)
     seen = bytearray(1 << h)
     orbits = []
-    for start in range(1 << h):
-        if seen[start]:
-            continue
+    start = seen.find(0)
+    while start >= 0:
         seen[start] = 1
-        stack = [start]
-        size = 0
-        while stack:
-            x = stack.pop()
-            size += 1
-            ys = [x ^ full]
-            for flip, tables in maps:
-                y = flip
-                for lo, table in tables:
-                    y ^= table[x >> lo & 255]
-                ys.append(y)
-            for y in ys:
+        orbit = [start]
+        for x in orbit:  # grows as it is read
+            y = x ^ full
+            if not seen[y]:
+                seen[y] = 1
+                orbit.append(y)
+            for image in images:
+                y = image[x]
                 if not seen[y]:
                     seen[y] = 1
-                    stack.append(y)
-        orbits.append((start, size))
+                    orbit.append(y)
+        orbits.append((start, len(orbit)))
+        start = seen.find(0, start)
     return tuple(orbits)
 
 
@@ -370,7 +396,10 @@ def per_orbits(mat: Mat):
 
     Every delta in an orbit has the same term on the exponent lattice (see
     the module docstring), so this is the full sum 2^h per, and the
-    lowering's lift halves and decodes it as it does per_ryser's.  Raises
+    lowering's lift halves and decodes it as it does per_ryser's.  The sum
+    runs on one residue mod Phi_n(2^e) per entry when the table's Galois
+    character checks out (the twisted rational lowering), else on
+    Kronecker images.  Raises
     ArithmeticError if the table is symmetric for neither sign.  per_ryser
     takes this sum itself for such a table.
     """
@@ -384,21 +413,69 @@ def per_orbits(mat: Mat):
     return _orbit_sum(mat, sign)
 
 
+def _carrier(mat: Mat, sign: int):
+    # For a table that passed _jk_sign: the carrier W of the twisted rational
+    # lowering (1 for sign 1, sqrt_element(n) for sign -1) if, for every
+    # generator a of (Z/n)^*, sigma_a(T[r]) == T[a*r mod n] in the field for
+    # every residue r of the table, with T[x] = sign * T[n - x] for the x
+    # that no entry has, and sigma_a(W) == chi(a) W for
+    # chi(a) = sign^#{j <= h : a*j mod n > h}; else None.
+    ring, h = mat.ring, mat.n
+    n = ring.m
+    table = {j * k % n: z for j, row in enumerate(mat.rows, 1)
+             for k, z in enumerate(row, 1)}
+    carrier = ring.one if sign > 0 else sqrt_element(n)
+    for a in unit_generators(n):
+        for r, z in table.items():
+            x = a * r % n
+            want = table.get(x)
+            if want is None:
+                want = table[n - x] if sign > 0 else -table[n - x]
+            if z.galois(a) != want:
+                return None
+        chi = sign ** sum(a * j % n > h for j in range(1, h + 1))
+        if carrier.galois(a) != (carrier if chi > 0 else -carrier):
+            return None
+    return carrier
+
+
 def _orbit_sum(mat: Mat, sign: int):
-    # per_orbits' sum, for a table already checked for the sign.
-    h = mat.n
-    rows, product, lift = mat.ring.lower(mat.rows)
-    totals = [sum(row) for row in rows]
+    # per_orbits' sum, for a table already checked for the sign: on one
+    # residue mod Phi_n(2^e) per entry where _carrier finds the character,
+    # else on Kronecker images.  A one-row table keeps Kronecker: its sum is
+    # its one entry, which the lift returns as it stands.
+    ring = mat.ring
+    carrier = _carrier(mat, sign) if mat.n > 1 else None
+    if carrier is None:
+        rows, product, lift = ring.lower(mat.rows)
+    else:
+        rows, product, lift = ring.lower_rational(mat.rows, carrier)
+    return lift(_orbit_glynn(rows, product, sign), mat.n)
+
+
+def _orbit_glynn(rows, product, sign):
+    # Glynn's signed sum over all of {+-1}^h on int rows, one term per orbit
+    # times the orbit's size: 2^h per.  The row sums move from one
+    # representative to the next by the columns where the masks differ.
+    h = len(rows)
+    # What negating delta_k adds to the row sums, and what restoring it adds.
+    steps = [([-2 * c for c in col], [2 * c for c in col])
+             for col in zip(*rows)]
+    sums = [sum(row) for row in rows]
     acc = 0
+    prev = 0
     for mask, size in _orbits(2 * h + 1, sign):
-        sums = totals[:]
-        for k in range(h):
-            if mask >> k & 1:
-                for j, row in enumerate(rows):
-                    sums[j] -= 2 * row[k]
+        moved = prev ^ mask
+        prev = mask
+        while moved:
+            bit = moved & -moved
+            moved ^= bit
+            negate, restore = steps[bit.bit_length() - 1]
+            sums = list(map(operator.add, sums,
+                            negate if mask & bit else restore))
         term = size * product(sums)
         acc = acc - term if mask.bit_count() & 1 else acc + term
-    return lift(acc, h)
+    return acc
 
 
 def per_naive(mat: Mat):

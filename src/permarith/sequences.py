@@ -4,8 +4,9 @@ Each value is the permanent of a families.build_cyclotomic matrix over
 Q(zeta_n), times W^e for the Gauss-sum carrier W = sqrt_element(n) =
 i^h sqrt(n), h = (n-1)/2, and e in {-1, 0, 1} (SEQ_TABLE says which).
 matrices.per_ryser chooses the engine: the orbit sum for the six
-[f(zeta^(jk))] families, whose tables are symmetric, and Glynn on one
-residue per entry for T, whose matrix is Galois-invariant.  Each row of
+[f(zeta^(jk))] families, whose tables are symmetric, on one residue per
+entry twisted by W where the table's Galois character allows, and Glynn
+on one residue per entry for T, whose matrix is Galois-invariant.  Each row of
 SEQ_TABLE refuses an index past its timed limit before building anything.
 Integrality is a theorem for T, c, s, s', t, t'; the code checks that the
 result is rational at recognition time and treats failure as an arithmetic
@@ -81,13 +82,16 @@ def _check_domain(name: str, n: int, prime_only: bool = False):
 # one factor per row, so each value is W^e per[built matrix]; T's n-1 rows
 # give i^(n-1) = (-1)^h.
 #
-# A jk row's largest index is the last n whose value takes about 0.5 s or
-# less, timed from a fresh process on a 2-core x86-64 machine (Python 3.11,
-# Fraction backend); the orbit sum's time grows about 3x per step of n: c
-# 0.10-0.13 s at 29, 0.30-0.32 s at 31 and 0.8-1.1 s at 33; cprime 0.38-0.48
-# s at 31 and 1.5-1.8 s at 33; s 0.22-0.28 s at 31 and 1.0-1.1 s at 33;
-# sprime 0.32-0.37 s at 29 and 0.8-1.0 s at 31; t 0.19-0.23 s at 29 and
-# 0.59-0.60 s at 31; tprime 0.37-0.41 s at 29 and 0.8-1.1 s at 31.  T keeps
+# A jk row's largest index was the last n whose value took about 0.5 s or
+# less when the orbit sum ran on Kronecker images, timed from a fresh
+# process on a 2-core x86-64 machine (Python 3.11, Fraction backend): c,
+# cprime and s took 0.15-0.52 s at 31, sprime, t and tprime 0.13-0.44 s at
+# 29, each about 3x more per step of n.  The indices were kept.  On one
+# residue mod Phi_n(2^e) (the twisted rational lowering) the same values
+# take 0.02-0.05 s (c, cprime and s at 31) and 0.01-0.02 s (sprime, t and
+# tprime at 29), about 2x more per step of n: 0.04-0.10 s one step past
+# each index, and 0.17-0.37 s for all six at 37, of which _orbits' walk
+# over the 2^18 masks takes about 0.13 s.  T keeps
 # 19, its limit before the rational lowering: with no orbit symmetry its
 # Glynn sum takes 2^(n-2) products of n - 1 row sums (residues mod
 # Phi_n(2^e)), and T(17) takes 0.23-0.30 s, T(19) 1.4 s, T(21) 6.4 s: the

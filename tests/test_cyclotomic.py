@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from permarith.cyclotomic import (Cyc, CyclotomicField, cyclotomic_poly,
@@ -17,7 +17,7 @@ from permarith.errors import (DomainError, NonInvertibleError,
                               SearchExhaustedError)
 from permarith.matrices import (Mat, _galois_invariant, det_field,
                                 per_orbits, per_ryser)
-from permarith.ntheory import jacobi
+from permarith.ntheory import is_prime, jacobi
 from permarith.rings import LPoly, Rat
 
 
@@ -301,6 +301,68 @@ def test_field_operations_equal_the_fraction_model(operands):
     else:
         with pytest.raises(NonInvertibleError):
             a.inverse()
+
+
+@st.composite
+def _cyc_values(draw):
+    """(a, b) at a prime order (1 + zeta + ... + zeta^(m-1) = 0) or not:
+    a drawn vector, or a rational, plus now and then a vanishing vector
+    c * x^s * Phi_m(x) mod x^m - 1 (a lattice vector of 0); b equal to a by
+    another vanishing vector, whose rational c leaves its denominator
+    unequal to a's now and then, or a moved by a rational, or drawn on its
+    own."""
+    m = draw(st.sampled_from((1, 2, 3, 5, 7, 11, 13, 4, 6, 9, 12, 15)))
+    phi = cyclotomic_poly(m)
+
+    def vanishing():
+        vec = [0] * m
+        s, c = draw(st.integers(0, m - 1)), draw(_RAT)
+        for t, p in enumerate(phi):
+            vec[(s + t) % m] += c * p
+        return vec
+
+    def plus(x, y):
+        return [s + t for s, t in zip(x, y)]
+    if draw(st.booleans()):
+        a = draw(st.lists(_COORD, min_size=m, max_size=m))
+    else:
+        a = [draw(_COORD)] + [0] * (m - 1)
+    if draw(st.booleans()):
+        a = plus(a, vanishing())
+    how = draw(st.sampled_from(("equal", "moved", "drawn")))
+    if how == "equal":
+        b = plus(a, vanishing())
+    elif how == "moved":
+        b = plus(a, [draw(_RAT.filter(bool))] + [0] * (m - 1))
+    else:
+        b = draw(st.lists(_COORD, min_size=m, max_size=m))
+    return Cyc(m, a), Cyc(m, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cyc_values())
+@example((Cyc(7, [1] * 7), Cyc.rational(7, 0)))
+@example((Cyc(5, [3, 1, 1, 1, 1]), Cyc(5, [Rat(5, 2), Rat(1, 2), Rat(1, 2),
+                                          Rat(1, 2), Rat(1, 2)])))
+@example((Cyc(9, [0, 0, 0, 1, 0, 0, 1, 0, 0]), Cyc.rational(9, -1)))
+def test_equality_and_rational_recognition_equal_the_model(pair):
+    # ==, is_zero and as_rational, by num alone at prime orders and by the
+    # canonical form elsewhere, against the Fraction model reduced modulo
+    # Phi_m; over one denominator at a prime order no canonical form is
+    # taken.
+    a, b = pair
+    x, y = _reduce(_model(a.coeffs)), _reduce(_model(b.coeffs))
+    fresh = [Cyc(a.order, a.coeffs), Cyc(b.order, b.coeffs)]
+    assert (fresh[0] == fresh[1]) == (x == y)
+    if is_prime(a.order) and a.den == b.den:
+        assert fresh[0]._canon is None and fresh[1]._canon is None
+    assert (a != b) == (x != y)
+    for z, model in ((a, x), (b, y)):
+        rational = not any(model[1:])
+        assert z.is_zero() == (not any(model))
+        assert z.as_rational() == (model[0] if rational else None)
+        assert (z == model[0]) == rational
+        assert (z == model[0] + 1) is False
 
 
 def _model_sum(rows, signed):

@@ -4,18 +4,20 @@ size guards."""
 import math
 import random
 from collections import Counter
+from functools import partial
 from itertools import permutations, product
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from permarith.cyclotomic import Cyc, CyclotomicField, pack_rows
+from permarith.cyclotomic import Cyc, CyclotomicField, pack_rows, sqrt_element
 from permarith.errors import (DomainError, SizeLimitError,
                               UnsupportedRingError)
 from permarith.families import JK_SIGN, build_cyclotomic, conjugates
-from permarith.matrices import (RYSER_LIMIT, Mat, _galois_invariant, _glynn,
-                                _jk_sign, _orbits, det_divfree, det_field,
+from permarith.matrices import (RYSER_LIMIT, Mat, _carrier,
+                                _galois_invariant, _glynn, _jk_sign,
+                                _orbit_glynn, _orbits, det_divfree, det_field,
                                 per_naive, per_orbits, per_ryser,
                                 per_sum_coeffs, per_sum_values,
                                 unit_generators)
@@ -265,6 +267,193 @@ def test_per_ryser_on_an_asymmetric_jk_table():
     assert per_ryser(bent) == per_naive(bent) == per_ryser(mat)
 
 
+def _orbits_by_walk(n, sign):
+    # The enumeration _orbits replaced: a stack walk from each unvisited
+    # mask, each unit applied through one lookup table per byte.
+    h = (n - 1) // 2
+    full = (1 << h) - 1
+    maps = []
+    for a in unit_generators(n):
+        image = [0] * h
+        flip = 0
+        for k in range(1, h + 1):
+            r = a * k % n
+            image[k - 1] = 1 << (min(r, n - r) - 1)
+            if sign < 0 and r > h:
+                flip |= image[k - 1]
+        tables = []
+        for lo in range(0, h, 8):
+            bits = list(enumerate(image[lo:lo + 8]))
+            tables.append((lo, [sum(b for i, b in bits if v >> i & 1)
+                                for v in range(1 << len(bits))]))
+        maps.append((flip, tables))
+    seen = bytearray(1 << h)
+    orbits = []
+    for start in range(1 << h):
+        if seen[start]:
+            continue
+        seen[start] = 1
+        stack = [start]
+        size = 0
+        while stack:
+            x = stack.pop()
+            size += 1
+            ys = [x ^ full]
+            for flip, tables in maps:
+                y = flip
+                for lo, table in tables:
+                    y ^= table[x >> lo & 255]
+                ys.append(y)
+            for y in ys:
+                if not seen[y]:
+                    seen[y] = 1
+                    stack.append(y)
+        orbits.append((start, size))
+    return tuple(orbits)
+
+
+def test_orbits_equal_the_walk_they_replaced():
+    # The same representatives, sizes and order, so every orbit sum adds
+    # the same terms in the same order as before.
+    for n in range(3, 32, 2):
+        for sign in (1, -1):
+            assert _orbits(n, sign) == _orbits_by_walk(n, sign), (n, sign)
+
+
+def _orbit_sum_with(lower, mat):
+    # _orbit_sum's body on a chosen lowering.
+    rows, product, lift = lower(mat.rows)
+    return lift(_orbit_glynn(rows, product, _jk_sign(mat)[0]), mat.n)
+
+
+def _kronecker_orbit_sum(mat):
+    return _orbit_sum_with(mat.ring.lower, mat)
+
+
+@pytest.mark.parametrize("family", list(JK_SIGN))
+def test_twisted_lowering_equals_the_kronecker_orbit_sum(family):
+    # Every odd n <= 31 in the family's domain, composite n included: from
+    # n = 5 on the check finds the table's character, with the carrier 1 or
+    # sqrt_element(n), and the residue orbit sum equals the Kronecker one in
+    # the field.
+    for n in range(3, 32, 2):
+        if family in ("csc2", "cot_jk") and not is_prime(n):
+            continue
+        mat = build_cyclotomic(family, n=n)
+        got = per_ryser(mat)
+        assert got == _kronecker_orbit_sum(mat), n
+        if n == 3:
+            continue
+        sign = _jk_sign(mat)[0]
+        carrier = _carrier(mat, sign)
+        assert sign == JK_SIGN[family], n
+        assert carrier == (mat.ring.one if sign > 0 else sqrt_element(n)), n
+        want = _orbit_sum_with(partial(mat.ring.lower_rational,
+                                       carrier=carrier), mat)
+        assert (got.num, got.den) == (want.num, want.den), n
+
+
+def test_one_row_tables_keep_kronecker():
+    # At n = 3 the table has the one residue 1, so _jk_sign reads sign 1
+    # for all six families; the folded entry T[2] = T[1] is what refuses
+    # the four odd ones, since sigma_2(T[1]) = -T[1].  per_ryser keeps
+    # Kronecker for a one-row table and returns its entry as it stands.
+    for family in JK_SIGN:
+        mat = build_cyclotomic(family, n=3)
+        (entry,), = mat.rows
+        assert _jk_sign(mat) == (1, "")
+        assert (_carrier(mat, 1) is None) == (JK_SIGN[family] < 0), family
+        got = per_ryser(mat)
+        assert (got.num, got.den) == (entry.num, entry.den), family
+
+
+@pytest.mark.parametrize("family", list(JK_SIGN))
+def test_a_perturbed_table_falls_back_to_kronecker(family):
+    # T[1] moved, and T[n - 1] = sign * T[1] moved with it, so the lattice
+    # symmetry holds.  Moved by zeta, sigma_a(T[1]) no longer matches
+    # T[a]: the check refuses, and the Kronecker orbit sum answers, equal to
+    # the n! oracle.  Moved by 1 + zeta + ... + zeta^(n-1), which is 0, the
+    # lattice vectors change but the field elements do not: the check
+    # passes, and the residue sum is still exact.
+    sign = JK_SIGN[family]
+    for n in (5, 7, 9, 11, 13):
+        if family in ("csc2", "cot_jk") and not is_prime(n):
+            continue
+        mat = build_cyclotomic(family, n=n)
+        ring = mat.ring
+        for shift, passes in ((ring.zeta(1), False), (Cyc(n, [1] * n), True)):
+            t1 = mat.rows[0][0] + shift
+            moved = {1: t1, n - 1: t1 if sign > 0 else -t1}
+            bent = Mat(ring, [[moved.get(j * k % n, z)
+                               for k, z in enumerate(row, 1)]
+                              for j, row in enumerate(mat.rows, 1)])
+            assert _jk_sign(bent) == (sign, "")
+            assert (_carrier(bent, sign) is not None) == passes, (n, shift)
+            got = per_ryser(bent)
+            if not passes:
+                want = _kronecker_orbit_sum(bent)
+                assert (got.num, got.den) == (want.num, want.den), n
+            assert got == per_naive(bent), (n, shift)
+
+
+@st.composite
+def _jk_tables(draw):
+    """(sign, conjugate, [T(jk mod n)]) over Q(zeta_n), n = 2h + 1 <= 13,
+    with T(n - r) = sign * T(r) on the lattice.  In half the tables
+    (conjugate) T(r) = F(zeta^r) from families.conjugates, with
+    F(x) = sum c_e (x^e + sign x^-e), now and then over x + 1/x + q, whose
+    character the check must find; in the others each T(r) is drawn on its
+    own, which the check refuses unless the draws happen to agree."""
+    h = draw(st.integers(1, 6))
+    n = 2 * h + 1
+    sign = draw(st.sampled_from((1, -1)))
+    ring = CyclotomicField(n)
+    conjugate = draw(st.booleans())
+    if conjugate:
+        terms = draw(st.lists(st.tuples(st.integers(0, n - 1), _RAT),
+                              min_size=1, max_size=3))
+        # x + 1/x + q vanishes at no root of unity of odd order.
+        q = draw(st.none() | _RAT.filter(lambda q: q not in (-2, 1)))
+
+        def f(r):
+            z = sum((c * (ring.zeta(e * r) + sign * ring.zeta(-e * r))
+                     for e, c in terms), ring.zero)
+            if q is None:
+                return z
+            return z * (ring.zeta(r) + ring.zeta(-r) + q).inverse()
+        table = conjugates(ring, range(h + 1), f)
+    else:
+        table = {r: draw(_entries(ring)) for r in range(h + 1)}
+        if sign < 0:
+            table[0] = ring.zero
+    for r in range(1, h + 1):
+        table[n - r] = table[r] if sign > 0 else -table[r]
+    return sign, conjugate, Mat(ring, [[table[j * k % n]
+                                        for k in range(1, h + 1)]
+                                       for j in range(1, h + 1)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_jk_tables())
+def test_twisted_lowering_on_random_tables(drawn):
+    # Whichever lowering the orbit sum takes, per_ryser equals the n!
+    # oracle and the Kronecker orbit sum in the field, and on the lattice
+    # wherever the check refused.  A table made of Galois conjugates passes
+    # the check for the sign it was built with, from two rows on.
+    sign, conjugate, mat = drawn
+    read = _jk_sign(mat)[0]
+    carrier = _carrier(mat, read)
+    got = per_ryser(mat)
+    kronecker = _kronecker_orbit_sum(mat)
+    assert got == per_naive(mat) == kronecker
+    if carrier is None or mat.n == 1:
+        assert (got.num, got.den) == (kronecker.num, kronecker.den)
+    # The sign read differs from the one built with only where both hold,
+    # as for an all-zero table.
+    if conjugate and mat.n > 1 and read == sign:
+        assert carrier is not None
+
+
 def test_permutation_and_transpose_invariance():
     rng = random.Random("perminv")
     for _ in range(60):
@@ -440,6 +629,15 @@ def test_the_rational_lift_refuses_a_nonrational_permanent(m, n, data):
         _glynn_with(ring.lower_rational, mat)
     assert not _galois_invariant(mat)
     assert per_ryser(mat) == per_naive(mat)
+
+
+def test_the_twisted_lowering_refuses_a_carrier_off_the_square_roots():
+    # The lift divides by W^2, so W^2 must be a nonzero rational.
+    ring = CyclotomicField(7)
+    rows = [[ring.zeta(1)]]
+    for carrier in (ring.zeta(1), ring.zero):
+        with pytest.raises(DomainError, match="carrier"):
+            ring.lower_rational(rows, carrier)
 
 
 def test_unit_generators_generate_the_unit_group():

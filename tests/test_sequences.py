@@ -108,6 +108,18 @@ def test_size_guard_refuses_before_building(monkeypatch):
             sequence_value(name, n)
 
 
+def test_every_table_row_prints_at_its_largest_index():
+    # str() refuses an int past 4,300 digits; each SEQ_TABLE row's value at
+    # its largest index stays well inside, and is an integer where the
+    # theorem says so (c' has a power-of-2 denominator).
+    for name, row in sequences.SEQ_TABLE.items():
+        top = row[-1]
+        v = sequence_value(name, top)
+        text = str(v.value)
+        assert sum(c.isdigit() for c in text) < 4300, (name, top)
+        assert v.is_integer or name == "cprime", (name, top)
+
+
 def test_float_diagnostic_non_verdict():
     # the exact sequence values agree with naive floating evaluation
     for n in (3, 5, 7, 9, 11, 13, 15):
