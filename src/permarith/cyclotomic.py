@@ -30,15 +30,19 @@ balanced digits are the coefficients.  Decoding (rings.balanced_digits,
 shared with the Laurent lowering) re-checks every digit against L and
 raises ArithmeticError if one exceeds it.  pack_rows and unpack are
 CyclotomicField's int lowering for the Glynn and Bareiss engines.  Glynn
-folds its row products mod 2^(mB) - 1 (Layout.product); Bareiss keeps the
-unfolded images, whose determinant is the image of the determinant in
-Z[x], and unpack folds it.  2^(mB) - 1 is the image of x^m - 1, so the
-fold is a ring map, and folding a vector of L1 norm at most L keeps every
-coefficient within L.
+folds its row products mod 2^(mB) - 1 (Layout.product); Bareiss, which
+needs exact division, keeps the unfolded images, whose determinant is the
+image of the determinant in Z[x], and unpack folds it.  2^(mB) - 1 is the
+image of x^m - 1, so the fold is a ring map, and folding a vector of L1
+norm at most L keeps every coefficient within L.
 CyclotomicField.lower_rational shares pack_rows' row clearing (clear_rows)
 and its bound L, and maps each vector to its value at 2^e mod Phi_m(2^e):
 one int of about bitlen(L) bits in place of m digits of B bits, exact
-when the permanent is rational (see the matrices module docstring).
+when the permanent or determinant is rational (see the matrices module
+docstring), so a Galois-invariant matrix's Bareiss runs on those ints in
+place of the unfolded images.  Both lowerings take each distinct entry's
+L1 norm, image and residue once per matrix: both maps are Z-linear, so a
+row's scale multiplies the entry's value.
 Given a carrier W it is exact when the permanent times W is rational: the
 bound grows by the factor |W.num|_1, and the lift multiplies by W's
 residue before it recognises the rational and divides W back out.  The
@@ -390,23 +394,50 @@ class Layout(NamedTuple):
 
 
 def clear_rows(rows):
-    """(integral rows, prod d_j, L) for rows of Cyc entries.
+    """(scales, prod d_j, L) for rows of Cyc entries.
 
     Row j is multiplied by d_j, the lcm of its entries' denominators, so
-    each entry becomes an integral coefficient vector; L is the coefficient
-    bound of the module docstring, the product of the rows' L1 norms.
+    each entry z becomes the integral coefficient vector s * z.num, where
+    s = d_j // z.den is the entry's int in `scales`; L is the coefficient
+    bound of the module docstring, the product of the rows' L1 norms.  Each
+    distinct entry's L1 norm is taken once, keyed by the entry object,
+    which the rows keep alive: the paper's tables hold O(n) values in n^2
+    positions.
     """
     den = 1
     bound = 1
-    integral = []
+    norms = {}
+    scales = []
     for row in rows:
         d = math.lcm(*[z.den for z in row])
-        vecs = [z.num if z.den == d else [c * (d // z.den) for c in z.num]
-                for z in row]
-        bound *= sum(sum(map(abs, v)) for v in vecs)
+        row_scales = [d // z.den for z in row]
+        total = 0
+        for z, s in zip(row, row_scales):
+            norm = norms.get(id(z))
+            if norm is None:
+                norm = norms[id(z)] = sum(map(abs, z.num))
+            total += s * norm
+        bound *= total
         den *= d
-        integral.append(vecs)
-    return integral, den, bound
+        scales.append(row_scales)
+    return scales, den, bound
+
+
+def _cleared_values(rows, scales, value):
+    # value(s * z.num) for each entry z and its scale s from clear_rows, as
+    # s * value(z.num): value is Z-linear, and is taken once per distinct
+    # entry (keyed as in clear_rows).
+    memo = {}
+    out = []
+    for row, row_scales in zip(rows, scales):
+        ints = []
+        for z, s in zip(row, row_scales):
+            x = memo.get(id(z))
+            if x is None:
+                x = memo[id(z)] = value(z.num)
+            ints.append(x if s == 1 else s * x)
+        out.append(ints)
+    return out
 
 
 def pack_rows(order: int, rows):
@@ -415,9 +446,9 @@ def pack_rows(order: int, rows):
     Each integral vector v of clear_rows is replaced by the int v(2^B).  The
     Layout carries the coefficient bound L, which fixes B.
     """
-    integral, den, bound = clear_rows(rows)
+    scales, den, bound = clear_rows(rows)
     layout = Layout(order, bound.bit_length() + 2, den, bound)
-    return [list(map(layout.image, vecs)) for vecs in integral], layout
+    return _cleared_values(rows, scales, layout.image), layout
 
 
 def unpack(value: int, layout: Layout) -> Cyc:
@@ -495,20 +526,22 @@ class CyclotomicField(Ring):
         return images, layout.product, lift
 
     def lower_rational(self, rows, carrier: Cyc | None = None):
-        """The int lowering for rows whose permanent times a carrier W is
-        rational, m >= 3 (W = 1 if no carrier is given).
+        """The int lowering for rows whose permanent (or determinant) times
+        a carrier W is rational, m >= 3 (W = 1 if no carrier is given).
 
-        Each cleared entry vector v becomes v(2^e) mod N, N = Phi_m(2^e),
-        e = ceil((bitlen(L') + 2) / phi(m)) + 1 with L' = L * |w|_1 for
-        W's integral vector w = W.num.  Glynn multiplies the row sums as
-        plain ints (one reduction mod N at the end costs less than one per
-        product); the lift multiplies by w(2^e), reduces and halves mod N
-        (N is odd), takes the balanced residue v, raises ArithmeticError if
-        |v| > L', and returns v W / (W^2 prod d_j den_W), which is
-        v / prod d_j for W = 1.  The matrices module docstring proves this
-        exact for a Galois-invariant matrix, which per_ryser checks first,
-        and for a [T(jk mod n)] table whose Galois character W shares,
-        which the orbit sum checks first.
+        Each cleared entry vector v becomes an int congruent to v(2^e) mod
+        N, N = Phi_m(2^e), e = ceil((bitlen(L') + 2) / phi(m)) + 1 with
+        L' = L * |w|_1 for W's integral vector w = W.num.  Glynn multiplies
+        the row sums as plain ints (one reduction mod N at the end costs
+        less than one per product), and Bareiss eliminates on them in Z,
+        where its divisions are exact; the lift multiplies by w(2^e),
+        reduces and halves mod N (N is odd), takes the balanced residue v,
+        raises ArithmeticError if |v| > L', and returns
+        v W / (W^2 prod d_j den_W), which is v / prod d_j for W = 1.  The
+        matrices module docstring proves this exact for a Galois-invariant
+        matrix, which per_ryser and the determinants check first, and for a
+        [T(jk mod n)] table whose Galois character W shares, which the
+        orbit sum checks first.
         """
         m = self.m
         if carrier is None:
@@ -518,7 +551,7 @@ class CyclotomicField(Ring):
             if not square:
                 raise DomainError(f"the carrier {carrier} is no square root"
                                   f" of a nonzero rational")
-        integral, den, bound = clear_rows(rows)
+        scales, den, bound = clear_rows(rows)
         bound *= sum(map(abs, carrier.num))
         phi = cyclotomic_poly(m)
         e = -(-(bound.bit_length() + 2) // (len(phi) - 1)) + 1
@@ -529,7 +562,7 @@ class CyclotomicField(Ring):
 
         def residue(v):
             return sum(map(lshift, v, shifts)) % modulus
-        ints = [list(map(residue, vecs)) for vecs in integral]
+        ints = _cleared_values(rows, scales, residue)
         twist = residue(carrier.num)
         scale = square * carrier.den * den
 

@@ -19,8 +19,10 @@ residues are Galois conjugates, which only permute the exponent lattice.
 The six [f(zeta^(jk))] families (cos2, sec2, sin2, csc2, tan_jk, cot_jk)
 build T(1..h) that way and set T(n - r) = JK_SIGN[family] * T(r) as the
 same coefficient list, the symmetry matrices.per_orbits relies on.  The
-difference families, whose tables feed determinants, are evaluated
-directly: conjugated tables made the determinant slower.
+difference families (sec2_diff, tan2_diff, recip_root_diff, cot_ratio)
+build their tables the same way: sigma_a maps their entry at j - k to the
+one at a*j - a*k, so their determinants run on one residue per entry (see
+matrices).
 """
 
 from __future__ import annotations
@@ -194,35 +196,27 @@ def build_cyclotomic(family: str, **params) -> Mat:
         _require(n % 2 == 1, family, f"n must be odd, got {n}")
         m = 2 * n
         ring = CyclotomicField(m)
-        table = {}
-        for r in range(m):
+
+        def entry(r):
             c = ring.zeta(r) + ring.zeta(-r)
-            table[r] = (c * c).inverse() * 4
-            if family == "tan2_diff":
-                table[r] = table[r] - 1
+            sec2 = (c * c).inverse() * 4
+            return sec2 - 1 if family == "tan2_diff" else sec2
+        table = conjugates(ring, [d % m for d in range(1 - n, n)], entry)
         return Mat(ring, [[table[(j - k) % m] for k in range(1, n + 1)]
                           for j in range(1, n + 1)])
 
-    if family == "recip_root_diff":
-        size = params.get("size", n)
+    if family in ("recip_root_diff", "cot_ratio"):
+        size = params.get("size", n if family == "recip_root_diff" else n - 1)
         _require(size in (n, n - 1), family,
                  f"size must be n or n-1, got {size}")
         _require(size >= 1, family, "empty matrix")
         ring = CyclotomicField(n)
-        table = {r: (1 - ring.zeta(r)).inverse() for r in range(1, n)}
-        zero = ring.zero
-        return Mat(ring, [[zero if j == k else table[(j - k) % n]
-                           for k in range(1, size + 1)]
-                          for j in range(1, size + 1)])
 
-    if family == "cot_ratio":
-        size = params.get("size", n - 1)
-        _require(size in (n, n - 1), family,
-                 f"size must be n or n-1, got {size}")
-        _require(size >= 1, family, "empty matrix")
-        ring = CyclotomicField(n)
-        table = {r: (1 + ring.zeta(r)) * (1 - ring.zeta(r)).inverse()
-                 for r in range(1, n)}
+        def entry(r):
+            recip = (1 - ring.zeta(r)).inverse()
+            return recip if family == "recip_root_diff" else (
+                (1 + ring.zeta(r)) * recip)
+        table = conjugates(ring, range(1, n), entry)
         zero = ring.zero
         return Mat(ring, [[zero if j == k else table[(j - k) % n]
                            for k in range(1, size + 1)]

@@ -53,20 +53,24 @@ Glynn's sum by 2^(n-1) exactly.  After clearing row denominators and
 row powers of q, the int rows are least residues (Z -> Z/m is a ring map)
 or images at x = 2^B (evaluation on Z[x] is a ring map), so the loops
 compute an int that maps to the exact permanent or determinant, and each
-lift is exact on it.  Over Q(zeta_m) the lowering is Kronecker packing
-(cyclotomic.pack_rows): Glynn folds its products mod 2^(mB) - 1, the image
-of x^m - 1, and Bareiss works on the unfolded images, whose determinant is
-the image of the determinant in Z[x]; unpack folds it once at the end.
+lift is exact on it.  Over Q(zeta_m) the ring's lowering is Kronecker
+packing (cyclotomic.pack_rows): Glynn folds its products mod 2^(mB) - 1,
+the image of x^m - 1, and Bareiss works on the unfolded images, whose
+determinant is the image of the determinant in Z[x]; unpack folds it once
+at the end.
 
 per_ryser over Q(zeta_m), m >= 3, takes a smaller lowering
 (CyclotomicField.lower_rational) for a matrix that is not such a table but
-is Galois-invariant: it has n = m - 1 or m rows, labelled 1..n with label
-m standing for residue 0, and for every generator a of (Z/m)^*
+is Galois-invariant: its n rows are labelled by the residues mod q, 1..n
+with label q standing for residue 0, where q = m for n = m - 1 or m, and
+q = n for m = 2n (the shape of sec2_diff and tan2_diff, whose tables over
+Q(zeta_2n) have period n); and for every generator a of (Z/m)^*
 (unit_generators) the check finds
 sigma_a(M[j][k]) == M[pi(j)][tau(k)] in the field for all j, k, with
-pi(j) = a*j mod m and tau = pi or the identity.  Then sigma_a(per M) is
-the permanent of M with its rows and columns permuted, which is per M;
-the generators generate the Galois group, so per M is rational.  Let
+pi(j) = a*j mod q, a permutation of the labels since a is prime to q, and
+tau = pi or the identity.  Then sigma_a(per M) is the permanent of M with
+its rows and columns permuted, which is per M; the generators generate the
+Galois group, so per M is rational.  Let
 P in Z[x]/(x^m - 1) be the lattice permanent of the cleared rows (row j
 times d_j), so that P(zeta) = prod d_j * per M is a rational algebraic
 integer, an int v, with |v| <= |P|_1 <= L (L as in pack_rows).  Let
@@ -80,8 +84,20 @@ with e = ceil((bitlen(L) + 2)/phi(m)) + 1 is at least 2^(bitlen(L) + 2)
 > 4L.  So v is the balanced residue mod N, and the lift returns
 v / prod d_j.  The lift also refuses a residue over L, but that is only a
 guard: a permanent off Q can still leave one within L, so the check alone
-makes the lowering exact.  Every other matrix and the determinants stay
-on Kronecker images.
+makes the lowering exact.  Every other matrix stays on Kronecker images.
+
+det_divfree and det_field take the same lowering under the same check with
+tau = pi alone.  Then sigma_a(det M) = det(S M S^T) = sgn(pi)^2 det M =
+det M for the permutation matrix S of pi, so det M is rational.  (With tau
+the identity, sigma_a(det M) = sgn(pi) det M, which need not be rational:
+[1 - zeta^j x_k] is such a matrix, and stays on Kronecker.)  Let D be the
+lattice determinant of the cleared rows, so that D(zeta) = prod d_j det M
+is a rational algebraic integer, an int v, with |v| <= |D|_1 <= L, since D
+is a signed sum of the products that make up P.  Bareiss returns the
+determinant of the int residues, which x -> 2^e mod N, a ring map, makes
+congruent to D(2^e), that is to v, mod N; the lift takes the balanced
+residue as above.  A matrix that fails the check stays on Kronecker
+images.
 
 The orbit sum takes the same lowering, twisted by a carrier W, for a
 table whose Galois character it finds (_carrier).  Let R be the residues
@@ -260,20 +276,26 @@ def unit_generators(m: int) -> tuple[int, ...]:
     return tuple(gens)
 
 
-def _galois_invariant(mat: Mat) -> bool:
-    # True if mat is over Q(zeta_m), m >= 3, with n = m - 1 or m rows, and
-    # every generator a of (Z/m)^* satisfies sigma_a(M[j][k]) ==
-    # M[pi(j)][tau(k)] in the field, where pi(j) = a*j mod m on the labels
-    # 1..n (label m for residue 0) and tau is pi or the identity.
+def _galois_invariant(mat: Mat, det: bool = False) -> bool:
+    # True if mat is over Q(zeta_m), m >= 3, with its n rows labelled by the
+    # residues mod q, 1..n with label q for residue 0, where q = m for
+    # n = m - 1 or m and q = n for m = 2n; and every generator a of (Z/m)^*
+    # satisfies sigma_a(M[j][k]) == M[pi(j)][tau(k)] in the field, where
+    # pi(j) = a*j mod q and tau is pi, or for a permanent (det False) pi or
+    # the identity.
     ring = mat.ring
     if not isinstance(ring, CyclotomicField) or ring.m < 3:
         return False
     m, n, rows = ring.m, mat.n, mat.rows
-    if n not in (m - 1, m):
+    if n in (m - 1, m):
+        q = m
+    elif m == 2 * n:
+        q = n
+    else:
         return False
     same = list(range(n))
     for a in unit_generators(m):
-        pi = [a * j % m - 1 for j in range(1, n + 1)]  # index -1 is label m
+        pi = [a * j % q - 1 for j in range(1, n + 1)]  # index -1 is label q
         # sigma_a sends coefficient e to a*e, so image[f] = num[f / a].
         b = pow(a, -1, m)
         back = [b * f % m for f in range(m)]
@@ -296,7 +318,7 @@ def _galois_invariant(mat: Mat) -> bool:
                         if image[1] != w:
                             return False
             return True
-        if not (maps_onto(pi) or maps_onto(same)):
+        if not (maps_onto(pi) or not det and maps_onto(same)):
             return False
     return True
 
@@ -559,7 +581,13 @@ def _bareiss(rows):
 
 
 def _lowered_det(mat: Mat):
-    rows, _, lift = mat.ring.lower(mat.rows)
+    # Bareiss on one residue mod Phi_m(2^e) per entry for a matrix whose
+    # Galois images permute its rows and columns alike, else on the ring's
+    # lowering (see the module docstring).
+    ring = mat.ring
+    lower = (ring.lower_rational if _galois_invariant(mat, det=True)
+             else ring.lower)
+    rows, _, lift = lower(mat.rows)
     return lift(_bareiss(rows))
 
 

@@ -538,12 +538,14 @@ _FAST_D = {"hi": 13, "d": (1, 2, -1)}
 
 # A check's limit is the largest n or p whose run stays near 0.5 s on a 2-core
 # x86-64 machine (Python 3.11, Fraction backend): det.sec2/det.tan2 take
-# 0.16-0.18 s at n = 15 and 1.3-1.9 s at 17 (Bareiss on the Kronecker images
-# over Q(zeta_2n)); thq.det 0.45-0.55 s at n = 192 and 1.15 s at 256; lem.gauss
-# at most 0.4 s up to n = 3003 and 1.1 s at 5005; rem.qdetabs 0.48-0.56 s at
-# n = 28 and 1.8 s at 32; lem.oneplus 0.45 s at n = 221 and 0.79 s at 251;
-# lem.half 0.39 s at n = 501.  The rank-2 checks build per_sum_coeffs in O(p^2)
-# int operations on numbers of O(p log p) bits: thper.jdk1-3 and cor.jdk take
+# 0.25-0.29 s at n = 27 and 0.46-0.67 s at 29 (Bareiss on one residue mod
+# Phi_2n(2^e) per entry, see matrices; the runner called directly in a
+# fresh process); thq.det 0.45-0.55 s at n = 192 and 1.15 s at 256;
+# lem.gauss at most 0.4 s up to n = 3003 and 1.1 s at 5005; rem.qdetabs
+# 0.48-0.56 s at n = 28 and 1.8 s at 32; lem.oneplus 0.45 s at n = 221 and
+# 0.79 s at 251; lem.half 0.39 s at n = 501.  The rank-2 checks build
+# per_sum_coeffs in O(p^2) int operations on numbers of O(p log p) bits:
+# thper.jdk1-3 and cor.jdk take
 # 0.35-0.39 s at p = 751 and 0.45-0.58 s at 809; thper.quad, quad0 and
 # cor.quadmod 0.38-0.52 s at p = 1409 and 0.50-0.66 s at 1511; thper.jxk, three
 # rank-2 permanents sharing one pass over u = 1..p-1, 0.38-0.48 s at p = 601
@@ -565,22 +567,23 @@ _FAST_D = {"hi": 13, "d": (1, 2, -1)}
 # (0.53-0.66 s for height 5), height 8 at most 0.44 s at 12 (0.31-0.54 s
 # for 10), 16 at most 0.44 s at 11, 32 at most 0.43 s at 10, 64 at most
 # 0.39 s at 9, 128 at most 0.16 s at 8 and 256 at most 0.18 s at 7;
-# conj.derange 0.06-0.07 s at 14 and 0.40-0.42 s at 15 (mostly its two
-# determinants, which stay on Kronecker).  thnew.invsumsq takes 0.05-0.09 s
-# at p = 31, and its next p = 3 (mod 4), 43, has 21 rows; conj.sqdiff takes
-# 0.02-0.03 s at p = 29, 0.70 s at 37 and 3.0 s at 41.  lem.cauchy (seeds
-# 0-3) takes 0.28-0.43 s at n = 29 and 0.40-0.80 s at 30; lem.borchardt
-# 0.40-0.52 s at 16 and 0.76-1.30 s at 17; lem.circulant 0.42 s at 60 and
-# 0.55-0.64 s at 61-63; conj.qdet, slower for larger |a|, at most 0.32 s at
-# n = 33 and 0.67 s at 35 for a = -3..3, and, within its bound on |a|, at
-# most 0.36 s for the slowest a at each odd n (every a for n >= 7, every
-# 37th below; a bound on n^3 |a| through n = 33, a = 3 let n = 7 take 0.70
-# s at a = 312); conj.maskdet 0.13-0.18 s at p = 17
-# and 0.58-0.69 s at 19; rem.cp 0.08 s at 16 and 1.2 s at 17.  thq.floor,
-# thq.qfloor, conj.bernoulli, conj.absjk and conj.maskper are Glynn
-# permanents over Z or Q of n or p rows, bounded by RYSER_LIMIT (20 rows, so
-# p <= 19): thq.floor takes 0.45-0.53 s there, thq.qfloor 0.57-0.68 s,
-# conj.bernoulli 0.47-0.55 s, conj.absjk 0.58-0.70 s and conj.maskper
+# conj.derange 0.27-0.28 s at 16 and 0.55-0.59 s at 17 (mostly its permanent;
+# its two determinants run on one residue per entry).  thnew.invsumsq takes
+# 0.05-0.09 s at p = 31, and its next p = 3 (mod 4), 43, has 21 rows;
+# conj.sqdiff takes 0.02-0.03 s at p = 29, 0.70 s at 37 and 3.0 s at
+# 41.  lem.cauchy (seeds 0-3) takes 0.28-0.43 s at n = 29 and 0.40-0.80 s at
+# 30; lem.borchardt 0.40-0.52 s at 16 and 0.76-1.30 s at 17; lem.circulant
+# 0.42 s at 60 and 0.55-0.64 s at 61-63; conj.qdet, slower for larger |a|, at
+# most 0.32 s at n = 33 and 0.67 s at 35 for a = -3..3, and, within its bound
+# on |a|, at most 0.36 s for the slowest a at each odd n (every a for n >= 7,
+# every 37th below; a bound on n^3 |a| through n = 33, a = 3 let n = 7 take
+# 0.70 s at a = 312); conj.maskdet 0.13-0.18 s at p = 17 and 0.58-0.69 s at
+# 19; rem.cp, a determinant on one residue per entry whose time follows phi(n)
+# more than n, 0.33 s at n = 28, 0.77-0.83 s at 29 and 0.41-0.51 s at
+# 32.  thq.floor, thq.qfloor, conj.bernoulli, conj.absjk and conj.maskper are
+# Glynn permanents over Z or Q of n or p rows, bounded by RYSER_LIMIT (20
+# rows, so p <= 19): thq.floor takes 0.45-0.53 s there, thq.qfloor 0.57-0.68
+# s, conj.bernoulli 0.47-0.55 s, conj.absjk 0.58-0.70 s and conj.maskper
 # 0.67-0.91 s at a = 1.
 # A check that reads sequences has the
 # smallest largest index of their SEQ_TABLE rows as its limit, which it
@@ -761,7 +764,7 @@ _register("det.sec2", "theorem",
                   .as_rational(),
                   lambda n: n ** (n - 1) * double_factorial(n) ** 2),
                  skip=[_ODD_N]),
-          partial(_odd_ns, lo=1), 7, 11, limit=("n", 15))
+          partial(_odd_ns, lo=1), 7, 11, limit=("n", 27))
 _register("det.tan2", "theorem",
           "det[tan^2 pi(j-k)/n] (n x n) = (n-1) n^(n-2) (n!!)^2 for odd n",
           _claim((lambda n: det_field(build_cyclotomic("tan2_diff", n=n))
@@ -769,7 +772,7 @@ _register("det.tan2", "theorem",
                   lambda n: 0 if n == 1 else
                   (n - 1) * n ** (n - 2) * double_factorial(n) ** 2),
                  skip=[_ODD_N]),
-          partial(_odd_ns, lo=1), 7, 11, limit=("n", 15))
+          partial(_odd_ns, lo=1), 7, 11, limit=("n", 27))
 _register("conj.qdet", "conjecture",
           "det[[floor((aj-(a+1)k)/n)]_q] = -(a(a+1)/n) q^((1-3n)/2); "
           "det[[ceil(((a+1)j-ak)/n)]_q] = (a(a+1)/n) q^((n-1)/2)",
@@ -811,7 +814,7 @@ _register("conj.maskper", "conjecture",
 _register("conj.derange", "conjecture",
           "derangement sums of 1/(1 - zeta^(j-tau(j))) "
           "and the cot-ratio variant match closed forms",
-          _run_conj_derange, partial(_ns, lo=2), 8, 10, limit=("n", 14))
+          _run_conj_derange, partial(_ns, lo=2), 8, 10, limit=("n", 16))
 _register("conj.maskdet", "conjecture",
           "signed/unsigned masked sums of 1/(a+j tau(j)) match "
           "(a/p)(3-a^(p-1))/2 and (-1)^((p+1)/2)(3-a^(p-1))/2 (mod p^2)",
@@ -869,7 +872,7 @@ _register("rem.cp", "theorem",
           _claim((lambda n: derangement_sum(n, "signed_recip_full"),
                   lambda n: Rat(0) if n % 2 else Rat((-1) ** (n // 2)
                   * double_factorial(n - 1) ** 2, 2 ** n))),
-          partial(_ns, lo=2), 8, 10, limit=("n", 16))
+          partial(_ns, lo=2), 8, 10, limit=("n", 28))
 
 ALL_CHECK_IDS = tuple(REGISTRY)
 

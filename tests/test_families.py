@@ -191,6 +191,37 @@ def test_sec2_diff_entries_are_true_values():
     assert mat2.rows[0][0].as_rational() == 0
 
 
+@pytest.mark.parametrize("n", [8, 9, 10, 15])
+def test_difference_tables_equal_per_residue_inverses(n):
+    # The difference families take one inverse per gcd class and conjugate
+    # it; every entry must equal the inverse taken at its own residue, in
+    # the field (the lattice vectors may differ).
+    ring = CyclotomicField(n)
+    z = ring.zeta
+    want = {"recip_root_diff": (ring, n, lambda r: (1 - z(r)).inverse()),
+            "cot_ratio": (ring, n,
+                          lambda r: (1 + z(r)) * (1 - z(r)).inverse())}
+    if n % 2:
+        m = 2 * n
+        twice = CyclotomicField(m)
+
+        def sec2(r):
+            c = twice.zeta(r) + twice.zeta(-r)
+            return (c * c).inverse() * 4
+        want["sec2_diff"] = (twice, m, sec2)
+        want["tan2_diff"] = (twice, m, lambda r: sec2(r) - 1)
+    for family, (field, m, entry) in want.items():
+        mat = build_cyclotomic(family, n=n, size=n) if m == n else \
+            build_cyclotomic(family, n=n)
+        assert mat.ring == field and mat.n == n
+        for j, row in enumerate(mat.rows):
+            for k, got in enumerate(row):
+                if m == n and j == k:
+                    assert got.is_zero(), (family, j)
+                else:
+                    assert got == entry((j - k) % m), (family, j, k)
+
+
 def test_recip_root_diff_sizes():
     for size_kw, want in (({"size": 5}, 5), ({"size": 4}, 4), ({}, 5)):
         mat = build_cyclotomic("recip_root_diff", n=5, **size_kw)

@@ -15,7 +15,7 @@ from permarith.cyclotomic import Cyc, CyclotomicField, pack_rows, sqrt_element
 from permarith.errors import (DomainError, SizeLimitError,
                               UnsupportedRingError)
 from permarith.families import JK_SIGN, build_cyclotomic, conjugates
-from permarith.matrices import (RYSER_LIMIT, Mat, _carrier,
+from permarith.matrices import (RYSER_LIMIT, Mat, _bareiss, _carrier,
                                 _galois_invariant, _glynn, _jk_sign,
                                 _orbit_glynn, _orbits, det_divfree, det_field,
                                 per_naive, per_orbits, per_ryser,
@@ -539,28 +539,38 @@ def _glynn_with(lower, mat):
 
 
 @st.composite
-def _invariant_mats(draw, max_n=12, min_n=1):
-    """Galois-invariant matrices over Q(zeta_m), m in _INVARIANT_ORDERS,
-    with n = m - 1 or m rows, min_n <= n <= max_n: [T(j+k)] or [T(j-k)]
-    for a table T(r) = F(zeta^r) from families.conjugates, F a sparse
-    polynomial with rational coefficients, now and then over 1 - x*y; or
-    [1 - zeta^j x_k] with rational x_k."""
-    m = draw(st.sampled_from([m for m in _INVARIANT_ORDERS
-                              if m - 1 <= max_n and m >= min_n]))
-    n = draw(st.sampled_from([n for n in (m - 1, m) if min_n <= n <= max_n]))
+def _invariant_mats(draw, max_n=12, min_n=1, orders=_INVARIANT_ORDERS,
+                    kinds=("j+k", "j-k", "1-zeta^j x_k"),
+                    quotient_max_n=None):
+    """Galois-invariant matrices over Q(zeta_m), m in orders, with n rows,
+    min_n <= n <= max_n, labelled mod m for n = m - 1 or m and mod n for
+    n = m/2: [T(j+k)] or [T(j-k)] for a table T(r) = F(zeta^(s*r)) from
+    families.conjugates, F a sparse polynomial with rational coefficients,
+    now and then over 1 - x*y (only up to quotient_max_n rows if given),
+    where s = 2 for n = m/2 (so that T has period n, as sec2_diff's table
+    has) and s = 1 otherwise; or, for n = m - 1 or m, [1 - zeta^j x_k] with
+    rational x_k."""
+    sizes = [(m, n) for m in orders
+             for n in (m - 1, m) + ((m // 2,) if m % 2 == 0 else ())
+             if min_n <= n <= max_n]
+    m, n = draw(st.sampled_from(sizes))
     ring = CyclotomicField(m)
-    kind = draw(st.sampled_from(("j+k", "j-k", "1-zeta^j x_k")))
+    s = 2 if 2 * n == m else 1
+    kind = draw(st.sampled_from([k for k in kinds
+                                 if s == 1 or k != "1-zeta^j x_k"]))
     if kind == "1-zeta^j x_k":
         xs = draw(st.lists(_RAT, min_size=n, max_size=n))
         return Mat(ring, [[1 - ring.zeta(j) * x for x in xs]
                           for j in range(1, n + 1)])
     terms = draw(st.lists(st.tuples(st.integers(0, m - 1), _RAT),
                           min_size=1, max_size=3))
-    x = draw(st.none() | _RAT.filter(lambda x: x ** m != 1))
+    x = None
+    if quotient_max_n is None or n <= quotient_max_n:
+        x = draw(st.none() | _RAT.filter(lambda x: x ** m != 1))
 
     def f(r):
-        z = sum((c * ring.zeta(e * r) for e, c in terms), ring.zero)
-        return z if x is None else z * (1 - ring.zeta(r) * x).inverse()
+        z = sum((c * ring.zeta(e * s * r) for e, c in terms), ring.zero)
+        return z if x is None else z * (1 - ring.zeta(s * r) * x).inverse()
     table = conjugates(ring, range(m), f)
     sign = 1 if kind == "j+k" else -1
     return Mat(ring, [[table[(j + sign * k) % m] for k in range(1, n + 1)]
@@ -607,6 +617,69 @@ def test_a_perturbed_entry_fails_the_invariance_check(mat, data):
     bent = Mat(mat.ring, rows)
     assert not _galois_invariant(bent)
     assert per_ryser(bent) == per_naive(bent)
+
+
+def _bareiss_with(lower, mat):
+    # det_field's body on a chosen lowering.
+    rows, _, lift = lower(mat.rows)
+    return lift(_bareiss(rows))
+
+
+# Orders for the determinant lowering: prime, prime power, composite, and
+# even orders, where n = m/2 rows are labelled mod n.
+_DET_ORDERS = (5, 7, 9, 10, 12, 14, 15)
+
+
+# The quotient tables stop at 9 rows: on more, Bareiss on their Kronecker
+# images, the reference, takes seconds.
+@settings(max_examples=30, deadline=None)
+@given(_invariant_mats(max_n=15, orders=_DET_ORDERS, kinds=("j-k", "j+k"),
+                       quotient_max_n=9))
+@example(build_cyclotomic("sec2_diff", n=5))
+@example(build_cyclotomic("tan2_diff", n=7))
+@example(build_cyclotomic("cot_ratio", n=7, size=6))
+def test_rational_determinant_on_invariant_tables(mat):
+    # sigma_a permutes the rows and the columns of these tables alike, so
+    # det_field runs Bareiss on one residue per entry; it must equal
+    # Bareiss on the Kronecker images, and the signed Leibniz sum where
+    # that is cheap.
+    assert _galois_invariant(mat, det=True)
+    got = det_field(mat)
+    assert got.as_rational() is not None
+    assert got == _bareiss_with(mat.ring.lower, mat)
+    if mat.n <= 6:
+        assert got == _leibniz(mat)
+
+
+@pytest.mark.parametrize("n", [5, 9, 15])
+def test_rational_determinant_of_a_singular_table(n):
+    # recip_root_diff at full size has determinant 0 for odd n (rem.cp):
+    # the residue of Bareiss's int is 0 mod N though the int need not be.
+    mat = build_cyclotomic("recip_root_diff", n=n, size=n)
+    assert _galois_invariant(mat, det=True)
+    assert det_field(mat) == 0
+    assert det_divfree(mat) == _bareiss_with(mat.ring.lower, mat) == 0
+    if n <= 6:
+        assert _leibniz(mat) == 0
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_a_row_only_symmetry_keeps_det_on_kronecker(n, monkeypatch):
+    # [1 - zeta^j x_k] maps onto itself with its rows permuted and its
+    # columns fixed (tau the identity): per is rational, det need not be, so
+    # the determinant's check refuses it and Bareiss stays on Kronecker.
+    rng = random.Random(f"rootlinear-det:{n}")
+    xs = [Rat(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)]
+    mat = build_cyclotomic("root_linear", n=n, x=xs)
+    assert _galois_invariant(mat)
+    assert not _galois_invariant(mat, det=True)
+
+    def refused(self, rows, carrier=None):
+        raise AssertionError("took the rational lowering")
+    monkeypatch.setattr(CyclotomicField, "lower_rational", refused)
+    want = _leibniz(mat)
+    assert det_field(mat) == want
+    assert det_divfree(mat) == want
 
 
 @settings(max_examples=40, deadline=None)

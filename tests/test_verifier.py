@@ -152,7 +152,7 @@ def test_size_limits_refuse_before_building(monkeypatch):
     _forbid_building(monkeypatch, primality=False)
     guarded = {cid: c.limit for cid, c in REGISTRY.items() if c.limit}
     linear, quad = ("p", 751), ("p", 1409)
-    assert guarded == {"det.sec2": ("n", 15), "det.tan2": ("n", 15),
+    assert guarded == {"det.sec2": ("n", 27), "det.tan2": ("n", 27),
                        "thq.det": ("n", 192), "lem.gauss": ("n", 3001),
                        "rem.qdetabs": ("n", 28), "lem.oneplus": ("n", 221),
                        "lem.half": ("n", 501), "thper.jxk": ("p", 601),
@@ -163,13 +163,13 @@ def test_size_limits_refuse_before_building(monkeypatch):
                        "conj.sqdiff": ("p", 29),
                        "thper.rootexp": ("n", 14), "cor.sin": ("n", 17),
                        "cor.cos": ("n", 18), "thnew.cauchyroot": ("n", 14),
-                       "conj.derange": ("n", 14), "rem.perhalf": ("n", 15),
+                       "conj.derange": ("n", 16), "rem.perhalf": ("n", 15),
                        "thq.floor": ("n", 20), "thq.qfloor": ("n", 20),
                        "conj.bernoulli": ("n", 20), "conj.absjk": ("p", 19),
                        "conj.maskper": ("p", 19), "lem.cauchy": ("n", 29),
                        "lem.borchardt": ("n", 16),
                        "lem.circulant": ("n", 60), "conj.qdet": ("n", 33),
-                       "conj.maskdet": ("p", 17), "rem.cp": ("n", 16),
+                       "conj.maskdet": ("p", 17), "rem.cp": ("n", 28),
                        "thjk.cong": ("p", 19), "thcos.cong": ("p", 31),
                        "thsin.cong": ("p", 29), "thtan.cong": ("p", 29),
                        "conj.csign": ("p", 31), "conj.ssign": ("n", 29),
@@ -190,7 +190,7 @@ def test_size_limits_refuse_before_building(monkeypatch):
         assert guarded[check_id][1] == min(sequences.SEQ_TABLE[name][-1]
                                            for name in names), check_id
     for check_id, params in (
-            ("det.sec2", {"n": 61}), ("det.tan2", {"n": 17}),
+            ("det.sec2", {"n": 61}), ("det.tan2", {"n": 29}),
             ("thq.det", {"n": 400}), ("lem.gauss", {"n": 100001}),
             ("rem.qdetabs", {"n": 30}), ("lem.oneplus", {"n": 401}),
             ("lem.half", {"n": 1601}), ("thper.jxk", {"p": 607}),
@@ -204,14 +204,14 @@ def test_size_limits_refuse_before_building(monkeypatch):
             ("thnew.invsumsq", {"p": 4007}), ("conj.sqdiff", {"p": 37}),
             ("thper.rootexp", {"n": 15}), ("cor.sin", {"n": 18}),
             ("cor.cos", {"n": 19}), ("thnew.cauchyroot", {"n": 15, "x": "-1"}),
-            ("conj.derange", {"n": 15}), ("rem.perhalf", {"n": 17}),
+            ("conj.derange", {"n": 17}), ("rem.perhalf", {"n": 17}),
             ("thq.floor", {"n": 40}), ("thq.qfloor", {"n": 21}),
             ("conj.bernoulli", {"n": 21}), ("conj.absjk", {"p": 23}),
             ("conj.maskper", {"p": 23, "a": 1}), ("lem.cauchy", {"n": 800}),
             ("lem.borchardt", {"n": 17}), ("lem.circulant", {"n": 61}),
             ("conj.qdet", {"n": 35, "a": 1}),
             ("conj.maskdet", {"p": 19, "a": 1}),
-            ("rem.cp", {"n": 40}), ("thjk.cong", {"p": 23}),
+            ("rem.cp", {"n": 29}), ("thjk.cong", {"p": 23}),
             ("thcos.cong", {"p": 37}), ("thsin.cong", {"p": 31}),
             ("thtan.cong", {"p": 1000}), ("conj.csign", {"p": 37}),
             ("conj.ssign", {"n": 31}), ("conj.tsign", {"n": 33}),
@@ -272,6 +272,17 @@ def test_size_limits_refuse_before_building(monkeypatch):
         for a in (top, -top):
             with pytest.raises(AssertionError, match="built"):
                 run_check("conj.qdet", {"n": n, "a": a})
+
+
+@pytest.mark.parametrize("check_id", ["det.sec2", "det.tan2", "rem.cp"])
+def test_determinant_checks_pass_and_print_at_their_limits(check_id):
+    # str() refuses an int past 4,300 digits; at its limit each check
+    # passes and every value it prints stays well inside.
+    key, top = REGISTRY[check_id].limit
+    r = run_check(check_id, {key: top})
+    assert r.status == "PASS", r
+    for text in (r.computed, r.expected):
+        assert sum(c.isdigit() for c in text) < 4300, (check_id, text)
 
 
 # The five vectors u_j = j^e (lo <= j < hi) of the rank-2 claims, as
