@@ -37,17 +37,15 @@ image of x^m - 1, so the fold is a ring map, and folding a vector of L1
 norm at most L keeps every coefficient within L.
 CyclotomicField.lower_rational shares pack_rows' row clearing (clear_rows)
 and its bound L, and maps each vector to its value at 2^e mod Phi_m(2^e):
-one int of about bitlen(L) bits in place of m digits of B bits, exact
-when the permanent or determinant is rational (see the matrices module
-docstring), so a Galois-invariant matrix's Bareiss runs on those ints in
-place of the unfolded images.  Both lowerings take each distinct entry's
-L1 norm, image and residue once per matrix: both maps are Z-linear, so a
-row's scale multiplies the entry's value.
-Given a carrier W it is exact when the permanent times W is rational: the
-bound grows by the factor |W.num|_1, and the lift multiplies by W's
-residue before it recognises the rational and divides W back out.  The
-orbit sum of the [T(jk mod n)] tables takes it with W = sqrt_element(n)
-for the tables with T(n - r) = -T(r).
+one int of about bitlen(L) bits in place of m digits of B bits.  Given a
+carrier W (1, or a square root of a rational such as sqrt_element(m)) it
+is exact when the permanent or determinant times W is rational, which the
+Galois check of the matrices module proves: the bound grows by the factor
+|W.num|_1, and the lift multiplies by W's residue before it recognises the
+rational and divides W back out.  Glynn, the orbit sum and Bareiss then
+run on those ints in place of Kronecker images.  Both lowerings take each
+distinct entry's L1 norm, image and residue once per matrix: both maps
+are Z-linear, so a row's scale multiplies the entry's value.
 Cyc.__mul__ packs its two operands' numerators as two one-entry rows, so a
 cyclic convolution becomes one int product, and Cyc.inverse multiplies the
 Galois conjugates the same way.
@@ -525,9 +523,9 @@ class CyclotomicField(Ring):
             return unpack(value * pow(2, -k, modulus), layout)
         return images, layout.product, lift
 
-    def lower_rational(self, rows, carrier: Cyc | None = None):
+    def lower_rational(self, rows, carrier: Cyc):
         """The int lowering for rows whose permanent (or determinant) times
-        a carrier W is rational, m >= 3 (W = 1 if no carrier is given).
+        the carrier W is rational, m >= 3.
 
         Each cleared entry vector v becomes an int congruent to v(2^e) mod
         N, N = Phi_m(2^e), e = ceil((bitlen(L') + 2) / phi(m)) + 1 with
@@ -538,19 +536,16 @@ class CyclotomicField(Ring):
         reduces and halves mod N (N is odd), takes the balanced residue v,
         raises ArithmeticError if |v| > L', and returns
         v W / (W^2 prod d_j den_W), which is v / prod d_j for W = 1.  The
-        matrices module docstring proves this exact for a Galois-invariant
-        matrix, which per_ryser and the determinants check first, and for a
-        [T(jk mod n)] table whose Galois character W shares, which the
-        orbit sum checks first.
+        matrices module docstring proves this exact for the carrier that
+        its Galois check (matrices._carrier) finds.
         """
         m = self.m
-        if carrier is None:
-            carrier, square = self.one, 1
-        else:
-            square = (carrier * carrier).as_rational()
-            if not square:
-                raise DomainError(f"the carrier {carrier} is no square root"
-                                  f" of a nonzero rational")
+        # W^2, which the lift divides by; a rational W needs no product.
+        w = carrier.as_rational()
+        square = w * w if w is not None else (carrier * carrier).as_rational()
+        if not square:
+            raise DomainError(f"the carrier {carrier} is no square root"
+                              f" of a nonzero rational")
         scales, den, bound = clear_rows(rows)
         bound *= sum(map(abs, carrier.num))
         phi = cyclotomic_poly(m)

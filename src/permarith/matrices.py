@@ -16,9 +16,10 @@ another order, so the int each lift receives is the same and every
 exactness argument below carries over unchanged.  per_ryser keeps the name
 of the Ryser loop it replaced and refuses matrices above RYSER_LIMIT rows
 with a SizeLimitError, which callers report as out of domain.  It is the
-one entry point for a permanent: it reads the matrix and takes the orbit
-sum, the rational lowering or the ring's own lowering, in that order, as
-described below.
+one entry point for a permanent: it reads the matrix, takes the orbit sum
+where the table has it and Glynn's sum elsewhere, and runs either on one
+residue per entry where the Galois check below finds a carrier, else on
+the ring's own lowering.
 
 per_orbits is the same sum for the matrices [T(jk mod n)], 1 <= j, k <= h,
 h = (n-1)/2, over Q(zeta_n) whose table satisfies T(n - r) = sign * T(r)
@@ -59,73 +60,61 @@ the image of x^m - 1, and Bareiss works on the unfolded images, whose
 determinant is the image of the determinant in Z[x]; unpack folds it once
 at the end.
 
-per_ryser over Q(zeta_m), m >= 3, takes a smaller lowering
-(CyclotomicField.lower_rational) for a matrix that is not such a table but
-is Galois-invariant: its n rows are labelled by the residues mod q, 1..n
-with label q standing for residue 0, where q = m for n = m - 1 or m, and
-q = n for m = 2n (the shape of sec2_diff and tan2_diff, whose tables over
-Q(zeta_2n) have period n); and for every generator a of (Z/m)^*
-(unit_generators) the check finds
-sigma_a(M[j][k]) == M[pi(j)][tau(k)] in the field for all j, k, with
-pi(j) = a*j mod q, a permutation of the labels since a is prime to q, and
-tau = pi or the identity.  Then sigma_a(per M) is the permanent of M with
-its rows and columns permuted, which is per M; the generators generate the
-Galois group, so per M is rational.  Let
-P in Z[x]/(x^m - 1) be the lattice permanent of the cleared rows (row j
-times d_j), so that P(zeta) = prod d_j * per M is a rational algebraic
-integer, an int v, with |v| <= |P|_1 <= L (L as in pack_rows).  Let
-N = Phi_m(2^e).  Phi_m divides x^m - 1, so x -> 2^e mod N is a ring map
-from Z[x]/(x^m - 1) to Z/N that factors through Z[x]/Phi_m = Z[zeta];
-it sends P to v mod N, and Glynn's sum, 2^(n-1) P, to 2^(n-1) v mod N.
-N is odd, since Phi_m(0) = 1 for m >= 2, so halving mod N is exact.
-The primitive m-th roots of unity are not real for m >= 3, so
-N = prod |2^e - zeta^k| >= (2^e - 1)^phi(m) >= 2^((e-1) phi(m)), which
-with e = ceil((bitlen(L) + 2)/phi(m)) + 1 is at least 2^(bitlen(L) + 2)
-> 4L.  So v is the balanced residue mod N, and the lift returns
-v / prod d_j.  The lift also refuses a residue over L, but that is only a
-guard: a permanent off Q can still leave one within L, so the check alone
-makes the lowering exact.  Every other matrix stays on Kronecker images.
+Over Q(zeta_m), m >= 3, every engine first asks one Galois check
+(_carrier) for a smaller lowering (CyclotomicField.lower_rational).  The
+n rows carry labels in one of four shapes; for a unit a mod m the labels
+give a permutation pi of the rows and a sign s_j for each row:
+  - n = m - 1 or m: labels 1..n mod q = m (label m is residue 0), and
+    pi(j) = a*j mod q, s_j = 1;
+  - m = 2n: the same mod q = n (the shape of sec2_diff and tan2_diff,
+    whose tables over Q(zeta_2n) have period n);
+  - m = 2n + 1, the shape of the [T(jk mod m)] tables: pi(j) = fold(a*j),
+    and s_j = sign where a*j mod m > n, sign being the table's lattice
+    sign for the orbit sum and 1 otherwise.
+pi permutes the labels since a is prime to m.  The check asks, for every
+generator a of (Z/m)^* (unit_generators), that
+    sigma_a(M[j][k]) == s_j M[pi(j)][tau(k)]
+in the field for all j, k, with tau = pi, or for a permanent tau = pi or
+the identity.  Then sigma_a(M) is M with its rows permuted by pi and
+signed by s, and its columns permuted by tau, so sigma_a(per M) =
+chi(a) per M with chi(a) = prod_j s_j, and with tau = pi sigma_a(det M) =
+chi(a) sgn(pi)^2 det M = chi(a) det M.  (With tau the identity,
+sigma_a(det M) = chi(a) sgn(pi) det M, which need not be rational:
+[1 - zeta^j x_k] is such a matrix, and its determinant stays on
+Kronecker.)  Let X be per M or det M.  The carrier W is 1 if every
+chi(a) is 1; else (only the folded shape has signs, and its m is odd)
+W = sqrt_element(m) if the check also finds sigma_a(W) == chi(a) W for
+every generator; else there is none, and the matrix stays on Kronecker
+images.  The generators generate the Galois group, so every sigma_a
+fixes W X, which is therefore rational.  (For a [T(jk mod m)] table of
+sign -1, chi(a) is the Jacobi symbol (a/m) by Gauss's lemma, which is 1
+for every a when m is a square, and the Gauss sum has that character
+(Berndt, Evans and Williams, Gauss and Jacobi Sums, 1998), so the six
+families pass; the engine checks this rather than trusting it.)
 
-det_divfree and det_field take the same lowering under the same check with
-tau = pi alone.  Then sigma_a(det M) = det(S M S^T) = sgn(pi)^2 det M =
-det M for the permutation matrix S of pi, so det M is rational.  (With tau
-the identity, sigma_a(det M) = sgn(pi) det M, which need not be rational:
-[1 - zeta^j x_k] is such a matrix, and stays on Kronecker.)  Let D be the
-lattice determinant of the cleared rows, so that D(zeta) = prod d_j det M
-is a rational algebraic integer, an int v, with |v| <= |D|_1 <= L, since D
-is a signed sum of the products that make up P.  Bareiss returns the
-determinant of the int residues, which x -> 2^e mod N, a ring map, makes
-congruent to D(2^e), that is to v, mod N; the lift takes the balanced
-residue as above.  A matrix that fails the check stays on Kronecker
-images.
-
-The orbit sum takes the same lowering, twisted by a carrier W, for a
-table whose Galois character it finds (_carrier).  Let R be the residues
-jk mod n of the table's entries.  For a unit a and r = jk in R,
-a*r = +-fold(aj)*k mod n, so a*r or n - a*r lies in R; where only n - x
-does, read T[x] as sign * T[n - x], the folded entry.  The check asks,
-for every generator a of (Z/n)^* and every r in R, that
-sigma_a(T[r]) == T[a*r mod n] in the field.  Then sigma_a maps row j of M
-to sign^[aj mod n > h] times row fold(aj) (where both a*r and n - a*r
-lie in R, _jk_sign's lattice symmetry makes the two readings agree), so
-sigma_a(per M) = chi(a) per M with chi(a) = sign^#{j <= h : aj mod n > h},
-counted from the table.  W is 1 for sign 1, where chi = 1, and
-sqrt_element(n) for sign -1, and the check asks sigma_a(W) == chi(a) W in
-the field too.  (For sign -1, chi(a) is the Jacobi symbol (a/n) by Gauss's
-lemma, and the Gauss sum has that character (Berndt, Evans and Williams,
-Gauss and Jacobi Sums, 1998), so the six families pass; the engine checks
-it rather than trusting it.)  So every sigma_a fixes W per M, which is
-rational.  With w = W.num over den_W and P the lattice permanent of the
-cleared rows, (P w)(zeta) = prod d_j den_W W per M is a rational
-algebraic integer v, and |v| <= |P|_1 |w|_1 <= L |w|_1.  The checks hold
-in the field, not on the lattice, and that suffices once the sum runs
-mod N: x -> 2^e mod N maps Z[x]/(x^n - 1) to Z/N through Z[x]/Phi_n =
-Z[zeta], so the residue of a lattice vector depends only on the field
-element it stands for.  The orbit sum is 2^h P on the lattice, so its
-residue times w(2^e) is 2^h (P w)(2^e) = 2^h v mod N.  With L |w|_1 in
-place of L, e is chosen and v recovered as above, and the lift returns
-v W / (W^2 prod d_j den_W) = per M.  A table that fails any check, and a
-one-row table, stay on Kronecker images.
+Let w = W.num over den_W, and let P be the lattice permanent or
+determinant of the cleared rows (row j times d_j) in Z[x]/(x^m - 1), so
+that (P w)(zeta) = prod d_j den_W W X is a rational algebraic integer, an
+int v, with |v| <= |P|_1 |w|_1 <= L |w|_1 =: L' (L as in pack_rows; the
+determinant is a signed sum of the products that make up the
+permanent).  Let N = Phi_m(2^e).  Phi_m divides x^m - 1, so
+x -> 2^e mod N is a ring map from Z[x]/(x^m - 1) to Z/N that factors
+through Z[x]/Phi_m = Z[zeta]: the residue of a lattice vector depends only
+on the field element it stands for, which is why checks in the field
+suffice.  Glynn's sum is 2^(n-1) P on the lattice and the orbit sum 2^h P
+(its terms are equal as lattice vectors), so their residues times
+w(2^e) are 2^(n-1) v and 2^h v mod N; Bareiss returns the determinant of
+the int residues, which the ring map makes congruent to P(2^e), so times
+w(2^e) it is v mod N.  N is odd, since Phi_m(0) = 1 for m >= 2, so halving
+mod N is exact.  The primitive m-th roots of unity are not real for
+m >= 3, so N = prod |2^e - zeta^k| >= (2^e - 1)^phi(m) >=
+2^((e-1) phi(m)), which with e = ceil((bitlen(L') + 2)/phi(m)) + 1 is at
+least 2^(bitlen(L') + 2) > 4L'.  So v is the balanced residue mod N, and
+the lift returns v W / (W^2 prod d_j den_W) = X.  The lift also refuses a
+residue over L', but that is only a guard: a value off Q can still leave
+one within L', so the check alone makes the lowering exact.  A one-row
+matrix keeps the ring's lowering: its permanent is its one entry, and
+the lift returns that lattice vector as it stands.
 
 per_sum_coeffs and per_sum_values are the rank-2 permanents over Z in
 closed form (Minc, Permanents, 1978): per[u_j + d*w_k] = sum_i i!(n-i)!
@@ -143,8 +132,9 @@ import operator
 from functools import lru_cache, partial, reduce
 from itertools import permutations
 from math import gcd
+from operator import itemgetter, neg
 
-from .cyclotomic import CyclotomicField, sqrt_element
+from .cyclotomic import CyclotomicField, _cyc, sqrt_element
 from .errors import DomainError, SizeLimitError, UnsupportedRingError
 from .ntheory import factorial
 from .rings import Ring
@@ -246,81 +236,122 @@ def check_ryser_size(n: int):
 def per_ryser(mat: Mat):
     """Permanent by Glynn's formula with Gray-code updates (the name is
     kept from the Ryser loop it replaced, as is the size limit): the orbit
-    sum for a symmetric [T(jk mod n)] table, else Glynn on
-    CyclotomicField.lower_rational for a Galois-invariant matrix, else on
-    the ring's lowering (see the module docstring)."""
+    sum for a symmetric [T(jk mod n)] table, else Glynn's sum, each on the
+    lowering _lowered picks (see the module docstring)."""
     n = mat.n
     check_ryser_size(n)
     sign = _jk_shaped(mat) and _jk_sign(mat)[0]
     if sign:
-        return _orbit_sum(mat, sign)
-    ring = mat.ring
-    lower = ring.lower_rational if _galois_invariant(mat) else ring.lower
-    rows, product, lift = lower(mat.rows)
+        rows, product, lift = _lowered(mat, sign)
+        return lift(_orbit_glynn(rows, product, sign), n)
+    rows, product, lift = _lowered(mat)
     return lift(_glynn(rows, product), n - 1)
 
 
 @lru_cache(maxsize=None)
 def unit_generators(m: int) -> tuple[int, ...]:
-    """A generating set of (Z/m)^*, taken greedily from 2, 3, ..., m - 1
-    (empty for m <= 2)."""
+    """A generating set of (Z/m)^* (empty for m <= 2), taken greedily from
+    the units in order of decreasing multiplicative order, then value: a
+    cyclic group gets one generator."""
+    def order(a):
+        k, x = 1, a
+        while x != 1:
+            k, x = k + 1, x * a % m
+        return -k
     gens, reached = [], {1}
-    for a in range(2, m):
-        if gcd(a, m) == 1 and a not in reached:
+    for a in sorted((a for a in range(2, m) if gcd(a, m) == 1), key=order):
+        if a not in reached:
             gens.append(a)
-            while True:
-                more = {x * g % m for x in reached for g in gens} - reached
-                if not more:
-                    break
-                reached |= more
+            # The subgroup reached, times every power of a.
+            more = reached
+            while more:
+                more = {x * a % m for x in more} - reached
+                reached = reached | more
     return tuple(gens)
 
 
-def _galois_invariant(mat: Mat, det: bool = False) -> bool:
-    # True if mat is over Q(zeta_m), m >= 3, with its n rows labelled by the
-    # residues mod q, 1..n with label q for residue 0, where q = m for
-    # n = m - 1 or m and q = n for m = 2n; and every generator a of (Z/m)^*
-    # satisfies sigma_a(M[j][k]) == M[pi(j)][tau(k)] in the field, where
-    # pi(j) = a*j mod q and tau is pi, or for a permanent (det False) pi or
-    # the identity.
+def _carrier(mat: Mat, sign: int = 1, det: bool = False):
+    # The carrier W of the residue lowering if mat is over Q(zeta_m),
+    # m >= 3, in one of the four label shapes of the module docstring, and
+    # every generator a of (Z/m)^* satisfies
+    # sigma_a(M[j][k]) == s_j M[pi(j)][tau(k)] in the field, with tau = pi,
+    # or for a permanent (det False) pi or the identity: W = 1 where every
+    # chi(a) = prod s_j is 1, else sqrt_element(m) if
+    # sigma_a(W) == chi(a) W for every generator; else None.  sign is the
+    # row sign of the folded shape, m = 2n + 1.
     ring = mat.ring
     if not isinstance(ring, CyclotomicField) or ring.m < 3:
-        return False
+        return None
     m, n, rows = ring.m, mat.n, mat.rows
-    if n in (m - 1, m):
+    folded = m == 2 * n + 1
+    if folded or n in (m - 1, m):
         q = m
     elif m == 2 * n:
         q = n
     else:
-        return False
+        return None
     same = list(range(n))
+    chis = []
     for a in unit_generators(m):
-        pi = [a * j % q - 1 for j in range(1, n + 1)]  # index -1 is label q
+        # Index pi[j] (0-based; -1 is label q), row sign signs[j].
+        pi, signs = [], []
+        for j in range(1, n + 1):
+            x = a * j % q
+            if folded and x > n:
+                x = m - x
+                signs.append(sign)
+            else:
+                signs.append(1)
+            pi.append(x - 1)
         # sigma_a sends coefficient e to a*e, so image[f] = num[f / a].
-        b = pow(a, -1, m)
-        back = [b * f % m for f in range(m)]
-        # id(entry) -> [sigma_a(entry).num, sigma_a(entry) once the field is
-        # asked]; rows keep entries alive.
-        images = {}
+        back = itemgetter(*[pow(a, -1, m) * f % m for f in range(m)])
+        # For s = 1 and -1: id(entry) -> (s sigma_a(entry)).num; rows keep
+        # entries alive.
+        images = {1: {}, -1: {}}
+        asked = {}  # (id(entry), id(target), s) -> the field's answer
 
         def maps_onto(tau):
-            for j, row in enumerate(rows):
-                for k, z in enumerate(row):
-                    image = images.get(id(z))
+            for row, s, target in zip(rows, signs, [rows[i] for i in pi]):
+                signed = images[s]
+                for z, k in zip(row, tau):
+                    w = target[k]
+                    image = signed.get(id(z))
                     if image is None:
-                        num = z.num
-                        image = images[id(z)] = [[num[i] for i in back], None]
-                    w = rows[pi[j]][tau[k]]
+                        image = signed[id(z)] = list(
+                            back(z.num) if s > 0 else map(neg, back(z.num)))
                     # Equal normal-form pairs are equal; else ask the field.
-                    if image[0] != w.num or z.den != w.den:
-                        if image[1] is None:
-                            image[1] = z.galois(a)
-                        if image[1] != w:
-                            return False
+                    if image == w.num and z.den == w.den:
+                        continue
+                    key = id(z), id(w), s
+                    ok = asked.get(key)
+                    if ok is None:
+                        ok = asked[key] = _cyc(m, image, z.den) == w
+                    if not ok:
+                        return False
             return True
         if not (maps_onto(pi) or not det and maps_onto(same)):
-            return False
-    return True
+            return None
+        chis.append((a, signs.count(-1) & 1))
+    if not any(odd for _, odd in chis):
+        return ring.one
+    # Only the folded shape has row signs, and its m = 2n + 1 is odd.
+    carrier = sqrt_element(m)
+    if all(carrier.galois(a) == (-carrier if odd else carrier)
+           for a, odd in chis):
+        return carrier
+    return None
+
+
+def _lowered(mat: Mat, sign: int = 1, det: bool = False):
+    # The rows on one residue mod Phi_m(2^e) each, twisted by the carrier
+    # _carrier finds, else on the ring's own lowering.  A one-row matrix
+    # keeps the ring's: its permanent is its one entry, which the lift
+    # returns as it stands.
+    ring = mat.ring
+    carrier = _carrier(mat, sign, det) if mat.n > 1 else None
+    if carrier is None:
+        return ring.lower(mat.rows)
+    return ring.lower_rational(mat.rows, carrier)
 
 
 def _jk_shaped(mat: Mat) -> bool:
@@ -419,11 +450,10 @@ def per_orbits(mat: Mat):
     Every delta in an orbit has the same term on the exponent lattice (see
     the module docstring), so this is the full sum 2^h per, and the
     lowering's lift halves and decodes it as it does per_ryser's.  The sum
-    runs on one residue mod Phi_n(2^e) per entry when the table's Galois
-    character checks out (the twisted rational lowering), else on
-    Kronecker images.  Raises
-    ArithmeticError if the table is symmetric for neither sign.  per_ryser
-    takes this sum itself for such a table.
+    runs on one residue mod Phi_n(2^e) per entry, twisted by the carrier,
+    when the Galois check finds the table's character, else on Kronecker
+    images.  Raises ArithmeticError if the table is symmetric for neither
+    sign.  per_ryser takes this sum itself for such a table.
     """
     if not _jk_shaped(mat):
         raise DomainError(f"per_orbits needs an h x h matrix over "
@@ -432,46 +462,7 @@ def per_orbits(mat: Mat):
     sign, why = _jk_sign(mat)
     if not sign:
         raise ArithmeticError(why)
-    return _orbit_sum(mat, sign)
-
-
-def _carrier(mat: Mat, sign: int):
-    # For a table that passed _jk_sign: the carrier W of the twisted rational
-    # lowering (1 for sign 1, sqrt_element(n) for sign -1) if, for every
-    # generator a of (Z/n)^*, sigma_a(T[r]) == T[a*r mod n] in the field for
-    # every residue r of the table, with T[x] = sign * T[n - x] for the x
-    # that no entry has, and sigma_a(W) == chi(a) W for
-    # chi(a) = sign^#{j <= h : a*j mod n > h}; else None.
-    ring, h = mat.ring, mat.n
-    n = ring.m
-    table = {j * k % n: z for j, row in enumerate(mat.rows, 1)
-             for k, z in enumerate(row, 1)}
-    carrier = ring.one if sign > 0 else sqrt_element(n)
-    for a in unit_generators(n):
-        for r, z in table.items():
-            x = a * r % n
-            want = table.get(x)
-            if want is None:
-                want = table[n - x] if sign > 0 else -table[n - x]
-            if z.galois(a) != want:
-                return None
-        chi = sign ** sum(a * j % n > h for j in range(1, h + 1))
-        if carrier.galois(a) != (carrier if chi > 0 else -carrier):
-            return None
-    return carrier
-
-
-def _orbit_sum(mat: Mat, sign: int):
-    # per_orbits' sum, for a table already checked for the sign: on one
-    # residue mod Phi_n(2^e) per entry where _carrier finds the character,
-    # else on Kronecker images.  A one-row table keeps Kronecker: its sum is
-    # its one entry, which the lift returns as it stands.
-    ring = mat.ring
-    carrier = _carrier(mat, sign) if mat.n > 1 else None
-    if carrier is None:
-        rows, product, lift = ring.lower(mat.rows)
-    else:
-        rows, product, lift = ring.lower_rational(mat.rows, carrier)
+    rows, product, lift = _lowered(mat, sign)
     return lift(_orbit_glynn(rows, product, sign), mat.n)
 
 
@@ -580,21 +571,11 @@ def _bareiss(rows):
     return sign * a[0][0]
 
 
-def _lowered_det(mat: Mat):
-    # Bareiss on one residue mod Phi_m(2^e) per entry for a matrix whose
-    # Galois images permute its rows and columns alike, else on the ring's
-    # lowering (see the module docstring).
-    ring = mat.ring
-    lower = (ring.lower_rational if _galois_invariant(mat, det=True)
-             else ring.lower)
-    rows, _, lift = lower(mat.rows)
-    return lift(_bareiss(rows))
-
-
 def det_divfree(mat: Mat):
     """Determinant with no division in the ring: fraction-free elimination
     on the ring's int lowering, so rings with zero divisors are safe."""
-    return _lowered_det(mat)
+    rows, _, lift = _lowered(mat, det=True)
+    return lift(_bareiss(rows))
 
 
 def det_field(mat: Mat):
@@ -603,4 +584,5 @@ def det_field(mat: Mat):
     ring = mat.ring
     if not ring.is_field:
         raise UnsupportedRingError(f"{ring.name} is not a field")
-    return _lowered_det(mat)
+    rows, _, lift = _lowered(mat, det=True)
+    return lift(_bareiss(rows))

@@ -33,9 +33,11 @@ image is v / 2^k; each lowering makes that division exact:
 * Q(zeta_m): cyclotomic.pack_rows and unpack (the same substitution; the
   lift folds mod 2^(mB) - 1, the image of x^m - 1, as do Glynn's row
   products; the modulus is odd, so the lift multiplies by the inverse of
-  2^k).  For a Galois-invariant matrix per_ryser and the determinants
-  take CyclotomicField.lower_rational instead, evaluation at 2^e mod
-  Phi_m(2^e), whose lift returns a rational (matrices module docstring).
+  2^k).  For a matrix that passes the Galois check of the matrices
+  module, per_ryser and the determinants take
+  CyclotomicField.lower_rational instead, evaluation at 2^e mod
+  Phi_m(2^e) twisted by the check's carrier, whose lift returns the exact
+  value (matrices module docstring).
 
 Each lift is exact only for a signed sum of products of one entry per row,
 which is what a permanent or a determinant is.

@@ -4,10 +4,10 @@ Each value is the permanent of a families.build_cyclotomic matrix over
 Q(zeta_n), times W^e for the Gauss-sum carrier W = sqrt_element(n) =
 i^h sqrt(n), h = (n-1)/2, and e in {-1, 0, 1} (SEQ_TABLE says which).
 matrices.per_ryser chooses the engine: the orbit sum for the six
-[f(zeta^(jk))] families, whose tables are symmetric, on one residue per
-entry twisted by W where the table's Galois character allows, and Glynn
-on one residue per entry for T, whose matrix is Galois-invariant.  Each row of
-SEQ_TABLE refuses an index past its timed limit before building anything.
+[f(zeta^(jk))] families, whose tables are symmetric, and Glynn's sum for
+T, each on one residue per entry, twisted by W where the Galois check
+finds the table's character.  Each row of SEQ_TABLE refuses an index past
+its timed limit before building anything.
 Integrality is a theorem for T, c, s, s', t, t'; the code checks that the
 result is rational at recognition time and treats failure as an arithmetic
 bug.
@@ -82,28 +82,24 @@ def _check_domain(name: str, n: int, prime_only: bool = False):
 # one factor per row, so each value is W^e per[built matrix]; T's n-1 rows
 # give i^(n-1) = (-1)^h.
 #
-# A jk row's largest index was the last n whose value took about 0.5 s or
-# less when the orbit sum ran on Kronecker images, timed from a fresh
-# process on a 2-core x86-64 machine (Python 3.11, Fraction backend): c,
-# cprime and s took 0.15-0.52 s at 31, sprime, t and tprime 0.13-0.44 s at
-# 29, each about 3x more per step of n.  The indices were kept.  On one
-# residue mod Phi_n(2^e) (the twisted rational lowering) the same values
-# take 0.02-0.05 s (c, cprime and s at 31) and 0.01-0.02 s (sprime, t and
-# tprime at 29), about 2x more per step of n: 0.04-0.10 s one step past
-# each index, and 0.17-0.37 s for all six at 37, of which _orbits' walk
-# over the 2^18 masks takes about 0.13 s.  T keeps
-# 19, its limit before the rational lowering: with no orbit symmetry its
-# Glynn sum takes 2^(n-2) products of n - 1 row sums (residues mod
-# Phi_n(2^e)), and T(17) takes 0.23-0.30 s, T(19) 1.4 s, T(21) 6.4 s: the
-# products of these long residues, not the loop, set its time.
+# A jk row's largest index is the last n whose value takes about 0.5 s or
+# less on one residue mod Phi_n(2^e) (the twisted rational lowering), timed
+# from a fresh process on a 2-core x86-64 machine (Python 3.11, Fraction
+# backend): all six take 0.23-0.48 s at 37 and 0.67-1.25 s at 39 (sprime
+# and tprime, prime indices only, 2.2-2.6 s at 41), about 3x more per step
+# of n, of which _orbits' walk over the 2^18 masks takes about 0.13 s at
+# 37.  T keeps 19, its limit before the rational lowering: with no orbit
+# symmetry its Glynn sum takes 2^(n-2) products of n - 1 row sums (residues
+# mod Phi_n(2^e)), and T(17) takes 0.23-0.30 s, T(19) 1.4 s, T(21) 6.4 s:
+# the products of these long residues, not the loop, set its time.
 SEQ_TABLE = {
     "T": ("tan_shift", 0, True, False, 19),
-    "c": ("cos2", 0, False, False, 31),
-    "cprime": ("sec2", 0, False, False, 31),
-    "s": ("sin2", -1, False, False, 31),
-    "sprime": ("csc2", 1, False, True, 29),
-    "t": ("tan_jk", -1, False, False, 29),
-    "tprime": ("cot_jk", 1, False, True, 29),
+    "c": ("cos2", 0, False, False, 37),
+    "cprime": ("sec2", 0, False, False, 37),
+    "s": ("sin2", -1, False, False, 37),
+    "sprime": ("csc2", 1, False, True, 37),
+    "t": ("tan_jk", -1, False, False, 37),
+    "tprime": ("cot_jk", 1, False, True, 37),
 }
 
 

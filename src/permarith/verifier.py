@@ -218,7 +218,7 @@ def _run_thq_det(params, rng):
 # Each backend's largest n (see the timing comment above the registry).  The
 # runner checks them after the fq root search, so that its SKIP still shows;
 # a registry limit would come first.
-ROOTLINEAR_LIMITS = {"cyc": 13, "fq": 16}
+ROOTLINEAR_LIMITS = {"cyc": 14, "fq": 16}
 
 
 def _run_rootlinear(params, rng):
@@ -553,15 +553,15 @@ _FAST_D = {"hi": 13, "d": (1, 2, -1)}
 # products, so their time grows 2-3x per step of n.  Their matrices are
 # Galois-invariant, so per_ryser lowers them to one residue mod Phi_m(2^e)
 # (see matrices); each was timed on that engine, its runner called directly
-# in a fresh process.  These limits were fitted before Glynn's sum went to
-# blocks (matrices) and were kept; timed since: thper.rootlinear (random x at
-# seeds 0-2) with backend cyc 0.10-0.29 s at n = 13 and 0.28-0.33 s at 14,
-# with backend fq (no Q(zeta)) 0.14-0.15 s at 15, 0.26-0.28 s at 16 and
-# 0.51-0.56 s at 17; thper.rootexp 0.17-0.19 s at 14 and 0.48-0.72 s at 15;
-# rem.perhalf 0.08-0.12 s at 15 and 0.55-0.58 s at 17; cor.sin 0.13-0.22 s
-# at 17 and 0.26-0.39 s at 18; cor.cos 0.27-0.30 s at 18.  Timed before the
-# blocks: thnew.cauchyroot also grows with the height of x, about 2x per
-# step of n at a fixed time, so it refuses height(x) > 2^15 / 2^max(n, 7):
+# in a fresh process, since Glynn's sum went to blocks (matrices):
+# thper.rootlinear (random x at seeds 0-2) with backend cyc 0.37-0.62 s at
+# n = 14 and 1.05-1.59 s at 15, with backend fq (no Q(zeta)) 0.26-0.31 s at
+# 16 and 0.51-0.84 s at 17; thper.rootexp 0.17-0.19 s at 14 and 0.48-0.72 s
+# at 15; rem.perhalf 0.08-0.12 s at 15 and 0.55-0.58 s at 17; cor.sin
+# 0.31-0.50 s at 18 and 1.3 s at 19; cor.cos 0.27-0.30 s at 18.  Timed
+# before the blocks: thnew.cauchyroot also grows with the height of x,
+# about 2x per step of n at a fixed time, so it refuses
+# height(x) > 2^15 / 2^max(n, 7):
 # at the largest height each n accepts, x = 3, -3 or 1/3 takes 0.25-0.27 s
 # at n = 14 (0.79-0.89 s at 15), values of height 4 at most 0.42 s at 13
 # (0.53-0.66 s for height 5), height 8 at most 0.44 s at 12 (0.31-0.54 s
@@ -587,7 +587,9 @@ _FAST_D = {"hi": 13, "d": (1, 2, -1)}
 # 0.67-0.91 s at a = 1.
 # A check that reads sequences has the
 # smallest largest index of their SEQ_TABLE rows as its limit, which it
-# applies before the primality test.
+# applies before the primality test: the checks that read two rows at one
+# index (thcos.*, thsin.*, thtan.*, conj.csign, conj.ssign, conj.tsign)
+# take 0.41-0.69 s at 37.
 
 def _seq_limit(key, *names):
     return key, min(SEQ_TABLE[name][-1] for name in names)
@@ -666,7 +668,7 @@ _register("cor.quadmod", "theorem",
 _register("cor.sin", "theorem",
           "per[sin pi(j+k)/n] (size n-1): (-1)^((n-1)/2) n!/(2^(n-2)(n+1)) "
           "for odd n, 0 for even n",
-          _run_cor_sin, partial(_ns, lo=2), 9, 12, limit=("n", 17))
+          _run_cor_sin, partial(_ns, lo=2), 9, 12, limit=("n", 18))
 _register("cor.cos", "theorem",
           "per[cos pi(j+k)/n] (size n-1) = (n-1)!/(-2)^(n-1) sum 1/C(n-1,k)",
           _claim((lambda n: Rat(per_ryser(build_cyclotomic(

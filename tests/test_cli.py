@@ -102,11 +102,11 @@ def test_seq_skip_row(capsys):
     code, out = run_cli(capsys, "seq", "sprime", "--range", "9..9", "--json")
     doc = json.loads(out)
     assert doc["results"][0]["status"] == "SKIP"
-    # t(31) is past the largest index of t.
-    code, out = run_cli(capsys, "seq", "t", "--range", "31..31", "--json")
+    # t(39) is past the largest index of t.
+    code, out = run_cli(capsys, "seq", "t", "--range", "39..39", "--json")
     row = json.loads(out)["results"][0]
     assert code == 0
-    assert row["status"] == "SKIP" and "t limited to n <= 29" in row["note"]
+    assert row["status"] == "SKIP" and "t limited to n <= 37" in row["note"]
 
 
 def test_seq_json_values_are_exact_strings(capsys):

@@ -15,8 +15,8 @@ from permarith.cyclotomic import (Cyc, CyclotomicField, cyclotomic_poly,
                                   pack_rows, sqrt_element, unpack)
 from permarith.errors import (DomainError, NonInvertibleError,
                               SearchExhaustedError)
-from permarith.matrices import (Mat, _galois_invariant, det_field,
-                                per_orbits, per_ryser)
+from permarith.matrices import (Mat, _carrier, _jk_shaped, _jk_sign,
+                                det_field, per_orbits, per_ryser)
 from permarith.ntheory import is_prime, jacobi
 from permarith.rings import LPoly, Rat
 
@@ -403,14 +403,16 @@ def _sparse_coords(m, rng):
 def test_engines_equal_the_model_permutation_sum(n, m, rng):
     # Glynn and Bareiss on Kronecker images against the permutation sums of
     # the Fraction model, coordinate by coordinate on the exponent lattice.
-    # A Galois-invariant draw (an all-zero matrix, say) takes the rational
-    # lowering, whose result is the canonical rational: compare it in the
-    # field.
+    # A draw that passes the Galois check (an all-zero matrix, say) takes
+    # the residue lowering, whose result is the canonical rational: compare
+    # it in the field.  per_ryser asks the check with the lattice sign of a
+    # [T(jk mod n)] table, and keeps Kronecker for one row.
     coords = [[_sparse_coords(m, rng) for _ in range(n)] for _ in range(n)]
     mat = Mat(CyclotomicField(m), [[Cyc(m, c) for c in row] for row in coords])
     model = [[_model(c) for c in row] for row in coords]
     per = per_ryser(mat)
-    if _galois_invariant(mat):
+    sign = _jk_shaped(mat) and _jk_sign(mat)[0] or 1
+    if n > 1 and _carrier(mat, sign) is not None:
         assert per == Cyc(m, _model_sum(model, False))
     else:
         assert _normal_form(per).coeffs == _model_sum(model, False)

@@ -15,10 +15,9 @@ from permarith.cyclotomic import Cyc, CyclotomicField, pack_rows, sqrt_element
 from permarith.errors import (DomainError, SizeLimitError,
                               UnsupportedRingError)
 from permarith.families import JK_SIGN, build_cyclotomic, conjugates
-from permarith.matrices import (RYSER_LIMIT, Mat, _bareiss, _carrier,
-                                _galois_invariant, _glynn, _jk_sign,
-                                _orbit_glynn, _orbits, det_divfree, det_field,
-                                per_naive, per_orbits, per_ryser,
+from permarith.matrices import (RYSER_LIMIT, Mat, _bareiss, _carrier, _glynn,
+                                _jk_sign, _orbit_glynn, _orbits, det_divfree,
+                                det_field, per_naive, per_orbits, per_ryser,
                                 per_sum_coeffs, per_sum_values,
                                 unit_generators)
 from permarith.ntheory import is_prime
@@ -321,7 +320,7 @@ def test_orbits_equal_the_walk_they_replaced():
 
 
 def _orbit_sum_with(lower, mat):
-    # _orbit_sum's body on a chosen lowering.
+    # per_orbits' body on a chosen lowering.
     rows, product, lift = lower(mat.rows)
     return lift(_orbit_glynn(rows, product, _jk_sign(mat)[0]), mat.n)
 
@@ -347,7 +346,10 @@ def test_twisted_lowering_equals_the_kronecker_orbit_sum(family):
         sign = _jk_sign(mat)[0]
         carrier = _carrier(mat, sign)
         assert sign == JK_SIGN[family], n
-        assert carrier == (mat.ring.one if sign > 0 else sqrt_element(n)), n
+        # For sign -1, chi(a) is the Jacobi symbol (a/n), which is 1 for
+        # every unit a when n is a square (9 and 25): the carrier is 1 there.
+        twisted = sign < 0 and math.isqrt(n) ** 2 != n
+        assert carrier == (sqrt_element(n) if twisted else mat.ring.one), n
         want = _orbit_sum_with(partial(mat.ring.lower_rational,
                                        carrier=carrier), mat)
         assert (got.num, got.den) == (want.num, want.den), n
@@ -585,7 +587,7 @@ def test_rational_lowering_on_invariant_matrices(mat):
     # Kronecker path in the field, and the n! oracle where that is cheap.
     # The example's entries are inverses in canonical coordinates, so the
     # invariance check needs the field for them, not only the lattice.
-    assert _galois_invariant(mat)
+    assert _carrier(mat) == mat.ring.one
     got = per_ryser(mat)
     assert not any(got.num[1:])
     assert got == _glynn_with(mat.ring.lower, mat)
@@ -600,7 +602,7 @@ def test_blocked_glynn_on_the_rational_lowering(n, data):
     # The rational lowering at the block edges that its orders reach:
     # n = 2 (m = 3), 6 and 7 (m = 7).
     mat = data.draw(_invariant_mats(max_n=n, min_n=n))
-    assert _galois_invariant(mat)
+    assert _carrier(mat) == mat.ring.one
     assert per_ryser(mat) == per_naive(mat)
 
 
@@ -615,7 +617,7 @@ def test_a_perturbed_entry_fails_the_invariance_check(mat, data):
     rows = [list(row) for row in mat.rows]
     rows[j][k] = rows[j][k] + mat.ring.zeta(1)
     bent = Mat(mat.ring, rows)
-    assert not _galois_invariant(bent)
+    assert _carrier(bent) is None
     assert per_ryser(bent) == per_naive(bent)
 
 
@@ -643,7 +645,7 @@ def test_rational_determinant_on_invariant_tables(mat):
     # det_field runs Bareiss on one residue per entry; it must equal
     # Bareiss on the Kronecker images, and the signed Leibniz sum where
     # that is cheap.
-    assert _galois_invariant(mat, det=True)
+    assert _carrier(mat, det=True) == mat.ring.one
     got = det_field(mat)
     assert got.as_rational() is not None
     assert got == _bareiss_with(mat.ring.lower, mat)
@@ -656,7 +658,7 @@ def test_rational_determinant_of_a_singular_table(n):
     # recip_root_diff at full size has determinant 0 for odd n (rem.cp):
     # the residue of Bareiss's int is 0 mod N though the int need not be.
     mat = build_cyclotomic("recip_root_diff", n=n, size=n)
-    assert _galois_invariant(mat, det=True)
+    assert _carrier(mat, det=True) == mat.ring.one
     assert det_field(mat) == 0
     assert det_divfree(mat) == _bareiss_with(mat.ring.lower, mat) == 0
     if n <= 6:
@@ -671,8 +673,8 @@ def test_a_row_only_symmetry_keeps_det_on_kronecker(n, monkeypatch):
     rng = random.Random(f"rootlinear-det:{n}")
     xs = [Rat(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)]
     mat = build_cyclotomic("root_linear", n=n, x=xs)
-    assert _galois_invariant(mat)
-    assert not _galois_invariant(mat, det=True)
+    assert _carrier(mat) == mat.ring.one
+    assert _carrier(mat, det=True) is None
 
     def refused(self, rows, carrier=None):
         raise AssertionError("took the rational lowering")
@@ -699,9 +701,88 @@ def test_the_rational_lift_refuses_a_nonrational_permanent(m, n, data):
     mat = Mat(ring, [[signs[j] * ring.zeta(exps[j]) if k == perm[j]
                       else ring.zero for k in range(n)] for j in range(n)])
     with pytest.raises(ArithmeticError):
-        _glynn_with(ring.lower_rational, mat)
-    assert not _galois_invariant(mat)
+        _glynn_with(partial(ring.lower_rational, carrier=ring.one), mat)
+    assert _carrier(mat) is None
     assert per_ryser(mat) == per_naive(mat)
+
+
+@st.composite
+def _labelled_mats(draw):
+    """(sign, det, mat): n <= 5 rows over Q(zeta_m) in one of the four label
+    shapes of the Galois check, built from a table of Galois conjugates
+    T(r) = F(zeta^r), F with rational coefficients, now and then over a
+    rational function of x that vanishes at no root of unity: [T(jk)] with
+    F(1/x) = sign F(x) for m = 2n + 1, whose rows the check signs (odd
+    composite m = 9 included, where every character is trivial), else
+    [T(j + k)] or [T(j - k)], with T(r) = F(zeta^(2r)) of period n for
+    m = 2n; or, for n = m - 1 or m, [1 - zeta^j x_k] with rational x_k,
+    whose rows alone the Galois images permute.  One in three is
+    perturbed: a row negated, or an entry moved by zeta or by the sum of
+    all m-th roots of unity, which is 0 in the field but not on the
+    lattice."""
+    shape = draw(st.sampled_from(("m - 1", "m", "2n", "2n + 1")))
+    n = draw(st.integers({"m - 1": 2, "m": 3, "2n": 2, "2n + 1": 1}[shape],
+                         5))
+    m = {"m - 1": n + 1, "m": n, "2n": 2 * n, "2n + 1": 2 * n + 1}[shape]
+    ring = CyclotomicField(m)
+    sign = draw(st.sampled_from((1, -1)))
+    terms = draw(st.lists(st.tuples(st.integers(0, m - 1), _RAT),
+                          min_size=1, max_size=3))
+    # x + 1/x = 2 cos(2 pi r/m) is rational only at -2, -1, 0, 1 and 2.
+    q = draw(st.none() | _RAT.filter(lambda q: q not in (-2, -1, 0, 1, 2)))
+    folded = shape == "2n + 1"
+    s = 2 if shape == "2n" else 1
+
+    def f(r):
+        x = ring.zeta(s * r)
+        z = sum((c * (ring.zeta(e * s * r) + sign * ring.zeta(-e * s * r)
+                      if folded else c * ring.zeta(e * s * r))
+                 for e, c in terms), ring.zero)
+        # x + 1/x + q keeps F(1/x) = sign F(x).
+        return z if q is None else z * (x + x ** -1 + q).inverse()
+    table = conjugates(ring, range(m), f)
+    step = draw(st.sampled_from((1, -1)))
+    rows = [[table[(j * k if folded else j + step * k) % m]
+             for k in range(1, n + 1)] for j in range(1, n + 1)]
+    if shape in ("m - 1", "m") and draw(st.booleans()):
+        xs = draw(st.lists(_RAT, min_size=n, max_size=n))
+        rows = [[1 - ring.zeta(j) * x for x in xs] for j in range(1, n + 1)]
+    kind = draw(st.sampled_from(("none", "none", "row", "zeta", "zero")))
+    j, k = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    if kind == "row":
+        rows[j] = [-z for z in rows[j]]
+    elif kind != "none":
+        rows[j][k] = rows[j][k] + (ring.zeta(1) if kind == "zeta"
+                                   else Cyc(m, [1] * m))
+    return sign, draw(st.booleans()), Mat(ring, rows)
+
+
+def _root_linear_3(xs):
+    ring = CyclotomicField(3)
+    return Mat(ring, [[1 - ring.zeta(j) * x for x in xs] for j in (1, 2)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(_labelled_mats())
+# Rows permuted by sigma_2 and columns fixed, so det is not rational.
+@example((1, True, _root_linear_3([Rat(1, 2), 3])))
+@example((1, False, _root_linear_3([Rat(1, 2), 3])))
+def test_the_carrier_makes_the_value_rational(drawn):
+    # Soundness of the Galois check: whenever it returns W, W times the
+    # permanent (the n! oracle) or, asked for a determinant, W times the
+    # Leibniz determinant is fixed by every sigma_a, so it is rational;
+    # and the engines, whatever lowering they take, equal the oracles.
+    sign, det, mat = drawn
+    m = mat.ring.m
+    carrier = _carrier(mat, sign, det)
+    value = _leibniz(mat) if det else per_naive(mat)
+    if carrier is not None:
+        twisted = value * carrier
+        for a in range(1, m):
+            if math.gcd(a, m) == 1:
+                assert twisted.galois(a) == twisted, (a, carrier)
+    assert per_ryser(mat) == per_naive(mat)
+    assert det_field(mat) == _leibniz(mat)
 
 
 def test_the_twisted_lowering_refuses_a_carrier_off_the_square_roots():

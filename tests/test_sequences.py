@@ -97,13 +97,13 @@ def test_size_guard_refuses_before_building(monkeypatch):
         raise AssertionError(f"built {family} at n = {params['n']}")
 
     monkeypatch.setattr(sequences, "build_cyclotomic", unbuildable)
-    for name, n, top in (("t", 201, 29), ("T", 1009, 19), ("T", 21, 19),
-                         ("sprime", 43, 29), ("c", 43, 31), ("c", 33, 31),
-                         ("tprime", 31, 29)):
+    for name, n, top in (("t", 201, 37), ("T", 1009, 19), ("T", 21, 19),
+                         ("sprime", 43, 37), ("c", 43, 37), ("c", 39, 37),
+                         ("tprime", 41, 37)):
         with pytest.raises(SizeLimitError) as err:
             sequence_value(name, n)
         assert str(err.value) == f"{name} limited to n <= {top}, got n = {n}"
-    for name, n in (("T", 19), ("t", 29), ("c", 31)):  # the largest built
+    for name, n in (("T", 19), ("t", 37), ("c", 37)):  # the largest built
         with pytest.raises(AssertionError, match="built"):
             sequence_value(name, n)
 

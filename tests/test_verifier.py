@@ -161,7 +161,7 @@ def test_size_limits_refuse_before_building(monkeypatch):
                        "thper.quad": quad, "thper.quad0": quad,
                        "cor.quadmod": quad, "thnew.invsumsq": ("p", 31),
                        "conj.sqdiff": ("p", 29),
-                       "thper.rootexp": ("n", 14), "cor.sin": ("n", 17),
+                       "thper.rootexp": ("n", 14), "cor.sin": ("n", 18),
                        "cor.cos": ("n", 18), "thnew.cauchyroot": ("n", 14),
                        "conj.derange": ("n", 16), "rem.perhalf": ("n", 15),
                        "thq.floor": ("n", 20), "thq.qfloor": ("n", 20),
@@ -170,12 +170,12 @@ def test_size_limits_refuse_before_building(monkeypatch):
                        "lem.borchardt": ("n", 16),
                        "lem.circulant": ("n", 60), "conj.qdet": ("n", 33),
                        "conj.maskdet": ("p", 17), "rem.cp": ("n", 28),
-                       "thjk.cong": ("p", 19), "thcos.cong": ("p", 31),
-                       "thsin.cong": ("p", 29), "thtan.cong": ("p", 29),
-                       "conj.csign": ("p", 31), "conj.ssign": ("n", 29),
-                       "conj.tsign": ("n", 29), "thjk.int": ("n", 19),
-                       "thcos.int": ("n", 31), "thsin.int": ("n", 29),
-                       "thtan.int": ("n", 29)}
+                       "thjk.cong": ("p", 19), "thcos.cong": ("p", 37),
+                       "thsin.cong": ("p", 37), "thtan.cong": ("p", 37),
+                       "conj.csign": ("p", 37), "conj.ssign": ("n", 37),
+                       "conj.tsign": ("n", 37), "thjk.int": ("n", 19),
+                       "thcos.int": ("n", 37), "thsin.int": ("n", 37),
+                       "thtan.int": ("n", 37)}
     # A check that reads sequences takes its limit from SEQ_TABLE.
     for check_id, names in (("thjk.cong", ("T",)), ("thjk.int", ("T",)),
                             ("thcos.int", ("c", "cprime")),
@@ -202,7 +202,7 @@ def test_size_limits_refuse_before_building(monkeypatch):
             ("thper.quad0", {"p": 3001, "d": 2}),
             ("cor.quadmod", {"p": 1427, "d": 3}),
             ("thnew.invsumsq", {"p": 4007}), ("conj.sqdiff", {"p": 37}),
-            ("thper.rootexp", {"n": 15}), ("cor.sin", {"n": 18}),
+            ("thper.rootexp", {"n": 15}), ("cor.sin", {"n": 19}),
             ("cor.cos", {"n": 19}), ("thnew.cauchyroot", {"n": 15, "x": "-1"}),
             ("conj.derange", {"n": 17}), ("rem.perhalf", {"n": 17}),
             ("thq.floor", {"n": 40}), ("thq.qfloor", {"n": 21}),
@@ -212,11 +212,11 @@ def test_size_limits_refuse_before_building(monkeypatch):
             ("conj.qdet", {"n": 35, "a": 1}),
             ("conj.maskdet", {"p": 19, "a": 1}),
             ("rem.cp", {"n": 29}), ("thjk.cong", {"p": 23}),
-            ("thcos.cong", {"p": 37}), ("thsin.cong", {"p": 31}),
-            ("thtan.cong", {"p": 1000}), ("conj.csign", {"p": 37}),
-            ("conj.ssign", {"n": 31}), ("conj.tsign", {"n": 33}),
-            ("thjk.int", {"n": 21}), ("thcos.int", {"n": 33}),
-            ("thsin.int", {"n": 31}), ("thtan.int", {"n": 35})):
+            ("thcos.cong", {"p": 41}), ("thsin.cong", {"p": 43}),
+            ("thtan.cong", {"p": 1000}), ("conj.csign", {"p": 41}),
+            ("conj.ssign", {"n": 39}), ("conj.tsign", {"n": 41}),
+            ("thjk.int", {"n": 21}), ("thcos.int", {"n": 39}),
+            ("thsin.int", {"n": 39}), ("thtan.int", {"n": 45})):
         key, top = guarded[check_id]
         r = run_check(check_id, params)
         assert r.status == "SKIP", r
@@ -229,8 +229,8 @@ def test_size_limits_refuse_before_building(monkeypatch):
             run_check(check_id, at_limit)
     # thper.rootlinear bounds each backend in its runner, after the fq root
     # search, whose own SKIP still shows past the limit.
-    assert verifier.ROOTLINEAR_LIMITS == {"cyc": 13, "fq": 16}
-    assert max(g["n"] for g in default_grid("thper.rootlinear", "full")) <= 13
+    assert verifier.ROOTLINEAR_LIMITS == {"cyc": 14, "fq": 16}
+    assert max(g["n"] for g in default_grid("thper.rootlinear", "full")) <= 14
     for backend, top in verifier.ROOTLINEAR_LIMITS.items():
         r = run_check("thper.rootlinear", {"n": top + 1, "backend": backend})
         assert r.status == "SKIP" and r.note == (
@@ -280,6 +280,19 @@ def test_determinant_checks_pass_and_print_at_their_limits(check_id):
     # passes and every value it prints stays well inside.
     key, top = REGISTRY[check_id].limit
     r = run_check(check_id, {key: top})
+    assert r.status == "PASS", r
+    for text in (r.computed, r.expected):
+        assert sum(c.isdigit() for c in text) < 4300, (check_id, text)
+
+
+@pytest.mark.parametrize("check_id,params", [
+    ("cor.sin", {"n": REGISTRY["cor.sin"].limit[1]}),
+    ("thper.rootlinear", {"n": verifier.ROOTLINEAR_LIMITS["cyc"],
+                          "backend": "cyc"})], ids=["cor.sin", "rootlinear"])
+def test_glynn_checks_pass_and_print_at_their_limits(check_id, params):
+    # The same at the limits of two Glynn checks over Q(zeta), re-fitted
+    # since Glynn's sum went to blocks.
+    r = run_check(check_id, params)
     assert r.status == "PASS", r
     for text in (r.computed, r.expected):
         assert sum(c.isdigit() for c in text) < 4300, (check_id, text)
@@ -365,6 +378,38 @@ def test_only_the_drawing_runners_seed_a_stream(monkeypatch):
                              ("lem.circulant", {"n": 3})):
         with pytest.raises(AssertionError, match="seeded"):
             run_check(check_id, params)
+
+
+def test_only_known_matrices_stay_on_kronecker(monkeypatch):
+    # Over the fast tier, every matrix over Q(zeta_m) takes the residue
+    # lowering except lem.circulant's determinants (random entries), one-row
+    # matrices (whose value is their entry) and matrices over Q(zeta_1) or
+    # Q(zeta_2), where the residue lowering does not apply: a family that
+    # falls back to Kronecker fails here.
+    lowered = []
+    current = [None]
+    real_check = verifier.run_check
+
+    def tagged(check_id, params, seed=0):
+        current[0] = check_id
+        return real_check(check_id, params, seed)
+
+    def spy(name):
+        real = getattr(cyclotomic.CyclotomicField, name)
+
+        def call(self, rows, *carrier):
+            lowered.append((current[0], self.m, len(rows), name))
+            return real(self, rows, *carrier)
+        monkeypatch.setattr(cyclotomic.CyclotomicField, name, call)
+    spy("lower")
+    spy("lower_rational")
+    monkeypatch.setattr(verifier, "run_check", tagged)
+    run_suite("fast")
+    kronecker = [(cid, m, n) for cid, m, n, name in lowered
+                 if name == "lower"]
+    assert kronecker and len(kronecker) < len(lowered)
+    for cid, m, n in kronecker:
+        assert cid == "lem.circulant" or n == 1 or m <= 2, (cid, m, n)
 
 
 def test_mutation_is_caught(monkeypatch):
