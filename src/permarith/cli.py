@@ -340,6 +340,18 @@ def _cmd_selftest(args, command) -> int:
             problems.append(f"gauss sum square at {n}")
     print("gauss sums  ok")
 
+    # CyclotomicField.rand draws one to three terms, so monomials and
+    # binomials, which invert by closed forms, are among the draws.
+    for ring in (QQ, GF(7), CyclotomicField(5)):
+        for _ in range(150):
+            z = ring.rand(rng)
+            if z == ring.zero:
+                continue
+            inv = ring.one / z if ring is QQ else z.inverse()
+            if z * inv != ring.one:
+                problems.append(f"{ring.name}: z * z^-1 != 1")
+        print(f"inverses    {ring.name}: ok")
+
     if problems:
         for p in problems[:10]:
             print("FAIL:", p)

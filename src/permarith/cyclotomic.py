@@ -48,7 +48,25 @@ distinct entry's L1 norm, image and residue once per matrix: both maps
 are Z-linear, so a row's scale multiplies the entry's value.
 Cyc.__mul__ packs its two operands' numerators as two one-entry rows, so a
 cyclic convolution becomes one int product, and Cyc.inverse multiplies the
-Galois conjugates the same way.
+Galois conjugates the same way.  An operand with at most two nonzero
+coordinates skips the packing: its product is one shifted copy of the other
+operand per term, the same exact convolution over den_a * den_b.  A
+rational summand changes num[0] alone.
+
+Monomials and binomials, which are all the entries the paper inverts
+(1/(1 - zeta^r x), sec, csc, tan, cot and 1/(1 - zeta^r)), invert in O(m)
+without the conjugates.  a zeta^s inverts to zeta^(-s) / a.  Write
+a zeta^s + b zeta^t = a zeta^s (1 - w x) with w = zeta^(t-s) of order
+d >= 2 and x = -b/a; since w^d = 1,
+  (1 - w x)^-1 = sum_{i<d} (w x)^i / (1 - x^d)     when x^d != 1,
+  (1 - w)^-1 = -(1/d) sum_{i<d} i w^i               when x = 1,
+(the second because (1 - w) sum i w^i = sum_{0<i<d} w^i - (d - 1) w^d
+= -1 - (d - 1)), and for x = -1 with d even, 1 + w = 1 - w^(1+d/2), which
+is the case x = 1 (or zero, for d = 2).  A rational x has x^d = 1 only for
+x = 1 or x = -1 with d even, so these cover every binomial.  Each path,
+the conjugate product too, reduces its vector mod Phi_m: the canonical
+coordinates (degree below phi(m)) of an element are unique, so the reduced
+vector in normal form is one pair whichever path computed it.
 
 Square roots of integers never become floats here: for odd n the quadratic
 Gauss sum g = sum_x zeta^(x^2) satisfies g^2 = (-1)^((n-1)/2) n, and
@@ -62,6 +80,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from operator import add, lshift, sub
 from typing import NamedTuple
 
@@ -201,12 +220,11 @@ class Cyc:
 
     def _plus(self, other, op):
         # self op other over the lcm of the two denominators.
-        if isinstance(other, Cyc):
-            self._check(other)
-        elif isinstance(other, (int, Rat)):
-            other = Cyc.rational(self.order, other)
-        else:
+        if not isinstance(other, Cyc):
+            if isinstance(other, (int, Rat)):
+                return self._offset(1, other if op is add else -other)
             return NotImplemented
+        self._check(other)
         a, da, b, db = self.num, self.den, other.num, other.den
         if da != db:
             d = math.lcm(da, db)
@@ -229,21 +247,41 @@ class Cyc:
         return self._plus(other, sub)
 
     def __rsub__(self, other):
-        return (-self) + other
+        if isinstance(other, (int, Rat)):
+            return self._offset(-1, other)
+        return NotImplemented
+
+    def _offset(self, sign: int, value) -> "Cyc":
+        # sign * self + value for a rational value, over the lcm of the two
+        # denominators: only num[0] takes the value.
+        if isinstance(value, int):
+            top, bottom = value, 1
+        else:
+            top, bottom = int(value.numerator), int(value.denominator)
+        den = self.den
+        d = den if bottom == 1 else math.lcm(den, bottom)
+        scale = sign * (d // den)
+        num = list(self.num) if scale == 1 else [c * scale for c in self.num]
+        num[0] += top * (d // bottom)
+        return _normal(self.order, num, d)
 
     def __mul__(self, other):
         if isinstance(other, Cyc):
             self._check(other)
+            m, a, b = self.order, self.num, other.num
+            den = self.den * other.den
+            if m - a.count(0) <= 2:
+                return _normal(m, _shifted_sum(b, a), den)
+            if m - b.count(0) <= 2:
+                return _normal(m, _shifted_sum(a, b), den)
             # pack_rows on the rows (self,) and (other,), without the
             # per-row bookkeeping: one int product replaces the convolution.
-            a, b = self.num, other.num
             bound = sum(map(abs, a)) * sum(map(abs, b))
-            layout = Layout(self.order, bound.bit_length() + 2,
-                            self.den * other.den, bound)
+            layout = Layout(m, bound.bit_length() + 2, den, bound)
             return unpack(layout.image(a) * layout.image(b), layout)
         if isinstance(other, (int, Rat)):
-            return _normal(self.order,
-                           [c * int(other.numerator) for c in self.num],
+            top = int(other.numerator)
+            return _normal(self.order, [c * top for c in self.num],
                            self.den * int(other.denominator))
         return NotImplemented
 
@@ -304,30 +342,36 @@ class Cyc:
             return None
         return Rat(can[0])
 
-    def inverse(self) -> "Cyc":
-        """Multiplicative inverse: the product of the phi(m) - 1 other Galois
-        conjugates, divided by the rational norm.
+    def reduced(self) -> "Cyc":
+        """The same element in canonical coordinates: num reduced mod Phi_m
+        (zero from phi(m) on), in normal form.  Canonical coordinates are
+        unique, so equal elements give equal pairs."""
+        return _reduced(self.order, self.num, self.den)
 
-        The conjugates of the integral numerator num are multiplied as
-        Kronecker images in one pass.  With conj their product, num * conj
-        reduces to the integer norm N, and the inverse is den * (conj mod
-        Phi_m) / N, in canonical coordinates.
+    def inverse(self) -> "Cyc":
+        """Multiplicative inverse, in canonical coordinates (see reduced()).
+
+        A monomial or binomial inverts in O(m) by the closed forms of the
+        module docstring.  Any other element takes the product conj of the
+        phi(m) - 1 other Galois conjugates of its integral numerator num,
+        multiplied as Kronecker images in one pass: num * conj reduces to
+        the integer norm N, and the inverse is den * conj / N.  Either way
+        the vector is reduced mod Phi_m, and the unique canonical
+        coordinates make the pair independent of the path.
         """
+        m, num = self.order, self.num
+        if m - num.count(0) <= 2:
+            return _reduced(m, *_sparse_inverse(m, num, self.den))
         if self.is_zero():
             raise NonInvertibleError("inverse of zero in a cyclotomic field")
-        m = self.order
-        num = _cyc(m, self.num, 1)
-        others = [num.galois(a) for a in range(2, m) if math.gcd(a, m) == 1]
-        if others:
-            rows, layout = pack_rows(m, [(z,) for z in others])
-            conj = unpack(layout.product([img for (img,) in rows]), layout)
-        else:
-            conj = Cyc.rational(m, 1)
-        norm, *rest = _divmod_phi((num * conj).num, m)[1]
+        whole = _cyc(m, num, 1)
+        others = [whole.galois(a) for a in range(2, m) if math.gcd(a, m) == 1]
+        rows, layout = pack_rows(m, [(z,) for z in others])
+        conj = unpack(layout.product([img for (img,) in rows]), layout)
+        norm, *rest = _divmod_phi((whole * conj).num, m)[1]
         if any(rest):
             raise ArithmeticError(f"the norm of {self!r} is not rational")
-        out = [c * self.den for c in _divmod_phi(conj.num, m)[1]]
-        return _normal(m, out + [0] * (m - len(out)), norm)
+        return _reduced(m, [c * self.den for c in conj.num], norm)
 
     def galois(self, a: int) -> "Cyc":
         """Field automorphism zeta -> zeta^a; requires gcd(a, m) = 1."""
@@ -354,6 +398,58 @@ class Cyc:
 
     def __repr__(self):
         return f"Cyc({self.order}; {self})"
+
+
+def _reduced(order: int, vec: list, den: int) -> Cyc:
+    # vec / den reduced mod Phi_m, padded with zeros, in normal form.
+    rem = _divmod_phi(vec, order)[1]
+    return _normal(order, rem + [0] * (order - len(rem)), den)
+
+
+def _shifted_sum(a: list, b: list) -> list:
+    # The cyclic convolution of a and b, for b with at most two nonzero
+    # coordinates: one shifted copy of a per term c * x^e of b.
+    m = len(a)
+    out = None
+    for e in compress(range(m), b):
+        c = b[e]
+        part = a[m - e:] + a[:m - e]  # part[j] = a[j - e mod m]
+        if c != 1:
+            part = [c * x for x in part]
+        out = part if out is None else list(map(add, out, part))
+    return out or [0] * m
+
+
+def _sparse_inverse(m: int, num: list, den: int) -> tuple[list, int]:
+    # (vec, N) with vec / N = den / (num on the lattice) for num with one or
+    # two nonzero coordinates, by the closed forms of the module docstring.
+    terms = [(e, num[e]) for e in compress(range(m), num)]
+    if not terms:
+        raise NonInvertibleError("inverse of zero in a cyclotomic field")
+    vec = [0] * m
+    (s, a), *rest = terms
+    if not rest:  # a zeta^s
+        vec[-s % m] = den
+        return vec, a
+    (t, b), = rest
+    step = t - s  # a zeta^s + b zeta^t = a zeta^s (1 - w x), w = zeta^step
+    d = m // math.gcd(step, m)
+    if b == a and d % 2 == 0:
+        # x = -1: 1 + w = 1 - w^(1 + d/2), which is 0 for d = 2.
+        step = step * (1 + d // 2) % m
+        if not step:
+            raise NonInvertibleError("inverse of zero in a cyclotomic field")
+        d = m // math.gcd(step, m)
+        b = -a
+    if b == -a:  # x = 1: (1 - w)^-1 = -(1/d) sum_{i<d} i w^i
+        for i in range(1, d):
+            vec[(i * step - s) % m] = -i * den
+        return vec, a * d
+    # x^d != 1: (1 - w x)^-1 = sum_{i<d} (w x)^i / (1 - x^d), x = -b/a,
+    # over a^d: the i-th term is (-b)^i a^(d-1-i).
+    for i in range(d):
+        vec[(i * step - s) % m] = den * (-b) ** i * a ** (d - 1 - i)
+    return vec, a ** d - (-b) ** d
 
 
 # ---------------------------------------------------------------------------

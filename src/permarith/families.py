@@ -199,7 +199,7 @@ def build_cyclotomic(family: str, **params) -> Mat:
 
         def entry(r):
             c = ring.zeta(r) + ring.zeta(-r)
-            sec2 = (c * c).inverse() * 4
+            sec2 = (c.inverse() ** 2).reduced() * 4
             return sec2 - 1 if family == "tan2_diff" else sec2
         table = conjugates(ring, [d % m for d in range(1 - n, n)], entry)
         return Mat(ring, [[table[(j - k) % m] for k in range(1, n + 1)]

@@ -10,9 +10,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from permarith.cyclotomic import (Cyc, CyclotomicField, cyclotomic_poly,
-                                  euler_phi, find_fq_root, gauss_sum,
-                                  pack_rows, sqrt_element, unpack)
+from permarith.cyclotomic import (Cyc, CyclotomicField, _divmod_phi,
+                                  _normal, cyclotomic_poly, euler_phi,
+                                  find_fq_root, gauss_sum, pack_rows,
+                                  sqrt_element, unpack)
 from permarith.errors import (DomainError, NonInvertibleError,
                               SearchExhaustedError)
 from permarith.matrices import (Mat, _carrier, _jk_shaped, _jk_sign,
@@ -251,17 +252,32 @@ _RAT = st.one_of(
 _COORD = st.one_of(st.just(0), st.integers(-10 ** 6, 10 ** 6), _RAT)
 
 
+def _vectors(m):
+    # Zero, dense draws (Kronecker products) and monomials and binomials
+    # (shifted-add products and closed-form inverses).
+    def place(terms):
+        vec = [0] * m
+        for e, c in terms:
+            vec[e] = c
+        return vec
+    sparse = st.lists(st.tuples(st.integers(0, m - 1), _COORD),
+                      min_size=1, max_size=2).map(place)
+    return st.one_of(st.just([0] * m),
+                     st.lists(_COORD, min_size=m, max_size=m), sparse)
+
+
 @st.composite
 def _cyc_pairs(draw):
     m = draw(st.integers(1, 30))
-    vec = st.one_of(st.just([0] * m),
-                    st.lists(_COORD, min_size=m, max_size=m))
+    vec = _vectors(m)
     return Cyc(m, draw(vec)), Cyc(m, draw(vec))
 
 
 @settings(max_examples=300, deadline=None)
 @given(_cyc_pairs())
 def test_kronecker_mul_equals_schoolbook(pair):
+    # Both product paths: Kronecker for two dense operands, shifted adds
+    # when one operand has at most two nonzero coordinates.
     a, b = pair
     assert (a * b).coeffs == _schoolbook(a, b)
 
@@ -269,8 +285,7 @@ def test_kronecker_mul_equals_schoolbook(pair):
 @st.composite
 def _operands(draw):
     m = draw(st.integers(1, 30))
-    vec = st.one_of(st.just([0] * m),
-                    st.lists(_COORD, min_size=m, max_size=m))
+    vec = _vectors(m)
     units = [u for u in range(1, m + 1) if math.gcd(u, m) == 1]
     return (m, draw(vec), draw(vec), draw(st.one_of(_RAT, st.integers())),
             draw(st.sampled_from(units)))
@@ -301,6 +316,76 @@ def test_field_operations_equal_the_fraction_model(operands):
     else:
         with pytest.raises(NonInvertibleError):
             a.inverse()
+
+
+def _inverse_by_conjugates(z):
+    # Cyc.inverse as it was for every element before monomials and
+    # binomials took closed forms: den times the product conj of the other
+    # Galois conjugates of num, as Kronecker images, over the integer norm
+    # that num * conj reduces to, in canonical coordinates.
+    m = z.order
+    num = Cyc(m, z.num)
+    others = [num.galois(a) for a in range(2, m) if math.gcd(a, m) == 1]
+    if others:
+        rows, layout = pack_rows(m, [(w,) for w in others])
+        conj = unpack(layout.product([img for (img,) in rows]), layout)
+    else:
+        conj = Cyc.rational(m, 1)
+    rows, layout = pack_rows(m, [(num,), (conj,)])
+    both = unpack(layout.product([img for (img,) in rows]), layout)
+    norm, *rest = _divmod_phi(both.num, m)[1]
+    assert not any(rest)
+    out = [c * z.den for c in _divmod_phi(conj.num, m)[1]]
+    return _normal(m, out + [0] * (m - len(out)), norm)
+
+
+@st.composite
+def _binomials(draw):
+    """(m, a zeta^s + b zeta^t, r): b zero (a monomial), drawn, a or -a,
+    and now and then a with a step t - s of even order (x = -1, d even,
+    which is zero for d = 2); a and b rational with unequal denominators
+    now and then; r a rational for the scalar sums."""
+    m = draw(st.integers(1, 40))
+    s = draw(st.integers(0, m - 1))
+    a = draw(_RAT.filter(bool))
+    vec = [0] * m
+    vec[s] = a
+    how = draw(st.sampled_from(("monomial", "drawn", "equal", "opposite",
+                                "even")))
+    even = [k for k in range(1, m) if m // math.gcd(k, m) % 2 == 0]
+    if how == "even" and even:
+        vec[(s + draw(st.sampled_from(even))) % m] = a
+    elif how != "monomial" and m > 1:
+        t = (s + draw(st.integers(1, m - 1))) % m
+        vec[t] = {"equal": a, "opposite": -a}.get(how) or draw(_RAT)
+    return m, vec, draw(st.one_of(_RAT, st.integers(-99, 99)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_binomials())
+@example((2, [1, 1], 3))
+@example((2, [Rat(1, 2), Rat(-1, 2)], Rat(1, 3)))
+@example((2, [0, Rat(5, 3)], 0))
+@example((1, [Rat(-7, 2)], Rat(7, 2)))
+@example((12, [0, 0, 0, 2, 0, 0, 0, 0, 0, 2, 0, 0], 1))
+@example((12, [0, 3, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0], Rat(1, 4)))
+@example((30, [Rat(1, 2)] + [0] * 19 + [Rat(2, 3)] + [0] * 9, -5))
+def test_sparse_inverse_equals_the_conjugate_product(drawn):
+    # A monomial or binomial inverts by a closed form to the same (num, den)
+    # pair as the conjugate product; zero raises.  The scalar sums, which
+    # change num[0] alone, give the pairs of the sums with Cyc.rational.
+    m, vec, r = drawn
+    z = Cyc(m, vec)
+    if any(_reduce(_model(vec))):
+        got, want = z.inverse(), _inverse_by_conjugates(z)
+        assert (_normal_form(got).num, got.den) == (want.num, want.den)
+    else:
+        with pytest.raises(NonInvertibleError):
+            z.inverse()
+    rational = Cyc.rational(m, r)
+    for got, want in ((z + r, z + rational), (r + z, rational + z),
+                      (z - r, z - rational), (r - z, rational - z)):
+        assert (_normal_form(got).num, got.den) == (want.num, want.den)
 
 
 @st.composite

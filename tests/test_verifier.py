@@ -2,6 +2,7 @@
 mutation test proving FAIL reports carry both values."""
 
 import dataclasses
+import re
 
 import pytest
 
@@ -171,12 +172,14 @@ def test_size_limits_refuse_before_building(monkeypatch):
                        "lem.circulant": ("n", 60), "conj.qdet": ("n", 33),
                        "conj.maskdet": ("p", 17), "rem.cp": ("n", 28),
                        "thjk.cong": ("p", 19), "thcos.cong": ("p", 37),
-                       "thsin.cong": ("p", 37), "thtan.cong": ("p", 37),
-                       "conj.csign": ("p", 37), "conj.ssign": ("n", 37),
-                       "conj.tsign": ("n", 37), "thjk.int": ("n", 19),
-                       "thcos.int": ("n", 37), "thsin.int": ("n", 37),
-                       "thtan.int": ("n", 37)}
-    # A check that reads sequences takes its limit from SEQ_TABLE.
+                       "thsin.cong": ("p", 31), "thtan.cong": ("p", 31),
+                       "conj.csign": ("p", 37), "conj.ssign": ("n", 35),
+                       "conj.tsign": ("n", 35), "thjk.int": ("n", 19),
+                       "thcos.int": ("n", 37), "thsin.int": ("n", 35),
+                       "thtan.int": ("n", 35)}
+    # A check that reads sequences takes its limit from SEQ_TABLE; one that
+    # reads s and s' or t and t' at one index takes the lower limit priced
+    # for the pair.
     for check_id, names in (("thjk.cong", ("T",)), ("thjk.int", ("T",)),
                             ("thcos.int", ("c", "cprime")),
                             ("thsin.int", ("s", "sprime")),
@@ -187,8 +190,12 @@ def test_size_limits_refuse_before_building(monkeypatch):
                             ("conj.csign", ("c", "cprime")),
                             ("conj.ssign", ("s", "sprime")),
                             ("conj.tsign", ("t", "tprime"))):
-        assert guarded[check_id][1] == min(sequences.SEQ_TABLE[name][-1]
-                                           for name in names), check_id
+        key, top = guarded[check_id]
+        if names[0] in ("s", "t"):
+            top = {"n": 35, "p": 31}[key]
+        assert guarded[check_id][1] == min(
+            [top] + [sequences.SEQ_TABLE[name][-1] for name in names]), \
+            check_id
     for check_id, params in (
             ("det.sec2", {"n": 61}), ("det.tan2", {"n": 29}),
             ("thq.det", {"n": 400}), ("lem.gauss", {"n": 100001}),
@@ -212,9 +219,9 @@ def test_size_limits_refuse_before_building(monkeypatch):
             ("conj.qdet", {"n": 35, "a": 1}),
             ("conj.maskdet", {"p": 19, "a": 1}),
             ("rem.cp", {"n": 29}), ("thjk.cong", {"p": 23}),
-            ("thcos.cong", {"p": 41}), ("thsin.cong", {"p": 43}),
+            ("thcos.cong", {"p": 41}), ("thsin.cong", {"p": 37}),
             ("thtan.cong", {"p": 1000}), ("conj.csign", {"p": 41}),
-            ("conj.ssign", {"n": 39}), ("conj.tsign", {"n": 41}),
+            ("conj.ssign", {"n": 39}), ("conj.tsign", {"n": 37}),
             ("thjk.int", {"n": 21}), ("thcos.int", {"n": 39}),
             ("thsin.int", {"n": 39}), ("thtan.int", {"n": 45})):
         key, top = guarded[check_id]
@@ -296,6 +303,35 @@ def test_glynn_checks_pass_and_print_at_their_limits(check_id, params):
     assert r.status == "PASS", r
     for text in (r.computed, r.expected):
         assert sum(c.isdigit() for c in text) < 4300, (check_id, text)
+
+
+def _cauchyroot_at(n):
+    # thnew.cauchyroot at n with the largest x its height bound admits:
+    # 2^h - 1 has h bits.
+    height = verifier.CAUCHYROOT_HEIGHT_LIMIT >> max(n, 7)
+    return {"n": n, "x": str((1 << height) - 1)}
+
+
+@pytest.mark.parametrize("check_id,params", [
+    ("thnew.cauchyroot",
+     _cauchyroot_at(REGISTRY["thnew.cauchyroot"].limit[1])),
+    ("thnew.cauchyroot", _cauchyroot_at(7)),
+    ("conj.derange", {"n": REGISTRY["conj.derange"].limit[1]}),
+    ("thper.rootexp", {"n": REGISTRY["thper.rootexp"].limit[1]}),
+    ("lem.circulant", {"n": REGISTRY["lem.circulant"].limit[1]})],
+    ids=["cauchyroot-n", "cauchyroot-height", "derange", "rootexp",
+         "circulant"])
+def test_builder_checks_pass_and_print_at_their_limits(check_id, params):
+    # The same at the limits of the Q(zeta) checks whose entries are
+    # inverses of binomials (thnew.cauchyroot at its largest n, and at
+    # n = 7 with the largest height, where the numerator and denominator
+    # of the value have about n^2 * 256 bits each; conj.derange) or sums
+    # and scalar multiples of powers of zeta.  str() bounds each int.
+    r = run_check(check_id, params)
+    assert r.status == "PASS", r
+    for text in (r.computed, r.expected):
+        assert max(map(len, re.findall(r"\d+", text))) < 4300, \
+            (check_id, text)
 
 
 # The five vectors u_j = j^e (lo <= j < hi) of the rank-2 claims, as
