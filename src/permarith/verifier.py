@@ -588,15 +588,16 @@ _FAST_D = {"hi": 13, "d": (1, 2, -1)}
 # A check that reads sequences has the
 # smallest largest index of their SEQ_TABLE rows as its limit, which it
 # applies before the primality test.  A check that reads two rows at one
-# index pays for both values, so it takes the largest index at which the
-# pair stays near 0.5 s, where that is lower (top): at 37 thcos.*
-# and conj.csign take 0.31-0.46 s, thsin.* and conj.ssign 0.35-0.54 s, and
-# thtan.* and conj.tsign 0.47-0.67 s; at n = 35 the latter six take
-# 0.14-0.23 s, and at p = 31 0.04-0.06 s.
+# index pays for both values: at 37 thcos.* and conj.csign take 0.31-0.46 s,
+# thsin.* and conj.ssign 0.35-0.54 s, and thtan.* and conj.tsign 0.47-0.67
+# s.  The last six take PAIR_SEQ_LIMIT instead, the largest n and p at which
+# the pair stays near 0.5 s: 0.14-0.23 s at n = 35 and 0.04-0.06 s at p = 31.
 
-def _seq_limit(key, *names, top=None):
-    limit = min(SEQ_TABLE[name][-1] for name in names)
-    return key, limit if top is None else min(limit, top)
+PAIR_SEQ_LIMIT = {"n": 35, "p": 31}
+
+
+def _seq_limit(key, *names):
+    return key, min(SEQ_TABLE[name][-1] for name in names)
 
 
 _register("thq.floor", "theorem",
@@ -719,19 +720,19 @@ _register("thcos.cong", "theorem",
 _register("thsin.int", "theorem",
           "s_n (and s'_p for prime index) are integers",
           _integral_pair("s"), _odd_ns, 13, 23,
-          limit=_seq_limit("n", "s", "sprime", top=35))
+          limit=("n", PAIR_SEQ_LIMIT["n"]))
 _register("thsin.cong", "theorem",
           "s_p = (-1)^((p+1)/2), s'_p = 1 (mod p)",
           _congruent_pair("s"), _ps, 13, 19,
-          limit=_seq_limit("p", "s", "sprime", top=31))
+          limit=("p", PAIR_SEQ_LIMIT["p"]))
 _register("thtan.int", "theorem",
           "t_n (and t'_p for prime index) are integers",
           _integral_pair("t"), _odd_ns, 13, 25,
-          limit=_seq_limit("n", "t", "tprime", top=35))
+          limit=("n", PAIR_SEQ_LIMIT["n"]))
 _register("thtan.cong", "theorem",
           "t_p = (-1)^((p+1)/2), t'_p = 1 (mod p)",
           _congruent_pair("t"), _ps, 13, 19,
-          limit=_seq_limit("p", "t", "tprime", top=31))
+          limit=("p", PAIR_SEQ_LIMIT["p"]))
 _register("lem.cauchy", "theorem",
           "Cauchy determinant det[1/(x_j+y_k)] product formula",
           _run_lem_cauchy, partial(_ns, lo=2), 6, 6, limit=("n", 29))
@@ -843,12 +844,12 @@ _register("conj.ssign", "conjecture",
           "s_p < 0 iff p = 5 (mod 12); s'_p < 0 iff p = 7 (mod 8); "
           "s_n = 0 (mod n) for odd composite n",
           _run_conj_ssign, _odd_ns, 13, 23,
-          limit=_seq_limit("n", "s", "sprime", top=35))
+          limit=("n", PAIR_SEQ_LIMIT["n"]))
 _register("conj.tsign", "conjecture",
           "(2/p) t_p < 0; (-1/p) t'_p < 0; t_n = 0 (mod n) "
           "for odd composite n",
           _run_conj_tsign, _odd_ns, 13, 25,
-          limit=_seq_limit("n", "t", "tprime", top=35))
+          limit=("n", PAIR_SEQ_LIMIT["n"]))
 _register("rem.qdetabs", "theorem",
           "det[[|j-k+1|]_q] = (1+q)^(n-2); det[[|j-k|]_q] = "
           "(-1)^(n-1)(n-1)(1+q)^(n-2); det[|j-k|] = (-1)^(n-1)(n-1)2^(n-2)",

@@ -178,8 +178,8 @@ def test_size_limits_refuse_before_building(monkeypatch):
                        "thcos.int": ("n", 37), "thsin.int": ("n", 35),
                        "thtan.int": ("n", 35)}
     # A check that reads sequences takes its limit from SEQ_TABLE; one that
-    # reads s and s' or t and t' at one index takes the lower limit priced
-    # for the pair.
+    # reads s and s' or t and t' at one index takes PAIR_SEQ_LIMIT where
+    # that is lower.
     for check_id, names in (("thjk.cong", ("T",)), ("thjk.int", ("T",)),
                             ("thcos.int", ("c", "cprime")),
                             ("thsin.int", ("s", "sprime")),
@@ -190,12 +190,11 @@ def test_size_limits_refuse_before_building(monkeypatch):
                             ("conj.csign", ("c", "cprime")),
                             ("conj.ssign", ("s", "sprime")),
                             ("conj.tsign", ("t", "tprime"))):
-        key, top = guarded[check_id]
-        if names[0] in ("s", "t"):
-            top = {"n": 35, "p": 31}[key]
-        assert guarded[check_id][1] == min(
-            [top] + [sequences.SEQ_TABLE[name][-1] for name in names]), \
-            check_id
+        key, limit = guarded[check_id]
+        pair = ([verifier.PAIR_SEQ_LIMIT[key]] if names[0] in ("s", "t")
+                else [])
+        assert limit == min([sequences.SEQ_TABLE[name][-1]
+                             for name in names] + pair), check_id
     for check_id, params in (
             ("det.sec2", {"n": 61}), ("det.tan2", {"n": 29}),
             ("thq.det", {"n": 400}), ("lem.gauss", {"n": 100001}),
