@@ -15,7 +15,6 @@ refuses a missing or extra key.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import random
@@ -33,6 +32,12 @@ from .verifier import (REGISTRY, ROOTLINEAR_LIMITS, param_str, run_suite,
 SCHEMA = "permarith/1"
 
 PARAM_FLAGS = ("n", "p", "d", "a", "x", "backend")
+
+# The most rows one seq or explore command may ask for.  Rows past a check's
+# or sequence's limit are SKIPs, but each still costs time and memory, and
+# an explore grid lists the primes up to --pmax by trial division; so a
+# larger request is refused before any row runs or any grid is built.
+ROW_LIMIT = 10_000
 
 
 def _rational_text(text: str) -> str:
@@ -172,6 +177,8 @@ def _emit_reports(args, command, reports):
                           "results": rows}, sort_keys=True))
         return
     if args.csv:
+        import csv  # only the CSV writers load it
+
         w = csv.writer(sys.stdout)
         w.writerow(["id", "params", "status", "computed", "expected",
                     "modulus", "kind", "ms", "note"])
@@ -241,6 +248,9 @@ def _cmd_seq(args, command) -> int:
               f"choose from {', '.join(SEQ_NAMES)}", file=sys.stderr)
         return 2
     lo, hi = _parse_range(args.range_)
+    count = (hi + 1) // 2 - lo // 2 if args.odd else hi - lo + 1
+    if count > ROW_LIMIT:
+        raise DomainError(f"seq limited to {ROW_LIMIT} rows, got {count}")
     rows = [_seq_row(args.name, i) for i in range(lo, hi + 1)
             if not args.odd or i % 2]
     if args.json:
@@ -251,6 +261,8 @@ def _cmd_seq(args, command) -> int:
                           "results": clean}, sort_keys=True))
         return 0
     if args.csv:
+        import csv  # only the CSV writers load it
+
         w = csv.writer(sys.stdout)
         w.writerow(["name", "index", "value", "is_integer", "ms"])
         for row in rows:
@@ -275,7 +287,9 @@ def _cmd_seq(args, command) -> int:
 
 def explore_grid(check_id: str, pmax: int, nmax: int, a_range=None) -> list[dict]:
     """A conjecture id's registry grid up to pmax or nmax, whichever bounds
-    its size key, and over a_range when given."""
+    its size key, and over a_range when given.  A request whose bound times
+    the length of a_range passes ROW_LIMIT is refused before the grid is
+    built."""
     check = REGISTRY.get(check_id)
     if check is None:
         raise UnknownCheckError(check_id)
@@ -283,8 +297,15 @@ def explore_grid(check_id: str, pmax: int, nmax: int, a_range=None) -> list[dict
         raise DomainError(f"{check_id} is not a conjecture check")
     if a_range and "a" not in check.keys:
         raise DomainError(f"{check_id} takes no --a")
+    key = "p" if "p" in check.keys else "n"
+    hi = pmax if key == "p" else nmax
     bounds = {"a": range(a_range[0], a_range[1] + 1)} if a_range else {}
-    return check.grid(pmax if "p" in check.keys else nmax, **bounds)
+    span = a_range[1] - a_range[0] + 1 if a_range else 1
+    if hi * span > ROW_LIMIT:
+        raise DomainError(
+            f"explore limited to {ROW_LIMIT} rows, got --{key}max {hi}"
+            + (f" times {span} values of --a" if a_range else ""))
+    return check.grid(hi, **bounds)
 
 
 def _cmd_explore(args, command) -> int:

@@ -76,9 +76,7 @@ i^((n-1)/2) * sqrt(n).
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 from operator import add, lshift, sub
@@ -386,6 +384,7 @@ class Cyc:
 
     def embed(self) -> complex:
         """Float approximation at zeta = exp(2*pi*i/m); diagnostics only."""
+        import cmath  # here, not at the top: no command reads floats
         m, den = self.order, self.den
         total = 0j
         for e, c in enumerate(self.num):
@@ -688,8 +687,7 @@ class CyclotomicField(Ring):
 # Finite-field roots of unity
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FqRoot:
+class FqRoot(NamedTuple):
     """An element of exact multiplicative order n in F_p (needs p = 1 mod n)."""
 
     prime: int

@@ -70,20 +70,23 @@ def build_qpoly(family: str, **params) -> Mat:
     n = params["n"]
     _require(n >= 1, family, f"n must be >= 1, got {n}")
     if family == "qfloor":
-        return Mat.from_fn(QPOLY, n, lambda j, k: qint((j + k) // n))
-    if family == "qabs":
+        index = lambda j, k: (j + k) // n
+    elif family == "qabs":
         shift = params.get("shift", 0)
         _require(shift in (0, 1), family, f"shift must be 0 or 1, got {shift}")
-        return Mat.from_fn(QPOLY, n, lambda j, k: qint(abs(j - k + shift)))
-    if family == "qfloor_gen":
+        index = lambda j, k: abs(j - k + shift)
+    elif family == "qfloor_gen":
         a = params["a"]
-        return Mat.from_fn(QPOLY, n,
-                           lambda j, k: qint((a * j - (a + 1) * k) // n))
-    if family == "qceil_gen":
+        index = lambda j, k: (a * j - (a + 1) * k) // n
+    elif family == "qceil_gen":
         a = params["a"]
-        return Mat.from_fn(QPOLY, n,
-                           lambda j, k: qint(-((-((a + 1) * j - a * k)) // n)))
-    raise DomainError(f"unknown q-polynomial family {family!r}")
+        index = lambda j, k: -((-((a + 1) * j - a * k)) // n)
+    else:
+        raise DomainError(f"unknown q-polynomial family {family!r}")
+    rows = [[index(j, k) for k in range(1, n + 1)] for j in range(1, n + 1)]
+    # Each entry is [m]_q; LPoly is immutable, so one m shares one LPoly.
+    table = {m: qint(m) for m in {m for row in rows for m in row}}
+    return Mat(QPOLY, [[table[m] for m in row] for row in rows])
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@ bug.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, partial
+from typing import NamedTuple
 
 from .cyclotomic import Cyc, sqrt_element
 from .errors import DomainError, NonRationalResultError, SizeLimitError
@@ -28,8 +28,7 @@ from .rings import ModInt, Rat
 SEQ_NAMES = ("T", "c", "cprime", "d", "s", "sprime", "t", "tprime")
 
 
-@dataclass(frozen=True)
-class SeqValue:
+class SeqValue(NamedTuple):
     name: str
     index: int
     value: Rat

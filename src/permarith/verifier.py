@@ -27,8 +27,8 @@ import math
 import random
 import sys
 import time
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
+from typing import NamedTuple
 
 from .cyclotomic import (Cyc, CyclotomicField, find_fq_root, gauss_sum,
                          sqrt_element)
@@ -54,8 +54,7 @@ class SkipCheck(Exception):
     """Raised by a runner when parameters fall outside the claim's domain."""
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     check_id: str
     params: dict
     status: str            # PASS | FAIL | SKIP
@@ -81,8 +80,7 @@ def param_str(params: dict) -> str:
     return ",".join(f"{k}={params[k]}" for k in sorted(params))
 
 
-@dataclass(frozen=True)
-class Item:
+class Item(NamedTuple):
     computed: str
     expected: str
     ok: bool
@@ -499,27 +497,24 @@ def _qdet_grid(hi, a=range(-3, 4)):
 # Registry
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """A registered claim.  grid(hi, **bounds) lists its parameter rows, and
     bounds maps each tier to the keyword bounds it passes: hi, and a or d
     where the tier fixes them.  limit is (key, largest value) of the size
     parameter its runner accepts, n or p; run_check refuses a larger value
     before anything is built.  Only thper.rootlinear has none: its runner
-    limits each backend."""
+    limits each backend.  keys are the parameter keys of every grid row,
+    which run_check requires; _register reads them off the first fast-tier
+    row."""
 
     check_id: str
     kind: str
     claim: str
     runner: object
-    grid: object = field(repr=False)
-    bounds: dict = field(repr=False)
+    grid: object
+    bounds: dict
     limit: tuple[str, int] | None = None
-
-    @cached_property
-    def keys(self) -> frozenset:
-        """The parameter keys of every grid row, which run_check requires."""
-        return frozenset(self.grid(**self.bounds[FAST])[0])
+    keys: frozenset = frozenset()
 
 
 REGISTRY: dict[str, Check] = {}
@@ -529,7 +524,8 @@ def _register(check_id, kind, claim, runner, grid, fast, full, limit=None):
     # A bare int bound is hi alone.
     fast, full = ({"hi": b} if isinstance(b, int) else b for b in (fast, full))
     REGISTRY[check_id] = Check(check_id, kind, claim, runner, grid,
-                               {FAST: fast, FULL: full}, limit)
+                               {FAST: fast, FULL: full}, limit,
+                               frozenset(grid(**fast)[0]))
 
 
 # The fast tier's d-grids take d = 1, 2 and p - 1 (that is, -1 mod p).
@@ -542,8 +538,11 @@ _FAST_D = {"hi": 13, "d": (1, 2, -1)}
 # Phi_2n(2^e) per entry, see matrices; the runner called directly in a
 # fresh process); thq.det 0.45-0.55 s at n = 192 and 1.15 s at 256;
 # lem.gauss at most 0.4 s up to n = 3003 and 1.1 s at 5005; rem.qdetabs
-# 0.48-0.56 s at n = 28 and 1.8 s at 32; lem.oneplus 0.45 s at n = 221 and
-# 0.79 s at 251; lem.half 0.39 s at n = 501.  The rank-2 checks build
+# 0.48-0.56 s at n = 28 and 1.8 s at 32.  lem.oneplus and lem.half multiply
+# binomials by shifted adds (see cyclotomic), and are slowest at composite n:
+# lem.oneplus takes 0.29-0.35 s at n = 1501, 0.43-0.62 s at 1401 (3 * 467)
+# and 0.55-0.59 s at 1701; lem.half 0.30-0.48 s at 1901, 0.45 s at 1785
+# (3 * 5 * 7 * 17) and 0.64-0.72 s at 2001.  The rank-2 checks build
 # per_sum_coeffs in O(p^2) int operations on numbers of O(p log p) bits:
 # thper.jdk1-3 and cor.jdk take
 # 0.35-0.39 s at p = 751 and 0.45-0.58 s at 809; thper.quad, quad0 and
@@ -748,7 +747,7 @@ _register("lem.oneplus", "theorem",
                                        for k in range(1, n)),
                                       start=Cyc.rational(n, 1)),
                   lambda n: Cyc.rational(n, 1)), skip=[_ODD_N]),
-          _odd_ns, 15, 25, limit=("n", 221))
+          _odd_ns, 15, 25, limit=("n", 1501))
 _register("lem.gauss", "theorem",
           "gauss_sum(n)^2 = (-1)^((n-1)/2) n",
           _claim((lambda n: gauss_sum(n) * gauss_sum(n),
@@ -764,7 +763,7 @@ _register("lem.half", "theorem",
                   lambda n: jacobi(-2, n) * sqrt_element(n)
                   * Cyc.zeta(n, ((n + 1) // 2) * ((n * n - 1) // 8))),
                  skip=[_ODD_N]),
-          _odd_ns, 15, 25, limit=("n", 501))
+          _odd_ns, 15, 25, limit=("n", 1901))
 _register("det.sec2", "theorem",
           "det[sec^2 pi(j-k)/n] (n x n) = n^(n-1) (n!!)^2 for odd n",
           _claim((lambda n: det_field(build_cyclotomic("sec2_diff", n=n))

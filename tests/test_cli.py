@@ -4,10 +4,16 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import permarith
+import permarith.cli as cli
+import permarith.verifier as verifier
 from permarith.cli import explore_grid, main
 from permarith.rings import Rat
 from permarith.verifier import REGISTRY, default_grid
@@ -107,6 +113,79 @@ def test_seq_skip_row(capsys):
     row = json.loads(out)["results"][0]
     assert code == 0
     assert row["status"] == "SKIP" and "t limited to n <= 37" in row["note"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["seq", "c", "--range", "3..2000001", "--odd", "--json"],
+     "seq limited to 10000 rows, got 1000000"),
+    (["seq", "t", "--range", "3..100000000"],
+     "seq limited to 10000 rows, got 99999998"),
+    (["explore", "conj.absjk", "--pmax", "3000000"],
+     "explore limited to 10000 rows, got --pmax 3000000"),
+    (["explore", "conj.maskdet", "--pmax", "7", "--a", "-100000..100000"],
+     "explore limited to 10000 rows, got --pmax 7 times 200001 values of --a"),
+], ids=["seq-odd", "seq", "explore-pmax", "explore-a"])
+def test_requests_past_the_row_limit_are_refused(capsys, monkeypatch, argv,
+                                                 message):
+    # Each took seconds to minutes, or gigabytes, before the limit: a usage
+    # error now, before any row runs or any prime list is built.
+    def unreachable(*args):
+        raise AssertionError("rows built")
+
+    monkeypatch.setattr(cli, "_seq_row", unreachable)
+    monkeypatch.setattr(cli, "run_tasks", unreachable)
+    monkeypatch.setattr(verifier, "odd_primes_upto", unreachable)
+    assert cli.ROW_LIMIT == 10_000
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
+def test_requests_at_the_row_limit_run(capsys, monkeypatch):
+    # ROW_LIMIT rows run and one more is refused; --odd counts odd indices,
+    # and explore counts --nmax times the values of --a.
+    rows = []
+
+    def seq_row(name, i):
+        rows.append(i)
+        return {"name": name, "index": i, "status": "SKIP", "value": None,
+                "is_integer": None, "note": "", "ms": 0.0}
+
+    def run_tasks(tasks, seed):
+        rows.extend(tasks)
+        return []
+
+    monkeypatch.setattr(cli, "_seq_row", seq_row)
+    monkeypatch.setattr(cli, "run_tasks", run_tasks)
+    for argv, count in ((["seq", "t", "--range", "2..20001", "--odd"], 10000),
+                        (["seq", "t", "--range", "1..20001", "--odd"], None),
+                        (["seq", "t", "--range", "-4999..5000"], 10000),
+                        (["seq", "t", "--range", "-5000..5000"], None),
+                        (["explore", "conj.qdet", "--nmax", "5", "--a",
+                          "1..2000"], 4000),
+                        (["explore", "conj.qdet", "--nmax", "5", "--a",
+                          "0..2000"], None)):
+        rows.clear()
+        assert main(argv) == (2 if count is None else 0), argv
+        assert len(rows) == (count or 0), argv
+        assert ("limited to 10000 rows" in capsys.readouterr().err) == (
+            count is None), argv
+
+
+def test_importing_the_cli_loads_only_what_commands_use():
+    # Every command starts a fresh interpreter, which pays for the import.
+    # dataclasses loads inspect, ast, dis, tokenize and linecache; csv and
+    # cmath load where a CSV writer or Cyc.embed runs.  Comparing
+    # sys.modules before and after the import ignores what site preloads.
+    src = os.path.dirname(os.path.dirname(permarith.__file__))
+    code = (f"import sys; sys.path.insert(0, {src!r}); "
+            "before = set(sys.modules); import permarith.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    added = set(subprocess.run([sys.executable, "-c", code], check=True,
+                               capture_output=True, text=True).stdout.split())
+    assert "permarith.cli" in added
+    unused = {"dataclasses", "inspect", "csv", "cmath"} & added
+    assert not unused, unused
 
 
 def test_seq_json_values_are_exact_strings(capsys):
@@ -329,8 +408,6 @@ def test_csv_note_column(capsys, monkeypatch):
 def test_unsupported_ring_is_a_fail(capsys, monkeypatch):
     # UnsupportedRingError is a TypeError; run_check still reports it as a
     # FAIL with its note instead of letting it escape.
-    import dataclasses
-
     import permarith.verifier as verifier
     from permarith.errors import UnsupportedRingError
 
@@ -339,7 +416,7 @@ def test_unsupported_ring_is_a_fail(capsys, monkeypatch):
 
     check = verifier.REGISTRY["thq.floor"]
     monkeypatch.setitem(verifier.REGISTRY, "thq.floor",
-                        dataclasses.replace(check, runner=broken))
+                        check._replace(runner=broken))
     code, out = run_cli(capsys, "verify", "thq.floor", "--n", "3", "--csv")
     assert code == 1
     rows = list(csv.reader(io.StringIO(out)))

@@ -1,7 +1,6 @@
 """Check registry: completeness, spot examples, reproducibility, and the
 mutation test proving FAIL reports carry both values."""
 
-import dataclasses
 import re
 
 import pytest
@@ -155,8 +154,8 @@ def test_size_limits_refuse_before_building(monkeypatch):
     linear, quad = ("p", 751), ("p", 1409)
     assert guarded == {"det.sec2": ("n", 27), "det.tan2": ("n", 27),
                        "thq.det": ("n", 192), "lem.gauss": ("n", 3001),
-                       "rem.qdetabs": ("n", 28), "lem.oneplus": ("n", 221),
-                       "lem.half": ("n", 501), "thper.jxk": ("p", 601),
+                       "rem.qdetabs": ("n", 28), "lem.oneplus": ("n", 1501),
+                       "lem.half": ("n", 1901), "thper.jxk": ("p", 601),
                        "thper.jdk1": linear, "thper.jdk2": linear,
                        "thper.jdk3": linear, "cor.jdk": linear,
                        "thper.quad": quad, "thper.quad0": quad,
@@ -198,8 +197,8 @@ def test_size_limits_refuse_before_building(monkeypatch):
     for check_id, params in (
             ("det.sec2", {"n": 61}), ("det.tan2", {"n": 29}),
             ("thq.det", {"n": 400}), ("lem.gauss", {"n": 100001}),
-            ("rem.qdetabs", {"n": 30}), ("lem.oneplus", {"n": 401}),
-            ("lem.half", {"n": 1601}), ("thper.jxk", {"p": 607}),
+            ("rem.qdetabs", {"n": 30}), ("lem.oneplus", {"n": 1503}),
+            ("lem.half", {"n": 1903}), ("thper.jxk", {"p": 607}),
             ("thper.jdk1", {"p": 3001, "d": 1}),
             ("thper.jdk2", {"p": 757, "d": 2}),
             ("thper.jdk3", {"p": 1009, "d": 1}),
@@ -317,15 +316,19 @@ def _cauchyroot_at(n):
     ("thnew.cauchyroot", _cauchyroot_at(7)),
     ("conj.derange", {"n": REGISTRY["conj.derange"].limit[1]}),
     ("thper.rootexp", {"n": REGISTRY["thper.rootexp"].limit[1]}),
-    ("lem.circulant", {"n": REGISTRY["lem.circulant"].limit[1]})],
+    ("lem.circulant", {"n": REGISTRY["lem.circulant"].limit[1]}),
+    ("lem.oneplus", {"n": REGISTRY["lem.oneplus"].limit[1]}),
+    ("lem.half", {"n": REGISTRY["lem.half"].limit[1]})],
     ids=["cauchyroot-n", "cauchyroot-height", "derange", "rootexp",
-         "circulant"])
+         "circulant", "oneplus", "half"])
 def test_builder_checks_pass_and_print_at_their_limits(check_id, params):
     # The same at the limits of the Q(zeta) checks whose entries are
     # inverses of binomials (thnew.cauchyroot at its largest n, and at
     # n = 7 with the largest height, where the numerator and denominator
     # of the value have about n^2 * 256 bits each; conj.derange) or sums
-    # and scalar multiples of powers of zeta.  str() bounds each int.
+    # and scalar multiples of powers of zeta, and at the limits of the two
+    # products of binomials, lem.oneplus and lem.half.  str() bounds each
+    # int.
     r = run_check(check_id, params)
     assert r.status == "PASS", r
     for text in (r.computed, r.expected):
@@ -495,8 +498,8 @@ def test_run_check_refuses_missing_and_extra_keys(monkeypatch, check_id,
     def unreachable(params, rng):
         raise AssertionError("runner started")
 
-    monkeypatch.setitem(REGISTRY, check_id, dataclasses.replace(
-        REGISTRY[check_id], runner=unreachable))
+    monkeypatch.setitem(REGISTRY, check_id,
+                        REGISTRY[check_id]._replace(runner=unreachable))
     with pytest.raises(DomainError) as exc:
         run_check(check_id, params)
     assert str(exc.value) == message
@@ -548,8 +551,8 @@ def test_claim_runner_fails_a_wrong_value_and_skips_even_n(monkeypatch):
     # value is a FAIL with both sides, and the odd-n rule SKIPs an even n.
     wrong = verifier._claim((lambda n: n, lambda n: n + 1),
                             skip=[verifier._ODD_N])
-    monkeypatch.setitem(REGISTRY, "det.sec2", dataclasses.replace(
-        REGISTRY["det.sec2"], runner=wrong))
+    monkeypatch.setitem(REGISTRY, "det.sec2",
+                        REGISTRY["det.sec2"]._replace(runner=wrong))
     r = run_check("det.sec2", {"n": 3})
     assert (r.status, r.computed, r.expected) == ("FAIL", "3", "4")
     r = run_check("det.sec2", {"n": 4})
@@ -572,8 +575,8 @@ def test_claim_runner_reduces_both_sides_mod_p_power(monkeypatch):
             ("one", lambda p: p * p + 1, lambda p: 1), power=2, skip=rules)
 
     def run(runner):
-        monkeypatch.setitem(REGISTRY, "thjk.cong", dataclasses.replace(
-            REGISTRY["thjk.cong"], runner=runner))
+        monkeypatch.setitem(REGISTRY, "thjk.cong",
+                            REGISTRY["thjk.cong"]._replace(runner=runner))
         return run_check("thjk.cong", {"p": 7})
 
     r = run(claim(lambda p: inv_mod(2, p * p)))
