@@ -2,9 +2,15 @@
 explore conjectures, emit JSON/CSV.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.  JSON output
-is a single object {"schema", "command", "results"}; every exact value is a
-decimal or num/den string, and timing is left out of JSON rows so that
-repeated runs are byte-identical after the id/params sort.
+is a single object {"schema", "command", "results"}; "command" echoes the
+argv as typed, every exact value is a decimal or num/den string, and timing
+is left out of JSON rows so that repeated runs are byte-identical after the
+id/params sort.
+
+The argv is read by one loop over one table, COMMANDS: for each command its
+positional and, for each flag, its destination, reader and default.  A
+flag's value is the next argument, even when it starts with '-'; -h or
+--help prints USAGE.
 
 Checks and sequence values run serially in this process; --threads is
 accepted and has no effect.  Check parameters come from the flags --n, --p,
@@ -14,12 +20,11 @@ refuses a missing or extra key.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import random
 import sys
 import time
+from types import SimpleNamespace
 
 from .cyclotomic import CyclotomicField, gauss_sum
 from .errors import DomainError, UnknownCheckError
@@ -46,86 +51,148 @@ def _rational_text(text: str) -> str:
     try:
         Rat(text)
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(
+        raise ValueError(
             f"expected a rational such as 3/4, got {text!r}") from None
     return text
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser; built once per process, since parsing leaves it
-    unchanged."""
-    parser = argparse.ArgumentParser(
-        prog="permarith",
-        description="Exact permanents/determinants of structured matrices: "
-                    "verification checks, sequence tables, conjecture explorer.")
-    sub = parser.add_subparsers(dest="cmd", required=True)
+# flag -> (destination, reader, default).  The reader is None for a switch,
+# a tuple for a fixed choice, else a function of the value's text; a flag
+# whose default is _REQUIRED must be given.
+_REQUIRED = object()
+_COMMON = {
+    "json": ("json", None, False),
+    "csv": ("csv", None, False),
+    "threads": ("threads", int, 1),
+    "seed": ("seed", int, 0),
+    "strict": ("strict", None, False),
+}
+# command -> (destination of its one positional, or None; its flags)
+COMMANDS = {
+    "verify": ("check", {
+        "tier": ("tier", ("fast", "full"), "fast"),
+        **{key: (key, int, None) for key in "npda"},
+        "x": ("x", _rational_text, None),
+        "backend": ("backend", tuple(ROOTLINEAR_LIMITS), None),
+        **_COMMON}),
+    "seq": ("name", {
+        "range": ("range_", str, _REQUIRED),
+        "odd": ("odd", None, False),
+        **_COMMON}),
+    "explore": ("check", {
+        "pmax": ("pmax", int, 13),
+        "nmax": ("nmax", int, 9),
+        "a": ("a_range", str, None),
+        **_COMMON}),
+    "selftest": (None, _COMMON),
+}
 
-    def common(p):
-        p.add_argument("--json", action="store_true", help="JSON output")
-        p.add_argument("--csv", action="store_true", help="CSV output")
-        p.add_argument("--threads", type=int, default=1, metavar="N",
-                       help="accepted; execution is serial")
-        p.add_argument("--seed", type=int, default=0, metavar="S")
-        p.add_argument("--strict", action="store_true",
-                       help="conjecture failures also gate the exit code")
+USAGE = f"""\
+usage: permarith COMMAND ... [--json|--csv] [--seed S] [--threads N] [--strict]
 
-    v = sub.add_parser("verify", help="run one check or the whole registry")
-    v.add_argument("check", help="check id, or 'all'")
-    v.add_argument("--tier", choices=("fast", "full"), default="fast")
-    v.add_argument("--n", type=int)
-    v.add_argument("--p", type=int)
-    v.add_argument("--d", type=int)
-    v.add_argument("--a", type=int)
-    v.add_argument("--x", type=_rational_text,
-                   help="a rational such as 3/4 or -2")
-    v.add_argument("--backend", choices=tuple(ROOTLINEAR_LIMITS))
-    common(v)
+  verify CHECK|all [--tier fast|full] [--n N] [--p P] [--d D] [--a A]
+         [--x X] [--backend {'|'.join(ROOTLINEAR_LIMITS)}]
+                 one check, or the registry at --tier (default fast); the
+                 parameter flags run one parameter set, --x a rational
+  seq NAME --range A..B [--odd]
+                 a table of {', '.join(SEQ_NAMES)}
+  explore CHECK [--pmax P] [--nmax N] [--a A..B]
+                 a conj.* check's evidence up to --pmax 13 or --nmax 9
+  selftest       quick internal sanity suite
 
-    s = sub.add_parser("seq", help="tabulate a named sequence over a range")
-    s.add_argument("name", help=f"one of {', '.join(SEQ_NAMES)}")
-    s.add_argument("--range", dest="range_", required=True, metavar="A..B")
-    s.add_argument("--odd", action="store_true", help="odd indices only")
-    common(s)
+  --json, --csv  JSON or CSV output
+  --seed S       seed of the checks that draw random inputs (default 0)
+  --threads N    accepted; execution is serial
+  --strict       conjecture failures also gate the exit code
 
-    e = sub.add_parser("explore", help="evidence tables for conjecture checks")
-    e.add_argument("check", help="a conj.* check id")
-    e.add_argument("--pmax", type=int, default=13)
-    e.add_argument("--nmax", type=int, default=9)
-    e.add_argument("--a", dest="a_range", metavar="A..B",
-                   help="range of the parameter a where applicable")
-    common(e)
-
-    t = sub.add_parser("selftest", help="quick internal sanity suite")
-    common(t)
-    return parser
+A flag's value is the next argument, even when it starts with '-'
+(--a -3..3); --flag=value also works, and a unique prefix names a flag.
+Exit codes: 0 success, 1 verification failure, 2 usage error.
+"""
 
 
-def _merge_negative_values(argv: list[str]) -> list[str]:
-    # argparse rejects option values like "-3..3"; fold them into --flag=value.
-    out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if (tok in ("--a", "--range", "--x") and i + 1 < len(argv)
-                and argv[i + 1].startswith("-")):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
-        else:
-            out.append(tok)
-            i += 1
-    return out
+def _read(flag: str, reader, text: str):
+    """One flag's value from its text; a usage error names the flag."""
+    if isinstance(reader, tuple):
+        if text in reader:
+            return text
+        why = (f"invalid choice: {text!r} "
+               f"(choose from {', '.join(map(repr, reader))})")
+    else:
+        try:
+            return reader(text)
+        except ValueError as exc:
+            why = (str(exc) if reader is _rational_text
+                   else f"invalid {reader.__name__} value: {text!r}")
+    raise DomainError(f"argument --{flag}: {why}")
+
+
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace the commands read, or None for -h/--help.  A usage
+    error is a DomainError."""
+    if not argv:
+        raise DomainError("the following arguments are required: command")
+    if argv[0] in ("-h", "--help"):
+        return None
+    if argv[0] not in COMMANDS:
+        raise DomainError(f"argument command: invalid choice: {argv[0]!r} "
+                          f"(choose from {', '.join(COMMANDS)})")
+    positional, flags = COMMANDS[argv[0]]
+    values = {dest: default for dest, _, default in flags.values()}
+    values["cmd"] = argv[0]
+    extras = []
+    tokens = iter(argv[1:])
+    for tok in tokens:
+        if tok == "-h":
+            return None
+        if not tok.startswith("--"):
+            if positional and positional not in values:
+                values[positional] = tok
+            else:
+                extras.append(tok)
+            continue
+        name, eq, text = tok[2:].partition("=")
+        if name not in flags:
+            found = [f for f in (*flags, "help") if f.startswith(name)]
+            if len(found) != 1:
+                extras.append(tok)  # unknown, ambiguous or another command's
+                continue
+            if found[0] == "help":
+                return None
+            name = found[0]
+        dest, reader, _ = flags[name]
+        if reader is None:
+            if eq:
+                raise DomainError(
+                    f"argument --{name}: ignored explicit argument {text!r}")
+            values[dest] = True
+            continue
+        if not eq:
+            text = next(tokens, None)
+            if text is None:
+                raise DomainError(f"argument --{name}: expected one argument")
+        values[dest] = _read(name, reader, text)
+    missing = [positional] if positional and positional not in values else []
+    missing += [f"--{f}" for f, (dest, _, _) in flags.items()
+                if values[dest] is _REQUIRED]
+    if missing:
+        raise DomainError("the following arguments are required: "
+                          + ", ".join(missing))
+    if extras:
+        raise DomainError("unrecognized arguments: " + " ".join(extras))
+    return SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    argv = _merge_negative_values(list(argv))
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+        args = _read_argv(argv)
+    except DomainError as exc:
+        print(f"error: {exc}\nsee permarith --help", file=sys.stderr)
+        return 2
+    if args is None:
+        print(USAGE, end="")
+        return 0
     command = "permarith " + " ".join(argv)
     try:
         if args.cmd == "verify":
@@ -287,9 +354,9 @@ def _cmd_seq(args, command) -> int:
 
 def explore_grid(check_id: str, pmax: int, nmax: int, a_range=None) -> list[dict]:
     """A conjecture id's registry grid up to pmax or nmax, whichever bounds
-    its size key, and over a_range when given.  A request whose bound times
-    the length of a_range passes ROW_LIMIT is refused before the grid is
-    built."""
+    its size key, and over a_range when given, else over the grid's default
+    a.  A request whose bound times the count of a values passes ROW_LIMIT
+    is refused before the grid is built."""
     check = REGISTRY.get(check_id)
     if check is None:
         raise UnknownCheckError(check_id)
@@ -300,11 +367,18 @@ def explore_grid(check_id: str, pmax: int, nmax: int, a_range=None) -> list[dict
     key = "p" if "p" in check.keys else "n"
     hi = pmax if key == "p" else nmax
     bounds = {"a": range(a_range[0], a_range[1] + 1)} if a_range else {}
-    span = a_range[1] - a_range[0] + 1 if a_range else 1
+    if a_range:
+        span = len(bounds["a"])
+    elif "a" in check.keys:
+        # The grids with an a (_pa_grid, _qdet_grid) take it last, defaulted.
+        span = len(check.grid.__defaults__[-1])
+    else:
+        span = 1
     if hi * span > ROW_LIMIT:
         raise DomainError(
             f"explore limited to {ROW_LIMIT} rows, got --{key}max {hi}"
-            + (f" times {span} values of --a" if a_range else ""))
+            + (f" times {span} values of --a" if a_range else
+               f" times {span} default values of a" if span > 1 else ""))
     return check.grid(hi, **bounds)
 
 

@@ -124,7 +124,14 @@ def test_seq_skip_row(capsys):
      "explore limited to 10000 rows, got --pmax 3000000"),
     (["explore", "conj.maskdet", "--pmax", "7", "--a", "-100000..100000"],
      "explore limited to 10000 rows, got --pmax 7 times 200001 values of --a"),
-], ids=["seq-odd", "seq", "explore-pmax", "explore-a"])
+    (["explore", "conj.qdet", "--nmax", "1429"],
+     "explore limited to 10000 rows, got --nmax 1429 times 7 default values"
+     " of a"),
+    (["explore", "conj.maskper", "--pmax", "3334"],
+     "explore limited to 10000 rows, got --pmax 3334 times 3 default values"
+     " of a"),
+], ids=["seq-odd", "seq", "explore-pmax", "explore-a", "explore-qdet-a",
+        "explore-pa-a"])
 def test_requests_past_the_row_limit_are_refused(capsys, monkeypatch, argv,
                                                  message):
     # Each took seconds to minutes, or gigabytes, before the limit: a usage
@@ -143,7 +150,9 @@ def test_requests_past_the_row_limit_are_refused(capsys, monkeypatch, argv,
 
 def test_requests_at_the_row_limit_run(capsys, monkeypatch):
     # ROW_LIMIT rows run and one more is refused; --odd counts odd indices,
-    # and explore counts --nmax times the values of --a.
+    # and explore counts --nmax times the values of --a, or of the grid's
+    # default a: conj.qdet has 7 (-3..3), so --nmax 1428 counts 9,996 rows
+    # and runs its 713 odd n from 3 times 7, 4,991 rows.
     rows = []
 
     def seq_row(name, i):
@@ -164,7 +173,9 @@ def test_requests_at_the_row_limit_run(capsys, monkeypatch):
                         (["explore", "conj.qdet", "--nmax", "5", "--a",
                           "1..2000"], 4000),
                         (["explore", "conj.qdet", "--nmax", "5", "--a",
-                          "0..2000"], None)):
+                          "0..2000"], None),
+                        (["explore", "conj.qdet", "--nmax", "1428"], 4991),
+                        (["explore", "conj.qdet", "--nmax", "1429"], None)):
         rows.clear()
         assert main(argv) == (2 if count is None else 0), argv
         assert len(rows) == (count or 0), argv
@@ -175,7 +186,8 @@ def test_requests_at_the_row_limit_run(capsys, monkeypatch):
 def test_importing_the_cli_loads_only_what_commands_use():
     # Every command starts a fresh interpreter, which pays for the import.
     # dataclasses loads inspect, ast, dis, tokenize and linecache; csv and
-    # cmath load where a CSV writer or Cyc.embed runs.  Comparing
+    # cmath load where a CSV writer or Cyc.embed runs; the CLI reads its
+    # argv without argparse, and so without gettext.  Comparing
     # sys.modules before and after the import ignores what site preloads.
     src = os.path.dirname(os.path.dirname(permarith.__file__))
     code = (f"import sys; sys.path.insert(0, {src!r}); "
@@ -184,7 +196,8 @@ def test_importing_the_cli_loads_only_what_commands_use():
     added = set(subprocess.run([sys.executable, "-c", code], check=True,
                                capture_output=True, text=True).stdout.split())
     assert "permarith.cli" in added
-    unused = {"dataclasses", "inspect", "csv", "cmath"} & added
+    unused = {"dataclasses", "inspect", "csv", "cmath", "argparse",
+              "gettext"} & added
     assert not unused, unused
 
 
@@ -508,11 +521,84 @@ def test_fail_text_prints_note(capsys, monkeypatch):
             "signed side evaluated") in out
 
 
-def test_parser_built_once_and_exit_codes_repeat(capsys):
-    from permarith.cli import build_parser
-    assert build_parser() is build_parser()
-    for _ in range(2):  # the shared parser keeps no state between calls
+def test_reader_keeps_no_state_and_exit_codes_repeat(capsys):
+    for _ in range(2):  # each call reads its argv afresh
         assert main(["seq", "t"]) == 2
         assert main(["verify", "thq.det", "--n", "x"]) == 2
         assert main(["verify", "thq.det", "--n", "3"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv,code,err,out", [
+    (["verify", "thq.det", "--n", "3", "--nope"], 2,
+     "unrecognized arguments: --nope", ""),
+    (["seq", "t", "--range", "3..5", "--n", "3"], 2,  # a flag of verify
+     "unrecognized arguments: --n 3", ""),
+    (["verify", "thq.det", "--n"], 2, "argument --n: expected one argument",
+     ""),
+    (["verify", "thq.det", "--n", "x"], 2,
+     "argument --n: invalid int value: 'x'", ""),
+    (["verify", "all", "--tier", "slow"], 2,
+     "argument --tier: invalid choice: 'slow' (choose from 'fast', 'full')",
+     ""),
+    (["verify", "thper.rootlinear", "--n", "3", "--backend", "gf"], 2,
+     "argument --backend: invalid choice: 'gf' (choose from 'cyc', 'fq')", ""),
+    (["verify", "thq.det", "--json=yes", "--n", "3"], 2,
+     "argument --json: ignored explicit argument 'yes'", ""),
+    (["verify", "thq.det", "--n=4"], 0, "", "[PASS] thq.det n=4:"),
+    (["verify", "conj.qdet", "--n", "5", "--a", "-3"], 0, "",
+     "[PASS] conj.qdet a=-3,n=5"),
+    (["verify", "conj.qdet", "--n", "5", "--a=-3"], 0, "",
+     "[PASS] conj.qdet a=-3,n=5"),
+    (["seq", "t", "--range", "-5..5"], 0, "",
+     "t(-5): SKIP (t is defined for odd n >= 3, got -5)"),
+    (["seq", "t", "--ran", "3..5"], 0, "", "t(5) = 4"),
+    (["verify", "thq.det", "--s", "1", "--n", "3"], 2,  # --seed or --strict
+     "unrecognized arguments: --s 1", ""),
+    (["verify", "thq.det", "--n", "3", "--n", "4"], 0, "",
+     "[PASS] thq.det n=4:"),
+    (["verify", "--n", "3"], 2, "the following arguments are required: check",
+     ""),
+    (["seq", "--odd"], 2,
+     "the following arguments are required: name, --range", ""),
+    (["verify", "thq.det", "extra", "--n", "3"], 2,
+     "unrecognized arguments: extra", ""),
+    ([], 2, "the following arguments are required: command", ""),
+    (["check"], 2, "argument command: invalid choice: 'check'", ""),
+    (["-h"], 0, "", "usage: permarith COMMAND"),
+    (["seq", "t", "--help"], 0, "", "usage: permarith COMMAND"),
+    (["explore", "conj.qdet", "--he"], 0, "", "usage: permarith COMMAND"),
+])
+def test_the_reader_reads_argv_as_typed(capsys, argv, code, err, out):
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert err in captured.err and out in captured.out
+    assert (captured.err if code == 0 else captured.out) == ""
+    if out.startswith("usage"):
+        assert captured.out == cli.USAGE
+
+
+def test_usage_names_every_command_and_flag():
+    for cmd, (_, flags) in cli.COMMANDS.items():
+        assert f"  {cmd}" in cli.USAGE, cmd
+        for flag in flags:
+            assert f"--{flag}" in cli.USAGE, flag
+
+
+def test_the_entry_point_reads_sys_argv(capsys):
+    # The other tests pass argv to main in process; a fresh interpreter
+    # covers main() reading sys.argv and the status of sys.exit(main()).
+    src = os.path.dirname(os.path.dirname(permarith.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "permarith.cli", *argv],
+                              capture_output=True, text=True, env=env)
+
+    proc = run("verify", "thjk.cong", "--p", "13", "--json")
+    assert main(["verify", "thjk.cong", "--p", "13", "--json"]) == 0
+    assert proc.returncode == 0 and proc.stdout == capsys.readouterr().out
+    assert run("seq", "t").returncode == 2
+    proc = run("--help")
+    assert proc.returncode == 0 and proc.stdout == cli.USAGE

@@ -10,9 +10,10 @@ from permarith.cyclotomic import Cyc, CyclotomicField
 from permarith.errors import DomainError, SizeLimitError
 from permarith.ntheory import mod_reduce_rat
 from permarith.rings import ModInt, Rat
-from permarith.sequences import (derangement_sum, masked_sum, seq_c,
-                                 seq_c_prime, seq_d, seq_s, seq_s_prime,
-                                 seq_t, seq_t_prime, seq_T, sequence_value)
+from permarith.sequences import (d_adjacency, derangement_sum, masked_sum,
+                                 seq_c, seq_c_prime, seq_d, seq_s,
+                                 seq_s_prime, seq_t, seq_t_prime, seq_T,
+                                 sequence_value)
 
 # Reference values; c'(9) is 75/2 by direct computation (three independent
 # methods agree: exact Ryser, exact naive permanent, floating evaluation),
@@ -74,6 +75,16 @@ def test_seq_d():
     assert int(seq_d(21).value) == 2
     for n in (9, 15):  # brute force over all ((n-1)/2)! permutations
         assert int(seq_d(n).value) == _d_bruteforce(n), n
+
+
+def test_d_adjacency_equals_the_pairwise_test():
+    # The reference is the O(n^2) test of every pair that seq_d once ran.
+    for n in range(3, 400, 2):
+        h = (n - 1) // 2
+        want = {j: [k for k in range(1, h + 1) if (j * k) % n == 0]
+                for j in range(1, h + 1)}
+        got = {j: list(ks) for j, ks in d_adjacency(n).items()}
+        assert got == want, n
 
 
 def test_domain_errors():
