@@ -29,11 +29,11 @@ from __future__ import annotations
 
 import math
 
-from .cyclotomic import CyclotomicField
+from .cyclotomic import CyclotomicField, _cyc
 from .errors import DomainError, SingularFamilyError
 from .matrices import Mat
 from .ntheory import is_prime
-from .rings import QPOLY, QQ, ZZ, Rat, qint
+from .rings import QPOLY, QQ, ZZ, ModInt, Rat, qint
 
 
 def _require(cond: bool, family: str, msg: str):
@@ -144,14 +144,26 @@ def build_cyclotomic(family: str, **params) -> Mat:
         _require(len(xs) == n, family, f"need {n} values x_1..x_n")
         fq = params.get("fq")
         if fq is not None:
-            # Over F_p: zeta is fq's element of order n, the x's are ints.
-            ring = fq.ring()
-            one = ring.one
-            return Mat(ring, [[one - fq.zeta_pow(j) * int(x)
-                               for x in xs] for j in range(1, n + 1)])
-        ring = CyclotomicField(n)
-        return Mat(ring, [[1 - ring.zeta(j) * x for x in xs]
-                          for j in range(1, n + 1)])
+            # Over F_p: zeta is fq's element of order n, the x's are ints,
+            # and each entry is the least residue of 1 - zeta^j x.
+            p = fq.prime
+            zs = [fq.zeta_pow(j).value for j in range(1, n + 1)]
+            xs = [int(x) for x in xs]
+            return Mat(fq.ring(), [[ModInt(1 - z * x, p) for x in xs]
+                                   for z in zs])
+        # For x = a/b, 1 - zeta^j x is (b - a zeta^j)/b, in normal form as
+        # built since gcd(a, b) = 1 (zeta^n = 1 and x = 0 included).
+        pairs = [(int(x.numerator), int(x.denominator)) for x in xs]
+        rows = []
+        for j in range(1, n + 1):
+            row = []
+            for a, b in pairs:
+                num = [0] * n
+                num[0] = b
+                num[j % n] -= a
+                row.append(_cyc(n, num, b))
+            rows.append(row)
+        return Mat(CyclotomicField(n), rows)
 
     if family == "root_exp_shift":
         _require(n >= 2, family, f"n must be >= 2, got {n}")

@@ -16,10 +16,10 @@ another order, so the int each lift receives is the same and every
 exactness argument below carries over unchanged.  per_ryser keeps the name
 of the Ryser loop it replaced and refuses matrices above RYSER_LIMIT rows
 with a SizeLimitError, which callers report as out of domain.  It is the
-one entry point for a permanent: it reads the matrix, takes the orbit sum
-where the table has it and Glynn's sum elsewhere, and runs either on one
-residue per entry where the Galois check below finds a carrier, else on
-the ring's own lowering.
+one entry point for a permanent: it reads the matrix, takes an orbit sum
+where the [T(jk mod n)] table or a circulant has one and Glynn's sum
+elsewhere, and runs either on one residue per entry where the Galois check
+below finds a carrier, else on the ring's own lowering.
 
 per_orbits is the same sum for the matrices [T(jk mod n)], 1 <= j, k <= h,
 h = (n-1)/2, over Q(zeta_n) whose table satisfies T(n - r) = sign * T(r)
@@ -40,6 +40,30 @@ One pass over the entries reads the sign off the table, checking the
 lattice symmetry; per_ryser takes the orbit sum for every h x h matrix
 over Q(zeta_(2h+1)) that has it, and per_orbits raises ArithmeticError
 for one that has it for neither sign.
+
+per_ryser sums a circulant once per necklace: after the lowering, when
+the n >= 3 int rows satisfy a_jk = c_(k-j mod n), row j being row j - 1
+rotated right by one place.  Rotating delta, (r.delta)_k = delta_(k-1),
+turns row sum j into sum_k delta_(k-1) c_(k-j) = sum_k delta_k c_(k+1-j),
+row sum j - 1 of delta: the row sums rotate, so the term multiplies the
+same ints in another order, and prod_k delta_k stays.  -delta negates
+the n row sums and prod_k delta_k, (-1)^n each, so its term is the same
+too.  With a mask's bit k set where delta_k = -1, _necklaces lists each
+binary necklace once, by the FKM algorithm: one lighter than n/2 stands
+for its rotations and its complement's (size twice its period), one of
+weight n/2 for its rotations alone (size its period), and heavier ones,
+the complements of lighter ones, are left out.  The sets are disjoint
+and cover {0,1}^n, so the sizes sum to 2^n, and one term per necklace
+times its size is Glynn's sum over all of {+-1}^n, 2^n per A, which the
+lift divides by 2^n.  The test reads the lowered ints, not the ring
+elements, so the argument is about the very ints the loop multiplies and
+holds for every ring and every lowering: each member of an orbit gives
+the same int term (the Kronecker fold after each factor gives one
+congruent mod 2^(mB) - 1, which its lift reduces by), whereas entries
+equal in the ring need not lower to equal ints (one field element on two
+lattice vectors); such a matrix fails the test and takes Glynn's sum.
+Over Z/m no term is reduced, so the sum is 2^n times an int permanent,
+and halving it needs no even orbit size.
 
 det_divfree and det_field are fraction-free elimination (Bareiss, Math.
 Comp. 22, 1968) in Z: step k replaces every entry below and right of the
@@ -236,15 +260,20 @@ def check_ryser_size(n: int):
 def per_ryser(mat: Mat):
     """Permanent by Glynn's formula with Gray-code updates (the name is
     kept from the Ryser loop it replaced, as is the size limit): the orbit
-    sum for a symmetric [T(jk mod n)] table, else Glynn's sum, each on the
-    lowering _lowered picks (see the module docstring)."""
+    sum for a symmetric [T(jk mod n)] table or a circulant, else Glynn's
+    sum, each on the lowering _lowered picks (see the module docstring)."""
     n = mat.n
     check_ryser_size(n)
     sign = _jk_shaped(mat) and _jk_sign(mat)[0]
     if sign:
         rows, product, lift = _lowered(mat, sign)
-        return lift(_orbit_glynn(rows, product, sign), n)
+        return lift(_orbit_glynn(rows, product, _orbits(2 * n + 1, sign)), n)
     rows, product, lift = _lowered(mat)
+    if n > 2 and all(row == prev[-1:] + prev[:-1]
+                     for prev, row in zip(rows, rows[1:])):
+        # Row j is row j - 1 rotated right by one place: circulant.  Two
+        # rows have two orbits, as many as Glynn's terms.
+        return lift(_orbit_glynn(rows, product, _necklaces(n)), n)
     return lift(_glynn(rows, product), n - 1)
 
 
@@ -463,21 +492,57 @@ def per_orbits(mat: Mat):
     if not sign:
         raise ArithmeticError(why)
     rows, product, lift = _lowered(mat, sign)
-    return lift(_orbit_glynn(rows, product, sign), mat.n)
+    return lift(_orbit_glynn(rows, product, _orbits(2 * mat.n + 1, sign)),
+                mat.n)
 
 
-def _orbit_glynn(rows, product, sign):
-    # Glynn's signed sum over all of {+-1}^h on int rows, one term per orbit
-    # times the orbit's size: 2^h per.  The row sums move from one
-    # representative to the next by the columns where the masks differ.
-    h = len(rows)
+@lru_cache(maxsize=None)
+def _necklaces(n: int) -> tuple[tuple[int, int], ...]:
+    """(mask, size) for each set of masks that the circulant orbit sum
+    adds one term for: a binary necklace of length n, with its complement's
+    rotations when it is lighter than n/2 (see the module docstring).
+
+    The binary necklaces of length n come from the FKM algorithm
+    (Fredricksen, Kessler and Maiorana; Ruskey, Savage and Wang, J.
+    Algorithms 13, 1992) on n-bit ints, a string's first letter its top
+    bit: the last 0 becomes 1, the prefix that ends there repeats to n
+    letters, and the string is a necklace of period i when the prefix's
+    length i divides n.  The mask is the string as an int, bit k set where
+    delta_k = -1, so it is the least of its rotations.  Negation
+    complements the mask.
+    """
+    full = (1 << n) - 1
+    out = [(0, 2)]  # all of delta +1 (period 1), and its complement
+    s = 0
+    while s != full:
+        # The last 0 of s is at bit t, its letter i = n - t.
+        t = (~s & (s + 1)).bit_length() - 1
+        i = n - t
+        prefix = s >> t | 1
+        q, r = divmod(n, i)
+        s = (prefix * (((1 << i * q) - 1) // ((1 << i) - 1)) << r
+             | prefix >> i - r)
+        if not r:
+            weight = s.bit_count()
+            if 2 * weight < n:
+                out.append((s, 2 * i))
+            elif 2 * weight == n:
+                out.append((s, i))
+    return tuple(out)
+
+
+def _orbit_glynn(rows, product, orbits):
+    # Glynn's signed sum over all of {+-1}^n on int rows, one term per
+    # (mask, size) of orbits times the size: 2^n per, where the term is
+    # constant on each orbit.  The row sums move from one representative
+    # to the next by the columns where the masks differ.
     # What negating delta_k adds to the row sums, and what restoring it adds.
     steps = [([-2 * c for c in col], [2 * c for c in col])
              for col in zip(*rows)]
     sums = [sum(row) for row in rows]
     acc = 0
     prev = 0
-    for mask, size in _orbits(2 * h + 1, sign):
+    for mask, size in orbits:
         moved = prev ^ mask
         prev = mask
         while moved:

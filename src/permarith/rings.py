@@ -11,11 +11,12 @@ image is v / 2^k; each lowering makes that division exact:
 
 * Z: the identity; the lift divides by 2^k and raises ArithmeticError on a
   remainder.
-* Z/m: the least residues.  Glynn's row products are reduced mod m*2^(n-1)
-  for an n-row matrix, so the sum mod m*2^(n-1) is 2^(n-1) (per mod m) and
-  halving it is exact for even m too.  The lift is
-  ModInt(v mod m*2^k / 2^k, m).  Z -> Z/m is a ring map, so the
-  Bareiss determinant of the residues reduces to the one in Z/m.
+* Z/m: the least residues.  Glynn's row products are plain int products,
+  so the sum v is 2^k times the int permanent P of the residues, and only
+  the lift reduces, once: v mod m*2^k is 2^k (P mod m), and halving it is
+  exact for even m too.  The lift is ModInt(v mod m*2^k / 2^k, m).
+  Z -> Z/m is a ring map, so P and the Bareiss determinant of the residues
+  reduce to the permanent and determinant in Z/m.
 * Q: row j is multiplied by the common denominator d_j of its entries; the
   lift halves exactly and divides by prod d_j.
 * Q[q,1/q]: row j is multiplied by q^(-e_j), e_j its least exponent, and by
@@ -446,8 +447,7 @@ class ResidueRing(Ring):
         m = self.m
         coerce = self.zero._coerce
         ints = [[coerce(x).value for x in row] for row in rows]
-        glynn = m << (len(ints) - 1)
-        return (ints, lambda row: math.prod(row) % glynn,
+        return (ints, math.prod,
                 lambda v, k=0: ModInt(halved(v % (m << k), k), m))
 
     def __eq__(self, other):

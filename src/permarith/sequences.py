@@ -131,15 +131,25 @@ def d_adjacency(n: int) -> dict[int, range]:
     return {j: range(m, h + 1, m) for j, m in steps.items()}
 
 
+# d's largest index.  The matching's time follows the divisors of n more
+# than n: the slowest odd n found at or below it, the records of
+# sum_j gcd(j, n), take 0.43-0.47 s (79695 = 3^2 5 7 11 23, 80325 =
+# 3^3 5^2 7 17), 85995 takes 0.49-0.53 s and 135135 1.7 s (seq_d called in
+# a fresh process on a 2-core x86-64 machine, Python 3.11).
+D_LIMIT = 85001
+
+
 @lru_cache(maxsize=None)
 def seq_d(n: int) -> SeqValue:
     """Largest number of positions j with n | j*tau(j) over permutations tau.
 
     Equals the maximum matching of the bipartite graph on pairs (j, k) with
     n | jk, 1 <= j,k <= (n-1)/2: any partial matching extends to a full
-    permutation, so the two maxima coincide.
+    permutation, so the two maxima coincide.  Refuses n > D_LIMIT.
     """
     _check_domain("d", n)
+    if n > D_LIMIT:
+        raise SizeLimitError(f"d limited to n <= {D_LIMIT}, got n = {n}")
     adj = d_adjacency(n)
     matched: dict[int, int] = {}
 

@@ -278,12 +278,21 @@ def _run_cor_sin(params, rng):
     return [_eq(got, want)], None, None
 
 
-# thnew.cauchyroot accepts height(x) <= CAUCHYROOT_HEIGHT_LIMIT / 2^max(n, 7),
-# height(x) being the bit length of the larger of |numerator| and
-# denominator (see the timing comment above the registry).  The cap of 256
-# at n <= 7 keeps the value, about n^2 * height(x) bits, printable: str()
-# refuses ints of more than 4300 digits.
-CAUCHYROOT_HEIGHT_LIMIT = 1 << 15
+# thnew.cauchyroot accepts height(x) <= CAUCHYROOT_HEIGHT_LIMIT / 2^k and
+# k^2 * height(x) <= CAUCHYROOT_PRINT_LIMIT, k = max(n, 7), height(x) being
+# the bit length of the larger of |numerator| and denominator.  The first
+# bound is fitted to the times in the comment above the registry.  The
+# second keeps the value printable: its numerator and denominator have
+# about n^2 * height(x) bits each, and str() refuses ints of more than 4300
+# digits; it binds from n = 7 (height 256) to n = 10 (height 125).
+CAUCHYROOT_HEIGHT_LIMIT = 1 << 17
+CAUCHYROOT_PRINT_LIMIT = 49 * 256
+
+
+def _cauchyroot_height_top(n: int) -> int:
+    """The largest height(x) thnew.cauchyroot accepts at n."""
+    k = max(n, 7)
+    return min(CAUCHYROOT_HEIGHT_LIMIT >> k, CAUCHYROOT_PRINT_LIMIT // k ** 2)
 
 
 def _run_cauchyroot(params, rng):
@@ -291,7 +300,7 @@ def _run_cauchyroot(params, rng):
     x = Rat(params["x"])
     height = max(abs(int(x.numerator)).bit_length(),
                  int(x.denominator).bit_length())
-    top = CAUCHYROOT_HEIGHT_LIMIT >> max(n, 7)
+    top = _cauchyroot_height_top(n)
     if height > top:
         raise SizeLimitError(f"thnew.cauchyroot limited to height(x) <= {top}"
                              f" at n = {n}, got {height}")
@@ -556,18 +565,25 @@ _FAST_D = {"hi": 13, "d": (1, 2, -1)}
 # thper.rootlinear (random x at seeds 0-2) with backend cyc 0.37-0.62 s at
 # n = 14 and 1.05-1.59 s at 15, with backend fq (no Q(zeta)) 0.26-0.31 s at
 # 16 and 0.51-0.84 s at 17; thper.rootexp 0.17-0.19 s at 14 and 0.48-0.72 s
-# at 15; rem.perhalf 0.08-0.12 s at 15 and 0.55-0.58 s at 17; cor.sin
-# 0.31-0.50 s at 18 and 1.3 s at 19; cor.cos 0.27-0.30 s at 18.  Timed
-# before the blocks: thnew.cauchyroot also grows with the height of x,
-# about 2x per step of n at a fixed time, so it refuses
-# height(x) > 2^15 / 2^max(n, 7):
-# at the largest height each n accepts, x = 3, -3 or 1/3 takes 0.25-0.27 s
-# at n = 14 (0.79-0.89 s at 15), values of height 4 at most 0.42 s at 13
-# (0.53-0.66 s for height 5), height 8 at most 0.44 s at 12 (0.31-0.54 s
-# for 10), 16 at most 0.44 s at 11, 32 at most 0.43 s at 10, 64 at most
-# 0.39 s at 9, 128 at most 0.16 s at 8 and 256 at most 0.18 s at 7;
-# conj.derange 0.27-0.28 s at 16 and 0.55-0.59 s at 17 (mostly its permanent;
-# its two determinants run on one residue per entry).  thnew.invsumsq takes
+# at 15; cor.sin 0.31-0.50 s at 18 and 1.3 s at 19; cor.cos 0.27-0.30 s at
+# 18.  The Cauchy matrix [1/(1 - zeta^(j-k) x)] is circulant, so per_ryser
+# sums Glynn once per necklace (see matrices), and its checks were re-timed
+# on that sum: rem.perhalf takes 0.18-0.22 s at n = 19, the largest odd n
+# under RYSER_LIMIT.  thnew.cauchyroot also grows with the height of x,
+# about 3x per doubling of the height at a fixed n and 2-3x per step of n
+# at a fixed height, so it refuses height(x) > 2^17 / 2^max(n, 7) (and
+# more than the printing bound next to _run_cauchyroot admits): at the
+# largest height each n accepts it takes 0.07-0.10 s at n = 16 (height 2;
+# x = 3 takes 0.39 s at 17, where the bound admits height 1 only),
+# 0.11-0.21 s at 15 (height 4), 0.16-0.17 s at 14 (8), 0.16-0.31 s at 13
+# (16), 0.20-0.27 s at 12 (32), 0.20-0.39 s at 11 (64), 0.22-0.25 s at 10
+# (125), 0.09-0.12 s at 9 (154), 0.05 s at 8 (196) and 0.02-0.04 s at 7
+# (256), against 0.50 s at 16 for height 4, 0.63 s at 15 for 8, 0.60 s at
+# 14 for 16, 0.58 s at 13 for 32, 0.70 s at 12 for 64 and 0.67 s at 11
+# for 96.  conj.derange takes 0.04 s at 16, whose table of size n is
+# circulant, and 0.28-0.49 s at 17 (0.55-0.59 s when its limit was set),
+# whose table of size n - 1 is not, so its limit stays (its two
+# determinants run on one residue per entry).  thnew.invsumsq takes
 # 0.05-0.09 s at p = 31, and its next p = 3 (mod 4), 43, has 21 rows;
 # conj.sqdiff takes 0.02-0.03 s at p = 29, 0.70 s at 37 and 3.0 s at
 # 41.  lem.cauchy (seeds 0-3) takes 0.28-0.43 s at n = 29 and 0.40-0.80 s at
@@ -686,7 +702,7 @@ _register("thnew.cauchyroot", "theorem",
           _run_cauchyroot,
           lambda hi: [{"n": n, "x": x} for n in range(1, hi + 1)
                       for x in ("2", "-1", "1/2", "3/5")], 6, 10,
-          limit=("n", 14))
+          limit=("n", 16))
 _register("thnew.invsumsq", "theorem",
           "per[1/(j^2+k^2)] (size (p-1)/2) = (-1)^((p+1)/4)/(4 ((p+1)/4)!^2) "
           "(mod p) for p = 3 (mod 4)",
@@ -871,7 +887,7 @@ _register("rem.perhalf", "theorem",
                   lambda n: Rat((-1) ** ((n - 1) // 2)
                                 * double_factorial(n) ** 2, 2 ** n * n)),
                  skip=[_ODD_N]),
-          _odd_ns, 7, 9, limit=("n", 15))
+          _odd_ns, 7, 9, limit=("n", 19))
 _register("rem.cp", "theorem",
           "signed derangement sum of 1/(1 - zeta^(j-tau(j))): "
           "(-1)^(n/2)((n-1)!!)^2/2^n for even n, 0 for odd n",

@@ -113,6 +113,12 @@ def test_seq_skip_row(capsys):
     row = json.loads(out)["results"][0]
     assert code == 0
     assert row["status"] == "SKIP" and "t limited to n <= 37" in row["note"]
+    # d past its largest index is refused before any matching.
+    code, out = run_cli(capsys, "seq", "d", "--range", "85003..85003",
+                        "--json")
+    row = json.loads(out)["results"][0]
+    assert code == 0 and row["status"] == "SKIP"
+    assert row["note"] == "d limited to n <= 85001, got n = 85003"
 
 
 @pytest.mark.parametrize("argv,message", [

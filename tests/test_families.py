@@ -2,10 +2,11 @@
 trigonometric factors (float diagnostics)."""
 
 import math
+import random
 
 import pytest
 
-from permarith.cyclotomic import CyclotomicField
+from permarith.cyclotomic import CyclotomicField, find_fq_root
 from permarith.errors import DomainError, SingularFamilyError
 from permarith.families import (build_cyclotomic, build_integer, build_qpoly,
                                 build_rational, conjugates)
@@ -235,3 +236,35 @@ def test_qabs_determinant_example():
     from permarith.matrices import det_divfree
     one_plus_q = LPoly({0: 1, 1: 1})
     assert det_divfree(build_qpoly("qabs", n=4, shift=1)) == one_plus_q ** 2
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_root_linear_entries_equal_the_ring_arithmetic(n):
+    # Each entry is built directly, (b - a zeta^j)/b for x = a/b over
+    # Q(zeta_n) and the least residue of 1 - zeta^j x over F_p; both must
+    # be the (num, den) pair or the ModInt that 1 - zeta^j * x gives, for
+    # x = 0, 1, integer and rational x, and at j = n (the last row).
+    rng = random.Random(f"rootlinear:{n}")
+    ring = CyclotomicField(n)
+    draws = [[Rat(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
+             for _ in range(4)]
+    draws[0][0] = Rat(0)
+    draws[1] = [rng.randint(-5, 5) for _ in range(n)]
+    draws[2][-1] = Rat(1)
+    for xs in draws:
+        mat = build_cyclotomic("root_linear", n=n, x=tuple(xs))
+        for j, row in enumerate(mat.rows, 1):
+            for x, z in zip(xs, row):
+                want = 1 - ring.zeta(j) * x
+                assert (z.num, z.den) == (want.num, want.den), (j, x)
+    root = find_fq_root(n)
+    p = root.prime
+    for _ in range(4):
+        xs = [rng.randrange(p) for _ in range(n)]
+        xs[0] = 0
+        mat = build_cyclotomic("root_linear", n=n, x=tuple(xs), fq=root)
+        assert mat.ring == root.ring()
+        for j, row in enumerate(mat.rows, 1):
+            for x, z in zip(xs, row):
+                want = root.ring().one - root.zeta_pow(j) * x
+                assert (z.value, z.modulus) == (want.value, want.modulus)

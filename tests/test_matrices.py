@@ -6,17 +6,20 @@ import random
 from collections import Counter
 from functools import partial
 from itertools import permutations, product
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from permarith.cyclotomic import Cyc, CyclotomicField, pack_rows, sqrt_element
+from permarith import matrices
 from permarith.errors import (DomainError, SizeLimitError,
                               UnsupportedRingError)
 from permarith.families import JK_SIGN, build_cyclotomic, conjugates
 from permarith.matrices import (RYSER_LIMIT, Mat, _bareiss, _carrier, _glynn,
-                                _jk_sign, _orbit_glynn, _orbits, det_divfree,
+                                _jk_sign, _necklaces, _orbit_glynn, _orbits,
+                                det_divfree,
                                 det_field, per_naive, per_orbits, per_ryser,
                                 per_sum_coeffs, per_sum_values,
                                 unit_generators)
@@ -319,10 +322,149 @@ def test_orbits_equal_the_walk_they_replaced():
             assert _orbits(n, sign) == _orbits_by_walk(n, sign), (n, sign)
 
 
+def _per_ryser_path(mat):
+    # per_ryser's value, and whether it took the circulant orbit sum.
+    with mock.patch.object(matrices, "_necklaces",
+                           wraps=matrices._necklaces) as necklaces:
+        got = per_ryser(mat)
+    return got, necklaces.called
+
+
+def _circulant(ring, c):
+    # Row j is row j - 1 rotated right by one place.
+    n = len(c)
+    return Mat(ring, [[c[(k - j) % n] for k in range(n)] for j in range(n)])
+
+
+@st.composite
+def _circulants(draw, ring, max_n):
+    n = draw(st.integers(1, max_n))
+    return _circulant(ring, draw(st.lists(_entries(ring), min_size=n,
+                                          max_size=n)))
+
+
+@st.composite
+def _conjugate_circulants(draw):
+    """[T(j - k mod n)] over Q(zeta_n), 3 <= n <= 6, with T(r) = F(zeta^r)
+    from families.conjugates for F(x) = sum c_e x^e, now and then over
+    x - q: the Galois check passes, so the residue lowering serves it."""
+    n = draw(st.integers(3, 6))
+    ring = CyclotomicField(n)
+    terms = draw(st.lists(st.tuples(st.integers(0, n - 1), _RAT),
+                          min_size=1, max_size=3))
+    # x - q vanishes at no root of unity for rational q other than 1, -1.
+    q = draw(st.none() | _RAT.filter(lambda q: q not in (1, -1)))
+
+    def f(r):
+        z = sum((c * ring.zeta(e * r) for e, c in terms), ring.zero)
+        return z if q is None else z * (ring.zeta(r) - q).inverse()
+    table = conjugates(ring, range(n), f)
+    return _circulant(ring, [table[r] for r in range(n)])
+
+
+def _check_circulant(mat, data):
+    # The orbit sum from three rows on equals the n! oracle; a copy with one
+    # entry changed is no circulant, and Glynn's sum gives the oracle's value.
+    got, taken = _per_ryser_path(mat)
+    assert got == per_naive(mat)
+    assert taken == (mat.n > 2)
+    j = data.draw(st.integers(0, mat.n - 1))
+    k = data.draw(st.integers(0, mat.n - 1))
+    rows = [list(r) for r in mat.rows]
+    rows[j][k] = rows[j][k] + mat.ring.one
+    bent = Mat(mat.ring, rows)
+    got, taken = _per_ryser_path(bent)
+    assert got == per_naive(bent) and not taken
+
+
+# Z/4 and Z/12: even moduli, where the lift's reduction mod m * 2^n makes
+# the division by 2^n exact.  Q(zeta_5) takes the Kronecker lowering:
+# random entries fail the Galois check, and 3 or 6 rows have no label shape.
+CIRCULANT_RINGS = [ZZ, Zmod(4), Zmod(9), Zmod(12), GF(7), QQ, QPOLY,
+                   CyclotomicField(5)]
+
+
+@pytest.mark.parametrize("ring", CIRCULANT_RINGS, ids=lambda r: r.name)
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_circulant_orbit_sum_equals_naive(ring, data):
+    # Up to 8 rows over the int rings; per_naive's 7! and 8! terms cost
+    # seconds over the heavy rings, whose sizes 7 and 8 are spotted below.
+    heavy = ring in (QQ, QPOLY) or isinstance(ring, CyclotomicField)
+    _check_circulant(data.draw(_circulants(ring, 6 if heavy else 8)), data)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_conjugate_circulants(), st.data())
+def test_circulant_orbit_sum_on_the_residue_lowering(mat, data):
+    assert _carrier(mat) == mat.ring.one
+    _check_circulant(mat, data)
+
+
+def test_circulant_orbit_sum_at_seven_and_eight_rows():
+    rng = random.Random("circulant")
+    for ring in (QQ, QPOLY, CyclotomicField(5)):
+        for n in (7, 8):
+            mat = _circulant(ring, [ring.rand(rng, 3) for _ in range(n)])
+            assert _per_ryser_path(mat) == (per_naive(mat), True), (ring, n)
+    # The paper's Cauchy matrix on the residue lowering: the n! oracle at 7
+    # rows, the closed form prod_r (n x^n/(1 - x^n) + r) at 8.
+    x = Rat(3, 2)
+    for n in (7, 8):
+        mat = build_cyclotomic("cauchy_root", n=n, x=x)
+        assert _carrier(mat) == mat.ring.one
+        got, taken = _per_ryser_path(mat)
+        base = n * x ** n / (1 - x ** n)
+        assert taken and got.as_rational() == math.prod(
+            (base + r for r in range(1, n + 1)), start=Rat(1)), n
+        if n == 7:
+            assert got == per_naive(mat)
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_necklaces_partition_the_masks(n):
+    # Each (mask, size) stands for the rotations of its necklace, and of the
+    # complement's when it is lighter than n/2: size masks in all, every
+    # mask of {0,1}^n once.  A brute-force walk over rotation and
+    # complement finds each class the union of the entries inside it.
+    full = (1 << n) - 1
+
+    def rotations(x):
+        return {(x << i | x >> n - i) & full for i in range(n)}
+
+    entries = _necklaces(n)
+    assert sum(size for _, size in entries) == 1 << n
+    covered = Counter()
+    for mask, size in entries:
+        assert mask == min(rotations(mask)) and 2 * mask.bit_count() <= n
+        members = rotations(mask)
+        if 2 * mask.bit_count() < n:
+            members |= rotations(mask ^ full)
+        assert len(members) == size, mask
+        covered.update(members)
+    assert sorted(covered) == list(range(1 << n))
+    assert set(covered.values()) == {1}
+    seen = set()
+    for start in range(1 << n):
+        if start in seen:
+            continue
+        orbit, stack = {start}, [start]
+        while stack:
+            x = stack.pop()
+            for y in rotations(x) | {x ^ full}:
+                if y not in orbit:
+                    orbit.add(y)
+                    stack.append(y)
+        seen |= orbit
+        inside = [(mask, size) for mask, size in entries if mask in orbit]
+        assert inside and sum(size for _, size in inside) == len(orbit)
+
+
 def _orbit_sum_with(lower, mat):
     # per_orbits' body on a chosen lowering.
     rows, product, lift = lower(mat.rows)
-    return lift(_orbit_glynn(rows, product, _jk_sign(mat)[0]), mat.n)
+    orbits = _orbits(2 * mat.n + 1, _jk_sign(mat)[0])
+    return lift(_orbit_glynn(rows, product, orbits), mat.n)
 
 
 def _kronecker_orbit_sum(mat):

@@ -67,9 +67,12 @@ def test_laurent_lowering_decodes_at_its_bound():
 def test_residue_lowering_takes_plain_ints():
     ints, product, lift = Zmod(9).lower([[ModInt(4, 9), -1], [10, 3]])
     assert ints == [[4, 8], [1, 3]]
-    # Two rows: Glynn's products reduce mod 9 * 2, and lift(v, 1) halves.
-    assert product([4, 8]) == 32 % 18
+    # Glynn's products are plain ints; only the lift reduces, mod 9 * 2^k,
+    # and lift(v, k) halves exactly: 2 * 7 + 18 * 5 reads 7 as 14 does.
+    assert product([4, 8]) == 32 and product([5, 8, 7]) == 280
     assert lift(-7) == ModInt(2, 9) and lift(14, 1) == ModInt(7, 9)
+    assert lift(14 + 18 * 5, 1) == lift(14 - 18 * 3, 1) == ModInt(7, 9)
+    assert lift(280 * 4, 2) == ModInt(280, 9)
     with pytest.raises(ArithmeticError):
         lift(13, 1)
     with pytest.raises(DomainError):

@@ -119,6 +119,22 @@ def test_size_guard_refuses_before_building(monkeypatch):
             sequence_value(name, n)
 
 
+def test_d_is_refused_past_its_limit_before_matching(monkeypatch):
+    # seq_d(D_LIMIT) runs; one odd index past it is refused before the
+    # adjacency lists are built.
+    assert sequences.D_LIMIT == 85001
+    assert seq_d(sequences.D_LIMIT).value >= 0
+
+    def unbuildable(n):
+        raise AssertionError(f"matched at n = {n}")
+
+    monkeypatch.setattr(sequences, "d_adjacency", unbuildable)
+    for n in (85003, 3000001):
+        with pytest.raises(SizeLimitError) as err:
+            sequence_value("d", n)
+        assert str(err.value) == f"d limited to n <= 85001, got n = {n}"
+
+
 def test_every_table_row_prints_at_its_largest_index():
     # str() refuses an int past 4,300 digits; each SEQ_TABLE row's value at
     # its largest index stays well inside, and is an integer where the

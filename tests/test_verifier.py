@@ -2,11 +2,13 @@
 mutation test proving FAIL reports carry both values."""
 
 import re
+from collections import Counter
 
 import pytest
 
 import permarith.cyclotomic as cyclotomic
 import permarith.families as families
+import permarith.matrices as matrices
 import permarith.sequences as sequences
 import permarith.verifier as verifier
 from permarith.errors import DomainError, UnknownCheckError
@@ -162,8 +164,8 @@ def test_size_limits_refuse_before_building(monkeypatch):
                        "cor.quadmod": quad, "thnew.invsumsq": ("p", 31),
                        "conj.sqdiff": ("p", 29),
                        "thper.rootexp": ("n", 14), "cor.sin": ("n", 18),
-                       "cor.cos": ("n", 18), "thnew.cauchyroot": ("n", 14),
-                       "conj.derange": ("n", 16), "rem.perhalf": ("n", 15),
+                       "cor.cos": ("n", 18), "thnew.cauchyroot": ("n", 16),
+                       "conj.derange": ("n", 16), "rem.perhalf": ("n", 19),
                        "thq.floor": ("n", 20), "thq.qfloor": ("n", 20),
                        "conj.bernoulli": ("n", 20), "conj.absjk": ("p", 19),
                        "conj.maskper": ("p", 19), "lem.cauchy": ("n", 29),
@@ -208,8 +210,8 @@ def test_size_limits_refuse_before_building(monkeypatch):
             ("cor.quadmod", {"p": 1427, "d": 3}),
             ("thnew.invsumsq", {"p": 4007}), ("conj.sqdiff", {"p": 37}),
             ("thper.rootexp", {"n": 15}), ("cor.sin", {"n": 19}),
-            ("cor.cos", {"n": 19}), ("thnew.cauchyroot", {"n": 15, "x": "-1"}),
-            ("conj.derange", {"n": 17}), ("rem.perhalf", {"n": 17}),
+            ("cor.cos", {"n": 19}), ("thnew.cauchyroot", {"n": 17, "x": "-1"}),
+            ("conj.derange", {"n": 17}), ("rem.perhalf", {"n": 21}),
             ("thq.floor", {"n": 40}), ("thq.qfloor", {"n": 21}),
             ("conj.bernoulli", {"n": 21}), ("conj.absjk", {"p": 23}),
             ("conj.maskper", {"p": 23, "a": 1}), ("lem.cauchy", {"n": 800}),
@@ -245,22 +247,29 @@ def test_size_limits_refuse_before_building(monkeypatch):
             run_check("thper.rootlinear", {"n": top, "backend": backend})
     r = run_check("thper.rootlinear", {"n": 100000, "backend": "fq"})
     assert r.status == "SKIP" and "no prime" in r.note
-    # thnew.cauchyroot also bounds height(x) by 2^15 / 2^max(n, 7), the
-    # height being the bit length of the larger of |numerator| and
-    # denominator.
-    assert verifier.CAUCHYROOT_HEIGHT_LIMIT == 2 ** 15
+    # thnew.cauchyroot also bounds height(x), the bit length of the larger
+    # of |numerator| and denominator, by 2^17 / 2^k and 12,544 / k^2,
+    # k = max(n, 7): the first bound from n = 11 on, the second from 7 to 10.
+    assert (verifier.CAUCHYROOT_HEIGHT_LIMIT,
+            verifier.CAUCHYROOT_PRINT_LIMIT) == (2 ** 17, 49 * 256)
+    tops = {n: verifier._cauchyroot_height_top(n) for n in range(1, 17)}
+    assert tops == {**dict.fromkeys(range(1, 8), 256), 8: 196, 9: 154,
+                    10: 125, 11: 64, 12: 32, 13: 16, 14: 8, 15: 4, 16: 2}
     assert all(max(len(f"{abs(int(v)):b}") for v in g["x"].split("/"))
-               << max(g["n"], 7) <= 2 ** 15
+               <= tops[g["n"]]
                for g in default_grid("thnew.cauchyroot", "full"))
-    for n, x, top, height in ((14, "3/5", 2, 3), (13, "31", 4, 5),
-                              (12, "1000/997", 8, 10),
+    for n, x, top, height in ((16, "3/5", 2, 3), (14, "511", 8, 9),
+                              (12, str(2 ** 32), 32, 33),
+                              (10, str(2 ** 125), 125, 126),
                               (7, str(2 ** 256), 256, 257),
                               (2, str(2 ** 8192), 256, 8193)):
         r = run_check("thnew.cauchyroot", {"n": n, "x": x})
         assert r.status == "SKIP" and r.note == (
             f"out of domain: thnew.cauchyroot limited to height(x) <= {top}"
             f" at n = {n}, got {height}")
-    for n, x in ((14, "-3"), (12, "-255/253"), (6, "-97/89"),
+    for n, x in ((16, "-3"), (14, "-255/253"),
+                 (12, f"-{2 ** 32 - 1}/{2 ** 31 + 1}"),
+                 (10, str(2 ** 125 - 1)), (6, "-97/89"),
                  (7, f"-{2 ** 256 - 1}/{2 ** 255 + 1}"), (1, str(2 ** 255))):
         with pytest.raises(AssertionError, match="built"):
             run_check("thnew.cauchyroot", {"n": n, "x": x})
@@ -306,7 +315,7 @@ def test_glynn_checks_pass_and_print_at_their_limits(check_id, params):
 def _cauchyroot_at(n):
     # thnew.cauchyroot at n with the largest x its height bound admits:
     # 2^h - 1 has h bits.
-    height = verifier.CAUCHYROOT_HEIGHT_LIMIT >> max(n, 7)
+    height = verifier._cauchyroot_height_top(n)
     return {"n": n, "x": str((1 << height) - 1)}
 
 
@@ -314,21 +323,24 @@ def _cauchyroot_at(n):
     ("thnew.cauchyroot",
      _cauchyroot_at(REGISTRY["thnew.cauchyroot"].limit[1])),
     ("thnew.cauchyroot", _cauchyroot_at(7)),
+    ("thnew.cauchyroot", _cauchyroot_at(10)),
+    ("rem.perhalf", {"n": REGISTRY["rem.perhalf"].limit[1]}),
     ("conj.derange", {"n": REGISTRY["conj.derange"].limit[1]}),
     ("thper.rootexp", {"n": REGISTRY["thper.rootexp"].limit[1]}),
     ("lem.circulant", {"n": REGISTRY["lem.circulant"].limit[1]}),
     ("lem.oneplus", {"n": REGISTRY["lem.oneplus"].limit[1]}),
     ("lem.half", {"n": REGISTRY["lem.half"].limit[1]})],
-    ids=["cauchyroot-n", "cauchyroot-height", "derange", "rootexp",
-         "circulant", "oneplus", "half"])
+    ids=["cauchyroot-n", "cauchyroot-height", "cauchyroot-print", "perhalf",
+         "derange", "rootexp", "circulant", "oneplus", "half"])
 def test_builder_checks_pass_and_print_at_their_limits(check_id, params):
     # The same at the limits of the Q(zeta) checks whose entries are
-    # inverses of binomials (thnew.cauchyroot at its largest n, and at
-    # n = 7 with the largest height, where the numerator and denominator
-    # of the value have about n^2 * 256 bits each; conj.derange) or sums
-    # and scalar multiples of powers of zeta, and at the limits of the two
-    # products of binomials, lem.oneplus and lem.half.  str() bounds each
-    # int.
+    # inverses of binomials (thnew.cauchyroot at its largest n, at n = 7
+    # with the largest height, and at n = 10 with height 125, where the
+    # numerator and denominator of the value have about n^2 * height bits
+    # each, the most the height bound admits; rem.perhalf; conj.derange) or
+    # sums and scalar multiples of powers of zeta, and at the limits of the
+    # two products of binomials, lem.oneplus and lem.half.  str() bounds
+    # each int.
     r = run_check(check_id, params)
     assert r.status == "PASS", r
     for text in (r.computed, r.expected):
@@ -448,6 +460,37 @@ def test_only_known_matrices_stay_on_kronecker(monkeypatch):
     assert kronecker and len(kronecker) < len(lowered)
     for cid, m, n in kronecker:
         assert cid == "lem.circulant" or n == 1 or m <= 2, (cid, m, n)
+
+
+def test_circulant_orbit_sum_census(monkeypatch):
+    # Over the full tier, per_ryser takes the circulant orbit sum for the
+    # paper's Cauchy matrix [1/(1 - zeta^(j-k) x)] (thnew.cauchyroot, and
+    # rem.perhalf at x = -1) and for the zero-diagonal [1/(1 - zeta^(j-k))]
+    # of conj.derange at even n; at odd n its size n - 1 table is no
+    # circulant.  Two-row matrices keep Glynn's sum.  A family that leaves
+    # the orbit sum fails here.
+    taken = []
+    current = [None]
+    real_check = verifier.run_check
+    real_necklaces = matrices._necklaces
+
+    def tagged(check_id, params, seed=0):
+        current[0] = check_id, params
+        return real_check(check_id, params, seed)
+
+    def spy(n):
+        taken.append((*current[0], n))
+        return real_necklaces(n)
+    monkeypatch.setattr(matrices, "_necklaces", spy)
+    monkeypatch.setattr(verifier, "run_check", tagged)
+    # conj.derange reads its sums through a cache that earlier tests fill.
+    sequences.derangement_sum.cache_clear()
+    run_suite("full")
+    assert Counter(cid for cid, _, _ in taken) == {
+        "thnew.cauchyroot": 28, "rem.perhalf": 4, "conj.derange": 4}
+    for cid, params, n in taken:
+        assert n == params["n"] >= 3, (cid, params)
+        assert cid != "conj.derange" or n % 2 == 0, params
 
 
 def test_mutation_is_caught(monkeypatch):
