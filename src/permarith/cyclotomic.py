@@ -36,16 +36,17 @@ image of the determinant in Z[x], and unpack folds it.  2^(mB) - 1 is the
 image of x^m - 1, so the fold is a ring map, and folding a vector of L1
 norm at most L keeps every coefficient within L.
 CyclotomicField.lower_rational shares pack_rows' row clearing (clear_rows)
-and its bound L, and maps each vector to its value at 2^e mod Phi_m(2^e):
-one int of about bitlen(L) bits in place of m digits of B bits.  Given a
-carrier W (1, or a square root of a rational such as sqrt_element(m)) it
-is exact when the permanent or determinant times W is rational, which the
-Galois check of the matrices module proves: the bound grows by the factor
-|W.num|_1, and the lift multiplies by W's residue before it recognises the
-rational and divides W back out.  Glynn, the orbit sum and Bareiss then
-run on those ints in place of Kronecker images.  Both lowerings take each
-distinct entry's L1 norm, image and residue once per matrix: both maps
-are Z-linear, so a row's scale multiplies the entry's value.
+and its bound L, and maps each vector to an int congruent to its value at
+2^e mod Phi_m(2^e): one int of about bitlen(L) bits in place of m digits
+of B bits.  Given a carrier W (1, or a square root of a rational such as
+sqrt_element(m)) it is exact when the permanent or determinant times W is
+rational, which the Galois check of the matrices module proves: the bound
+grows by the factor |W.num|_1, and the lift multiplies by W's residue
+before it recognises the rational and divides W back out.  Glynn, the
+orbit sum and Bareiss run on those ints, and on Kronecker images only for
+a matrix the check refuses.  Both lowerings take each distinct entry's L1
+norm, image and residue once per matrix: both maps are Z-linear, so a
+row's scale multiplies the entry's value.
 Cyc.__mul__ packs its two operands' numerators as two one-entry rows, so a
 cyclic convolution becomes one int product, and Cyc.inverse multiplies the
 Galois conjugates the same way.  An operand with at most two nonzero
@@ -620,19 +621,23 @@ class CyclotomicField(Ring):
 
     def lower_rational(self, rows, carrier: Cyc):
         """The int lowering for rows whose permanent (or determinant) times
-        the carrier W is rational, m >= 3.
+        the carrier W is rational, for any m.
 
-        Each cleared entry vector v becomes an int congruent to v(2^e) mod
-        N, N = Phi_m(2^e), e = ceil((bitlen(L') + 2) / phi(m)) + 1 with
-        L' = L * |w|_1 for W's integral vector w = W.num.  Glynn multiplies
-        the row sums as plain ints (one reduction mod N at the end costs
-        less than one per product), and Bareiss eliminates on them in Z,
-        where its divisions are exact; the lift multiplies by w(2^e),
-        reduces and halves mod N (N is odd), takes the balanced residue v,
-        raises ArithmeticError if |v| > L', and returns
-        v W / (W^2 prod d_j den_W), which is v / prod d_j for W = 1.  The
-        matrices module docstring proves this exact for the carrier that
-        its Galois check (matrices._carrier) finds.
+        Each cleared entry vector v becomes v(2^e) itself where that lies
+        within N/2 of 0, as a rational entry's cleared int does, else its
+        least residue mod N, N = Phi_m(2^e), e = ceil((bitlen(L') + 2) /
+        phi(m)) + 1 with L' = L * |w|_1 for W's integral vector w = W.num.
+        (Balanced residues for every entry would cost Glynn a few percent:
+        it would multiply ints of both signs.)  Glynn multiplies the row
+        sums as plain ints (one reduction mod N at the end costs less than
+        one per product), and Bareiss eliminates on them in Z, where its
+        divisions are exact; the lift multiplies by w(2^e), reduces and
+        halves mod N (N is odd), takes the balanced residue v, raises
+        ArithmeticError if |v| > L', and returns v W / (W^2 prod d_j den_W),
+        which is v / prod d_j for W = 1.  The matrices module docstring
+        proves this exact for the carrier that its Galois check
+        (matrices._carrier) finds; the engines take `lower` only where the
+        check finds none.
         """
         m = self.m
         # W^2, which the lift divides by; a rational W needs no product.
@@ -649,16 +654,18 @@ class CyclotomicField(Ring):
         for c in reversed(phi):
             modulus = (modulus << e) + c
         shifts = range(0, m * e, e)
+        half = modulus >> 1
 
         def residue(v):
-            return sum(map(lshift, v, shifts)) % modulus
+            x = sum(map(lshift, v, shifts))
+            return x if -half <= x <= half else x % modulus
         ints = _cleared_values(rows, scales, residue)
         twist = residue(carrier.num)
         scale = square * carrier.den * den
 
         def lift(value, k=0):
             v = value * twist * pow(2, -k, modulus) % modulus
-            if v > modulus >> 1:
+            if v > half:
                 v -= modulus
             if abs(v) > bound:
                 raise ArithmeticError(

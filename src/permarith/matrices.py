@@ -38,8 +38,9 @@ the full sum 2^h per A on either lowering below: on Kronecker images the
 bound L is the one of the plain sum, and unpack still checks every digit.
 One pass over the entries reads the sign off the table, checking the
 lattice symmetry; per_ryser takes the orbit sum for every h x h matrix
-over Q(zeta_(2h+1)) that has it, and per_orbits raises ArithmeticError
-for one that has it for neither sign.
+over Q(zeta_(2h+1)) that has it.  per_orbits is per_ryser behind that
+check: it raises ArithmeticError for a table that has the symmetry for
+neither sign.
 
 per_ryser sums a circulant once per necklace: after the lowering, when
 the n >= 3 int rows satisfy a_jk = c_(k-j mod n), row j being row j - 1
@@ -82,12 +83,17 @@ lift is exact on it.  Over Q(zeta_m) the ring's lowering is Kronecker
 packing (cyclotomic.pack_rows): Glynn folds its products mod 2^(mB) - 1,
 the image of x^m - 1, and Bareiss works on the unfolded images, whose
 determinant is the image of the determinant in Z[x]; unpack folds it once
-at the end.
+at the end.  An engine takes it only for a matrix that the Galois check
+below refuses.  A one-row matrix takes no lowering: its permanent and
+determinant are its entry, coerced into the ring (ring.zero + entry).
 
-Over Q(zeta_m), m >= 3, every engine first asks one Galois check
-(_carrier) for a smaller lowering (CyclotomicField.lower_rational).  The
-n rows carry labels in one of four shapes; for a unit a mod m the labels
-give a permutation pi of the rows and a sign s_j for each row:
+Over Q(zeta_m) every engine first asks one Galois check (_carrier) for the
+carrier W of a smaller lowering (CyclotomicField.lower_rational).  W = 1
+at once when m <= 2, where Q(zeta_m) = Q, and when every entry's lattice
+vector is constant (num[1:] all zero): then every sigma_a fixes every
+entry, so X below is rational.  Else the n rows carry labels in one of
+four shapes; for a unit a mod m the labels give a permutation pi of the
+rows and a sign s_j for each row:
   - n = m - 1 or m: labels 1..n mod q = m (label m is residue 0), and
     pi(j) = a*j mod q, s_j = 1;
   - m = 2n: the same mod q = n (the shape of sec2_diff and tan2_diff,
@@ -129,16 +135,17 @@ suffice.  Glynn's sum is 2^(n-1) P on the lattice and the orbit sum 2^h P
 (its terms are equal as lattice vectors), so their residues times
 w(2^e) are 2^(n-1) v and 2^h v mod N; Bareiss returns the determinant of
 the int residues, which the ring map makes congruent to P(2^e), so times
-w(2^e) it is v mod N.  N is odd, since Phi_m(0) = 1 for m >= 2, so halving
-mod N is exact.  The primitive m-th roots of unity are not real for
-m >= 3, so N = prod |2^e - zeta^k| >= (2^e - 1)^phi(m) >=
-2^((e-1) phi(m)), which with e = ceil((bitlen(L') + 2)/phi(m)) + 1 is at
-least 2^(bitlen(L') + 2) > 4L'.  So v is the balanced residue mod N, and
-the lift returns v W / (W^2 prod d_j den_W) = X.  The lift also refuses a
+w(2^e) it is v mod N.  N is odd, as N = Phi_m(0) = +-1 mod 2, so halving
+mod N is exact.  Every root of unity has absolute value 1, so for every m
+N = prod |2^e - zeta^k| >= (2^e - 1)^phi(m) >= 2^((e-1) phi(m)), which
+with e = ceil((bitlen(L') + 2)/phi(m)) + 1 is at least
+2^(bitlen(L') + 2) > 4L'.  So v is the balanced residue mod N, and the
+lift returns v W / (W^2 prod d_j den_W) = X.  The lift also refuses a
 residue over L', but that is only a guard: a value off Q can still leave
-one within L', so the check alone makes the lowering exact.  A one-row
-matrix keeps the ring's lowering: its permanent is its one entry, and
-the lift returns that lattice vector as it stands.
+one within L', so the check alone makes the lowering exact.  An entry
+whose value at 2^e lies within N/2 of 0 lowers to that value, so a
+rational entry (|cleared int| <= L) lowers to itself, and Bareiss's
+minors stay those of the rational matrix.
 
 per_sum_coeffs and per_sum_values are the rank-2 permanents over Z in
 closed form (Minc, Permanents, 1978): per[u_j + d*w_k] = sum_i i!(n-i)!
@@ -146,7 +153,6 @@ e_i(w) e_(n-i)(u) d^i, two elementary symmetric passes of O(n^2) int
 operations, or one when w equals u; per_sum_values shares the pass over
 u among several w.
 
-det_field is det_divfree behind a check that the ring is a field.
 per_naive stays on ring elements, an oracle independent of every lowering.
 """
 
@@ -219,9 +225,7 @@ def _glynn(rows, product):
     """
     add = operator.add
     n = len(rows)
-    # What negating delta_k adds to the row sums, and what restoring it adds.
-    steps = [([-2 * c for c in col], [2 * c for c in col])
-             for col in list(zip(*rows))[1:]]
+    steps = _column_steps(list(zip(*rows))[1:])
     # Below 7 rows the block's set-up costs more than it saves.
     b = 5 if n >= 7 else 0
     if b:
@@ -250,20 +254,24 @@ def _glynn(rows, product):
     return acc
 
 
-def check_ryser_size(n: int):
-    """Raise SizeLimitError if per_ryser would refuse an n-row matrix."""
-    if n > RYSER_LIMIT:
-        raise SizeLimitError(f"Ryser permanent limited to n <= {RYSER_LIMIT}"
-                             f" (2^n subsets), got n = {n}")
+def _column_steps(cols):
+    # What negating delta_k adds to the row sums, and what restoring it
+    # adds, for each column k.
+    return [([-2 * c for c in col], [2 * c for c in col]) for col in cols]
 
 
 def per_ryser(mat: Mat):
     """Permanent by Glynn's formula with Gray-code updates (the name is
     kept from the Ryser loop it replaced, as is the size limit): the orbit
     sum for a symmetric [T(jk mod n)] table or a circulant, else Glynn's
-    sum, each on the lowering _lowered picks (see the module docstring)."""
+    sum, each on the lowering _lowered picks (see the module docstring).
+    A one-row matrix is its entry, coerced into the ring."""
     n = mat.n
-    check_ryser_size(n)
+    if n > RYSER_LIMIT:
+        raise SizeLimitError(f"Ryser permanent limited to n <= {RYSER_LIMIT}"
+                             f" (2^n subsets), got n = {n}")
+    if n == 1:
+        return mat.ring.zero + mat.rows[0][0]
     sign = _jk_shaped(mat) and _jk_sign(mat)[0]
     if sign:
         rows, product, lift = _lowered(mat, sign)
@@ -300,18 +308,21 @@ def unit_generators(m: int) -> tuple[int, ...]:
 
 
 def _carrier(mat: Mat, sign: int = 1, det: bool = False):
-    # The carrier W of the residue lowering if mat is over Q(zeta_m),
-    # m >= 3, in one of the four label shapes of the module docstring, and
-    # every generator a of (Z/m)^* satisfies
+    # The carrier W of the residue lowering if mat is over Q(zeta_m): 1 if
+    # m <= 2 (Q(zeta_m) = Q) or every entry's lattice vector is constant
+    # (every sigma_a fixes it); else, in one of the four label shapes of
+    # the module docstring, if every generator a of (Z/m)^* satisfies
     # sigma_a(M[j][k]) == s_j M[pi(j)][tau(k)] in the field, with tau = pi,
     # or for a permanent (det False) pi or the identity: W = 1 where every
     # chi(a) = prod s_j is 1, else sqrt_element(m) if
     # sigma_a(W) == chi(a) W for every generator; else None.  sign is the
     # row sign of the folded shape, m = 2n + 1.
     ring = mat.ring
-    if not isinstance(ring, CyclotomicField) or ring.m < 3:
+    if not isinstance(ring, CyclotomicField):
         return None
     m, n, rows = ring.m, mat.n, mat.rows
+    if m < 3 or not any(any(z.num[1:]) for row in rows for z in row):
+        return ring.one
     folded = m == 2 * n + 1
     if folded or n in (m - 1, m):
         q = m
@@ -373,14 +384,11 @@ def _carrier(mat: Mat, sign: int = 1, det: bool = False):
 
 def _lowered(mat: Mat, sign: int = 1, det: bool = False):
     # The rows on one residue mod Phi_m(2^e) each, twisted by the carrier
-    # _carrier finds, else on the ring's own lowering.  A one-row matrix
-    # keeps the ring's: its permanent is its one entry, which the lift
-    # returns as it stands.
-    ring = mat.ring
-    carrier = _carrier(mat, sign, det) if mat.n > 1 else None
+    # _carrier finds, else on the ring's own lowering.
+    carrier = _carrier(mat, sign, det)
     if carrier is None:
-        return ring.lower(mat.rows)
-    return ring.lower_rational(mat.rows, carrier)
+        return mat.ring.lower(mat.rows)
+    return mat.ring.lower_rational(mat.rows, carrier)
 
 
 def _jk_shaped(mat: Mat) -> bool:
@@ -473,27 +481,19 @@ def _orbits(n: int, sign: int) -> tuple[tuple[int, int], ...]:
 def per_orbits(mat: Mat):
     """Permanent of [T(jk mod n)], 1 <= j, k <= h = (n-1)/2, over Q(zeta_n),
     where T(n - r) = sign * T(r) as coefficient lists for one sign, which
-    is read off the table: Glynn's sum over all of {+-1}^h, one term per
-    orbit times the orbit's size.
-
-    Every delta in an orbit has the same term on the exponent lattice (see
-    the module docstring), so this is the full sum 2^h per, and the
-    lowering's lift halves and decodes it as it does per_ryser's.  The sum
-    runs on one residue mod Phi_n(2^e) per entry, twisted by the carrier,
-    when the Galois check finds the table's character, else on Kronecker
-    images.  Raises ArithmeticError if the table is symmetric for neither
-    sign.  per_ryser takes this sum itself for such a table.
+    is read off the table: per_ryser, which takes Glynn's sum over all of
+    {+-1}^h, one term per orbit times the orbit's size, for such a table
+    (see the module docstring).  Raises DomainError for a matrix of
+    another shape and ArithmeticError if the table is symmetric for
+    neither sign.
     """
     if not _jk_shaped(mat):
         raise DomainError(f"per_orbits needs an h x h matrix over "
                           f"Q(zeta_(2h+1)), got {mat!r}")
-    check_ryser_size(mat.n)
     sign, why = _jk_sign(mat)
     if not sign:
         raise ArithmeticError(why)
-    rows, product, lift = _lowered(mat, sign)
-    return lift(_orbit_glynn(rows, product, _orbits(2 * mat.n + 1, sign)),
-                mat.n)
+    return per_ryser(mat)
 
 
 @lru_cache(maxsize=None)
@@ -536,9 +536,7 @@ def _orbit_glynn(rows, product, orbits):
     # (mask, size) of orbits times the size: 2^n per, where the term is
     # constant on each orbit.  The row sums move from one representative
     # to the next by the columns where the masks differ.
-    # What negating delta_k adds to the row sums, and what restoring it adds.
-    steps = [([-2 * c for c in col], [2 * c for c in col])
-             for col in zip(*rows)]
+    steps = _column_steps(zip(*rows))
     sums = [sum(row) for row in rows]
     acc = 0
     prev = 0
@@ -636,18 +634,26 @@ def _bareiss(rows):
     return sign * a[0][0]
 
 
-def det_divfree(mat: Mat):
-    """Determinant with no division in the ring: fraction-free elimination
-    on the ring's int lowering, so rings with zero divisors are safe."""
+def _det(mat: Mat):
+    # The body of det_divfree and det_field; each calls it, not the other,
+    # so that a span around either name never nests in the other's.
+    if mat.n == 1:
+        return mat.ring.zero + mat.rows[0][0]
     rows, _, lift = _lowered(mat, det=True)
     return lift(_bareiss(rows))
+
+
+def det_divfree(mat: Mat):
+    """Determinant with no division in the ring: fraction-free elimination
+    on the lowering _lowered picks, so rings with zero divisors are safe.
+    A one-row matrix is its entry, coerced into the ring."""
+    return _det(mat)
 
 
 def det_field(mat: Mat):
-    """Determinant over a field: the same elimination as det_divfree, which
-    it keeps apart for callers that require a field."""
+    """Determinant over a field: det_divfree's elimination, behind a check
+    that the ring is a field."""
     ring = mat.ring
     if not ring.is_field:
         raise UnsupportedRingError(f"{ring.name} is not a field")
-    rows, _, lift = _lowered(mat, det=True)
-    return lift(_bareiss(rows))
+    return _det(mat)

@@ -31,14 +31,15 @@ image is v / 2^k; each lowering makes that division exact:
   coefficients; balanced_digits re-checks both bounds and raises
   ArithmeticError if either is broken.  The lift divides by prod d_j and
   multiplies by q^(sum e_j).
-* Q(zeta_m): cyclotomic.pack_rows and unpack (the same substitution; the
-  lift folds mod 2^(mB) - 1, the image of x^m - 1, as do Glynn's row
-  products; the modulus is odd, so the lift multiplies by the inverse of
-  2^k).  For a matrix that passes the Galois check of the matrices
-  module, per_ryser and the determinants take
-  CyclotomicField.lower_rational instead, evaluation at 2^e mod
-  Phi_m(2^e) twisted by the check's carrier, whose lift returns the exact
-  value (matrices module docstring).
+* Q(zeta_m): the engines ask the Galois check of the matrices module
+  first, and take CyclotomicField.lower_rational where it finds a carrier:
+  evaluation at 2^e mod Phi_m(2^e), twisted by the carrier, whose lift
+  returns the exact value (matrices module docstring).  The check finds
+  one for every m <= 2 and every matrix of rational entries.  Only where
+  it refuses do they take cyclotomic.pack_rows and unpack, the ring's
+  lowering (the same substitution; the lift folds mod 2^(mB) - 1, the
+  image of x^m - 1, as do Glynn's row products; the modulus is odd, so the
+  lift multiplies by the inverse of 2^k).
 
 Each lift is exact only for a signed sum of products of one entry per row,
 which is what a permanent or a determinant is.

@@ -588,18 +588,19 @@ _FAST_D = {"hi": 13, "d": (1, 2, -1)}
 # conj.sqdiff takes 0.02-0.03 s at p = 29, 0.70 s at 37 and 3.0 s at
 # 41.  lem.cauchy (seeds 0-3) takes 0.28-0.43 s at n = 29 and 0.40-0.80 s at
 # 30; lem.borchardt 0.40-0.52 s at 16 and 0.76-1.30 s at 17; lem.circulant
-# 0.42 s at 60 and 0.55-0.64 s at 61-63; conj.qdet, slower for larger |a|, at
-# most 0.32 s at n = 33 and 0.67 s at 35 for a = -3..3, and, within its bound
-# on |a|, at most 0.36 s for the slowest a at each odd n (every a for n >= 7,
-# every 37th below; a bound on n^3 |a| through n = 33, a = 3 let n = 7 take
-# 0.70 s at a = 312); conj.maskdet 0.13-0.18 s at p = 17 and 0.58-0.69 s at
-# 19; rem.cp, a determinant on one residue per entry whose time follows phi(n)
-# more than n, 0.33 s at n = 28, 0.77-0.83 s at 29 and 0.41-0.51 s at
-# 32.  thq.floor, thq.qfloor, conj.bernoulli, conj.absjk and conj.maskper are
-# Glynn permanents over Z or Q of n or p rows, bounded by RYSER_LIMIT (20
-# rows, so p <= 19): thq.floor takes 0.45-0.53 s there, thq.qfloor 0.57-0.68
-# s, conj.bernoulli 0.47-0.55 s, conj.absjk 0.58-0.70 s and conj.maskper
-# 0.67-0.91 s at a = 1.
+# (seeds 0-3), its determinants on one residue per entry, 0.24-0.27 s at
+# 60 and 0.41-0.51 s at 71, as on Kronecker images; conj.qdet, slower for
+# larger |a|, at most 0.32 s at n = 33 and 0.67 s at 35 for a = -3..3, and,
+# within its bound on |a|, at most 0.36 s for the slowest a at each odd n
+# (every a for n >= 7, every 37th below; a bound on n^3 |a| through n = 33,
+# a = 3 let n = 7 take 0.70 s at a = 312); conj.maskdet 0.13-0.18 s at
+# p = 17 and 0.58-0.69 s at 19; rem.cp, a determinant on one residue per
+# entry whose time follows phi(n) more than n, 0.33 s at n = 28, 0.77-0.83 s
+# at 29 and 0.41-0.51 s at 32.  thq.floor, thq.qfloor, conj.bernoulli,
+# conj.absjk and conj.maskper are Glynn permanents over Z or Q of n or p
+# rows, bounded by RYSER_LIMIT (20 rows, so p <= 19): thq.floor takes
+# 0.45-0.53 s there, thq.qfloor 0.57-0.68 s, conj.bernoulli 0.47-0.55 s,
+# conj.absjk 0.58-0.70 s and conj.maskper 0.67-0.91 s at a = 1.
 # A check that reads sequences has the
 # smallest largest index of their SEQ_TABLE rows as its limit, which it
 # applies before the primality test.  A check that reads two rows at one
@@ -946,7 +947,8 @@ def run_check(check_id: str, params: dict, seed: int = 0) -> Report:
     missing and extra ones, in the CLI's flag names; an int too long to
     print is a DomainError too.  A value of the wrong type is a SKIP, then a
     size past the check's limit.  Every claim with a parameter p is about
-    odd primes p, so any other p is a SKIP before the runner starts.
+    odd primes p, so any other p is a SKIP before the runner starts.  A
+    computed or expected value too long for str() to print is a SKIP too.
     """
     check = REGISTRY.get(check_id)
     if check is None:
@@ -972,27 +974,30 @@ def run_check(check_id: str, params: dict, seed: int = 0) -> Report:
             raise SkipCheck(f"claim requires an odd prime p, got {params['p']}")
         items, modulus, note = check.runner(params, rng)
     except SkipCheck as exc:
-        return Report(check_id, params, "SKIP", kind=check.kind,
-                      note=str(exc), ms=(time.perf_counter() - start) * 1e3)
+        status, note = "SKIP", str(exc)
     except (DomainError, SearchExhaustedError) as exc:
-        return Report(check_id, params, "SKIP", kind=check.kind,
-                      note=f"out of domain: {exc}",
-                      ms=(time.perf_counter() - start) * 1e3)
+        status, note = "SKIP", f"out of domain: {exc}"
     except (ArithmeticError, ValueError, KeyError,
             UnsupportedRingError) as exc:
-        return Report(check_id, params, "FAIL", kind=check.kind,
-                      note=f"{type(exc).__name__}: {exc}",
-                      ms=(time.perf_counter() - start) * 1e3)
-    ms = (time.perf_counter() - start) * 1e3
-    ok = all(item.ok for item in items)
+        status, note = "FAIL", f"{type(exc).__name__}: {exc}"
+        if isinstance(exc, ValueError) and str(exc).startswith(
+                "Exceeds the limit ("):
+            # str() cannot print the value: there is none to report.
+            status, note = "SKIP", (f"a value has more than"
+                                    f" {sys.get_int_max_str_digits()}"
+                                    f" digits, past what str() prints")
+    else:
+        def fmt(v):
+            return "; ".join(f"{i.label}={getattr(i, v)}" if i.label else
+                             getattr(i, v) for i in items)
 
-    def fmt(v):
-        return "; ".join(f"{i.label}={getattr(i, v)}" if i.label else
-                         getattr(i, v) for i in items)
-
-    return Report(check_id, params, "PASS" if ok else "FAIL",
-                  computed=fmt("computed"), expected=fmt("expected"),
-                  modulus=modulus, ms=ms, kind=check.kind, note=note)
+        status = "PASS" if all(item.ok for item in items) else "FAIL"
+        return Report(check_id, params, status, computed=fmt("computed"),
+                      expected=fmt("expected"), modulus=modulus,
+                      ms=(time.perf_counter() - start) * 1e3,
+                      kind=check.kind, note=note)
+    return Report(check_id, params, status, kind=check.kind, note=note,
+                  ms=(time.perf_counter() - start) * 1e3)
 
 
 def default_grid(check_id: str, tier: str = FAST) -> list[dict]:

@@ -488,20 +488,21 @@ def _sparse_coords(m, rng):
 def test_engines_equal_the_model_permutation_sum(n, m, rng):
     # Glynn and Bareiss on Kronecker images against the permutation sums of
     # the Fraction model, coordinate by coordinate on the exponent lattice.
-    # A draw that passes the Galois check (an all-zero matrix, say) takes
-    # the residue lowering, whose result is the canonical rational: compare
-    # it in the field.  per_ryser asks the check with the lattice sign of a
-    # [T(jk mod n)] table, and keeps Kronecker for one row.
+    # A draw that passes the Galois check (any draw over Q(zeta_1) or
+    # Q(zeta_2), an all-rational or all-zero matrix) takes the residue
+    # lowering, whose result is the canonical rational: compare it in the
+    # field.  per_ryser asks the check with the lattice sign of a
+    # [T(jk mod n)] table.  A one-row matrix is its entry, as it stands.
     coords = [[_sparse_coords(m, rng) for _ in range(n)] for _ in range(n)]
     mat = Mat(CyclotomicField(m), [[Cyc(m, c) for c in row] for row in coords])
     model = [[_model(c) for c in row] for row in coords]
-    per = per_ryser(mat)
     sign = _jk_shaped(mat) and _jk_sign(mat)[0] or 1
-    if n > 1 and _carrier(mat, sign) is not None:
-        assert per == Cyc(m, _model_sum(model, False))
-    else:
-        assert _normal_form(per).coeffs == _model_sum(model, False)
-    assert _normal_form(det_field(mat)).coeffs == _model_sum(model, True)
+    for got, det in ((per_ryser(mat), False), (det_field(mat), True)):
+        want = _model_sum(model, det)
+        if n > 1 and _carrier(mat, 1 if det else sign, det) is not None:
+            assert got == Cyc(m, want)
+        else:
+            assert _normal_form(got).coeffs == want
 
 
 @settings(max_examples=30, deadline=None)

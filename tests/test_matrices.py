@@ -93,7 +93,8 @@ def _mats(draw, ring, max_n, min_n=1):
 
 
 # Z/4 and Z/8: Glynn's division by 2^(n-1) under an even modulus.  Q(zeta_2):
-# a fold word of only mB = 2B bits (4 bits when a zero row makes L = 0).
+# the residue lowering at phi(m) = 1, N = Phi_2(2^e) = 2^e + 1 (N = 9 when a
+# zero row makes L = 0).
 ENGINE_RINGS = [ZZ, Zmod(4), Zmod(8), Zmod(9), Zmod(49), QQ, GF(7),
                 CyclotomicField(2), CyclotomicField(5), QPOLY]
 HEAVY_RINGS = ENGINE_RINGS[-3:]
@@ -500,8 +501,9 @@ def test_twisted_lowering_equals_the_kronecker_orbit_sum(family):
 def test_one_row_tables_keep_kronecker():
     # At n = 3 the table has the one residue 1, so _jk_sign reads sign 1
     # for all six families; the folded entry T[2] = T[1] is what refuses
-    # the four odd ones, since sigma_2(T[1]) = -T[1].  per_ryser keeps
-    # Kronecker for a one-row table and returns its entry as it stands.
+    # the four odd ones, since sigma_2(T[1]) = -T[1].  per_ryser lowers no
+    # one-row matrix, Kronecker or residue: it returns the entry, coerced
+    # into the ring, as the same lattice vector.
     for family in JK_SIGN:
         mat = build_cyclotomic(family, n=3)
         (entry,), = mat.rows
@@ -509,6 +511,49 @@ def test_one_row_tables_keep_kronecker():
         assert (_carrier(mat, 1) is None) == (JK_SIGN[family] < 0), family
         got = per_ryser(mat)
         assert (got.num, got.den) == (entry.num, entry.den), family
+
+
+def _refuse_lowerings(mp, ring, names):
+    # Make each lowering in names that the ring's class has raise.
+    def refused(self, rows, *carrier):
+        raise AssertionError("took a lowering it must not")
+    for name in names:
+        if hasattr(type(ring), name):
+            mp.setattr(type(ring), name, refused)
+
+
+ONE_ROW_RINGS = ENGINE_RINGS + [CyclotomicField(1), CyclotomicField(12)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_no_kronecker_for_rational_entries_q_or_one_row(data):
+    # The three kinds of matrix that took Kronecker images before the one
+    # lowering rule: entries with constant lattice vectors over Q(zeta_m),
+    # m >= 3; any matrix over Q(zeta_1) or Q(zeta_2), which are Q (num[1]
+    # may be nonzero at m = 2); and a one-row matrix over any ring, a plain
+    # int over Z/m included, which takes no lowering at all.  Each engine
+    # must match the n! oracle and the signed Leibniz sum.
+    kind = data.draw(st.sampled_from(("rational", "q", "one row")))
+    names = ("lower",)
+    if kind == "rational":
+        m = data.draw(st.sampled_from((3, 4, 6, 12, 15)))
+        n = data.draw(st.integers(1, 6))
+        value = (_RAT | _SMALL).map(partial(Cyc.rational, m))
+        mat = Mat(CyclotomicField(m), data.draw(st.lists(
+            st.lists(value, min_size=n, max_size=n), min_size=n, max_size=n)))
+    elif kind == "q":
+        mat = data.draw(_mats(CyclotomicField(data.draw(st.sampled_from(
+            (1, 2)))), 6))
+    else:
+        mat = data.draw(_mats(data.draw(st.sampled_from(ONE_ROW_RINGS)), 1))
+        names = ("lower", "lower_rational")
+    with pytest.MonkeyPatch.context() as mp:
+        _refuse_lowerings(mp, mat.ring, names)
+        per, det = per_ryser(mat), det_divfree(mat)
+        field_det = det_field(mat) if mat.ring.is_field else det
+    assert per == per_naive(mat)
+    assert det == field_det == _leibniz(mat)
 
 
 @pytest.mark.parametrize("family", list(JK_SIGN))
@@ -659,9 +704,12 @@ def test_packed_engines_over_cyclotomic(m):
                       [Cyc.rational(m, -9), 5 * z(3) + 3]])
     assert pack_rows(m, edge.rows)[1].bound == 136
     mats.append(edge)
-    # A single entry attains the bound 255 itself, with either sign.
-    mats.append(Mat(ring, [[Cyc.rational(m, 255)]]))
-    mats.append(Mat(ring, [[-255 * z(m - 1)]]))
+    # A single entry attains the bound 255 itself, with either sign (a
+    # one-row matrix is its entry and packs nothing, so the entry sits on
+    # a diagonal beside 1).
+    for big in (255 * z(1), -255 * z(m - 1)):
+        mats.append(Mat(ring, [[big, ring.zero], [ring.zero, ring.one]]))
+        assert pack_rows(m, mats[-1].rows)[1].bound == 255
     # A zero row gives a zero bound.
     mats.append(Mat(ring, [[ring.zero] * 3, [z(1)] * 3,
                            [z(2), 1 + z(1), z(5)]]))

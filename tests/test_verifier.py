@@ -430,18 +430,18 @@ def test_only_the_drawing_runners_seed_a_stream(monkeypatch):
             run_check(check_id, params)
 
 
-def test_only_known_matrices_stay_on_kronecker(monkeypatch):
-    # Over the fast tier, every matrix over Q(zeta_m) takes the residue
-    # lowering except lem.circulant's determinants (random entries), one-row
-    # matrices (whose value is their entry) and matrices over Q(zeta_1) or
-    # Q(zeta_2), where the residue lowering does not apply: a family that
+def test_no_checked_matrix_runs_on_kronecker(monkeypatch):
+    # Over both tiers, every matrix over Q(zeta_m) that a check builds
+    # takes the residue lowering: the Galois check finds a carrier for every
+    # one of them (m <= 2 and all-rational matrices included), and a
+    # one-row matrix is its entry, with no lowering at all.  A family that
     # falls back to Kronecker fails here.
     lowered = []
     current = [None]
     real_check = verifier.run_check
 
     def tagged(check_id, params, seed=0):
-        current[0] = check_id
+        current[0] = check_id, params
         return real_check(check_id, params, seed)
 
     def spy(name):
@@ -455,11 +455,10 @@ def test_only_known_matrices_stay_on_kronecker(monkeypatch):
     spy("lower_rational")
     monkeypatch.setattr(verifier, "run_check", tagged)
     run_suite("fast")
-    kronecker = [(cid, m, n) for cid, m, n, name in lowered
-                 if name == "lower"]
-    assert kronecker and len(kronecker) < len(lowered)
-    for cid, m, n in kronecker:
-        assert cid == "lem.circulant" or n == 1 or m <= 2, (cid, m, n)
+    run_suite("full")
+    assert lowered
+    assert [row for row in lowered if row[-1] == "lower"] == []
+    assert all(n > 1 for _, _, n, _ in lowered)
 
 
 def test_circulant_orbit_sum_census(monkeypatch):
@@ -546,6 +545,29 @@ def test_run_check_refuses_missing_and_extra_keys(monkeypatch, check_id,
     with pytest.raises(DomainError) as exc:
         run_check(check_id, params)
     assert str(exc.value) == message
+
+
+def test_a_value_too_long_to_print_is_a_skip(monkeypatch):
+    # With thnew.cauchyroot's two height bounds lifted, n = 11 and
+    # x = 2^128 - 1 make a true value of more than 4300 digits: str(), and
+    # so every report, cannot print it.  That is a SKIP naming the limit,
+    # not a FAIL with empty fields.
+    monkeypatch.setattr(verifier, "CAUCHYROOT_HEIGHT_LIMIT", 1 << 200)
+    monkeypatch.setattr(verifier, "CAUCHYROOT_PRINT_LIMIT", 1 << 200)
+    r = run_check("thnew.cauchyroot", {"n": 11, "x": str(2 ** 128 - 1)})
+    assert r.status == "SKIP", r
+    assert "more than 4300 digits" in r.note, r.note
+
+
+def test_any_other_value_error_is_still_a_fail(monkeypatch):
+    def broken(params, rng):
+        raise ValueError("Exceeds nothing: a runner's own fault")
+
+    monkeypatch.setitem(REGISTRY, "thq.floor",
+                        REGISTRY["thq.floor"]._replace(runner=broken))
+    r = run_check("thq.floor", {"n": 3})
+    assert r.status == "FAIL"
+    assert r.note == "ValueError: Exceeds nothing: a runner's own fault"
 
 
 @pytest.mark.parametrize("check_id,params", [
