@@ -72,7 +72,9 @@ vector in normal form is one pair whichever path computed it.
 Square roots of integers never become floats here: for odd n the quadratic
 Gauss sum g = sum_x zeta^(x^2) satisfies g^2 = (-1)^((n-1)/2) n, and
 (-1)^floor(n/4) * g is the exact field element playing the role of
-i^((n-1)/2) * sqrt(n).
+i^((n-1)/2) * sqrt(n).  sqrt_element builds it once per order, and the
+Galois check and the twisted lowerings of every table of that order share
+it: no operation changes a Cyc in place.
 """
 
 from __future__ import annotations
@@ -577,12 +579,13 @@ def gauss_sum(m: int) -> Cyc:
     return Cyc(m, coeffs)
 
 
+@lru_cache(maxsize=None)
 def sqrt_element(n: int) -> Cyc:
     """The element of Q(zeta_n) equal to i^((n-1)/2) * sqrt(n), for odd n >= 3.
 
     Realized as (-1)^floor(n/4) times the quadratic Gauss sum; its square is
     (-1)^((n-1)/2) * n, which is how division by sqrt(n) is carried out
-    exactly.
+    exactly.  Built once per order and shared.
     """
     g = gauss_sum(n)
     return -g if (n // 4) % 2 else g
@@ -634,10 +637,10 @@ class CyclotomicField(Ring):
         divisions are exact; the lift multiplies by w(2^e), reduces and
         halves mod N (N is odd), takes the balanced residue v, raises
         ArithmeticError if |v| > L', and returns v W / (W^2 prod d_j den_W),
-        which is v / prod d_j for W = 1.  The matrices module docstring
-        proves this exact for the carrier that its Galois check
-        (matrices._carrier) finds; the engines take `lower` only where the
-        check finds none.
+        which is v / prod d_j for W = 1, as W times one Rat of two ints.
+        The matrices module docstring proves this exact for the carrier that
+        its Galois check (matrices._carrier) finds; the engines take `lower`
+        only where the check finds none.
         """
         m = self.m
         # W^2, which the lift divides by; a rational W needs no product.
@@ -661,7 +664,9 @@ class CyclotomicField(Ring):
             return x if -half <= x <= half else x % modulus
         ints = _cleared_values(rows, scales, residue)
         twist = residue(carrier.num)
-        scale = square * carrier.den * den
+        # v / (W^2 prod d_j den_W) is Rat(v * bottom, top).
+        top = int(square.numerator) * carrier.den * den
+        bottom = int(square.denominator)
 
         def lift(value, k=0):
             v = value * twist * pow(2, -k, modulus) % modulus
@@ -671,7 +676,7 @@ class CyclotomicField(Ring):
                 raise ArithmeticError(
                     f"residue mod Phi_{m}(2^{e}) exceeds its bound {bound}:"
                     f" the permanent times {carrier} is not rational")
-            return carrier * (Rat(v) / scale)
+            return carrier * Rat(v * bottom, top)
         return ints, math.prod, lift
 
     def zeta(self, e: int = 1) -> Cyc:

@@ -3,6 +3,10 @@
 Families are grouped by scalar ring (integer, Laurent-polynomial, cyclotomic,
 rational), one builder per ring taking a family name and its parameters as
 keywords; root_linear alone is also built over F_p, given an FqRoot as fq.
+root_linear and root_exp_shift build each entry over Q(zeta_n) directly as
+its normal-form (num, den) pair, with no field arithmetic: for x = a/b in
+lowest terms, 1 + zeta^r x is (b + a zeta^r)/b (_one_plus), and
+1 - zeta^j x is the same with -a.
 
 Trigonometric families are built over Q(zeta_n) from three elements and
 their inverses, each a trigonometric value times a constant (zeta =
@@ -135,6 +139,16 @@ def _jk_entry(family: str, ring: CyclotomicField, r: int):
     return (z + 1) * (z - 1).inverse()  # cot_jk
 
 
+def _one_plus(n: int, r: int, a: int, b: int):
+    # 1 + zeta^r a/b = (b + a zeta^r)/b over Q(zeta_n) for a/b in lowest
+    # terms, in normal form as built: gcd(b, a) = 1, and gcd(b, b + a) = 1
+    # where r = 0 mod n.
+    num = [0] * n
+    num[0] = b
+    num[r % n] += a
+    return _cyc(n, num, b)
+
+
 def build_cyclotomic(family: str, **params) -> Mat:
     n = params["n"]
     _require(n >= 1, family, f"n must be >= 1, got {n}")
@@ -151,27 +165,20 @@ def build_cyclotomic(family: str, **params) -> Mat:
             xs = [int(x) for x in xs]
             return Mat(fq.ring(), [[ModInt(1 - z * x, p) for x in xs]
                                    for z in zs])
-        # For x = a/b, 1 - zeta^j x is (b - a zeta^j)/b, in normal form as
-        # built since gcd(a, b) = 1 (zeta^n = 1 and x = 0 included).
-        pairs = [(int(x.numerator), int(x.denominator)) for x in xs]
-        rows = []
-        for j in range(1, n + 1):
-            row = []
-            for a, b in pairs:
-                num = [0] * n
-                num[0] = b
-                num[j % n] -= a
-                row.append(_cyc(n, num, b))
-            rows.append(row)
-        return Mat(CyclotomicField(n), rows)
+        # 1 - zeta^j x is 1 + zeta^j (-x).
+        pairs = [(-int(x.numerator), int(x.denominator)) for x in xs]
+        return Mat(CyclotomicField(n),
+                   [[_one_plus(n, j, a, b) for a, b in pairs]
+                    for j in range(1, n + 1)])
 
     if family == "root_exp_shift":
         _require(n >= 2, family, f"n must be >= 2, got {n}")
         x = params["x"]
-        ring = CyclotomicField(n)
-        table = {r: 1 + ring.zeta(r) * x for r in range(n)}
-        return Mat(ring, [[table[(j + k) % n] for k in range(1, n)]
-                          for j in range(1, n)])
+        a, b = int(x.numerator), int(x.denominator)
+        table = [_one_plus(n, r, a, b) for r in range(n)]
+        return Mat(CyclotomicField(n),
+                   [[table[(j + k) % n] for k in range(1, n)]
+                    for j in range(1, n)])
 
     if family == "cauchy_root":
         x = params["x"]

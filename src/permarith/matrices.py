@@ -344,7 +344,8 @@ def _carrier(mat: Mat, sign: int = 1, det: bool = False):
                 signs.append(1)
             pi.append(x - 1)
         # sigma_a sends coefficient e to a*e, so image[f] = num[f / a].
-        back = itemgetter(*[pow(a, -1, m) * f % m for f in range(m)])
+        inv = pow(a, -1, m)
+        back = itemgetter(*[inv * f % m for f in range(m)])
         # For s = 1 and -1: id(entry) -> (s sigma_a(entry)).num; rows keep
         # entries alive.
         images = {1: {}, -1: {}}

@@ -38,9 +38,8 @@ from .families import (build_cyclotomic, build_integer, build_qpoly,
                        build_rational)
 from .matrices import (RYSER_LIMIT, Mat, det_divfree, det_field, per_ryser,
                        per_sum_coeffs, per_sum_values)
-from .ntheory import (bernoulli, binomial, double_factorial, factorial,
-                      inv_mod, is_prime, jacobi, mod_reduce_rat,
-                      odd_primes_upto)
+from .ntheory import (bernoulli, double_factorial, factorial, inv_mod,
+                      is_prime, jacobi, mod_reduce_rat, odd_primes_upto)
 from .rings import QQ, LPoly, ModInt, Rat
 from .sequences import (SEQ_TABLE, derangement_sum, masked_sum, seq_c,
                         seq_c_prime, seq_d, seq_s, seq_s_prime, seq_t,
@@ -219,6 +218,13 @@ def _run_thq_det(params, rng):
 ROOTLINEAR_LIMITS = {"cyc": 14, "fq": 16}
 
 
+def _rootlinear_want(xs) -> Rat:
+    # n! (1 - x_1...x_n) for x_k = a_k/b_k, over the one denominator prod b_k.
+    tops = math.prod(int(x.numerator) for x in xs)
+    bottoms = math.prod(int(x.denominator) for x in xs)
+    return Rat(factorial(len(xs)) * (bottoms - tops), bottoms)
+
+
 def _run_rootlinear(params, rng):
     n, backend = params["n"], params["backend"]
     if backend not in ROOTLINEAR_LIMITS:
@@ -236,7 +242,7 @@ def _run_rootlinear(params, rng):
                        for _ in range(n))
             mat = build_cyclotomic("root_linear", n=n, x=xs)
             got = per_ryser(mat).as_rational()
-            want = factorial(n) * (1 - math.prod(xs, start=Rat(1)))
+            want = _rootlinear_want(xs)
         else:
             p = root.prime
             xs = tuple(rng.randrange(p) for _ in range(n))
@@ -247,15 +253,19 @@ def _run_rootlinear(params, rng):
     return items, None, None
 
 
+def _rootexp_sum(n: int, x):
+    # sum_k (n-1)!/C(n-1,k) x^k, each coefficient k! (n-1-k)! an int.
+    return sum(factorial(k) * factorial(n - 1 - k) * x ** k
+               for k in range(n))
+
+
 def _run_rootexp(params, rng):
     n = params["n"]
     items = []
     for x in range(1, n + 1):
         mat = build_cyclotomic("root_exp_shift", n=n, x=x)
         got = per_ryser(mat).as_rational()
-        want = sum(Rat(factorial(n - 1), binomial(n - 1, k)) * x ** k
-                   for k in range(n))
-        items.append(_eq(got, want, f"x={x}"))
+        items.append(_eq(got, _rootexp_sum(n, x), f"x={x}"))
     return items, None, "degree n-1 identity checked at n points"
 
 
@@ -295,6 +305,15 @@ def _cauchyroot_height_top(n: int) -> int:
     return min(CAUCHYROOT_HEIGHT_LIMIT >> k, CAUCHYROOT_PRINT_LIMIT // k ** 2)
 
 
+def _cauchyroot_want(n: int, x: Rat) -> Rat:
+    # prod_r (n x^n/(1 - x^n) + r) for x = a/b: each factor is
+    # (n A + r (B - A))/(B - A) with A = a^n and B = b^n, for x^n != 1.
+    big_a, big_b = int(x.numerator) ** n, int(x.denominator) ** n
+    gap = big_b - big_a
+    return Rat(math.prod(n * big_a + r * gap for r in range(1, n + 1)),
+               gap ** n)
+
+
 def _run_cauchyroot(params, rng):
     n = params["n"]
     x = Rat(params["x"])
@@ -309,9 +328,7 @@ def _run_cauchyroot(params, rng):
     except SingularFamilyError as exc:
         raise SkipCheck(str(exc))
     got = per_ryser(mat).as_rational()
-    base = Rat(n * x ** n, 1 - x ** n)
-    want = math.prod((base + r for r in range(1, n + 1)), start=Rat(1))
-    return [_eq(got, want)], None, None
+    return [_eq(got, _cauchyroot_want(n, x))], None, None
 
 
 # conj.qdet accepts |a| <= QDET_LIMIT / (n + 2)^3, fitted to the times in
@@ -562,25 +579,28 @@ _FAST_D = {"hi": 13, "d": (1, 2, -1)}
 # Galois-invariant, so per_ryser lowers them to one residue mod Phi_m(2^e)
 # (see matrices); each was timed on that engine, its runner called directly
 # in a fresh process, since Glynn's sum went to blocks (matrices):
-# thper.rootlinear (random x at seeds 0-2) with backend cyc 0.37-0.62 s at
-# n = 14 and 1.05-1.59 s at 15, with backend fq (no Q(zeta)) 0.26-0.31 s at
-# 16 and 0.51-0.84 s at 17; thper.rootexp 0.17-0.19 s at 14 and 0.48-0.72 s
-# at 15; cor.sin 0.31-0.50 s at 18 and 1.3 s at 19; cor.cos 0.27-0.30 s at
-# 18.  The Cauchy matrix [1/(1 - zeta^(j-k) x)] is circulant, so per_ryser
-# sums Glynn once per necklace (see matrices), and its checks were re-timed
-# on that sum: rem.perhalf takes 0.18-0.22 s at n = 19, the largest odd n
-# under RYSER_LIMIT.  thnew.cauchyroot also grows with the height of x,
+# thper.rootlinear (random x at seeds 0-2) with backend cyc 0.19-0.33 s at
+# n = 14 and 0.47-0.77 s at 15, with backend fq (no Q(zeta)) 0.26-0.31 s at
+# 16 and 0.51-0.84 s at 17; thper.rootexp 0.23-0.26 s at 14 and 0.58-0.65 s
+# at 15; cor.sin 0.35-0.37 s at 18 and 0.81-0.86 s at 19; cor.cos
+# 0.38-0.43 s at 18 and 0.90-1.02 s at 19 (their closed forms are int
+# sums, so the permanents set these times).  The Cauchy matrix
+# [1/(1 - zeta^(j-k) x)] is circulant, so per_ryser sums Glynn once per
+# necklace (see matrices), and its checks were re-timed on that sum:
+# rem.perhalf takes 0.18-0.22 s at n = 19, the largest odd n under
+# RYSER_LIMIT.  thnew.cauchyroot also grows with the height of x,
 # about 3x per doubling of the height at a fixed n and 2-3x per step of n
 # at a fixed height, so it refuses height(x) > 2^17 / 2^max(n, 7) (and
 # more than the printing bound next to _run_cauchyroot admits): at the
-# largest height each n accepts it takes 0.07-0.10 s at n = 16 (height 2;
-# x = 3 takes 0.39 s at 17, where the bound admits height 1 only),
-# 0.11-0.21 s at 15 (height 4), 0.16-0.17 s at 14 (8), 0.16-0.31 s at 13
-# (16), 0.20-0.27 s at 12 (32), 0.20-0.39 s at 11 (64), 0.22-0.25 s at 10
-# (125), 0.09-0.12 s at 9 (154), 0.05 s at 8 (196) and 0.02-0.04 s at 7
-# (256), against 0.50 s at 16 for height 4, 0.63 s at 15 for 8, 0.60 s at
-# 14 for 16, 0.58 s at 13 for 32, 0.70 s at 12 for 64 and 0.67 s at 11
-# for 96.  conj.derange takes 0.04 s at 16, whose table of size n is
+# largest height h each n accepts, with x = (2^h - 1)/(2^h - 3) (x = 3 for
+# h = 2), it takes 0.07-0.10 s at n = 16 (height 2; x = 3 takes 0.22 s at
+# 17, where the bound admits height 1 only), 0.13-0.14 s at 15 (height 4),
+# 0.18-0.20 s at 14 (8), 0.17-0.31 s at 13 (16), 0.25-0.44 s at 12 (32),
+# 0.31-0.38 s at 11 (64), 0.32-0.46 s at 10 (125), 0.11-0.19 s at 9 (154),
+# 0.07-0.12 s at 8 (196) and 0.04 s at 7 (256), against 0.36 s at 16 for
+# height 4, 0.44 s at 15 for 8, 0.59 s at 14 for 16, 0.51 s at 13 for 32
+# and 0.74 s at 12 for 64 (at 11, height 128 is past the printing bound).
+# conj.derange takes 0.04 s at 16, whose table of size n is
 # circulant, and 0.28-0.49 s at 17 (0.55-0.59 s when its limit was set),
 # whose table of size n - 1 is not, so its limit stays (its two
 # determinants run on one residue per entry).  thnew.invsumsq takes
@@ -588,12 +608,14 @@ _FAST_D = {"hi": 13, "d": (1, 2, -1)}
 # conj.sqdiff takes 0.02-0.03 s at p = 29, 0.70 s at 37 and 3.0 s at
 # 41.  lem.cauchy (seeds 0-3) takes 0.28-0.43 s at n = 29 and 0.40-0.80 s at
 # 30; lem.borchardt 0.40-0.52 s at 16 and 0.76-1.30 s at 17; lem.circulant
-# (seeds 0-3), its determinants on one residue per entry, 0.24-0.27 s at
-# 60 and 0.41-0.51 s at 71, as on Kronecker images; conj.qdet, slower for
-# larger |a|, at most 0.32 s at n = 33 and 0.67 s at 35 for a = -3..3, and,
-# within its bound on |a|, at most 0.36 s for the slowest a at each odd n
-# (every a for n >= 7, every 37th below; a bound on n^3 |a| through n = 33,
-# a = 3 let n = 7 take 0.70 s at a = 312); conj.maskdet 0.13-0.18 s at
+# (seeds 0-3, twice, n interleaved), its determinants on one residue per
+# entry, 0.39-0.43 s at 66 (one run of eight 0.62 s), 0.42-0.53 s at 68
+# and 0.47-0.56 s at 70 (one each 0.64 and 0.73 s), against 0.28-0.38 s at
+# 60 in the same runs; conj.qdet, slower for larger |a|, at most 0.32 s at
+# n = 33 and 0.67 s at 35 for a = -3..3, and, within its bound on |a|, at
+# most 0.36 s for the slowest a at each odd n (every a for n >= 7, every
+# 37th below; a bound on n^3 |a| through n = 33, a = 3 let n = 7 take
+# 0.70 s at a = 312); conj.maskdet 0.13-0.18 s at
 # p = 17 and 0.58-0.69 s at 19; rem.cp, a determinant on one residue per
 # entry whose time follows phi(n) more than n, 0.33 s at n = 28, 0.77-0.83 s
 # at 29 and 0.41-0.51 s at 32.  thq.floor, thq.qfloor, conj.bernoulli,
@@ -695,8 +717,7 @@ _register("cor.cos", "theorem",
           _claim((lambda n: Rat(per_ryser(build_cyclotomic(
                       "root_exp_shift", n=n, x=1)).as_rational()
                       * (-1) ** (n - 1), 2 ** (n - 1)),
-                  lambda n: Rat(factorial(n - 1), (-2) ** (n - 1)) * sum(
-                      Rat(1, binomial(n - 1, k)) for k in range(n)))),
+                  lambda n: Rat(_rootexp_sum(n, 1), (-2) ** (n - 1)))),
           partial(_ns, lo=2), 9, 12, limit=("n", 18))
 _register("thnew.cauchyroot", "theorem",
           "per[1/(1 - zeta^(j-k) x)] = prod_r (n x^n/(1-x^n) + r)",
@@ -757,7 +778,7 @@ _register("lem.borchardt", "theorem",
           _run_lem_borchardt, partial(_ns, lo=2), 6, 6, limit=("n", 16))
 _register("lem.circulant", "theorem",
           "circulant determinant = prod_r sum_k a_k zeta^((k-1)r)",
-          _run_lem_circulant, _ns, 6, 8, limit=("n", 60))
+          _run_lem_circulant, _ns, 6, 8, limit=("n", 66))
 _register("lem.oneplus", "theorem",
           "prod_(k=1..n-1) (1 + zeta^k) = 1 for odd n",
           _claim((lambda n: math.prod((1 + Cyc.zeta(n, k)

@@ -94,11 +94,15 @@ def test_gauss_sum_square(m):
 
 
 def test_sqrt_element_matches_float():
-    # sqrt_element(n) embeds to i^((n-1)/2) sqrt(n)
+    # sqrt_element(n) embeds to i^((n-1)/2) sqrt(n); it is built once per
+    # order, one shared object whose square is (-1)^((n-1)/2) n.
     for n in range(3, 20, 2):
-        got = sqrt_element(n).embed()
+        w = sqrt_element(n)
+        got = w.embed()
         want = 1j ** ((n - 1) // 2) * math.sqrt(n)
         assert abs(got - want) < 1e-9, n
+        assert sqrt_element(n) is w
+        assert (w * w).as_rational() == (-1) ** ((n - 1) // 2) * n
 
 
 def test_galois_properties():

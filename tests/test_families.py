@@ -238,6 +238,24 @@ def test_qabs_determinant_example():
     assert det_divfree(build_qpoly("qabs", n=4, shift=1)) == one_plus_q ** 2
 
 
+@pytest.mark.parametrize("n", range(2, 13))
+def test_root_exp_shift_entries_equal_the_ring_arithmetic(n):
+    # Each entry is built directly, (b + a zeta^r)/b for x = a/b over
+    # Q(zeta_n); it must be the (num, den) pair that 1 + zeta^r * x gives,
+    # at r = j + k = n (a rational entry, zero for x = -1) too, for x = -1,
+    # 0, 3, 1/2, -3/4 and random rational x.
+    rng = random.Random(f"rootexp:{n}")
+    ring = CyclotomicField(n)
+    xs = [-1, 0, 3, Rat(1, 2), Rat(-3, 4)] + [
+        Rat(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4)]
+    for x in xs:
+        mat = build_cyclotomic("root_exp_shift", n=n, x=x)
+        for j, row in enumerate(mat.rows, 1):
+            for k, z in enumerate(row, 1):
+                want = 1 + ring.zeta(j + k) * x
+                assert (z.num, z.den) == (want.num, want.den), (j, k, x)
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_root_linear_entries_equal_the_ring_arithmetic(n):
     # Each entry is built directly, (b - a zeta^j)/b for x = a/b over

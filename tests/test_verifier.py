@@ -1,10 +1,14 @@
 """Check registry: completeness, spot examples, reproducibility, and the
 mutation test proving FAIL reports carry both values."""
 
+import math
 import re
 from collections import Counter
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import permarith.cyclotomic as cyclotomic
 import permarith.families as families
@@ -13,7 +17,7 @@ import permarith.sequences as sequences
 import permarith.verifier as verifier
 from permarith.errors import DomainError, UnknownCheckError
 from permarith.matrices import Mat, per_ryser, per_sum_values
-from permarith.ntheory import inv_mod, odd_primes_upto
+from permarith.ntheory import binomial, factorial, inv_mod, odd_primes_upto
 from permarith.rings import ZZ, Rat
 from permarith.verifier import (ALL_CHECK_IDS, REGISTRY, default_grid,
                                 run_check, run_suite)
@@ -170,7 +174,7 @@ def test_size_limits_refuse_before_building(monkeypatch):
                        "conj.bernoulli": ("n", 20), "conj.absjk": ("p", 19),
                        "conj.maskper": ("p", 19), "lem.cauchy": ("n", 29),
                        "lem.borchardt": ("n", 16),
-                       "lem.circulant": ("n", 60), "conj.qdet": ("n", 33),
+                       "lem.circulant": ("n", 66), "conj.qdet": ("n", 33),
                        "conj.maskdet": ("p", 17), "rem.cp": ("n", 28),
                        "thjk.cong": ("p", 19), "thcos.cong": ("p", 37),
                        "thsin.cong": ("p", 31), "thtan.cong": ("p", 31),
@@ -215,7 +219,7 @@ def test_size_limits_refuse_before_building(monkeypatch):
             ("thq.floor", {"n": 40}), ("thq.qfloor", {"n": 21}),
             ("conj.bernoulli", {"n": 21}), ("conj.absjk", {"p": 23}),
             ("conj.maskper", {"p": 23, "a": 1}), ("lem.cauchy", {"n": 800}),
-            ("lem.borchardt", {"n": 17}), ("lem.circulant", {"n": 61}),
+            ("lem.borchardt", {"n": 17}), ("lem.circulant", {"n": 67}),
             ("conj.qdet", {"n": 35, "a": 1}),
             ("conj.maskdet", {"p": 19, "a": 1}),
             ("rem.cp", {"n": 29}), ("thjk.cong", {"p": 23}),
@@ -346,6 +350,88 @@ def test_builder_checks_pass_and_print_at_their_limits(check_id, params):
     for text in (r.computed, r.expected):
         assert max(map(len, re.findall(r"\d+", text))) < 4300, \
             (check_id, text)
+
+
+# The Fraction forms of four closed forms that the runners take in ints,
+# kept as their references.
+def _rootexp_reference(n, x):
+    return sum(Rat(factorial(n - 1), binomial(n - 1, k)) * x ** k
+               for k in range(n))
+
+
+def _cos_reference(n):
+    return Rat(factorial(n - 1), (-2) ** (n - 1)) * sum(
+        Rat(1, binomial(n - 1, k)) for k in range(n))
+
+
+def _rootlinear_reference(xs):
+    return factorial(len(xs)) * (1 - math.prod(xs, start=Rat(1)))
+
+
+def _cauchyroot_reference(n, x):
+    base = Rat(n * x ** n, 1 - x ** n)
+    return math.prod((base + r for r in range(1, n + 1)), start=Rat(1))
+
+
+def _same(got, want):
+    # Equal, and printed alike in a report.
+    assert got == want and str(got) == str(want), (got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 20), st.integers(-5, 25))
+def test_rootexp_sum_equals_its_fraction_reference(n, x):
+    _same(verifier._rootexp_sum(n, x), _rootexp_reference(n, x))
+
+
+class _Permanent:
+    # A stand-in for per_ryser's value: as_rational() gives `value`.
+    def __init__(self, value):
+        self.value = value
+
+    def as_rational(self):
+        return self.value
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 30))
+def test_cor_cos_closed_form_equals_its_fraction_reference(n):
+    # cor.cos's registered claim, run on a stand-in permanent that makes its
+    # left side the reference: it must pass and print the reference.
+    want = _cos_reference(n)
+    per = _Permanent(want * (-2) ** (n - 1))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verifier, "build_cyclotomic", lambda family, **params: None)
+        mp.setattr(verifier, "per_ryser", lambda mat: per)
+        (item,), _, _ = REGISTRY["cor.cos"].runner({"n": n}, None)
+    assert item.ok, item
+    assert item.expected == str(want)
+
+
+_RATIONALS = st.fractions(-50, 50, max_denominator=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_RATIONALS, min_size=1, max_size=14))
+@example([Fraction(0)])
+@example([Fraction(-3, 7), Fraction(0), Fraction(5)])
+def test_rootlinear_closed_form_equals_its_fraction_reference(xs):
+    xs = tuple(Rat(x.numerator, x.denominator) for x in xs)
+    _same(verifier._rootlinear_want(xs), _rootlinear_reference(xs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 16), _RATIONALS)
+@example(5, Fraction(0))
+@example(3, Fraction(-1))
+@example(6, Fraction(-2, 3))
+@example(7, Fraction(3, 2))
+@example(4, Fraction(-5, 2))
+def test_cauchyroot_closed_form_equals_its_fraction_reference(n, x):
+    # x of both signs, |x| < 1 and > 1 and 0; x^n = 1 is refused before.
+    x = Rat(x.numerator, x.denominator)
+    assume(x ** n != 1)
+    _same(verifier._cauchyroot_want(n, x), _cauchyroot_reference(n, x))
 
 
 # The five vectors u_j = j^e (lo <= j < hi) of the rank-2 claims, as
