@@ -80,15 +80,15 @@ it: no operation changes a Cyc in place.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import compress
 from operator import add, lshift, sub
 from typing import NamedTuple
 
 from .errors import (DomainError, NonInvertibleError, SearchExhaustedError)
 from .ntheory import divisors, is_prime, prime_factors
-from .rings import (ModInt, Rat, Ring, ResidueRing, _power, _show_terms,
-                    balanced_digits, cleared, ratio)
+from .rings import (Lowering, ModInt, Rat, Ring, ResidueRing, _power,
+                    _show_terms, balanced_digits, cleared, ratio)
 
 # ---------------------------------------------------------------------------
 # Cyclotomic polynomials
@@ -612,17 +612,13 @@ class CyclotomicField(Ring):
     def from_int(self, k: int):
         return Cyc.rational(self.m, k)
 
-    def lower(self, rows):
-        # Glynn's products and unpack fold mod 2^(mB) - 1, which is odd:
-        # halving is multiplication by the inverse of 2.
+    def lower(self, rows) -> Lowering:
+        # Glynn's products and unpack fold mod 2^(mB) - 1, which is odd.
         images, layout = pack_rows(self.m, rows)
-        modulus = (1 << self.m * layout.bits) - 1
+        return Lowering(images, partial(unpack, layout=layout),
+                        (1 << self.m * layout.bits) - 1, layout.product)
 
-        def lift(value, k=0):
-            return unpack(value * pow(2, -k, modulus), layout)
-        return images, layout.product, lift
-
-    def lower_rational(self, rows, carrier: Cyc):
+    def lower_rational(self, rows, carrier: Cyc) -> Lowering:
         """The int lowering for rows whose permanent (or determinant) times
         the carrier W is rational, for any m.
 
@@ -634,8 +630,8 @@ class CyclotomicField(Ring):
         it would multiply ints of both signs.)  Glynn multiplies the row
         sums as plain ints (one reduction mod N at the end costs less than
         one per product), and Bareiss eliminates on them in Z, where its
-        divisions are exact; the lift multiplies by w(2^e), reduces and
-        halves mod N (N is odd), takes the balanced residue v, raises
+        divisions are exact.  Lowering.lift halves mod the odd N, and the
+        decode multiplies by w(2^e), takes the balanced residue v, raises
         ArithmeticError if |v| > L', and returns v W / (W^2 prod d_j den_W),
         which is v / prod d_j for W = 1, as W times one Rat of two ints.
         The matrices module docstring proves this exact for the carrier that
@@ -643,7 +639,7 @@ class CyclotomicField(Ring):
         only where the check finds none.
         """
         m = self.m
-        # W^2, which the lift divides by; a rational W needs no product.
+        # W^2, which the decode divides by; a rational W needs no product.
         w = carrier.as_rational()
         square = w * w if w is not None else (carrier * carrier).as_rational()
         if not square:
@@ -668,8 +664,8 @@ class CyclotomicField(Ring):
         top = int(square.numerator) * carrier.den * den
         bottom = int(square.denominator)
 
-        def lift(value, k=0):
-            v = value * twist * pow(2, -k, modulus) % modulus
+        def decode(value):
+            v = value * twist % modulus
             if v > half:
                 v -= modulus
             if abs(v) > bound:
@@ -677,7 +673,7 @@ class CyclotomicField(Ring):
                     f"residue mod Phi_{m}(2^{e}) exceeds its bound {bound}:"
                     f" the permanent times {carrier} is not rational")
             return carrier * Rat(v * bottom, top)
-        return ints, math.prod, lift
+        return Lowering(ints, decode, modulus)
 
     def zeta(self, e: int = 1) -> Cyc:
         return Cyc.zeta(self.m, e)

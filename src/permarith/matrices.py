@@ -72,20 +72,21 @@ pivot by a (k+1) x (k+1) minor of the input, so the division by the
 previous pivot is exact.  Rings with zero divisors such as Z/p^2 are safe,
 since no ring element is ever inverted.
 
-Both kinds of engine add and multiply plain Python ints: Ring.lower (see
-the rings module docstring) maps the rows to ints, the Glynn or Bareiss
-loop runs on them, and the ring's lift decodes the one result, dividing
-Glynn's sum by 2^(n-1) exactly.  After clearing row denominators and
-row powers of q, the int rows are least residues (Z -> Z/m is a ring map)
-or images at x = 2^B (evaluation on Z[x] is a ring map), so the loops
-compute an int that maps to the exact permanent or determinant, and each
-lift is exact on it.  Over Q(zeta_m) the ring's lowering is Kronecker
-packing (cyclotomic.pack_rows): Glynn folds its products mod 2^(mB) - 1,
-the image of x^m - 1, and Bareiss works on the unfolded images, whose
-determinant is the image of the determinant in Z[x]; unpack folds it once
-at the end.  An engine takes it only for a matrix that the Galois check
-below refuses.  A one-row matrix takes no lowering: its permanent and
-determinant are its entry, coerced into the ring (ring.zero + entry).
+Both kinds of engine add and multiply plain Python ints: Ring.lower
+returns a Lowering of the rows, the Glynn or Bareiss loop runs on its
+ints, and Lowering.lift divides the one result by 2^k (2^(n-1) for
+Glynn's sum) and decodes it (see the rings module docstring).  After
+clearing row denominators and row powers of q, the int rows are least
+residues (Z -> Z/m is a ring map) or images at x = 2^B (evaluation on Z[x]
+is a ring map), so the loops compute an int that maps to the exact
+permanent or determinant, and each lift is exact on it.  Over Q(zeta_m)
+the ring's lowering is Kronecker packing (cyclotomic.pack_rows): Glynn
+folds its products mod 2^(mB) - 1, the image of x^m - 1, and Bareiss
+works on the unfolded images, whose determinant is the image of the
+determinant in Z[x]; unpack folds it once at the end.  An engine takes it
+only for a matrix that the Galois check below refuses.  A one-row matrix
+takes no lowering: its permanent and determinant are its entry, coerced
+into the ring (ring.zero + entry).
 
 Over Q(zeta_m) every engine first asks one Galois check (_carrier) for the
 carrier W of a smaller lowering (CyclotomicField.lower_rational).  W = 1
@@ -167,7 +168,7 @@ from operator import itemgetter, neg
 from .cyclotomic import CyclotomicField, _cyc, sqrt_element
 from .errors import DomainError, SizeLimitError, UnsupportedRingError
 from .ntheory import factorial
-from .rings import Ring
+from .rings import Lowering, Ring
 
 NAIVE_LIMIT = 9
 RYSER_LIMIT = 20
@@ -273,10 +274,10 @@ def per_ryser(mat: Mat):
     if n == 1:
         return mat.ring.zero + mat.rows[0][0]
     sign = _jk_shaped(mat) and _jk_sign(mat)[0]
+    low = _lowered(mat, sign or 1)
+    rows, product, lift = low.ints, low.product, low.lift
     if sign:
-        rows, product, lift = _lowered(mat, sign)
         return lift(_orbit_glynn(rows, product, _orbits(2 * n + 1, sign)), n)
-    rows, product, lift = _lowered(mat)
     if n > 2 and all(row == prev[-1:] + prev[:-1]
                      for prev, row in zip(rows, rows[1:])):
         # Row j is row j - 1 rotated right by one place: circulant.  Two
@@ -383,7 +384,7 @@ def _carrier(mat: Mat, sign: int = 1, det: bool = False):
     return None
 
 
-def _lowered(mat: Mat, sign: int = 1, det: bool = False):
+def _lowered(mat: Mat, sign: int = 1, det: bool = False) -> Lowering:
     # The rows on one residue mod Phi_m(2^e) each, twisted by the carrier
     # _carrier finds, else on the ring's own lowering.
     carrier = _carrier(mat, sign, det)
@@ -640,8 +641,8 @@ def _det(mat: Mat):
     # so that a span around either name never nests in the other's.
     if mat.n == 1:
         return mat.ring.zero + mat.rows[0][0]
-    rows, _, lift = _lowered(mat, det=True)
-    return lift(_bareiss(rows))
+    low = _lowered(mat, det=True)
+    return low.lift(_bareiss(low.ints))
 
 
 def det_divfree(mat: Mat):

@@ -3,22 +3,23 @@
 Every scalar is an immutable Python object supporting +, -, * (and, where it
 exists, exact inversion).  A small ring-tag object describes the structure a
 matrix lives over: its identities and its lowering to plain ints.
-`Ring.lower(rows)` maps the rows of a matrix to int rows, a row-product
-function and a lift back to ring elements, so the Glynn and Bareiss
-engines add and multiply Python ints whatever the ring.  Glynn's sum is
-2^(n-1) times the permanent, so `lift(v, k)` returns the element whose
-image is v / 2^k; each lowering makes that division exact:
+`Ring.lower(rows)` returns a Lowering: the rows of a matrix as int rows,
+Glynn's row-product function and a decode from one int to a ring element,
+so the Glynn and Bareiss engines add and multiply Python ints whatever the
+ring.  Glynn's sum is 2^(n-1) times the permanent, and Lowering.lift(v, k)
+is the one place that divides by 2^k: exactly, raising ArithmeticError on
+a remainder, where the ints are exact images (modulus None), and as a
+product with the inverse of 2^k where they are known only modulo an odd
+modulus.  The lowerings:
 
-* Z: the identity; the lift divides by 2^k and raises ArithmeticError on a
-  remainder.
+* Z: the identity.
 * Z/m: the least residues.  Glynn's row products are plain int products,
-  so the sum v is 2^k times the int permanent P of the residues, and only
-  the lift reduces, once: v mod m*2^k is 2^k (P mod m), and halving it is
-  exact for even m too.  The lift is ModInt(v mod m*2^k / 2^k, m).
-  Z -> Z/m is a ring map, so P and the Bareiss determinant of the residues
-  reduce to the permanent and determinant in Z/m.
+  so the sum is 2^k times the int permanent P of the residues, halving is
+  exact for even m too, and the decode reduces P mod m.  Z -> Z/m is a
+  ring map, so P and the Bareiss determinant of the residues reduce to the
+  permanent and determinant in Z/m.
 * Q: row j is multiplied by the common denominator d_j of its entries; the
-  lift halves exactly and divides by prod d_j.
+  decode divides by prod d_j.
 * Q[q,1/q]: row j is multiplied by q^(-e_j), e_j its least exponent, and by
   the common denominator d_j of its coefficients, and every entry is
   evaluated at q = 2^B (Kronecker substitution).  On Z[q] the L1 norm is
@@ -27,19 +28,18 @@ image is v / 2^k; each lowering makes that division exact:
   determinant), is at most L = prod_j (sum_k |row_j entry_k|_1), and its
   degree is at most the sum of the row exponent spans.  With
   B = bitlen(L) + 2 every coefficient lies in (-2^(B-2), 2^(B-2)), so the
-  balanced base-2^B digits of the engine's int, halved exactly, are the
+  balanced base-2^B digits of the int that lift decodes are the
   coefficients; balanced_digits re-checks both bounds and raises
-  ArithmeticError if either is broken.  The lift divides by prod d_j and
+  ArithmeticError if either is broken.  The decode divides by prod d_j and
   multiplies by q^(sum e_j).
 * Q(zeta_m): the engines ask the Galois check of the matrices module
   first, and take CyclotomicField.lower_rational where it finds a carrier:
-  evaluation at 2^e mod Phi_m(2^e), twisted by the carrier, whose lift
-  returns the exact value (matrices module docstring).  The check finds
-  one for every m <= 2 and every matrix of rational entries.  Only where
-  it refuses do they take cyclotomic.pack_rows and unpack, the ring's
-  lowering (the same substitution; the lift folds mod 2^(mB) - 1, the
-  image of x^m - 1, as do Glynn's row products; the modulus is odd, so the
-  lift multiplies by the inverse of 2^k).
+  evaluation at 2^e mod the odd N = Phi_m(2^e), twisted by the carrier,
+  whose decode returns the exact value (matrices module docstring).  The
+  check finds one for every m <= 2 and every matrix of rational entries.
+  Only where it refuses do they take cyclotomic.pack_rows and unpack, the
+  ring's lowering (the same substitution, modulo the odd 2^(mB) - 1, the
+  image of x^m - 1, by which Glynn's row products fold too).
 
 Each lift is exact only for a signed sum of products of one entry per row,
 which is what a permanent or a determinant is.
@@ -48,7 +48,7 @@ which is what a permanent or a determinant is.
 from __future__ import annotations
 
 import math
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 from .errors import DomainError, NonInvertibleError, UnsupportedRingError
 
@@ -80,12 +80,25 @@ def ratio(c: int, d: int):
     return Rat(c, d) if r else q
 
 
-def halved(v: int, k: int) -> int:
-    """v / 2^k, which must be exact: a remainder raises ArithmeticError."""
-    q, r = divmod(v, 1 << k)
-    if r:
-        raise ArithmeticError(f"{v} is not divisible by 2^{k}")
-    return q
+class Lowering(NamedTuple):
+    """A matrix's int rows, Glynn's product of int row sums, the decode of
+    one int to a ring element, and the odd int the ints are known only
+    modulo, or None where they are exact images (module docstring)."""
+
+    ints: list
+    decode: Callable[[int], Any]
+    modulus: int | None = None
+    product: Callable = math.prod
+
+    def lift(self, v: int, k: int = 0):
+        """The ring element whose image is v / 2^k."""
+        modulus = self.modulus
+        if modulus is not None:
+            return self.decode(v * pow(2, -k, modulus) % modulus)
+        q, r = divmod(v, 1 << k)
+        if r:
+            raise ArithmeticError(f"{v} is not divisible by 2^{k}")
+        return self.decode(q)
 
 
 def _power(base, k: int, one):
@@ -330,10 +343,6 @@ class LPoly:
     def __hash__(self):
         return hash(tuple(sorted(self.coeffs.items())))
 
-    def at_one(self):
-        """Value at q = 1 (the classical specialization)."""
-        return sum(self.coeffs.values())
-
     def __str__(self):
         return _show_terms(sorted(self.coeffs.items()), "q")
 
@@ -373,14 +382,8 @@ class Ring:
     def rand(self, rng, span: int = 10):
         raise NotImplementedError
 
-    def lower(self, rows):
-        """(int rows, row product, lift) for the rows of a matrix.
-
-        The engines run on the int rows.  `product` multiplies one iterable
-        of int row sums for Glynn's loop, and `lift(v, k=0)` maps v / 2^k, for
-        the int v an engine ends with, back to the ring element (see the
-        module docstring).
-        """
+    def lower(self, rows) -> Lowering:
+        """The Lowering of the rows of a matrix (see the module docstring)."""
         raise UnsupportedRingError(f"{self.name} has no int lowering")
 
     def __repr__(self):
@@ -399,7 +402,7 @@ class IntegerRing(Ring):
         return rng.randint(-span, span)
 
     def lower(self, rows):
-        return rows, math.prod, lambda v, k=0: halved(v, k)
+        return Lowering(rows, int)
 
 
 class RationalField(Ring):
@@ -421,7 +424,7 @@ class RationalField(Ring):
             vals, d = cleared(row)
             ints.append(vals)
             den *= d
-        return ints, math.prod, lambda v, k=0: Rat(halved(v, k), den)
+        return Lowering(ints, lambda v: Rat(v, den))
 
 
 class ResidueRing(Ring):
@@ -448,8 +451,7 @@ class ResidueRing(Ring):
         m = self.m
         coerce = self.zero._coerce
         ints = [[coerce(x).value for x in row] for row in rows]
-        return (ints, math.prod,
-                lambda v, k=0: ModInt(halved(v % (m << k), k), m))
+        return Lowering(ints, lambda v: ModInt(v, m))
 
     def __eq__(self, other):
         return isinstance(other, ResidueRing) and other.m == self.m
@@ -503,11 +505,11 @@ class LaurentRing(Ring):
                 images[k] += v << (e - lo) * bits
             ints.append(images)
 
-        def lift(value, k=0):
-            digits = balanced_digits(halved(value, k), bits, span + 1, bound)
+        def decode(value):
+            digits = balanced_digits(value, bits, span + 1, bound)
             return LPoly({e + shift: ratio(c, den)
                           for e, c in enumerate(digits) if c})
-        return ints, math.prod, lift
+        return Lowering(ints, decode)
 
 
 ZZ = IntegerRing()

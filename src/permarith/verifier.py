@@ -561,75 +561,72 @@ _FAST_D = {"hi": 13, "d": (1, 2, -1)}
 # A check's limit is the largest n or p whose run stays near 0.5 s on a 2-core
 # x86-64 machine (Python 3.11, Fraction backend): det.sec2/det.tan2 take
 # 0.25-0.29 s at n = 27 and 0.46-0.67 s at 29 (Bareiss on one residue mod
-# Phi_2n(2^e) per entry, see matrices; the runner called directly in a
-# fresh process); thq.det 0.45-0.55 s at n = 192 and 1.15 s at 256;
-# lem.gauss at most 0.4 s up to n = 3003 and 1.1 s at 5005; rem.qdetabs
-# 0.48-0.56 s at n = 28 and 1.8 s at 32.  lem.oneplus and lem.half multiply
+# Phi_2n(2^e) per entry, see matrices; the runner called directly in a fresh
+# process); thq.det 0.45-0.55 s at n = 192 and 1.15 s at 256; lem.gauss at most
+# 0.4 s up to n = 3003 and 1.1 s at 5005.  lem.oneplus and lem.half multiply
 # binomials by shifted adds (see cyclotomic), and are slowest at composite n:
-# lem.oneplus takes 0.29-0.35 s at n = 1501, 0.43-0.62 s at 1401 (3 * 467)
-# and 0.55-0.59 s at 1701; lem.half 0.30-0.48 s at 1901, 0.45 s at 1785
+# lem.oneplus takes 0.29-0.35 s at n = 1501, 0.43-0.62 s at 1401 (3 * 467) and
+# 0.55-0.59 s at 1701; lem.half 0.30-0.48 s at 1901, 0.45 s at 1785
 # (3 * 5 * 7 * 17) and 0.64-0.72 s at 2001.  The rank-2 checks build
 # per_sum_coeffs in O(p^2) int operations on numbers of O(p log p) bits:
-# thper.jdk1-3 and cor.jdk take
-# 0.35-0.39 s at p = 751 and 0.45-0.58 s at 809; thper.quad, quad0 and
-# cor.quadmod 0.38-0.52 s at p = 1409 and 0.50-0.66 s at 1511; thper.jxk, three
-# rank-2 permanents sharing one pass over u = 1..p-1, 0.38-0.48 s at p = 601
-# and 0.55-0.71 s at 701.  The Glynn checks over Q(zeta) take 2^(n-1)
-# products, so their time grows 2-3x per step of n.  Their matrices are
-# Galois-invariant, so per_ryser lowers them to one residue mod Phi_m(2^e)
-# (see matrices); each was timed on that engine, its runner called directly
-# in a fresh process, since Glynn's sum went to blocks (matrices):
+# thper.jdk1-3 and cor.jdk take 0.35-0.39 s at p = 751 and 0.45-0.58 s at 809;
+# thper.quad, quad0 and cor.quadmod 0.38-0.52 s at p = 1409 and 0.50-0.66 s
+# at 1511; thper.jxk, three rank-2 permanents sharing one pass over u = 1..p-1,
+# 0.38-0.48 s at p = 601 and 0.55-0.71 s at 701.  The Glynn checks over Q(zeta)
+# take 2^(n-1) products, so their time grows 2-3x per step of n.  Their
+# matrices are Galois-invariant, so per_ryser lowers them to one residue mod
+# Phi_m(2^e) (see matrices); each was timed on that engine, its runner called
+# directly in a fresh process, since Glynn's sum went to blocks (matrices):
 # thper.rootlinear (random x at seeds 0-2) with backend cyc 0.19-0.33 s at
-# n = 14 and 0.47-0.77 s at 15, with backend fq (no Q(zeta)) 0.26-0.31 s at
-# 16 and 0.51-0.84 s at 17; thper.rootexp 0.23-0.26 s at 14 and 0.58-0.65 s
-# at 15; cor.sin 0.35-0.37 s at 18 and 0.81-0.86 s at 19; cor.cos
-# 0.38-0.43 s at 18 and 0.90-1.02 s at 19 (their closed forms are int
-# sums, so the permanents set these times).  The Cauchy matrix
-# [1/(1 - zeta^(j-k) x)] is circulant, so per_ryser sums Glynn once per
-# necklace (see matrices), and its checks were re-timed on that sum:
-# rem.perhalf takes 0.18-0.22 s at n = 19, the largest odd n under
-# RYSER_LIMIT.  thnew.cauchyroot also grows with the height of x,
-# about 3x per doubling of the height at a fixed n and 2-3x per step of n
-# at a fixed height, so it refuses height(x) > 2^17 / 2^max(n, 7) (and
-# more than the printing bound next to _run_cauchyroot admits): at the
-# largest height h each n accepts, with x = (2^h - 1)/(2^h - 3) (x = 3 for
-# h = 2), it takes 0.07-0.10 s at n = 16 (height 2; x = 3 takes 0.22 s at
-# 17, where the bound admits height 1 only), 0.13-0.14 s at 15 (height 4),
-# 0.18-0.20 s at 14 (8), 0.17-0.31 s at 13 (16), 0.25-0.44 s at 12 (32),
-# 0.31-0.38 s at 11 (64), 0.32-0.46 s at 10 (125), 0.11-0.19 s at 9 (154),
-# 0.07-0.12 s at 8 (196) and 0.04 s at 7 (256), against 0.36 s at 16 for
-# height 4, 0.44 s at 15 for 8, 0.59 s at 14 for 16, 0.51 s at 13 for 32
-# and 0.74 s at 12 for 64 (at 11, height 128 is past the printing bound).
-# conj.derange takes 0.04 s at 16, whose table of size n is
-# circulant, and 0.28-0.49 s at 17 (0.55-0.59 s when its limit was set),
-# whose table of size n - 1 is not, so its limit stays (its two
-# determinants run on one residue per entry).  thnew.invsumsq takes
+# n = 14 and 0.47-0.77 s at 15, with backend fq (no Q(zeta)) 0.26-0.31 s at 16
+# and 0.51-0.84 s at 17; thper.rootexp 0.23-0.26 s at 14 and 0.58-0.65 s at 15;
+# cor.sin 0.35-0.37 s at 18 and 0.81-0.86 s at 19; cor.cos 0.38-0.43 s at 18
+# and 0.90-1.02 s at 19 (their closed forms are int sums, so the permanents set
+# these times).  The Cauchy matrix [1/(1 - zeta^(j-k) x)] is circulant, so
+# per_ryser sums Glynn once per necklace (see matrices), and its checks were
+# re-timed on that sum: rem.perhalf takes 0.18-0.22 s at n = 19, the largest
+# odd n under RYSER_LIMIT.  thnew.cauchyroot also grows with the height of x,
+# about 3x per doubling of the height at a fixed n and 2-3x per step of n at a
+# fixed height, so it refuses height(x) > 2^17 / 2^max(n, 7) (and more than the
+# printing bound next to _run_cauchyroot admits): at the largest height h each
+# n accepts, with x = (2^h - 1)/(2^h - 3) (x = 3 for h = 2), it takes
+# 0.07-0.10 s at n = 16 (height 2; x = 3 takes 0.22 s at 17, where the bound
+# admits height 1 only), 0.13-0.14 s at 15 (height 4), 0.18-0.20 s at 14 (8),
+# 0.17-0.31 s at 13 (16), 0.25-0.44 s at 12 (32), 0.31-0.38 s at 11 (64),
+# 0.32-0.46 s at 10 (125), 0.11-0.19 s at 9 (154), 0.07-0.12 s at 8 (196) and
+# 0.04 s at 7 (256), against 0.36 s at 16 for height 4, 0.44 s at 15 for 8,
+# 0.59 s at 14 for 16, 0.51 s at 13 for 32 and 0.74 s at 12 for 64 (at 11,
+# height 128 is past the printing bound).  conj.derange takes 0.04 s at 16,
+# whose table of size n is circulant, and 0.28-0.49 s at 17 (0.55-0.59 s when
+# its limit was set), whose table of size n - 1 is not, so its limit stays (its
+# two determinants run on one residue per entry).  thnew.invsumsq takes
 # 0.05-0.09 s at p = 31, and its next p = 3 (mod 4), 43, has 21 rows;
-# conj.sqdiff takes 0.02-0.03 s at p = 29, 0.70 s at 37 and 3.0 s at
-# 41.  lem.cauchy (seeds 0-3) takes 0.28-0.43 s at n = 29 and 0.40-0.80 s at
-# 30; lem.borchardt 0.40-0.52 s at 16 and 0.76-1.30 s at 17; lem.circulant
-# (seeds 0-3, twice, n interleaved), its determinants on one residue per
-# entry, 0.39-0.43 s at 66 (one run of eight 0.62 s), 0.42-0.53 s at 68
-# and 0.47-0.56 s at 70 (one each 0.64 and 0.73 s), against 0.28-0.38 s at
-# 60 in the same runs; conj.qdet, slower for larger |a|, at most 0.32 s at
-# n = 33 and 0.67 s at 35 for a = -3..3, and, within its bound on |a|, at
-# most 0.36 s for the slowest a at each odd n (every a for n >= 7, every
-# 37th below; a bound on n^3 |a| through n = 33, a = 3 let n = 7 take
-# 0.70 s at a = 312); conj.maskdet 0.13-0.18 s at
-# p = 17 and 0.58-0.69 s at 19; rem.cp, a determinant on one residue per
-# entry whose time follows phi(n) more than n, 0.33 s at n = 28, 0.77-0.83 s
-# at 29 and 0.41-0.51 s at 32.  thq.floor, thq.qfloor, conj.bernoulli,
-# conj.absjk and conj.maskper are Glynn permanents over Z or Q of n or p
-# rows, bounded by RYSER_LIMIT (20 rows, so p <= 19): thq.floor takes
-# 0.45-0.53 s there, thq.qfloor 0.57-0.68 s, conj.bernoulli 0.47-0.55 s,
-# conj.absjk 0.58-0.70 s and conj.maskper 0.67-0.91 s at a = 1.
-# A check that reads sequences has the
-# smallest largest index of their SEQ_TABLE rows as its limit, which it
-# applies before the primality test.  A check that reads two rows at one
-# index pays for both values: at 37 thcos.* and conj.csign take 0.31-0.46 s,
-# thsin.* and conj.ssign 0.35-0.54 s, and thtan.* and conj.tsign 0.47-0.67
-# s.  The last six take PAIR_SEQ_LIMIT instead, the largest n and p at which
-# the pair stays near 0.5 s: 0.14-0.23 s at n = 35 and 0.04-0.06 s at p = 31.
+# conj.sqdiff takes 0.02-0.03 s at p = 29, 0.70 s at 37 and 3.0 s at 41.
+# lem.cauchy (seeds 0-3) takes 0.28-0.43 s at n = 29 and 0.40-0.80 s at 30;
+# lem.borchardt 0.40-0.52 s at 16 and 0.76-1.30 s at 17; lem.circulant (seeds
+# 0-3, twice, n interleaved), its determinants on one residue per entry,
+# 0.39-0.43 s at 66 (one run of eight 0.62 s), 0.42-0.53 s at 68 and
+# 0.47-0.56 s at 70 (one each 0.64 and 0.73 s), against 0.28-0.38 s at 60 in
+# the same runs; conj.qdet, slower for larger |a|, at most 0.32 s at n = 33 and
+# 0.67 s at 35 for a = -3..3, and, within its bound on |a|, at most 0.36 s for
+# the slowest a at each odd n (every a for n >= 7, every 37th below; a bound on
+# n^3 |a| through n = 33, a = 3 let n = 7 take 0.70 s at a = 312); conj.maskdet
+# 0.13-0.18 s at p = 17 and 0.58-0.69 s at 19; rem.cp, a determinant on one
+# residue per entry whose time follows phi(n) more than n, 0.33 s at n = 28,
+# 0.77-0.83 s at 29 and 0.41-0.51 s at 32.  These rows at a limit exceed the
+# 0.5 s rule (re-timed from a fresh process, twice each): T(19), which thjk.int
+# reads at n = 19, 1.34-1.65 s; the five Glynn permanents over Z or Q of n or p
+# rows that RYSER_LIMIT bounds (20 rows, so p <= 19), thq.floor 0.54 s and
+# conj.bernoulli 0.57-0.60 s at n = 20, thq.qfloor 0.50-0.63 s at 20,
+# conj.absjk 0.73-0.74 s at p = 19 and conj.maskper 0.75 s at a = 1 and
+# 0.86-1.01 s at a = 3; and rem.qdetabs 0.60-0.61 s at n = 28 (1.8 s at 32).  A
+# check that reads sequences has the smallest largest index of their SEQ_TABLE
+# rows as its limit, which it applies before the primality test.  A check that
+# reads two rows at one index pays for both values: at 37 thcos.* and
+# conj.csign take 0.31-0.46 s, thsin.* and conj.ssign 0.35-0.54 s, and thtan.*
+# and conj.tsign 0.47-0.67 s.  The last six take PAIR_SEQ_LIMIT instead, the
+# largest n and p at which the pair stays near 0.5 s: 0.14-0.23 s at n = 35 and
+# 0.04-0.06 s at p = 31.
 
 PAIR_SEQ_LIMIT = {"n": 35, "p": 31}
 

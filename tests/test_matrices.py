@@ -134,6 +134,53 @@ def test_blocked_glynn_equals_naive_at_the_block_edges(ring, data):
         assert per_ryser(mat) == per_naive(mat), n
 
 
+# Every lowering: ENGINE_RINGS through `lower` (Kronecker over Q(zeta_2)
+# and Q(zeta_5)) and a composite order, and the residue lowering over
+# Q(zeta_m) at m = 2, a prime and a composite m, on rational entries
+# (carrier 1) where m > 2.
+_LOWERINGS = ([(ring, False) for ring in ENGINE_RINGS + [CyclotomicField(12)]]
+              + [(CyclotomicField(m), True) for m in (2, 5, 12)])
+
+
+@pytest.mark.parametrize("ring, rational", _LOWERINGS, ids=lambda v: getattr(
+    v, "name", "lower_rational" if v else "lower"))
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_lowering_lift_divides_by_a_power_of_two(ring, rational, data):
+    # modulus is None exactly for the exact lowerings, else odd.  lift(v, k)
+    # divides by 2^k, exactly or mod the modulus, so every image of 2^k P
+    # lifts as P does, and an exact lowering refuses an int that 2^k does
+    # not divide.  P is the image of the permanent: Glynn's sum over 2^(n-1).
+    if rational and ring.m > 2:
+        rows = data.draw(_mats(QQ, 4)).rows
+        mat = Mat(ring, [[Cyc.rational(ring.m, x) for x in row]
+                         for row in rows])
+    else:
+        mat = data.draw(_mats(ring, 4))
+    low = (ring.lower_rational(mat.rows, ring.one) if rational
+           else ring.lower(mat.rows))
+    modulus = low.modulus
+    assert (modulus is None) == (not isinstance(ring, CyclotomicField))
+    want = per_naive(mat)
+    v = _glynn(low.ints, low.product)
+    assert low.lift(v, mat.n - 1) == want
+    k = data.draw(st.integers(0, 8))
+    if modulus is None:
+        p, r = divmod(v, 1 << (mat.n - 1))
+        assert not r
+        assert low.lift(p) == low.lift(p << k, k) == want
+        if k:
+            odd = (p << k) + data.draw(st.integers(1, (1 << k) - 1))
+            with pytest.raises(ArithmeticError):
+                low.lift(odd, k)
+    else:
+        assert modulus % 2 == 1
+        p = v * pow(2, 1 - mat.n, modulus) % modulus
+        t = data.draw(st.integers(-3, 3))
+        assert (low.lift(p) == low.lift(p << k, k) == want
+                == low.lift((p << k) % modulus + t * modulus, k))
+
+
 def _plain_glynn(rows, product):
     # Glynn's sum one term per Gray-code step, with no inner block.
     n = len(rows)
@@ -463,9 +510,9 @@ def test_necklaces_partition_the_masks(n):
 
 def _orbit_sum_with(lower, mat):
     # per_orbits' body on a chosen lowering.
-    rows, product, lift = lower(mat.rows)
+    low = lower(mat.rows)
     orbits = _orbits(2 * mat.n + 1, _jk_sign(mat)[0])
-    return lift(_orbit_glynn(rows, product, orbits), mat.n)
+    return low.lift(_orbit_glynn(low.ints, low.product, orbits), mat.n)
 
 
 def _kronecker_orbit_sum(mat):
@@ -726,8 +773,8 @@ _INVARIANT_ORDERS = (3, 4, 5, 7, 9, 12)
 
 def _glynn_with(lower, mat):
     # per_ryser's body on a chosen lowering.
-    rows, product, lift = lower(mat.rows)
-    return lift(_glynn(rows, product), mat.n - 1)
+    low = lower(mat.rows)
+    return low.lift(_glynn(low.ints, low.product), mat.n - 1)
 
 
 @st.composite
@@ -813,8 +860,8 @@ def test_a_perturbed_entry_fails_the_invariance_check(mat, data):
 
 def _bareiss_with(lower, mat):
     # det_field's body on a chosen lowering.
-    rows, _, lift = lower(mat.rows)
-    return lift(_bareiss(rows))
+    low = lower(mat.rows)
+    return low.lift(_bareiss(low.ints))
 
 
 # Orders for the determinant lowering: prime, prime power, composite, and

@@ -57,7 +57,7 @@ def test_laurent_lowering_decodes_at_its_bound():
     assert per_ryser(single) == det_divfree(single) == LPoly({-3: 255})
     # Forged images: L = 1 gives B = 3 and one digit.  3 fits the digit
     # width but exceeds L; 8 needs a second digit.
-    _, _, lift = QPOLY.lower([[LPoly({0: 1})]])
+    lift = QPOLY.lower([[LPoly({0: 1})]]).lift
     assert lift(1) == LPoly({0: 1}) and lift(-1) == LPoly({0: -1})
     for forged in (3, -3, 8):
         with pytest.raises(ArithmeticError):
@@ -65,10 +65,12 @@ def test_laurent_lowering_decodes_at_its_bound():
 
 
 def test_residue_lowering_takes_plain_ints():
-    ints, product, lift = Zmod(9).lower([[ModInt(4, 9), -1], [10, 3]])
-    assert ints == [[4, 8], [1, 3]]
-    # Glynn's products are plain ints; only the lift reduces, mod 9 * 2^k,
-    # and lift(v, k) halves exactly: 2 * 7 + 18 * 5 reads 7 as 14 does.
+    low = Zmod(9).lower([[ModInt(4, 9), -1], [10, 3]])
+    ints, product, lift = low.ints, low.product, low.lift
+    assert ints == [[4, 8], [1, 3]] and low.modulus is None
+    # Glynn's products are plain ints, exact images: lift(v, k) halves
+    # exactly and the decode reduces mod 9, so 2 * 7 + 18 * 5 reads 7 as
+    # 14 does.
     assert product([4, 8]) == 32 and product([5, 8, 7]) == 280
     assert lift(-7) == ModInt(2, 9) and lift(14, 1) == ModInt(7, 9)
     assert lift(14 + 18 * 5, 1) == lift(14 - 18 * 3, 1) == ModInt(7, 9)
@@ -100,7 +102,6 @@ def test_qint_telescopes(m):
 def test_qint_examples():
     assert qint(3) == LPoly({0: 1, 1: 1, 2: 1})
     assert qint(-1) == LPoly({-1: -1})
-    assert qint(5).at_one() == 5 and qint(-7).at_one() == -7
 
 
 def _jacobi_count_parity(a, n):
