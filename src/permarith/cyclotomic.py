@@ -128,10 +128,6 @@ def cyclotomic_poly(m: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def euler_phi(m: int) -> int:
-    return len(cyclotomic_poly(m)) - 1
-
-
 # ---------------------------------------------------------------------------
 # Field elements
 # ---------------------------------------------------------------------------
@@ -151,6 +147,13 @@ def _cyc(order: int, num: list, den: int) -> "Cyc":
     z.den = den
     z._canon = None
     return z
+
+
+def _zeros(order: int) -> list:
+    # The zero vector of Q(zeta_order), refusing an order below 1.
+    if order < 1:
+        raise DomainError(f"order must be >= 1, got {order}")
+    return [0] * order
 
 
 def _normal(order: int, num: list, den: int) -> "Cyc":
@@ -199,7 +202,7 @@ class Cyc:
 
     @classmethod
     def rational(cls, order: int, value) -> "Cyc":
-        num = [0] * order
+        num = _zeros(order)
         if isinstance(value, int):
             num[0] = value
             return _cyc(order, num, 1)
@@ -208,7 +211,7 @@ class Cyc:
 
     @classmethod
     def zeta(cls, order: int, e: int = 1) -> "Cyc":
-        num = [0] * order
+        num = _zeros(order)
         num[e % order] = 1
         return _cyc(order, num, 1)
 
@@ -343,14 +346,9 @@ class Cyc:
             return None
         return Rat(can[0])
 
-    def reduced(self) -> "Cyc":
-        """The same element in canonical coordinates: num reduced mod Phi_m
-        (zero from phi(m) on), in normal form.  Canonical coordinates are
-        unique, so equal elements give equal pairs."""
-        return _reduced(self.order, self.num, self.den)
-
     def inverse(self) -> "Cyc":
-        """Multiplicative inverse, in canonical coordinates (see reduced()).
+        """Multiplicative inverse, in canonical coordinates: num reduced mod
+        Phi_m (zero from phi(m) on), in normal form.
 
         A monomial or binomial inverts in O(m) by the closed forms of the
         module docstring.  Any other element takes the product conj of the

@@ -14,7 +14,10 @@ e^(2 pi i/n)): zeta^r + zeta^-r = 2 cos(2 pi r/n), zeta^r - zeta^-r =
 2i sin(2 pi r/n) and (zeta^r - 1)/(zeta^r + 1) = i tan(pi r/n).  Keeping
 i out of the entries keeps every matrix over Q(zeta_n) rather than
 Q(zeta_lcm(4, n)); sequences.SEQ_TABLE turns the permanent of the built
-matrix into the paper's normalised value.
+matrix into the paper's normalised value.  The difference tables sec2_diff
+and tan2_diff (odd n) need no constant: sec^2(pi r/n) = 4 zeta^r/(1 +
+zeta^r)^2, since (1 + zeta^r)^2/zeta^r = 2 + 2 cos(2 pi r/n), and tan^2 is
+sec^2 - 1.
 
 The tables of entries f(zeta^r) come from conjugates: f has rational
 coefficients, so f(zeta^(g*u)) = sigma_u(f(zeta^g)) for a unit u, and f is
@@ -216,15 +219,16 @@ def build_cyclotomic(family: str, **params) -> Mat:
 
     if family in ("sec2_diff", "tan2_diff"):
         _require(n % 2 == 1, family, f"n must be odd, got {n}")
-        m = 2 * n
-        ring = CyclotomicField(m)
+        ring = CyclotomicField(n)
 
         def entry(r):
-            c = ring.zeta(r) + ring.zeta(-r)
-            sec2 = (c.inverse() ** 2).reduced() * 4
+            # sec^2(pi r/n) (see above): 1 + zeta^r is a binomial, nonzero
+            # for odd n, so it inverts in O(n).
+            z = ring.zeta(r)
+            sec2 = z * (1 + z).inverse() ** 2 * 4
             return sec2 - 1 if family == "tan2_diff" else sec2
-        table = conjugates(ring, [d % m for d in range(1 - n, n)], entry)
-        return Mat(ring, [[table[(j - k) % m] for k in range(1, n + 1)]
+        table = conjugates(ring, range(n), entry)
+        return Mat(ring, [[table[(j - k) % n] for k in range(1, n + 1)]
                           for j in range(1, n + 1)])
 
     if family in ("recip_root_diff", "cot_ratio"):

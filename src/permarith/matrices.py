@@ -93,12 +93,10 @@ carrier W of a smaller lowering (CyclotomicField.lower_rational).  W = 1
 at once when m <= 2, where Q(zeta_m) = Q, and when every entry's lattice
 vector is constant (num[1:] all zero): then every sigma_a fixes every
 entry, so X below is rational.  Else the n rows carry labels in one of
-four shapes; for a unit a mod m the labels give a permutation pi of the
+three shapes; for a unit a mod m the labels give a permutation pi of the
 rows and a sign s_j for each row:
-  - n = m - 1 or m: labels 1..n mod q = m (label m is residue 0), and
-    pi(j) = a*j mod q, s_j = 1;
-  - m = 2n: the same mod q = n (the shape of sec2_diff and tan2_diff,
-    whose tables over Q(zeta_2n) have period n);
+  - n = m - 1 or m: labels 1..n mod m (label m is residue 0), and
+    pi(j) = a*j mod m, s_j = 1;
   - m = 2n + 1, the shape of the [T(jk mod m)] tables: pi(j) = fold(a*j),
     and s_j = sign where a*j mod m > n, sign being the table's lattice
     sign for the orbit sum and 1 otherwise.
@@ -195,9 +193,6 @@ class Mat:
         """Entries fn(j, k) with 1-based indices."""
         return cls(ring, [[fn(j, k) for k in range(1, n + 1)]
                           for j in range(1, n + 1)])
-
-    def transpose(self) -> "Mat":
-        return Mat(self.ring, list(zip(*self.rows)))
 
     def __eq__(self, other):
         return (isinstance(other, Mat) and other.n == self.n
@@ -311,7 +306,7 @@ def unit_generators(m: int) -> tuple[int, ...]:
 def _carrier(mat: Mat, sign: int = 1, det: bool = False):
     # The carrier W of the residue lowering if mat is over Q(zeta_m): 1 if
     # m <= 2 (Q(zeta_m) = Q) or every entry's lattice vector is constant
-    # (every sigma_a fixes it); else, in one of the four label shapes of
+    # (every sigma_a fixes it); else, in one of the three label shapes of
     # the module docstring, if every generator a of (Z/m)^* satisfies
     # sigma_a(M[j][k]) == s_j M[pi(j)][tau(k)] in the field, with tau = pi,
     # or for a permanent (det False) pi or the identity: W = 1 where every
@@ -325,19 +320,15 @@ def _carrier(mat: Mat, sign: int = 1, det: bool = False):
     if m < 3 or not any(any(z.num[1:]) for row in rows for z in row):
         return ring.one
     folded = m == 2 * n + 1
-    if folded or n in (m - 1, m):
-        q = m
-    elif m == 2 * n:
-        q = n
-    else:
+    if not (folded or n in (m - 1, m)):
         return None
     same = list(range(n))
     chis = []
     for a in unit_generators(m):
-        # Index pi[j] (0-based; -1 is label q), row sign signs[j].
+        # Index pi[j] (0-based; -1 is label m), row sign signs[j].
         pi, signs = [], []
         for j in range(1, n + 1):
-            x = a * j % q
+            x = a * j % m
             if folded and x > n:
                 x = m - x
                 signs.append(sign)

@@ -277,17 +277,6 @@ def _run_jxk(params, rng):
             for trial, (xs, per) in enumerate(zip(trials, pers))], str(p), None
 
 
-def _run_cor_sin(params, rng):
-    n = params["n"]
-    mat = build_cyclotomic("root_exp_shift", n=n, x=-1)
-    per = per_ryser(mat)
-    if n % 2 == 0:
-        return [_true(per.is_zero(), str(per), "0")], None, None
-    got = Rat(per.as_rational() * (-1) ** ((n - 1) // 2), 2 ** (n - 1))
-    want = Rat((-1) ** ((n - 1) // 2) * factorial(n), 2 ** (n - 2) * (n + 1))
-    return [_eq(got, want)], None, None
-
-
 # thnew.cauchyroot accepts height(x) <= CAUCHYROOT_HEIGHT_LIMIT / 2^k and
 # k^2 * height(x) <= CAUCHYROOT_PRINT_LIMIT, k = max(n, 7), height(x) being
 # the bit length of the larger of |numerator| and denominator.  The first
@@ -560,8 +549,8 @@ _FAST_D = {"hi": 13, "d": (1, 2, -1)}
 
 # A check's limit is the largest n or p whose run stays near 0.5 s on a 2-core
 # x86-64 machine (Python 3.11, Fraction backend): det.sec2/det.tan2 take
-# 0.25-0.29 s at n = 27 and 0.46-0.67 s at 29 (Bareiss on one residue mod
-# Phi_2n(2^e) per entry, see matrices; the runner called directly in a fresh
+# 0.21-0.31 s at n = 27 and 0.50-0.59 s at 29 (Bareiss on one residue mod
+# Phi_n(2^e) per entry, see matrices; the runner called directly in a fresh
 # process); thq.det 0.45-0.55 s at n = 192 and 1.15 s at 256; lem.gauss at most
 # 0.4 s up to n = 3003 and 1.1 s at 5005.  lem.oneplus and lem.half multiply
 # binomials by shifted adds (see cyclotomic), and are slowest at composite n:
@@ -708,7 +697,15 @@ _register("cor.quadmod", "theorem",
 _register("cor.sin", "theorem",
           "per[sin pi(j+k)/n] (size n-1): (-1)^((n-1)/2) n!/(2^(n-2)(n+1)) "
           "for odd n, 0 for even n",
-          _run_cor_sin, partial(_ns, lo=2), 9, 12, limit=("n", 18))
+          # The permanent itself at even n, rescaled to the claim at odd n.
+          _claim((lambda n: (lambda per: per if n % 2 == 0 else Rat(
+                      per.as_rational() * (-1) ** ((n - 1) // 2),
+                      2 ** (n - 1)))(per_ryser(build_cyclotomic(
+                          "root_exp_shift", n=n, x=-1))),
+                  lambda n: 0 if n % 2 == 0 else Rat(
+                      (-1) ** ((n - 1) // 2) * factorial(n),
+                      2 ** (n - 2) * (n + 1)))),
+          partial(_ns, lo=2), 9, 12, limit=("n", 18))
 _register("cor.cos", "theorem",
           "per[cos pi(j+k)/n] (size n-1) = (n-1)!/(-2)^(n-1) sum 1/C(n-1,k)",
           _claim((lambda n: Rat(per_ryser(build_cyclotomic(

@@ -11,9 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from permarith.cyclotomic import (Cyc, CyclotomicField, _divmod_phi,
-                                  _normal, cyclotomic_poly, euler_phi,
-                                  find_fq_root, gauss_sum, pack_rows,
-                                  sqrt_element, unpack)
+                                  _normal, cyclotomic_poly, find_fq_root,
+                                  gauss_sum, pack_rows, sqrt_element, unpack)
 from permarith.errors import (DomainError, NonInvertibleError,
                               SearchExhaustedError)
 from permarith.matrices import (Mat, _carrier, _jk_shaped, _jk_sign,
@@ -44,7 +43,7 @@ def test_cyclotomic_poly_product_over_divisors():
         want = [-1] + [0] * (m - 1) + [1]
         assert prod == want, m
         totient = sum(1 for k in range(1, m + 1) if math.gcd(k, m) == 1)
-        assert euler_phi(m) == totient
+        assert len(cyclotomic_poly(m)) - 1 == totient
 
 
 def test_canonicalization():
@@ -54,7 +53,8 @@ def test_canonicalization():
         diff = Cyc.zeta(m, m) - z
         assert diff.is_zero()
         w = Cyc(m, [((-1) ** e) * (e + 1) for e in range(m)])
-        assert Cyc(m, list(w.canonical()) + [0] * (m - euler_phi(m))).canonical() \
+        phi = len(cyclotomic_poly(m)) - 1
+        assert Cyc(m, list(w.canonical()) + [0] * (m - phi)).canonical() \
             == w.canonical()
 
 
@@ -192,6 +192,14 @@ def test_find_fq_root():
                 assert pow(r.element, d, r.prime) != 1, (n, d)
     with pytest.raises(SearchExhaustedError):
         find_fq_root(9973 * 2, bound=100)
+
+
+@pytest.mark.parametrize("order", [-3, 0])
+def test_an_order_below_one_is_refused(order):
+    for make in (lambda: Cyc(order, []), lambda: Cyc.rational(order, 1),
+                 lambda: Cyc.zeta(order)):
+        with pytest.raises(DomainError, match="order must be >= 1"):
+            make()
 
 
 def test_zeta_x_order_mismatch():

@@ -10,7 +10,7 @@ from permarith.cyclotomic import CyclotomicField, find_fq_root
 from permarith.errors import DomainError, SingularFamilyError
 from permarith.families import (build_cyclotomic, build_integer, build_qpoly,
                                 build_rational, conjugates)
-from permarith.matrices import per_naive, per_ryser
+from permarith.matrices import Mat, per_naive, per_ryser
 from permarith.rings import LPoly, Rat, qint
 
 
@@ -26,14 +26,11 @@ def test_abs_example():
 
 
 def test_symmetry():
-    assert build_integer("floor_shift", n=6).transpose() == \
-        build_integer("floor_shift", n=6)
-    assert build_integer("abs", n=7).transpose() == build_integer("abs", n=7)
-    for fam in ("cos2", "sin2", "tan_jk"):
-        mat = build_cyclotomic(fam, n=9)
-        assert mat.transpose() == mat, fam
-    m = build_rational("inv_sum_sq", p=7)
-    assert m.transpose() == m
+    for mat in (build_integer("floor_shift", n=6), build_integer("abs", n=7),
+                *(build_cyclotomic(fam, n=9)
+                  for fam in ("cos2", "sin2", "tan_jk")),
+                build_rational("inv_sum_sq", p=7)):
+        assert Mat(mat.ring, zip(*mat.rows)) == mat, mat
 
 
 def test_qfloor_example():
@@ -177,50 +174,58 @@ def test_sec_csc_cot_float(n):
 
 
 def test_sec2_diff_entries_are_true_values():
-    n = 5
     # No factor: the entries are sec^2 and tan^2 themselves.
-    mat = build_cyclotomic("sec2_diff", n=n)
-    for j in range(1, n + 1):
-        for k in range(1, n + 1):
-            want = 1 / math.cos(math.pi * (j - k) / n) ** 2
-            assert abs(mat.rows[j - 1][k - 1].embed() - want) < 1e-9
-    mat2 = build_cyclotomic("tan2_diff", n=n)
-    for j in range(1, n + 1):
-        for k in range(1, n + 1):
-            want = math.tan(math.pi * (j - k) / n) ** 2
-            assert abs(mat2.rows[j - 1][k - 1].embed() - want) < 1e-9
-    assert mat2.rows[0][0].as_rational() == 0
+    for n in (1, 3, 5, 9, 15):
+        mat = build_cyclotomic("sec2_diff", n=n)
+        mat2 = build_cyclotomic("tan2_diff", n=n)
+        for j in range(1, n + 1):
+            for k in range(1, n + 1):
+                want = 1 / math.cos(math.pi * (j - k) / n) ** 2
+                assert abs(mat.rows[j - 1][k - 1].embed() - want) < 1e-9
+                want = math.tan(math.pi * (j - k) / n) ** 2
+                assert abs(mat2.rows[j - 1][k - 1].embed() - want) < 1e-9
+        assert mat2.rows[0][0].as_rational() == 0
 
 
 @pytest.mark.parametrize("n", [8, 9, 10, 15])
 def test_difference_tables_equal_per_residue_inverses(n):
     # The difference families take one inverse per gcd class and conjugate
     # it; every entry must equal the inverse taken at its own residue, in
-    # the field (the lattice vectors may differ).
+    # the field (the lattice vectors may differ).  sec^2 is inverted here
+    # as 4/(2 + zeta^r + zeta^-r), a trinomial the binomial path never sees.
     ring = CyclotomicField(n)
     z = ring.zeta
-    want = {"recip_root_diff": (ring, n, lambda r: (1 - z(r)).inverse()),
-            "cot_ratio": (ring, n,
-                          lambda r: (1 + z(r)) * (1 - z(r)).inverse())}
+    want = {"recip_root_diff": lambda r: (1 - z(r)).inverse(),
+            "cot_ratio": lambda r: (1 + z(r)) * (1 - z(r)).inverse()}
     if n % 2:
-        m = 2 * n
-        twice = CyclotomicField(m)
-
-        def sec2(r):
-            c = twice.zeta(r) + twice.zeta(-r)
-            return (c * c).inverse() * 4
-        want["sec2_diff"] = (twice, m, sec2)
-        want["tan2_diff"] = (twice, m, lambda r: sec2(r) - 1)
-    for family, (field, m, entry) in want.items():
-        mat = build_cyclotomic(family, n=n, size=n) if m == n else \
+        want["sec2_diff"] = lambda r: 4 * (2 + z(r) + z(-r)).inverse()
+        want["tan2_diff"] = lambda r: 4 * (2 + z(r) + z(-r)).inverse() - 1
+    for family, entry in want.items():
+        diagonal_zero = family in ("recip_root_diff", "cot_ratio")
+        mat = build_cyclotomic(family, n=n, size=n) if diagonal_zero else \
             build_cyclotomic(family, n=n)
-        assert mat.ring == field and mat.n == n
+        assert mat.ring == ring and mat.n == n
         for j, row in enumerate(mat.rows):
             for k, got in enumerate(row):
-                if m == n and j == k:
+                if diagonal_zero and j == k:
                     assert got.is_zero(), (family, j)
                 else:
-                    assert got == entry((j - k) % m), (family, j, k)
+                    assert got == entry((j - k) % n), (family, j, k)
+
+
+@pytest.mark.parametrize("n", [3, 7, 9])
+def test_every_cyclotomic_family_is_built_over_its_own_order(n):
+    x = Rat(1, 2)
+    params = {"root_linear": {"x": [x] * n}, "root_exp_shift": {"x": x},
+              "cauchy_root": {"x": x}}
+    families = ["root_linear", "root_exp_shift", "cauchy_root", "tan_shift",
+                "cos2", "sec2", "sin2", "tan_jk", "sec2_diff", "tan2_diff",
+                "recip_root_diff", "cot_ratio"]
+    if n != 9:  # csc2 and cot_jk need a prime n
+        families += ["csc2", "cot_jk"]
+    for family in families:
+        mat = build_cyclotomic(family, n=n, **params.get(family, {}))
+        assert mat.ring == CyclotomicField(n), family
 
 
 def test_recip_root_diff_sizes():

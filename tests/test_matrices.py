@@ -700,7 +700,7 @@ def test_permutation_and_transpose_invariance():
         cols = list(rng.sample(range(n), n))
         shuffled = Mat(ZZ, [[m.rows[r][c] for c in cols] for r in rows])
         assert per_ryser(shuffled) == value
-        assert per_ryser(m.transpose()) == value
+        assert per_ryser(Mat(ZZ, zip(*m.rows))) == value
 
 
 def _rational_cyc(m, rng, span):
@@ -782,21 +782,16 @@ def _invariant_mats(draw, max_n=12, min_n=1, orders=_INVARIANT_ORDERS,
                     kinds=("j+k", "j-k", "1-zeta^j x_k"),
                     quotient_max_n=None):
     """Galois-invariant matrices over Q(zeta_m), m in orders, with n rows,
-    min_n <= n <= max_n, labelled mod m for n = m - 1 or m and mod n for
-    n = m/2: [T(j+k)] or [T(j-k)] for a table T(r) = F(zeta^(s*r)) from
-    families.conjugates, F a sparse polynomial with rational coefficients,
-    now and then over 1 - x*y (only up to quotient_max_n rows if given),
-    where s = 2 for n = m/2 (so that T has period n, as sec2_diff's table
-    has) and s = 1 otherwise; or, for n = m - 1 or m, [1 - zeta^j x_k] with
+    min_n <= n <= max_n, n = m - 1 or m, labelled mod m: [T(j+k)] or
+    [T(j-k)] for a table T(r) = F(zeta^r) from families.conjugates, F a
+    sparse polynomial with rational coefficients, now and then over 1 - x*y
+    (only up to quotient_max_n rows if given); or [1 - zeta^j x_k] with
     rational x_k."""
-    sizes = [(m, n) for m in orders
-             for n in (m - 1, m) + ((m // 2,) if m % 2 == 0 else ())
+    sizes = [(m, n) for m in orders for n in (m - 1, m)
              if min_n <= n <= max_n]
     m, n = draw(st.sampled_from(sizes))
     ring = CyclotomicField(m)
-    s = 2 if 2 * n == m else 1
-    kind = draw(st.sampled_from([k for k in kinds
-                                 if s == 1 or k != "1-zeta^j x_k"]))
+    kind = draw(st.sampled_from(kinds))
     if kind == "1-zeta^j x_k":
         xs = draw(st.lists(_RAT, min_size=n, max_size=n))
         return Mat(ring, [[1 - ring.zeta(j) * x for x in xs]
@@ -808,8 +803,8 @@ def _invariant_mats(draw, max_n=12, min_n=1, orders=_INVARIANT_ORDERS,
         x = draw(st.none() | _RAT.filter(lambda x: x ** m != 1))
 
     def f(r):
-        z = sum((c * ring.zeta(e * s * r) for e, c in terms), ring.zero)
-        return z if x is None else z * (1 - ring.zeta(s * r) * x).inverse()
+        z = sum((c * ring.zeta(e * r) for e, c in terms), ring.zero)
+        return z if x is None else z * (1 - ring.zeta(r) * x).inverse()
     table = conjugates(ring, range(m), f)
     sign = 1 if kind == "j+k" else -1
     return Mat(ring, [[table[(j + sign * k) % m] for k in range(1, n + 1)]
@@ -864,8 +859,8 @@ def _bareiss_with(lower, mat):
     return low.lift(_bareiss(low.ints))
 
 
-# Orders for the determinant lowering: prime, prime power, composite, and
-# even orders, where n = m/2 rows are labelled mod n.
+# Orders for the determinant lowering: prime, prime power, composite and
+# even.
 _DET_ORDERS = (5, 7, 9, 10, 12, 14, 15)
 
 
@@ -945,22 +940,19 @@ def test_the_rational_lift_refuses_a_nonrational_permanent(m, n, data):
 
 @st.composite
 def _labelled_mats(draw):
-    """(sign, det, mat): n <= 5 rows over Q(zeta_m) in one of the four label
-    shapes of the Galois check, built from a table of Galois conjugates
-    T(r) = F(zeta^r), F with rational coefficients, now and then over a
-    rational function of x that vanishes at no root of unity: [T(jk)] with
-    F(1/x) = sign F(x) for m = 2n + 1, whose rows the check signs (odd
+    """(sign, det, mat): n <= 5 rows over Q(zeta_m) in one of the three
+    label shapes of the Galois check, built from a table of Galois
+    conjugates T(r) = F(zeta^r), F with rational coefficients, now and then
+    over a rational function of x that vanishes at no root of unity: [T(jk)]
+    with F(1/x) = sign F(x) for m = 2n + 1, whose rows the check signs (odd
     composite m = 9 included, where every character is trivial), else
-    [T(j + k)] or [T(j - k)], with T(r) = F(zeta^(2r)) of period n for
-    m = 2n; or, for n = m - 1 or m, [1 - zeta^j x_k] with rational x_k,
-    whose rows alone the Galois images permute.  One in three is
-    perturbed: a row negated, or an entry moved by zeta or by the sum of
-    all m-th roots of unity, which is 0 in the field but not on the
-    lattice."""
-    shape = draw(st.sampled_from(("m - 1", "m", "2n", "2n + 1")))
-    n = draw(st.integers({"m - 1": 2, "m": 3, "2n": 2, "2n + 1": 1}[shape],
-                         5))
-    m = {"m - 1": n + 1, "m": n, "2n": 2 * n, "2n + 1": 2 * n + 1}[shape]
+    [T(j + k)] or [T(j - k)]; or [1 - zeta^j x_k] with rational x_k, whose
+    rows alone the Galois images permute.  One in three is perturbed: a row
+    negated, or an entry moved by zeta or by the sum of all m-th roots of
+    unity, which is 0 in the field but not on the lattice."""
+    shape = draw(st.sampled_from(("m - 1", "m", "2n + 1")))
+    n = draw(st.integers({"m - 1": 2, "m": 3, "2n + 1": 1}[shape], 5))
+    m = {"m - 1": n + 1, "m": n, "2n + 1": 2 * n + 1}[shape]
     ring = CyclotomicField(m)
     sign = draw(st.sampled_from((1, -1)))
     terms = draw(st.lists(st.tuples(st.integers(0, m - 1), _RAT),
@@ -968,12 +960,11 @@ def _labelled_mats(draw):
     # x + 1/x = 2 cos(2 pi r/m) is rational only at -2, -1, 0, 1 and 2.
     q = draw(st.none() | _RAT.filter(lambda q: q not in (-2, -1, 0, 1, 2)))
     folded = shape == "2n + 1"
-    s = 2 if shape == "2n" else 1
 
     def f(r):
-        x = ring.zeta(s * r)
-        z = sum((c * (ring.zeta(e * s * r) + sign * ring.zeta(-e * s * r)
-                      if folded else c * ring.zeta(e * s * r))
+        x = ring.zeta(r)
+        z = sum((c * (ring.zeta(e * r) + sign * ring.zeta(-e * r)
+                      if folded else c * ring.zeta(e * r))
                  for e, c in terms), ring.zero)
         # x + 1/x + q keeps F(1/x) = sign F(x).
         return z if q is None else z * (x + x ** -1 + q).inverse()
@@ -1020,6 +1011,27 @@ def test_the_carrier_makes_the_value_rational(drawn):
                 assert twisted.galois(a) == twisted, (a, carrier)
     assert per_ryser(mat) == per_naive(mat)
     assert det_field(mat) == _leibniz(mat)
+
+
+def test_a_period_n_table_over_the_2n_field_keeps_kronecker(monkeypatch):
+    # sec^2 pi(j - k)/n over Q(zeta_2n), entry (j, k) = T[(j - k) mod 2n]
+    # with T(r) = 4/(2 + zeta^2r + zeta^-2r) of period n: n = m/2 rows are
+    # no label shape of the Galois check, so both engines take Kronecker.
+    # (At n = 3 every entry is rational, and W = 1 at once.)
+    n, m = 5, 10
+    ring = CyclotomicField(m)
+    z = ring.zeta
+    table = conjugates(ring, range(m),
+                       lambda r: 4 * (2 + z(2 * r) + z(-2 * r)).inverse())
+    mat = Mat(ring, [[table[(j - k) % m] for k in range(1, n + 1)]
+                     for j in range(1, n + 1)])
+    assert _carrier(mat) is None and _carrier(mat, det=True) is None
+
+    def refused(self, rows, carrier=None):
+        raise AssertionError("took the rational lowering")
+    monkeypatch.setattr(CyclotomicField, "lower_rational", refused)
+    assert det_field(mat) == _leibniz(mat)
+    assert per_ryser(mat) == per_naive(mat)
 
 
 def test_the_twisted_lowering_refuses_a_carrier_off_the_square_roots():

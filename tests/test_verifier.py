@@ -19,8 +19,8 @@ from permarith.errors import DomainError, UnknownCheckError
 from permarith.matrices import Mat, per_ryser, per_sum_values
 from permarith.ntheory import binomial, factorial, inv_mod, odd_primes_upto
 from permarith.rings import ZZ, Rat
-from permarith.verifier import (ALL_CHECK_IDS, REGISTRY, default_grid,
-                                run_check, run_suite)
+from permarith.verifier import (ALL_CHECK_IDS, REGISTRY, Report,
+                                default_grid, run_check, run_suite)
 from test_matrices import _moment_coeffs
 
 # one registry id per in-scope claim; keep in sync with the registry itself
@@ -760,3 +760,14 @@ def test_every_check_refuses_a_huge_size_at_once(monkeypatch):
                        for row in rows}:
             r = run_check(check_id, dict(params))
             assert r.status == "SKIP" and r.ms < 1000, r
+
+
+@pytest.mark.parametrize("size", [-7, -3, -2, -1, 0, 1, 2])
+def test_every_check_reports_a_small_or_negative_size(size):
+    # n or p at 2 or below, the other keys from the first fast-tier row: a
+    # report, PASS or SKIP, never a FAIL or a traceback.
+    for check_id in REGISTRY:
+        row = default_grid(check_id, "fast")[0]
+        key = "p" if "p" in row else "n"
+        r = run_check(check_id, {**row, key: size})
+        assert isinstance(r, Report) and r.status != "FAIL", r
