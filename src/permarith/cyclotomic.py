@@ -607,9 +607,6 @@ class CyclotomicField(Ring):
         self.zero = Cyc.rational(m, 0)
         self.one = Cyc.rational(m, 1)
 
-    def from_int(self, k: int):
-        return Cyc.rational(self.m, k)
-
     def lower(self, rows) -> Lowering:
         # Glynn's products and unpack fold mod 2^(mB) - 1, which is odd.
         images, layout = pack_rows(self.m, rows)

@@ -369,15 +369,12 @@ class Ring:
     """Commutative ring descriptor: identities and an int lowering.
 
     Elements themselves carry the arithmetic via operators; the tag supplies
-    the attributes zero and one, integer embedding, the lowering the engines
-    run on, and random elements for law testing.
+    the attributes zero and one (ring.zero + k embeds an int k), the
+    lowering the engines run on, and random elements for law testing.
     """
 
     name = "ring"
     is_field = False
-
-    def from_int(self, k: int):
-        raise NotImplementedError
 
     def rand(self, rng, span: int = 10):
         raise NotImplementedError
@@ -395,9 +392,6 @@ class IntegerRing(Ring):
     zero = 0
     one = 1
 
-    def from_int(self, k: int):
-        return k
-
     def rand(self, rng, span: int = 10):
         return rng.randint(-span, span)
 
@@ -410,9 +404,6 @@ class RationalField(Ring):
     is_field = True
     zero = Rat(0)
     one = Rat(1)
-
-    def from_int(self, k: int):
-        return Rat(k)
 
     def rand(self, rng, span: int = 10):
         return Rat(rng.randint(-span, span), rng.randint(1, span))
@@ -439,9 +430,6 @@ class ResidueRing(Ring):
         self.one = ModInt(1, m)
         from .ntheory import is_prime
         self.is_field = is_prime(m)
-
-    def from_int(self, k: int):
-        return ModInt(k, self.m)
 
     def rand(self, rng, span: int = 10):
         return ModInt(rng.randrange(self.m), self.m)
@@ -475,9 +463,6 @@ class LaurentRing(Ring):
     name = "Q[q,q^-1]"
     zero = LPoly()
     one = LPoly.const(1)
-
-    def from_int(self, k: int):
-        return LPoly.const(k)
 
     def rand(self, rng, span: int = 10):
         n_terms = rng.randint(0, 3)

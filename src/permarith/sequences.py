@@ -89,9 +89,10 @@ def _check_domain(name: str, n: int, prime_only: bool = False):
 # and tprime, prime indices only, 2.2-2.6 s at 41), about 3x more per step
 # of n, of which _orbits' walk over the 2^18 masks takes about 0.13 s at
 # 37.  T keeps 19, its limit before the rational lowering: with no orbit
-# symmetry its Glynn sum takes 2^(n-2) products of n - 1 row sums (residues
-# mod Phi_n(2^e)), and T(17) takes 0.23-0.30 s, T(19) 1.4 s, T(21) 6.4 s:
-# the products of these long residues, not the loop, set its time.
+# symmetry, only the mirror one, its Glynn sum takes about 2^(n-3) products
+# of n - 1 row sums (residues mod Phi_n(2^e)), and T(17) takes 0.10 s,
+# T(19) 0.56-0.77 s and T(21) about 2.9 s: the products of these long
+# residues, not the loop, set its time.
 SEQ_TABLE = {
     "T": ("tan_shift", 0, True, False, 19),
     "c": ("cos2", 0, False, False, 37),

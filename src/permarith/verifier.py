@@ -191,11 +191,12 @@ def _structured_per(lo: int, hi: int, e: int, d: int) -> int:
 # ---------------------------------------------------------------------------
 
 def _integral_pair(name: str):
-    """Runner: name(n) and, for prime n, (name + "prime")(n) are integers."""
+    """Runner: name(n) and, for prime n where SEQ_TABLE has the row,
+    (name + "prime")(n) are integers."""
     def run(params, rng):
         n = params["n"]
         items = [_int_item(sequence_value(name, n).value, f"{name}({n})")]
-        if is_prime(n):
+        if name + "prime" in SEQ_TABLE and is_prime(n):
             items.append(_int_item(sequence_value(name + "prime", n).value,
                                    f"{name}'({n})"))
         return items, None, None
@@ -336,11 +337,6 @@ def _qdet_bounded(run):
                                  f" got a = {a}")
         return run(params, rng)
     return bounded
-
-
-def _run_thjk_int(params, rng):
-    n = params["n"]
-    return [_int_item(seq_T(n).value, f"T({n})")], None, None
 
 
 def _run_thcos_int(params, rng):
@@ -604,11 +600,14 @@ _FAST_D = {"hi": 13, "d": (1, 2, -1)}
 # residue per entry whose time follows phi(n) more than n, 0.33 s at n = 28,
 # 0.77-0.83 s at 29 and 0.41-0.51 s at 32.  These rows at a limit exceed the
 # 0.5 s rule (re-timed from a fresh process, twice each): T(19), which thjk.int
-# reads at n = 19, 1.34-1.65 s; the five Glynn permanents over Z or Q of n or p
-# rows that RYSER_LIMIT bounds (20 rows, so p <= 19), thq.floor 0.54 s and
-# conj.bernoulli 0.57-0.60 s at n = 20, thq.qfloor 0.50-0.63 s at 20,
-# conj.absjk 0.73-0.74 s at p = 19 and conj.maskper 0.75 s at a = 1 and
-# 0.86-1.01 s at a = 3; and rem.qdetabs 0.60-0.61 s at n = 28 (1.8 s at 32).  A
+# reads at n = 19, 0.56-0.77 s (three times; T(17) 0.10 s) on Glynn's mirror
+# sum (see matrices); the Glynn permanents over Z or Q of n or p rows that
+# RYSER_LIMIT bounds (20 rows, so p <= 19), thq.floor 0.54 s and
+# conj.bernoulli 0.57-0.60 s at n = 20, thq.qfloor 0.50-0.63 s at 20 and
+# conj.maskper 0.75 s at a = 1 and 0.86-1.01 s at a = 3; and rem.qdetabs
+# 0.60-0.61 s at n = 28 (1.8 s at 32).  conj.absjk, also bounded by
+# RYSER_LIMIT, takes 0.39-0.41 s at p = 19 and 0.08-0.09 s at 17 (three times
+# each), its per[|j-k|] on the mirror sum.  A
 # check that reads sequences has the smallest largest index of their SEQ_TABLE
 # rows as its limit, which it applies before the primality test.  A check that
 # reads two rows at one index pays for both values: at 37 thcos.* and
@@ -730,7 +729,7 @@ _register("thnew.invsumsq", "theorem",
           partial(_ps, mod4=3), 11, 23, limit=("p", 31))
 _register("thjk.int", "theorem",
           "T(n) = per[tan pi(j+k)/n] (size n-1) is an integer",
-          _run_thjk_int, _odd_ns, 9, 13, limit=_seq_limit("n", "T"))
+          _integral_pair("T"), _odd_ns, 9, 13, limit=_seq_limit("n", "T"))
 _register("thjk.cong", "theorem",
           "T(p) = (-1)^((p+1)/2) 2p (mod p^2)",
           _claim((lambda p: seq_T(p).value,

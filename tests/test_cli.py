@@ -16,6 +16,7 @@ import permarith.cli as cli
 import permarith.verifier as verifier
 from permarith.cli import explore_grid, main
 from permarith.rings import Rat
+from permarith.sequences import seq_T
 from permarith.verifier import REGISTRY, default_grid
 
 
@@ -317,6 +318,26 @@ def test_seq_json_matches_the_pinned_digest(capsys, name):
                         "--json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == SEQ_DIGESTS[name]
+
+
+# sha256 of the stdout of `seq T --range 19..19 --json` on the fractions
+# backend, pinned as RESULT_DIGESTS is: T(19), the 18-row mirror-symmetric
+# Glynn sum at T's largest index.  The CI job on the requires-python floor
+# compares the same bytes.
+SEQ_T19_DIGEST = (
+    "e6183f87637bd371506a31dbe46e1bbdd7f0fff2364bf4ddc59af38b519a8aeb")
+
+
+@pytest.mark.skipif(Rat is not Fraction,
+                    reason="digests were recorded on the fractions backend")
+def test_seq_t19_json_matches_the_pinned_digest(capsys):
+    try:
+        code, out = run_cli(capsys, "seq", "T", "--range", "19..19", "--json")
+    finally:
+        # Later tests build T(19) themselves, so none may find it cached.
+        seq_T.cache_clear()
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SEQ_T19_DIGEST
 
 
 # sha256 of the stdout of `explore ID [ARGS] --json` at the default --pmax

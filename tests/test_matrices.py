@@ -16,7 +16,8 @@ from permarith.cyclotomic import Cyc, CyclotomicField, pack_rows, sqrt_element
 from permarith import matrices
 from permarith.errors import (DomainError, SizeLimitError,
                               UnsupportedRingError)
-from permarith.families import JK_SIGN, build_cyclotomic, conjugates
+from permarith.families import (JK_SIGN, build_cyclotomic, build_integer,
+                                conjugates)
 from permarith.matrices import (RYSER_LIMIT, Mat, _bareiss, _carrier, _glynn,
                                 _jk_sign, _necklaces, _orbit_glynn, _orbits,
                                 det_divfree,
@@ -24,7 +25,8 @@ from permarith.matrices import (RYSER_LIMIT, Mat, _bareiss, _carrier, _glynn,
                                 per_sum_coeffs, per_sum_values,
                                 unit_generators)
 from permarith.ntheory import is_prime
-from permarith.rings import GF, QPOLY, QQ, ZZ, LPoly, Rat, Zmod
+from permarith.rings import (GF, QPOLY, QQ, ZZ, LPoly, Rat, ResidueRing,
+                             Zmod)
 
 
 def _rand_mat(ring, n, rng, span=6):
@@ -77,7 +79,7 @@ def _entries(ring):
         return st.lists(_SMALL, min_size=ring.m,
                         max_size=ring.m).map(lambda c: Cyc(ring.m, c))
     # Z/m: residues mixed with plain ints, which the lowering reduces.
-    return st.integers(0, ring.m - 1).map(ring.from_int) | _SMALL
+    return st.integers(0, ring.m - 1).map(ring.zero.__add__) | _SMALL
 
 
 @st.composite
@@ -222,7 +224,7 @@ def test_glynn_halving_past_the_word_length(m):
     perm = [3, 0, 6, 1, 5, 2, 4]
     mats = [Mat(ring, [[one if k == perm[j] else zero for k in range(7)]
                        for j in range(7)])]
-    rows = [[ring.from_int(j - k) for k in range(7)] for j in range(7)]
+    rows = [[ring.zero + (j - k) for k in range(7)] for j in range(7)]
     rows[4] = [zero] * 7
     mats.append(Mat(ring, rows))
     assert pack_rows(m, mats[0].rows)[1].bits == 3
@@ -230,6 +232,162 @@ def test_glynn_halving_past_the_word_length(m):
     for mat in mats:
         assert per_ryser(mat) == per_naive(mat)
     assert per_ryser(mats[0]) == 1 and per_ryser(mats[1]) == 0
+
+
+def _mirrored(ring, n, sign, entries):
+    # The n x n matrix whose entry (j, k) for j*n + k below n*n/2 is the
+    # next of `entries`, and whose entry (n-1-j, n-1-k) is sign times it: a
+    # centre entry (odd n) is the next entry for sign 1 and 0 for sign -1.
+    flat = [None] * (n * n)
+    for i in range((n * n + 1) // 2):
+        x = next(entries)
+        if sign < 0 and 2 * i == n * n - 1:
+            x = ring.zero
+        flat[i], flat[-1 - i] = x, x if sign > 0 else -x
+    return Mat(ring, [flat[j * n:(j + 1) * n] for j in range(n)])
+
+
+def _mirror_products(n):
+    # The row products of the mirror sum at n rows: 2^(o-1) + 2^((o-1)/2)
+    # blocks of 2^b, o = n - 1 - b outer columns.
+    b = 5 if n % 2 else 4
+    o = n - 1 - b
+    return (2 ** (o - 1) + 2 ** ((o - 1) // 2)) * 2 ** b
+
+
+def _counted_glynn(low):
+    # _glynn on a lowering, and the number of row products it took.
+    calls = [0]
+
+    def product(sums):
+        calls[0] += 1
+        return low.product(sums)
+    return _glynn(low.ints, product, low.modulus), calls[0]
+
+
+def _plain_lift(low, n):
+    # The same lift with the mirror test forced to fail.
+    with mock.patch.object(matrices, "_mirror_sign", return_value=0):
+        return low.lift(_glynn(low.ints, low.product, low.modulus), n - 1)
+
+
+def _check_mirror(mat, low, mirror, naive_n):
+    # Glynn's sum on the lowering takes the mirror sum's products where
+    # `mirror` is true, else all 2^(n-1); it equals the forced plain sum
+    # and, up to naive_n rows, per_naive.
+    n = mat.n
+    v, products = _counted_glynn(low)
+    assert products == (_mirror_products(n) if mirror else 2 ** (n - 1))
+    got = low.lift(v, n - 1)
+    assert got == _plain_lift(low, n)
+    if n <= naive_n:
+        assert got == per_naive(mat)
+
+
+@st.composite
+def _mirror_cases(draw, ring, odd_negative=False):
+    """(sign, mat): 7..12 rows over ring with entry (n-1-j, n-1-k) sign
+    times entry (j, k); sign -1 only at even n, unless odd_negative, which
+    draws sign -1 at odd n only.  Entry (0, 0) is 1, so the matrix has the
+    relation for that sign alone, and a one-entry perturbation of it for
+    neither sign."""
+    sign = -1 if odd_negative else draw(st.sampled_from((1, -1)))
+    n = draw(st.integers(7, 12).filter(
+        lambda n: sign > 0 or (n % 2 == 1) == odd_negative))
+    entries = draw(st.lists(_entries(ring), min_size=(n * n - 1) // 2,
+                            max_size=(n * n - 1) // 2))
+    return sign, _mirrored(ring, n, sign, iter([ring.one] + entries))
+
+
+@pytest.mark.parametrize("ring", ENGINE_RINGS, ids=lambda r: r.name)
+@settings(max_examples=4, deadline=None)
+@given(st.data())
+def test_mirror_glynn_equals_naive_and_the_plain_sum(ring, data):
+    # Every lowering keeps equal entries equal, and all but the least
+    # residues of Z/m keep negated entries negated, so the mirror sum runs.
+    sign, mat = data.draw(_mirror_cases(ring))
+    mirror = sign > 0 or not isinstance(ring, ResidueRing)
+    naive_n = 8 if ring is ZZ or isinstance(ring, ResidueRing) else 7
+    low = matrices._lowered(mat)
+    _check_mirror(mat, low, mirror, naive_n)
+    # The centre maps to itself, so the perturbed entry is off it.
+    i = data.draw(st.integers(0, mat.n * mat.n // 2 - 1))
+    rows = [list(row) for row in mat.rows]
+    rows[i // mat.n][i % mat.n] += ring.one
+    bent = Mat(ring, rows)
+    _check_mirror(bent, matrices._lowered(bent), False, naive_n)
+    # sign -1 at odd n: the relation forces a zero permanent, and the
+    # plain sum runs.
+    _, odd = data.draw(_mirror_cases(ring, odd_negative=True))
+    _check_mirror(odd, matrices._lowered(odd), False, naive_n)
+
+
+@st.composite
+def _mirror_tables(draw):
+    """[T(j + k)] (n = m - 1) or [T(j - k)] (n = m - 1 or m) over
+    Q(zeta_m), 7 <= n <= 12, for T(r) = sum_e c_e (zeta^(er) + sign
+    zeta^(-er)) with rational c_e: Galois-invariant tables with entry
+    (n-1-j, n-1-k) sign times entry (j, k), sign -1 at even n only."""
+    sign = draw(st.sampled_from((1, -1)))
+    shapes = [(m, n, kind) for m in range(8, 14) for n in (m - 1, m)
+              for kind in (1, -1) if 7 <= n <= 12
+              and (n == m - 1 or kind < 0) and (sign > 0 or n % 2 == 0)]
+    m, n, kind = draw(st.sampled_from(shapes))
+    ring = CyclotomicField(m)
+    terms = draw(st.lists(st.tuples(st.integers(1, m - 1), _RAT),
+                          min_size=1, max_size=3))
+    table = [sum((c * (ring.zeta(e * r) + sign * ring.zeta(-e * r))
+                  for e, c in terms), ring.zero) for r in range(m)]
+    return Mat(ring, [[table[(j + kind * k) % m] for k in range(1, n + 1)]
+                      for j in range(1, n + 1)])
+
+
+@settings(max_examples=6, deadline=None)
+@given(_mirror_tables())
+def test_mirror_glynn_on_residues_and_kronecker(mat):
+    # Over Q(zeta_m) the residue lowering holds an irrational entry as its
+    # least residue mod N, so a negated entry's residue is N minus it: the
+    # test must compare mod N.  The Kronecker images are compared mod
+    # 2^(mB) - 1.
+    ring, n = mat.ring, mat.n
+    assert _carrier(mat) == ring.one
+    residue = ring.lower_rational(mat.rows, ring.one)
+    _check_mirror(mat, residue, True, 7)
+    _check_mirror(mat, ring.lower(mat.rows), True, 0)
+    assert per_ryser(mat) == _plain_lift(residue, n)
+    rows = [list(row) for row in mat.rows]
+    rows[0][1] += ring.one
+    bent = ring.lower_rational(rows, ring.one)
+    assert _counted_glynn(bent)[1] == 2 ** (n - 1)
+
+
+def _glynn_products(mat):
+    # per_ryser's value, and the row products of its Glynn sum.
+    calls = [0]
+    glynn = matrices._glynn
+
+    def counted(rows, product, modulus=None):
+        def counting(sums):
+            calls[0] += 1
+            return product(sums)
+        return glynn(rows, counting, modulus)
+    with mock.patch.object(matrices, "_glynn", counted):
+        got = per_ryser(mat)
+    return got, calls[0]
+
+
+@pytest.mark.parametrize("mat", [
+    build_integer("abs", n=13, shift=0), build_cyclotomic("tan_shift", n=11)],
+    ids=["|j-k| at 13", "T(11)"])
+def test_mirror_glynn_takes_about_half_the_products(mat):
+    # per[|j-k|] (exact ints, sign 1) runs 72 of 128 blocks of 32; T(11)'s
+    # ten rows of residues (sign -1) 20 of 32 blocks of 16.  Both equal the
+    # plain sum.
+    got, products = _glynn_products(mat)
+    assert products == _mirror_products(mat.n)
+    assert products == {13: 72 * 32, 10: 20 * 16}[mat.n]
+    with mock.patch.object(matrices, "_mirror_sign", return_value=0):
+        assert _glynn_products(mat) == (got, 2 ** (mat.n - 1))
 
 
 @pytest.mark.parametrize("family", list(JK_SIGN))
@@ -774,7 +932,7 @@ _INVARIANT_ORDERS = (3, 4, 5, 7, 9, 12)
 def _glynn_with(lower, mat):
     # per_ryser's body on a chosen lowering.
     low = lower(mat.rows)
-    return low.lift(_glynn(low.ints, low.product), mat.n - 1)
+    return low.lift(_glynn(low.ints, low.product, low.modulus), mat.n - 1)
 
 
 @st.composite
@@ -1174,7 +1332,7 @@ def test_det_examples():
     with pytest.raises(UnsupportedRingError):
         det_field(Mat(ZZ, [[1, 2], [3, 4]]))
     with pytest.raises(UnsupportedRingError):
-        det_field(Mat(Zmod(9), [[Zmod(9).from_int(1)]] ))
+        det_field(Mat(Zmod(9), [[Zmod(9).zero + 1]] ))
 
 
 def _eliminate(mat):
@@ -1231,8 +1389,8 @@ _SWAPS = [[[0, 1], [1, 0]],
 def test_det_pivot_swaps(ring):
     # Each zero pivot needs a row swap, which flips the sign.
     for rows in _SWAPS:
-        mat = Mat(ring, [[ring.from_int(x) for x in row] for row in rows])
-        assert det_divfree(mat) == ring.from_int(-1) == _leibniz(mat), rows
+        mat = Mat(ring, [[ring.zero + x for x in row] for row in rows])
+        assert det_divfree(mat) == ring.zero - 1 == _leibniz(mat), rows
 
 
 def test_det_pivot_swap_under_a_power_of_q():
@@ -1250,7 +1408,7 @@ def test_det_over_z8_reduces_a_multiple_of_8():
     for rows, in_z in (([[0, 2, 0], [4, 6, 0], [0, 0, 1]], -8),
                        ([[2, 1, 0], [0, 2, 1], [0, 0, 6]], 24)):
         assert det_divfree(Mat(ZZ, rows)) == in_z == _leibniz(Mat(ZZ, rows))
-        mat = Mat(z8, [[z8.from_int(x) for x in row] for row in rows])
+        mat = Mat(z8, [[z8.zero + x for x in row] for row in rows])
         assert det_divfree(mat) == z8.zero == _leibniz(mat)
 
 

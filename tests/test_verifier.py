@@ -306,10 +306,13 @@ def test_determinant_checks_pass_and_print_at_their_limits(check_id):
 @pytest.mark.parametrize("check_id,params", [
     ("cor.sin", {"n": REGISTRY["cor.sin"].limit[1]}),
     ("thper.rootlinear", {"n": verifier.ROOTLINEAR_LIMITS["cyc"],
-                          "backend": "cyc"})], ids=["cor.sin", "rootlinear"])
+                          "backend": "cyc"}),
+    ("conj.absjk", {"p": REGISTRY["conj.absjk"].limit[1]})],
+    ids=["cor.sin", "rootlinear", "absjk"])
 def test_glynn_checks_pass_and_print_at_their_limits(check_id, params):
     # The same at the limits of two Glynn checks over Q(zeta), re-fitted
-    # since Glynn's sum went to blocks.
+    # since Glynn's sum went to blocks, and of conj.absjk over Z, whose
+    # 19 rows run the mirror sum (|j-k|) and the plain sum (|j-k+1|).
     r = run_check(check_id, params)
     assert r.status == "PASS", r
     for text in (r.computed, r.expected):
